@@ -11,16 +11,20 @@ Exit codes are a stable contract:
 
 Machine-readable output (--json) is a single JSON document embedding the run
 manifest, so any report can be reproduced from the report alone.
+
+Each `cmd_*` returns (exit code, text lines, report body); `main` alone
+builds the manifest, renders the text or the JSON document, and maps errors
+to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
+import re
 import sys as _sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -50,6 +54,10 @@ EXIT_TRUNCATED = 3
 EXIT_DIVERGED = 4
 EXIT_VERIFY = 5
 
+# parsed attributes that are not options of the run
+_NOT_OPTIONS = ("command", "file", "json", "func")
+_VECTOR_FLAGS = ("--x0", "--p0")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -57,94 +65,57 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    command: str
-    input: str
-    options: dict
-    version: str
-    timestamp: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _manifest(command: str, path: str, options: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        input=path,
-        options=options,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _policy_from_args(args) -> ZeroTestPolicy:
+def _real(text: str) -> float:
+    """argparse type: one finite real."""
     try:
-        return ZeroTestPolicy(
-            sample_count=args.zero_samples,
-            box_halfwidth=args.zero_box,
-            tolerance=args.zero_tol,
-            seed=args.seed,
-        )
-    except ValueError as err:
-        raise CliError(f"bad zero-test options: {err}", EXIT_INPUT) from err
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a real number, got '{text}'") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got '{text}'")
+    return value
 
 
-def _load_system(path: str) -> ControlSystem:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot read '{path}': {err}", EXIT_INPUT) from err
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise CliError(f"'{path}' is not valid JSON: {err}", EXIT_INPUT) from err
-    try:
-        return load(document)
-    except (SystemLoadError, ValueError) as err:
-        raise CliError(f"'{path}': {err}", EXIT_INPUT) from err
+def _vector(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated finite reals."""
+    return tuple(_real(part) for part in text.split(","))
 
 
-def _validate_or_die(sys_model: ControlSystem, horizon: float) -> None:
-    report = validate(sys_model, horizon)
-    if not report.ok:
-        lines = [f"  [{f.severity}] {f.location}: {f.message}" for f in report.findings]
-        raise CliError("validation failed:\n" + "\n".join(lines), EXIT_VALIDATION)
-
-
-def _prepare(sys_model: ControlSystem, extend: bool, notes: list[str]) -> ControlSystem:
-    """Resolve a pending running cost: extend on request, else analyze raw dynamics."""
-    if extend:
-        if sys_model.cost is None:
-            raise CliError("--extend-cost given but the system has no cost", EXIT_INPUT)
-        return extend_with_cost(sys_model)
-    if sys_model.cost is not None:
-        notes.append("cost present: analyzing raw dynamics (use --extend-cost to absorb it)")
-        return without_cost(sys_model)
-    return sys_model
-
-
-def _parse_vector(text: str, expected: int, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError as err:
-        raise CliError(f"{flag} must be comma-separated reals: {err}", EXIT_INPUT) from err
+def _sized(values: tuple[float, ...], expected: int, flag: str) -> tuple[float, ...]:
     if len(values) != expected:
         raise CliError(f"{flag} must have {expected} entries, got {len(values)}", EXIT_INPUT)
     return values
 
 
-def _q_text(q: Fraction) -> str:
-    return str(q)
+def _system(args) -> tuple[ControlSystem, list[str]]:
+    """Load the system; validate it when the command takes --horizon; resolve its cost.
 
-
-def _emit(args, human_lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+    A pending running cost is absorbed on --extend-cost, else dropped with a note.
+    """
+    path = args.file
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise CliError(f"cannot read '{path}': {err}", EXIT_INPUT) from err
+    try:
+        sys_model = load(json.loads(text))
+    except json.JSONDecodeError as err:
+        raise CliError(f"'{path}' is not valid JSON: {err}", EXIT_INPUT) from err
+    except (SystemLoadError, ValueError) as err:
+        raise CliError(f"'{path}': {err}", EXIT_INPUT) from err
+    if "horizon" in args:
+        report = validate(sys_model, args.horizon)
+        if not report.ok:
+            lines = [f"  [{f.severity}] {f.location}: {f.message}" for f in report.findings]
+            raise CliError("validation failed:\n" + "\n".join(lines), EXIT_VALIDATION)
+    if args.extend_cost:
+        if sys_model.cost is None:
+            raise CliError("--extend-cost given but the system has no cost", EXIT_INPUT)
+        return extend_with_cost(sys_model), []
+    if sys_model.cost is not None:
+        note = "cost present: analyzing raw dynamics (use --extend-cost to absorb it)"
+        return without_cost(sys_model), [note]
+    return sys_model, []
 
 
 # ---------------------------------------------------------------------------
@@ -152,84 +123,56 @@ def _emit(args, human_lines: list[str], payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_order(args) -> int:
-    sys_model = _load_system(args.file)
-    _validate_or_die(sys_model, args.horizon)
-    notes: list[str] = []
-    sys_model = _prepare(sys_model, args.extend_cost, notes)
-    policy = _policy_from_args(args)
+def cmd_order(args):
+    sys_model, notes = _system(args)
+    policy = ZeroTestPolicy(args.zero_samples, args.zero_box, args.zero_tol, args.seed)
     report = problem_order(sys_model, args.k_max, policy)
 
-    lines = list(notes)
-    lines.append(
-        f"system: {sys_model.label or args.file} (n={sys_model.n} states, m={sys_model.m} inputs)"
-    )
-    evidence_payload = []
+    label = sys_model.label or args.file
+    lines = [f"system: {label} (n={sys_model.n} states, m={sys_model.m} inputs)"]
     for level in report.evidence:
         nonzero = [e for e in level.entries if not e.zero]
         if not nonzero:
-            lines.append(
-                f"level {level.level}: all {len(level.entries)} bracket fields vanish"
-            )
-        else:
-            first = nonzero[0]
-            point = ", ".join(f"{k}={v:.6g}" for k, v in (first.witness_point or {}).items())
-            lines.append(
-                f"level {level.level}: {len(nonzero)}/{len(level.entries)} bracket fields"
-                f" nonzero; first [g{first.j + 1}, ad_f^{level.level - 1} g{first.i + 1}]"
-                f" (component {first.witness_component + 1} at {point or 'constant'})"
-            )
-        evidence_payload.append(
-            {
-                "level": level.level,
-                "entries": [
-                    {
-                        "i": e.i + 1,
-                        "j": e.j + 1,
-                        "zero": e.zero,
-                        "witness_component": None
-                        if e.witness_component is None
-                        else e.witness_component + 1,
-                        "witness_point": dict(e.witness_point) if e.witness_point else None,
-                    }
-                    for e in level.entries
-                ],
-            }
+            lines.append(f"level {level.level}: all {len(level.entries)} bracket fields vanish")
+            continue
+        first = nonzero[0]
+        point = ", ".join(f"{k}={v:.6g}" for k, v in (first.witness_point or {}).items())
+        lines.append(
+            f"level {level.level}: {len(nonzero)}/{len(level.entries)} bracket fields"
+            f" nonzero; first [g{first.j + 1}, ad_f^{level.level - 1} g{first.i + 1}]"
+            f" (component {first.witness_component + 1} at {point or 'constant'})"
         )
-
-    payload = {
-        "manifest": _manifest(
-            "order",
-            args.file,
-            {
-                "k_max": args.k_max,
-                "extend_cost": args.extend_cost,
-                "zero_samples": args.zero_samples,
-                "zero_box": args.zero_box,
-                "zero_tol": args.zero_tol,
-                "seed": args.seed,
-            },
-        ).as_dict(),
-        "notes": notes,
-        "found": report.found,
-        "evidence": evidence_payload,
-    }
-    if report.found:
-        lines.append(f"k = {report.k}, q = {_q_text(report.q)}")
-        payload.update(
-            {
-                "k": report.k,
-                "q": _q_text(report.q),
-                "q_numerator": report.q.numerator,
-                "q_denominator": report.q.denominator,
-            }
-        )
-        _emit(args, lines, payload)
-        return EXIT_OK
-    lines.append(f"order not found up to k = {report.truncated_at}")
-    payload["truncated_at"] = report.truncated_at
-    _emit(args, lines, payload)
-    return EXIT_TRUNCATED
+    evidence = [
+        {
+            "level": level.level,
+            "entries": [
+                {
+                    "i": e.i + 1,
+                    "j": e.j + 1,
+                    "zero": e.zero,
+                    "witness_component": None
+                    if e.witness_component is None
+                    else e.witness_component + 1,
+                    "witness_point": dict(e.witness_point) if e.witness_point else None,
+                }
+                for e in level.entries
+            ],
+        }
+        for level in report.evidence
+    ]
+    body = {"notes": notes, "found": report.found, "evidence": evidence}
+    if not report.found:
+        lines.append(f"order not found up to k = {report.truncated_at}")
+        body["truncated_at"] = report.truncated_at
+        return EXIT_TRUNCATED, lines, body
+    lines.append(f"k = {report.k}, q = {report.q}")
+    body.update(
+        k=report.k,
+        q=str(report.q),
+        q_numerator=report.q.numerator,
+        q_denominator=report.q.denominator,
+    )
+    return EXIT_OK, lines, body
 
 
 # ---------------------------------------------------------------------------
@@ -237,46 +180,28 @@ def cmd_order(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_brackets(args) -> int:
-    sys_model = _load_system(args.file)
-    notes: list[str] = []
-    sys_model = _prepare(sys_model, args.extend_cost, notes)
+def cmd_brackets(args):
+    sys_model, notes = _system(args)
     if args.depth < 0:
         raise CliError("--depth must be >= 0", EXIT_INPUT)
 
-    lines = list(notes)
-    rows = []
+    lines, rows = [], []
+
+    def row(name: str, field, **keys) -> None:
+        lines.append(f"{name} = {field}")
+        rows.append({**keys, "components": [to_text(c) for c in field.components]})
+
     for k in range(args.depth + 1):
         for i, g in enumerate(sys_model.inputs):
-            field = ad_pow(sys_model.drift, g, k)
             name = f"g{i + 1}" if k == 0 else f"ad_f^{k} g{i + 1}"
-            lines.append(f"{name} = {field}")
-            rows.append({"kind": "ad", "k": k, "i": i + 1, "components": [to_text(c) for c in field.components]})
+            row(name, ad_pow(sys_model.drift, g, k), kind="ad", k=k, i=i + 1)
         if k >= 1:
             for i, gi in enumerate(sys_model.inputs):
                 base = ad_pow(sys_model.drift, gi, k - 1)
                 for j, gj in enumerate(sys_model.inputs):
-                    field = lie_bracket(gj, base)
-                    lines.append(f"[g{j + 1}, ad_f^{k - 1} g{i + 1}] = {field}")
-                    rows.append(
-                        {
-                            "kind": "b",
-                            "k": k,
-                            "i": i + 1,
-                            "j": j + 1,
-                            "components": [to_text(c) for c in field.components],
-                        }
-                    )
-
-    payload = {
-        "manifest": _manifest(
-            "brackets", args.file, {"depth": args.depth, "extend_cost": args.extend_cost}
-        ).as_dict(),
-        "notes": notes,
-        "rows": rows,
-    }
-    _emit(args, lines, payload)
-    return EXIT_OK
+                    name = f"[g{j + 1}, ad_f^{k - 1} g{i + 1}]"
+                    row(name, lie_bracket(gj, base), kind="b", k=k, i=i + 1, j=j + 1)
+    return EXIT_OK, lines, {"notes": notes, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +214,11 @@ def _parse_policy(args, m: int):
     if text == "bang":
         return BangBang(deadband=args.deadband)
     if text.startswith("fixed:"):
-        u = _parse_vector(text[len("fixed:"):], m, "--policy fixed")
-        return FixedControl(u)
+        try:
+            u = _vector(text[len("fixed:"):])
+        except argparse.ArgumentTypeError as err:
+            raise CliError(f"--policy fixed: {err}", EXIT_INPUT) from None
+        return FixedControl(_sized(u, m, "--policy fixed"))
     if text.startswith("piecewise:"):
         path = text[len("piecewise:"):]
         try:
@@ -299,45 +227,30 @@ def _parse_policy(args, m: int):
             return PiecewiseControl(table)
         except (OSError, ValueError, TypeError, json.JSONDecodeError) as err:
             raise CliError(f"bad piecewise control file '{path}': {err}", EXIT_INPUT) from err
-    raise CliError(
-        "policy must be 'bang', 'fixed:u1,..,um', or 'piecewise:FILE'", EXIT_INPUT
+    raise CliError("policy must be 'bang', 'fixed:u1,..,um', or 'piecewise:FILE'", EXIT_INPUT)
+
+
+def cmd_simulate(args):
+    sys_model, notes = _system(args)
+    config = SimConfig(
+        initial_state=_sized(args.x0, sys_model.n, "--x0"),
+        initial_adjoint=_sized(args.p0, sys_model.n, "--p0"),
+        lam=args.lam,
+        horizon=args.horizon,
+        step=args.step,
+        control_policy=_parse_policy(args, sys_model.m),
+        singular_tolerance=args.singular_tol,
+        singular_min_length=args.singular_min_len,
     )
-
-
-def cmd_simulate(args) -> int:
-    sys_model = _load_system(args.file)
-    _validate_or_die(sys_model, args.horizon)
-    notes: list[str] = []
-    sys_model = _prepare(sys_model, args.extend_cost, notes)
-
-    x0 = _parse_vector(args.x0, sys_model.n, "--x0")
-    p0 = _parse_vector(args.p0, sys_model.n, "--p0")
-    policy = _parse_policy(args, sys_model.m)
-    try:
-        config = SimConfig(
-            initial_state=x0,
-            initial_adjoint=p0,
-            lam=args.lam,
-            horizon=args.horizon,
-            step=args.step,
-            control_policy=policy,
-            singular_tolerance=args.singular_tol,
-            singular_min_length=args.singular_min_len,
-        )
-    except ValueError as err:
-        raise CliError(f"bad simulation options: {err}", EXIT_INPUT) from err
-
     traj = integrate_extremal(sys_model, config)
     out_path = Path(args.out)
     if traj.samples:
         traj.write_csv(out_path)
 
     intervals = detect_singular_intervals(traj, config)
-    drift = abs(float(traj.H[-1] - traj.H[0])) if traj.samples else float("nan")
+    drift = abs(float(traj.H[-1]) - float(traj.H[0])) if traj.samples else float("nan")
 
-    lines = list(notes)
-    lines.append(f"wrote {traj.samples} samples to {out_path}")
-    lines.append(f"status: {traj.status}")
+    lines = [f"wrote {traj.samples} samples to {out_path}", f"status: {traj.status}"]
     for i, runs in enumerate(intervals.per_input):
         if runs:
             spans = ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in runs)
@@ -345,41 +258,17 @@ def cmd_simulate(args) -> int:
         else:
             lines.append(f"input {i + 1}: no singular interval")
     lines.append(f"H drift |H(T) - H(0)| = {drift:.6g}")
-
-    payload = {
-        "manifest": _manifest(
-            "simulate",
-            args.file,
-            {
-                "x0": list(x0),
-                "p0": list(p0),
-                "lambda": args.lam,
-                "horizon": args.horizon,
-                "step": args.step,
-                "policy": args.policy,
-                "deadband": args.deadband,
-                "singular_tol": args.singular_tol,
-                "singular_min_len": args.singular_min_len,
-                "extend_cost": args.extend_cost,
-                "out": str(out_path),
-            },
-        ).as_dict(),
+    body = {
         "notes": notes,
         "samples": traj.samples,
         "status": traj.status,
         "failure_time": traj.failure_time,
-        "singular_intervals": [
-            [[a, b] for a, b in runs] for runs in intervals.per_input
-        ],
-        "H_drift": drift,
+        "singular_intervals": [[[a, b] for a, b in runs] for runs in intervals.per_input],
+        "H_drift": drift if math.isfinite(drift) else None,
         "out": str(out_path),
     }
-    _emit(args, lines, payload)
-    if traj.status == "diverged":
-        return EXIT_DIVERGED
-    if traj.status == "eval_error":
-        return EXIT_DIVERGED
-    return EXIT_OK
+    code = EXIT_DIVERGED if traj.status in ("diverged", "eval_error") else EXIT_OK
+    return code, lines, body
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +276,21 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_vector(n: int, kind: str) -> tuple[float, ...]:
-    if kind == "state":
-        return tuple(0.1 * (i + 1) for i in range(n))
-    return tuple(1.0 / (i + 1) for i in range(n))
-
-
-def cmd_verify(args) -> int:
-    sys_model = _load_system(args.file)
-    _validate_or_die(sys_model, args.horizon)
-    notes: list[str] = []
-    sys_model = _prepare(sys_model, args.extend_cost, notes)
-    policy = _policy_from_args(args)
+def cmd_verify(args):
+    sys_model, notes = _system(args)
+    policy = ZeroTestPolicy(args.zero_samples, args.zero_box, args.zero_tol, args.seed)
     suites = ("parity", "identities", "lemma1") if args.suite == "all" else (args.suite,)
 
-    lines = list(notes)
-    results = []
-    failed = False
+    lines, results = [], []
 
     def record(name: str, status: str, detail: str) -> None:
-        nonlocal failed
-        if status == "FAIL":
-            failed = True
         lines.append(f"{name:<10} {status}  {detail}".rstrip())
         results.append({"suite": name, "status": status, "detail": detail})
 
     for suite in suites:
-        if suite == "parity":
-            if sys_model.m != 1:
-                record("parity", "SKIPPED", f"m = {sys_model.m}, single-input only")
-                continue
+        if suite in ("parity", "identities") and sys_model.m != 1:
+            record(suite, "SKIPPED", f"m = {sys_model.m}, single-input only")
+        elif suite == "parity":
             check = verify_single_input_parity(sys_model, args.k_max, policy)
             if not check.report.found:
                 record("parity", "SKIPPED", f"order not found up to k = {args.k_max}")
@@ -425,88 +299,46 @@ def cmd_verify(args) -> int:
             else:
                 record("parity", "FAIL", f"k = {check.report.k} is odd: implementation bug")
         elif suite == "identities":
-            if sys_model.m != 1:
-                record("identities", "SKIPPED", f"m = {sys_model.m}, single-input only")
-                continue
             report = verify_bracket_identities(sys_model, policy, depth_cap=args.k_max)
             bad = [c for c in report.checks if not c.passed]
             if bad:
-                record(
-                    "identities",
-                    "FAIL",
-                    f"k* = {report.k_star}: " + "; ".join(f"{c.name} ({c.detail})" for c in bad),
-                )
+                detail = "; ".join(f"{c.name} ({c.detail})" for c in bad)
+                record("identities", "FAIL", f"k* = {report.k_star}: {detail}")
             else:
+                capped = " (capped)" if report.capped else ""
                 record(
                     "identities",
                     "PASS",
-                    f"k* = {report.k_star}{' (capped)' if report.capped else ''},"
-                    f" {len(report.checks)} checks",
-                )
-        elif suite == "lemma1":
-            x0 = (
-                _parse_vector(args.x0, sys_model.n, "--x0")
-                if args.x0
-                else _default_vector(sys_model.n, "state")
-            )
-            p0 = (
-                _parse_vector(args.p0, sys_model.n, "--p0")
-                if args.p0
-                else _default_vector(sys_model.n, "adjoint")
-            )
-            u_fixed = tuple(0.3 + 0.2 * i for i in range(sys_model.m))
-            residuals = {}
-            ratios_ok = True
-            worst = 0.0
-            for name, field in [("f", sys_model.drift)] + [
-                (f"g{i + 1}", g) for i, g in enumerate(sys_model.inputs)
-            ]:
-                res_h = _lemma1_residual(sys_model, x0, p0, u_fixed, args.step, args.horizon, field)
-                res_h2 = _lemma1_residual(
-                    sys_model, x0, p0, u_fixed, args.step / 2.0, args.horizon, field
-                )
-                residuals[name] = {"h": res_h, "h/2": res_h2}
-                worst = max(worst, res_h)
-                if res_h > 1e-12 and not res_h2 <= res_h / 3.0:
-                    ratios_ok = False
-            if worst < args.lemma1_tol and ratios_ok:
-                record(
-                    "lemma1",
-                    "PASS",
-                    f"max residual {worst:.3g} < {args.lemma1_tol:g}, halving contracts >= 3x",
-                )
-            else:
-                record(
-                    "lemma1",
-                    "FAIL",
-                    f"max residual {worst:.3g} (tol {args.lemma1_tol:g}),"
-                    f" contraction {'ok' if ratios_ok else 'violated'}",
+                    f"k* = {report.k_star}{capped}, {len(report.checks)} checks",
                 )
         else:
-            raise CliError(f"unknown suite '{suite}'", EXIT_INPUT)
+            record("lemma1", *_lemma1_suite(sys_model, args))
 
-    payload = {
-        "manifest": _manifest(
-            "verify",
-            args.file,
-            {
-                "suite": args.suite,
-                "k_max": args.k_max,
-                "zero_samples": args.zero_samples,
-                "zero_box": args.zero_box,
-                "zero_tol": args.zero_tol,
-                "seed": args.seed,
-                "step": args.step,
-                "horizon": args.horizon,
-                "lemma1_tol": args.lemma1_tol,
-                "extend_cost": args.extend_cost,
-            },
-        ).as_dict(),
-        "notes": notes,
-        "results": results,
-    }
-    _emit(args, lines, payload)
-    return EXIT_VERIFY if failed else EXIT_OK
+    failed = any(r["status"] == "FAIL" for r in results)
+    return EXIT_VERIFY if failed else EXIT_OK, lines, {"notes": notes, "results": results}
+
+
+def _lemma1_suite(sys_model: ControlSystem, args) -> tuple[str, str]:
+    """(status, detail): PASS when every residual over f and the g_i is below the
+    tolerance and halving the step contracts it at least 3x."""
+    n = sys_model.n
+    x0 = _sized(args.x0, n, "--x0") if args.x0 else tuple(0.1 * (i + 1) for i in range(n))
+    p0 = _sized(args.p0, n, "--p0") if args.p0 else tuple(1.0 / (i + 1) for i in range(n))
+    u_fixed = tuple(0.3 + 0.2 * i for i in range(sys_model.m))
+    worst, ratios_ok = 0.0, True
+    for field in (sys_model.drift, *sys_model.inputs):
+        res_h, res_h2 = (
+            _lemma1_residual(sys_model, x0, p0, u_fixed, step, args.horizon, field)
+            for step in (args.step, args.step / 2.0)
+        )
+        worst = max(worst, res_h)
+        if res_h > 1e-12 and not res_h2 <= res_h / 3.0:
+            ratios_ok = False
+    tol = args.lemma1_tol
+    if worst < tol and ratios_ok:
+        return "PASS", f"max residual {worst:.3g} < {tol:g}, halving contracts >= 3x"
+    contraction = "ok" if ratios_ok else "violated"
+    return "FAIL", f"max residual {worst:.3g} (tol {tol:g}), contraction {contraction}"
 
 
 def _lemma1_residual(sys_model, x0, p0, u_fixed, step, horizon, field) -> float:
@@ -528,51 +360,25 @@ def _lemma1_residual(sys_model, x0, p0, u_fixed, step, horizon, field) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cmd_local_order(args) -> int:
-    sys_model = _load_system(args.file)
-    notes: list[str] = []
-    sys_model = _prepare(sys_model, args.extend_cost, notes)
-    x = _parse_vector(args.x0, sys_model.n, "--x0")
-    p = _parse_vector(args.p0, sys_model.n, "--p0")
-    try:
-        result = local_order_at(sys_model, x, p, args.k_max, args.tolerance)
-    except ExprError as err:
-        raise CliError(str(err), EXIT_INPUT) from err
+def cmd_local_order(args):
+    sys_model, notes = _system(args)
+    x = _sized(args.x0, sys_model.n, "--x0")
+    p = _sized(args.p0, sys_model.n, "--p0")
+    result = local_order_at(sys_model, x, p, args.k_max, args.tolerance)
 
-    lines = list(notes)
-    payload = {
-        "manifest": _manifest(
-            "local-order",
-            args.file,
-            {
-                "x0": list(x),
-                "p0": list(p),
-                "k_max": args.k_max,
-                "tolerance": args.tolerance,
-                "extend_cost": args.extend_cost,
-            },
-        ).as_dict(),
-        "notes": notes,
-        "found": result.found,
-    }
-    if result.found:
-        lines.append(f"k_local = {result.k_local}")
-        for row in result.b_values:
-            lines.append("  [" + ", ".join(f"{v: .6g}" for v in row) + "]")
-        lines.append(f"rank = {result.rank_estimate}")
-        payload.update(
-            {
-                "k_local": result.k_local,
-                "b_values": [list(row) for row in result.b_values],
-                "rank": result.rank_estimate,
-            }
-        )
-        _emit(args, lines, payload)
-        return EXIT_OK
-    lines.append(f"local order not found up to k = {args.k_max}")
-    payload["k_max"] = args.k_max
-    _emit(args, lines, payload)
-    return EXIT_TRUNCATED
+    body = {"notes": notes, "found": result.found}
+    if not result.found:
+        body["k_max"] = args.k_max
+        return EXIT_TRUNCATED, [f"local order not found up to k = {args.k_max}"], body
+    lines = [f"k_local = {result.k_local}"]
+    lines += ["  [" + ", ".join(f"{v: .6g}" for v in row) + "]" for row in result.b_values]
+    lines.append(f"rank = {result.rank_estimate}")
+    body.update(
+        k_local=result.k_local,
+        b_values=[list(row) for row in result.b_values],
+        rank=result.rank_estimate,
+    )
+    return EXIT_OK, lines, body
 
 
 # ---------------------------------------------------------------------------
@@ -580,95 +386,118 @@ def cmd_local_order(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_zero_test_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--zero-samples", type=int, default=32, metavar="N")
-    p.add_argument("--zero-box", type=float, default=1.0, metavar="R")
-    p.add_argument("--zero-tol", type=float, default=1e-9, metavar="R")
-    p.add_argument("--seed", type=int, default=1729, metavar="N")
+class _Parser(argparse.ArgumentParser):
+    """Bad flags raise CliError (one line on stderr, exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: error: {message}", EXIT_INPUT)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctrlorder",
         description="Intrinsic order of affine optimal control problems via Lie brackets",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_order = sub.add_parser("order", help="determine the problem order q = k/2")
-    p_order.add_argument("file")
-    p_order.add_argument("--k-max", dest="k_max", type=int, default=10, metavar="N")
-    p_order.add_argument("--extend-cost", dest="extend_cost", action="store_true")
-    p_order.add_argument("--horizon", type=float, default=1.0, metavar="R")
-    p_order.add_argument("--json", action="store_true")
-    _add_zero_test_args(p_order)
-    p_order.set_defaults(func=cmd_order)
+    # shared flags, one parent parser per group
+    common, k_max, horizon, step, zero_test, point = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    common.add_argument("file")
+    common.add_argument("--extend-cost", dest="extend_cost", action="store_true")
+    common.add_argument("--json", action="store_true")
+    k_max.add_argument("--k-max", dest="k_max", type=int, default=10, metavar="N")
+    horizon.add_argument("--horizon", type=_real, default=1.0, metavar="R")
+    step.add_argument("--step", type=_real, default=1e-3, metavar="R")
+    zero_test.add_argument("--zero-samples", type=int, default=32, metavar="N")
+    zero_test.add_argument("--zero-box", type=_real, default=1.0, metavar="R")
+    zero_test.add_argument("--zero-tol", type=_real, default=1e-9, metavar="R")
+    zero_test.add_argument("--seed", type=int, default=1729, metavar="N")
+    for flag in _VECTOR_FLAGS:
+        point.add_argument(flag, type=_vector, required=True, metavar="v1,..,vn")
 
-    p_br = sub.add_parser("brackets", help="print iterated bracket fields up to a depth")
-    p_br.add_argument("file")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    command("order", cmd_order, "determine the problem order q = k/2", k_max, horizon, zero_test)
+
+    p_br = command("brackets", cmd_brackets, "print iterated bracket fields up to a depth")
     p_br.add_argument("--depth", type=int, default=2, metavar="N")
-    p_br.add_argument("--extend-cost", dest="extend_cost", action="store_true")
-    p_br.add_argument("--json", action="store_true")
-    p_br.set_defaults(func=cmd_brackets)
 
-    p_sim = sub.add_parser("simulate", help="integrate an extremal and export it")
-    p_sim.add_argument("file")
-    p_sim.add_argument("--x0", required=True, metavar="v1,..,vn")
-    p_sim.add_argument("--p0", required=True, metavar="v1,..,vn")
+    p_sim = command(
+        "simulate", cmd_simulate, "integrate an extremal and export it", point, horizon, step
+    )
     p_sim.add_argument("--lambda", dest="lam", type=int, choices=(0, 1), default=1)
-    p_sim.add_argument("--horizon", type=float, default=1.0, metavar="R")
-    p_sim.add_argument("--step", type=float, default=1e-3, metavar="R")
     p_sim.add_argument("--policy", default="bang", metavar="bang|fixed:u1,..|piecewise:FILE")
-    p_sim.add_argument("--deadband", type=float, default=0.0, metavar="R")
-    p_sim.add_argument("--singular-tol", dest="singular_tol", type=float, default=1e-6)
-    p_sim.add_argument("--singular-min-len", dest="singular_min_len", type=float, default=None)
-    p_sim.add_argument("--extend-cost", dest="extend_cost", action="store_true")
+    p_sim.add_argument("--deadband", type=_real, default=0.0, metavar="R")
+    p_sim.add_argument("--singular-tol", dest="singular_tol", type=_real, default=1e-6)
+    p_sim.add_argument("--singular-min-len", dest="singular_min_len", type=_real, default=None)
     p_sim.add_argument("--out", default="trajectory.csv", metavar="PATH")
-    p_sim.add_argument("--json", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_ver = sub.add_parser("verify", help="run parity / identity / derivative-law suites")
-    p_ver.add_argument("file")
+    p_ver = command(
+        "verify",
+        cmd_verify,
+        "run parity / identity / derivative-law suites",
+        k_max,
+        horizon,
+        step,
+        zero_test,
+    )
     p_ver.add_argument("suite", choices=("parity", "identities", "lemma1", "all"))
-    p_ver.add_argument("--k-max", dest="k_max", type=int, default=10, metavar="N")
-    p_ver.add_argument("--horizon", type=float, default=1.0, metavar="R")
-    p_ver.add_argument("--step", type=float, default=1e-3, metavar="R")
-    p_ver.add_argument("--lemma1-tol", dest="lemma1_tol", type=float, default=1e-4)
-    p_ver.add_argument("--x0", default=None, metavar="v1,..,vn")
-    p_ver.add_argument("--p0", default=None, metavar="v1,..,vn")
-    p_ver.add_argument("--extend-cost", dest="extend_cost", action="store_true")
-    p_ver.add_argument("--json", action="store_true")
-    _add_zero_test_args(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.add_argument("--lemma1-tol", dest="lemma1_tol", type=_real, default=1e-4)
+    for flag in _VECTOR_FLAGS:
+        p_ver.add_argument(flag, type=_vector, default=None, metavar="v1,..,vn")
 
-    p_loc = sub.add_parser("local-order", help="local order at one (x, p) point")
-    p_loc.add_argument("file")
-    p_loc.add_argument("--x0", required=True, metavar="v1,..,vn")
-    p_loc.add_argument("--p0", required=True, metavar="v1,..,vn")
-    p_loc.add_argument("--k-max", dest="k_max", type=int, default=10, metavar="N")
-    p_loc.add_argument("--tolerance", type=float, default=1e-9, metavar="R")
-    p_loc.add_argument("--extend-cost", dest="extend_cost", action="store_true")
-    p_loc.add_argument("--json", action="store_true")
-    p_loc.set_defaults(func=cmd_local_order)
+    p_loc = command("local-order", cmd_local_order, "local order at one (x, p) point", point, k_max)
+    p_loc.add_argument("--tolerance", type=_real, default=1e-9, metavar="R")
 
     return parser
 
 
+def _join_negative_vectors(argv: list[str]) -> list[str]:
+    """Rewrite `--p0 -1,0.5` as `--p0=-1,0.5`; argparse takes the separated form for a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits 2 on bad flags; fold into the input-error contract
-        return EXIT_INPUT if err.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(_join_negative_vectors(argv))
+        code, lines, body = args.func(args)
+    except SystemExit as err:  # --help and --version
+        return EXIT_OK if err.code in (0, None) else EXIT_INPUT
     except CliError as err:
-        print(str(err), file=_sys.stderr)
+        print(err, file=_sys.stderr)
         return err.code
-    except ExprError as err:
-        print(str(err), file=_sys.stderr)
+    except (ExprError, ValueError) as err:  # evaluation failures, out-of-range option values
+        print(err, file=_sys.stderr)
         return EXIT_INPUT
+    if args.json:
+        options = {
+            "lambda" if k == "lam" else k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS
+        }
+        manifest = {
+            "command": args.command,
+            "input": args.file,
+            "options": options,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        print(json.dumps({"manifest": manifest, **body}, indent=2, sort_keys=True, allow_nan=False))
+    else:
+        for line in body["notes"] + lines:
+            print(line)
+    return code
 
 
 def entry() -> None:

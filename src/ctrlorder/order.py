@@ -15,6 +15,7 @@ prove it, usable as implementation self-checks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -290,14 +291,17 @@ class _BMatrixEvaluator:
         out = np.empty((self.sys.m, self.sys.m))
         for i in range(self.sys.m):
             for j in range(self.sys.m):
+                name = f"b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}]"
                 try:
                     values = funcs[i][j](x)
                 except ZeroDivisionError:
-                    raise EvalError(
-                        f"b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}] hit a"
-                        f" division by zero at the given point"
-                    ) from None
-                out[i, j] = float(pvec @ np.asarray(values))
+                    raise EvalError(f"{name} hit a division by zero at the given point") from None
+                except OverflowError:
+                    raise EvalError(f"{name} overflowed at the given point") from None
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out[i, j] = pvec @ np.asarray(values, dtype=float)
+                if not math.isfinite(out[i, j]):
+                    raise EvalError(f"<p, {name}> is not finite at the given point")
         return out
 
 

@@ -33,6 +33,15 @@ from ctrlorder import (
 SYSTEMS_DIR = Path(__file__).resolve().parents[1] / "systems"
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def load_system(name: str) -> ControlSystem:
     return load(json.loads((SYSTEMS_DIR / f"{name}.json").read_text()))
 

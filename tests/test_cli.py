@@ -1,12 +1,18 @@
 """Command-line interface: outputs, exit codes, JSON manifests, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import ctrlorder.order
 from ctrlorder import VectorField, const, lie_bracket
 from ctrlorder.cli import main
 
-from helpers import SYSTEMS_DIR
+from helpers import SYSTEMS_DIR, strict_json
 
 COUNTEREXAMPLE = str(SYSTEMS_DIR / "counterexample.json")
 FULLER = str(SYSTEMS_DIR / "fuller.json")
@@ -346,3 +352,111 @@ def test_bad_policy_string(capsys, tmp_path):
     )
     assert code == 1
     assert "policy" in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0", "--horizon", "inf"],
+         "--horizon"),
+        (["order", FULLER, "--zero-box", "inf"], "--zero-box"),
+        (["order", FULLER, "--horizon", "nan"], "--horizon"),
+        (["order", FULLER, "--horizon", "0"], "horizon must be positive"),
+        (["order", FULLER, "--k-max", "0"], "k_max must be an integer >= 1"),
+        (["verify", FULLER, "lemma1", "--step", "0"], "step must be > 0"),
+        (["verify", FULLER, "lemma1", "--step", "inf"], "--step"),
+        (["simulate", DOUBLE_INTEGRATOR, "--x0", "nan,0", "--p0", "1,0"], "--x0"),
+        (["local-order", FULLER, "--x0", "inf,0,0", "--p0", "1,0,0", "--json"], "--x0"),
+    ],
+)
+def test_bad_flag_value_is_one_line_input_error(capsys, tmp_path, monkeypatch, argv, names):
+    monkeypatch.chdir(tmp_path)  # simulate writes its default trajectory.csv here
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and names in err
+    assert "Traceback" not in err
+
+
+def test_simulate_accepts_separated_negative_vector(capsys, tmp_path):
+    code, out, _ = run(
+        capsys,
+        "simulate",
+        FULLER,
+        "--x0", "0,0.5,-0.2",
+        "--p0", "-1,0.3,0.1",
+        "--horizon", "0.5",
+        "--out", str(tmp_path / "t.csv"),
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["manifest"]["options"]["p0"] == [-1.0, 0.3, 0.1]
+
+
+def test_local_order_accepts_separated_negative_vector(capsys):
+    code, out, _ = run(
+        capsys, "local-order", FULLER, "--x0", "0.3,0.2,0.1", "--p0", "-1,0.5,0.25"
+    )
+    assert code == 0
+    assert "k_local = 4" in out
+
+
+# ---------------------------------------------------------------------------
+# non-finite values never reach a report
+# ---------------------------------------------------------------------------
+
+
+def write_system(tmp_path, f, g):
+    names = [f"x{i + 1}" for i in range(len(f))]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"states": names, "inputs": 1, "f": f, "g": [g]}))
+    return str(path)
+
+
+def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
+    path = write_system(tmp_path, ["1/x1"], ["1"])
+    code, out, _ = run(
+        capsys, "simulate", path, "--x0", "0", "--p0", "1",
+        "--out", str(tmp_path / "t.csv"), "--json",
+    )
+    assert code == 4
+    assert strict_json(out)["H_drift"] is None
+
+
+@pytest.mark.parametrize(
+    "g, x0, p0, message",
+    [
+        (["0", "exp(x1)"], "1000,0", "1,1", "overflowed"),
+        (["0", "x1^3"], "1e30,0", "1e300,1e300", "not finite"),
+    ],
+)
+def test_local_order_non_finite_b_matrix_is_input_error(capsys, tmp_path, g, x0, p0, message):
+    path = write_system(tmp_path, ["x2", "0"], g)
+    code, out, err = run(capsys, "local-order", path, "--x0", x0, "--p0", p0, "--json")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+# ---------------------------------------------------------------------------
+# python -m ctrlorder
+# ---------------------------------------------------------------------------
+
+
+def run_module(*argv):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ctrlorder", *argv],
+        cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point():
+    done = run_module("--version")
+    assert done.returncode == 0
+    assert done.stdout.startswith("ctrlorder ")
+    done = run_module("order", "systems/fuller.json")
+    assert done.returncode == 0
+    assert "k = 4, q = 2" in done.stdout
