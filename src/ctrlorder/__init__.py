@@ -40,6 +40,7 @@ from .expr import (
     variables,
 )
 from .fields import (
+    BracketTable,
     DimensionMismatchError,
     ExprMatrix,
     VectorField,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .expr import ExprError, ZeroTestPolicy, to_text
-from .fields import ad_pow, lie_bracket
+from .fields import BracketTable
 from .order import (
     local_order_at,
     problem_order,
@@ -191,16 +191,16 @@ def cmd_brackets(args):
         lines.append(f"{name} = {field}")
         rows.append({**keys, "components": [to_text(c) for c in field.components]})
 
+    table = BracketTable(sys_model.drift, sys_model.inputs)
     for k in range(args.depth + 1):
-        for i, g in enumerate(sys_model.inputs):
+        for i in range(sys_model.m):
             name = f"g{i + 1}" if k == 0 else f"ad_f^{k} g{i + 1}"
-            row(name, ad_pow(sys_model.drift, g, k), kind="ad", k=k, i=i + 1)
+            row(name, table.ad(i, k), kind="ad", k=k, i=i + 1)
         if k >= 1:
-            for i, gi in enumerate(sys_model.inputs):
-                base = ad_pow(sys_model.drift, gi, k - 1)
-                for j, gj in enumerate(sys_model.inputs):
+            for i in range(sys_model.m):
+                for j in range(sys_model.m):
                     name = f"[g{j + 1}, ad_f^{k - 1} g{i + 1}]"
-                    row(name, lie_bracket(gj, base), kind="b", k=k, i=i + 1, j=j + 1)
+                    row(name, table.b(i, j, k), kind="b", k=k, i=i + 1, j=j + 1)
     return EXIT_OK, lines, {"notes": notes, "rows": rows}
 
 

@@ -24,8 +24,11 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 NumberValue = Union[Fraction, float]
 
-_SIMPLIFY_MAX_PASSES = 20
 _FUNCTION_NAMES = ("sin", "cos", "exp")
+# Parentheses, function calls and unary minuses nest at most this deep, so
+# that the recursive passes over a parsed tree stay far below Python's
+# recursion limit.
+MAX_NESTING = 100
 
 
 class ExprError(Exception):
@@ -241,12 +244,16 @@ class _Parser:
     unary := '-' unary | power
     power := atom ('^' integer)?
     atom  := number | identifier | identifier '(' expr ')' | '(' expr ')'
+
+    Each '(', function call and unary '-' opens one nesting level; a level
+    past MAX_NESTING is a syntax error at the token that opens it.
     """
 
     def __init__(self, text: str, allowed_vars: Iterable[str]):
         self.tokens = _tokenize(text)
         self.index = 0
         self.allowed = frozenset(allowed_vars)
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -259,6 +266,11 @@ class _Parser:
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
+
+    def open_level(self, tok: _Token) -> None:
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
 
     def expect_op(self, op: str) -> _Token:
         tok = self.peek()
@@ -293,8 +305,10 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            self.advance()
-            return Negate(self.unary())
+            self.open_level(self.advance())
+            e = Negate(self.unary())
+            self.depth -= 1
+            return e
         return self.power()
 
     def power(self) -> Expr:
@@ -325,6 +339,7 @@ class _Parser:
             if self.at_op("("):
                 if tok.text not in _FUNCTION_NAMES:
                     raise UnknownIdentifierError(tok.text, tok.pos)
+                self.open_level(tok)
                 self.advance()
                 if self.at_op(")"):
                     raise ArityError(tok.text, self.peek().pos)
@@ -332,15 +347,17 @@ class _Parser:
                 if self.at_op(","):
                     raise ArityError(tok.text, self.peek().pos)
                 self.expect_op(")")
+                self.depth -= 1
                 node = {"sin": Sin, "cos": Cos, "exp": Exp}[tok.text]
                 return node(arg)
             if tok.text not in self.allowed:
                 raise UnknownIdentifierError(tok.text, tok.pos)
             return Variable(tok.text)
         if self.at_op("("):
-            self.advance()
+            self.open_level(self.advance())
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ExprSyntaxError("expected a number, variable, function call, or '('", tok.pos)
 
@@ -651,18 +668,25 @@ def _simp_sum(children: tuple[Expr, ...]) -> Expr:
         coeffs[core] = coeffs.get(core, Fraction(0)) + c
 
     terms: list[Expr] = []
+    rescaled = False
     for core in sorted(coeffs, key=_sort_key):
         c = coeffs[core]
         if c == 0:
             continue
         if c == 1:
             terms.append(core)
+        elif isinstance(core, Quotient):
+            # the coefficient joins the numerator; the new term may collect again
+            terms.append(_simp_product((Constant(c), core)))
+            rescaled = True
         elif isinstance(core, Product):
             terms.append(Product((Constant(c), *core.children)))
         else:
             terms.append(Product((Constant(c), core)))
     if const_part != 0:
         terms.append(Constant(const_part))
+    if rescaled:
+        return _simp_sum(tuple(terms))
     if not terms:
         return _ZERO
     if len(terms) == 1:
@@ -693,14 +717,8 @@ def _simp(e: Expr) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form: folded constants, flat sorted sums/products, collected terms."""
-    prev = e
-    for _ in range(_SIMPLIFY_MAX_PASSES):
-        nxt = _simp(prev)
-        if nxt == prev:
-            return nxt
-        prev = nxt
-    return prev
+    """Canonical form in one idempotent pass: folded constants, flat sorted, collected terms."""
+    return _simp(e)
 
 
 # ---------------------------------------------------------------------------

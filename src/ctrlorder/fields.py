@@ -8,16 +8,14 @@ checks that identity numerically.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .expr import (
     Expr,
-    Negate,
-    Product,
-    Sum,
     ZeroTestPolicy,
     ZeroVerdict,
+    _simp_product,
+    _simp_sum,
     const,
     diff,
     is_zero,
@@ -116,38 +114,45 @@ def jacobian(h: VectorField) -> ExprMatrix:
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     """[a, b] = (Db)a - (Da)b, component-wise simplified."""
     _require_same_space(a, b)
-    names = a.state_names
+    da, db = jacobian(a).rows, jacobian(b).rows
+    a_s = [simplify(c) for c in a.components]
+    b_s = [simplify(c) for c in b.components]
     comps = []
-    for i in range(len(names)):
+    for i in range(a.dim):
         terms = []
-        for j, name in enumerate(names):
-            terms.append(Product((diff(b.components[i], name), a.components[j])))
-            terms.append(Negate(Product((diff(a.components[i], name), b.components[j]))))
-        comps.append(simplify(Sum(tuple(terms))))
-    return VectorField(names, tuple(comps))
+        for j in range(a.dim):
+            terms.append(_simp_product((db[i][j], a_s[j])))
+            terms.append(_simp_product((const(-1), _simp_product((da[i][j], b_s[j])))))
+        comps.append(_simp_sum(tuple(terms)))
+    return VectorField(a.state_names, tuple(comps))
 
 
-# Iterated-bracket chains are cached per (f, g) object identity; recomputation
-# is idempotent so last-write-wins races are harmless.
-_AD_LOCK = threading.Lock()
-_AD_CACHE: dict[tuple[int, int], tuple[VectorField, VectorField, list[VectorField]]] = {}
+class BracketTable:
+    """Brackets of one analysis: ad_f^k g_i memoised per input, grown on demand."""
+
+    def __init__(self, f: VectorField, inputs) -> None:
+        self.f, self.inputs = f, tuple(inputs)
+        for g in self.inputs:
+            _require_same_space(f, g)
+        self._chains = [[g.simplified()] for g in self.inputs]
+
+    def ad(self, i: int, k: int) -> VectorField:
+        """Iterated bracket: ad^0 = g_i, ad^k = [f, ad^(k-1)]."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("bracket level must be an integer >= 0")
+        chain = self._chains[i]
+        while len(chain) <= k:
+            chain.append(lie_bracket(self.f, chain[-1]))
+        return chain[k]
+
+    def b(self, i: int, j: int, k: int) -> VectorField:
+        """The bracket field [g_j, ad_f^(k-1) g_i] behind B_k[i][j]."""
+        return lie_bracket(self.inputs[j], self.ad(i, k - 1))
 
 
 def ad_pow(f: VectorField, g: VectorField, k: int) -> VectorField:
     """Iterated bracket: ad^0 = g, ad^k = [f, ad^(k-1)]."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("bracket level must be an integer >= 0")
-    _require_same_space(f, g)
-    key = (id(f), id(g))
-    with _AD_LOCK:
-        entry = _AD_CACHE.get(key)
-        if entry is None or entry[0] is not f or entry[1] is not g:
-            entry = (f, g, [g.simplified()])
-            _AD_CACHE[key] = entry
-        chain = entry[2]
-        while len(chain) <= k:
-            chain.append(lie_bracket(f, chain[-1]))
-        return chain[k]
+    return BracketTable(f, (g,)).ad(0, k)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import EvalError, Negate, Sum, ZeroTestPolicy, compile_components, simplify
-from .fields import VectorField, ad_pow, lie_bracket, vf_is_zero
+from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
 
 
@@ -49,11 +49,9 @@ def switching_coeffs(sys: ControlSystem, k: int) -> SwitchingCoefficients:
     if not isinstance(k, int) or k < 1:
         raise ValueError("derivative level k must be an integer >= 1")
     _require_analysis_ready(sys)
-    a_fields = tuple(ad_pow(sys.drift, g, k) for g in sys.inputs)
-    b_fields = tuple(
-        tuple(lie_bracket(gj, ad_pow(sys.drift, gi, k - 1)) for gj in sys.inputs)
-        for gi in sys.inputs
-    )
+    table = BracketTable(sys.drift, sys.inputs)
+    a_fields = tuple(table.ad(i, k) for i in range(sys.m))
+    b_fields = tuple(tuple(table.b(i, j, k) for j in range(sys.m)) for i in range(sys.m))
     return SwitchingCoefficients(k, a_fields, b_fields)
 
 
@@ -94,16 +92,14 @@ def problem_order(
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be an integer >= 1")
     _require_analysis_ready(sys)
+    table = BracketTable(sys.drift, sys.inputs)
     evidence: list[LevelEvidence] = []
     for k in range(1, k_max + 1):
-        coeffs = switching_coeffs(sys, k)
         entries: list[BracketEvidence] = []
         hit = False
         for i in range(sys.m):
             for j in range(sys.m):
-                verdict = vf_is_zero(
-                    coeffs.b_fields[i][j], policy.derive("order", k, i, j)
-                )
+                verdict = vf_is_zero(table.b(i, j, k), policy.derive("order", k, i, j))
                 if verdict.is_zero:
                     entries.append(BracketEvidence(i, j, True))
                 else:
@@ -180,20 +176,20 @@ def verify_bracket_identities(
         raise ValueError("bracket identity verification needs a single-input system")
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    f, g = sys.drift, sys.inputs[0]
+    g, ad = sys.inputs[0], BracketTable(sys.drift, sys.inputs).ad
 
     k_star = depth_cap
     capped = True
     for i in range(depth_cap + 1):
-        verdict = vf_is_zero(lie_bracket(g, ad_pow(f, g, i)), policy.derive("kstar", i))
+        verdict = vf_is_zero(lie_bracket(g, ad(0, i)), policy.derive("kstar", i))
         if not verdict.is_zero:
             k_star = i
             capped = False
             break
 
     def bracket_sum(j: int, l: int) -> VectorField:
-        left = lie_bracket(ad_pow(f, g, j), ad_pow(f, g, l))
-        right = lie_bracket(ad_pow(f, g, j - 1), ad_pow(f, g, l + 1))
+        left = lie_bracket(ad(0, j), ad(0, l))
+        right = lie_bracket(ad(0, j - 1), ad(0, l + 1))
         return VectorField(
             left.state_names,
             tuple(
@@ -215,9 +211,9 @@ def verify_bracket_identities(
                 )
             )
 
-    top = lie_bracket(g, ad_pow(f, g, k_star))
+    top = lie_bracket(g, ad(0, k_star))
     for j in range(0, k_star + 1):
-        other = lie_bracket(ad_pow(f, g, j), ad_pow(f, g, k_star - j))
+        other = lie_bracket(ad(0, j), ad(0, k_star - j))
         sign_flip = j % 2 == 1
         field = VectorField(
             top.state_names,
@@ -262,22 +258,20 @@ class LocalOrderResult:
 
 
 class _BMatrixEvaluator:
-    """Compiled evaluation of B_l[i][j] = <p, b_ij(x)> for l = 1..k_max."""
+    """Compiled evaluation of B_l[i][j] = <p, b_ij(x)>, compiled per level on demand."""
 
-    def __init__(self, sys: ControlSystem, k_max: int):
+    def __init__(self, sys: ControlSystem):
         self.sys = sys
-        self.k_max = k_max
+        self._table = BracketTable(sys.drift, sys.inputs)
         self._levels: dict[int, list[list]] = {}
 
     def _level(self, k: int):
         funcs = self._levels.get(k)
         if funcs is None:
-            coeffs = switching_coeffs(self.sys, k)
+            _require_analysis_ready(self.sys)
             funcs = [
                 [
-                    compile_components(
-                        coeffs.b_fields[i][j].components, self.sys.state_names
-                    )
+                    compile_components(self._table.b(i, j, k).components, self.sys.state_names)
                     for j in range(self.sys.m)
                 ]
                 for i in range(self.sys.m)
@@ -287,6 +281,7 @@ class _BMatrixEvaluator:
 
     def matrix(self, k: int, x: Sequence[float], p: Sequence[float]) -> np.ndarray:
         funcs = self._level(k)
+        x = [float(v) for v in x]  # Python floats: division by zero raises
         pvec = np.asarray(p, dtype=float)
         out = np.empty((self.sys.m, self.sys.m))
         for i in range(self.sys.m):
@@ -310,7 +305,7 @@ def evaluate_b_matrix(
 ) -> np.ndarray:
     """B_k evaluated at one (x, p) point."""
     _check_point_sizes(sys, x, p)
-    return _BMatrixEvaluator(sys, k).matrix(k, x, p)
+    return _BMatrixEvaluator(sys).matrix(k, x, p)
 
 
 def _check_point_sizes(sys: ControlSystem, x: Sequence[float], p: Sequence[float]) -> None:
@@ -333,7 +328,7 @@ def local_order_at(
     _check_point_sizes(sys, x, p)
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
-    evaluator = _evaluator if _evaluator is not None else _BMatrixEvaluator(sys, k_max)
+    evaluator = _evaluator if _evaluator is not None else _BMatrixEvaluator(sys)
     for k in range(1, k_max + 1):
         matrix = evaluator.matrix(k, x, p)
         if np.max(np.abs(matrix)) > tolerance:

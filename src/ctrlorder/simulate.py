@@ -30,6 +30,8 @@ from .order import _BMatrixEvaluator, consensus_of, local_order_at, ArcOrderResu
 from .system import ControlSystem
 
 _RESERVED_TIME_NAME = "t"
+# 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ class SimConfig:
             raise ValueError("step must be > 0")
         if self.horizon < self.step:
             raise ValueError("horizon must be at least one step")
+        if not self.horizon / self.step <= MAX_STEPS:
+            raise ValueError(f"horizon/step must be at most {MAX_STEPS} steps")
         if self.lam not in (0, 1):
             raise ValueError("lambda must be 0 or 1")
         if self.lam == 0 and all(v == 0 for v in self.initial_adjoint):
@@ -213,7 +217,11 @@ def bang_bang_control(
 
 
 class _CompiledSystem:
-    """Per-system compiled field and Jacobian evaluators."""
+    """Per-system compiled field and Jacobian evaluators.
+
+    They are called with Python floats, not numpy scalars, so that a
+    division by zero raises ZeroDivisionError instead of returning inf.
+    """
 
     def __init__(self, sys: ControlSystem):
         names = sys.state_names
@@ -241,7 +249,7 @@ class _CompiledSystem:
 
     def rhs(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
         n = self.n
-        x, p = y[:n], y[n:]
+        x, p = y[:n].tolist(), y[n:]
         xdot = np.asarray(self.f(x), dtype=float)
         jac = np.asarray(self.jf(x), dtype=float).reshape(n, n)
         for i in range(self.m):
@@ -252,11 +260,13 @@ class _CompiledSystem:
         return np.concatenate((xdot, pdot))
 
     def phi(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        x = x.tolist()
         return np.array(
             [float(p @ np.asarray(self.g[i](x), dtype=float)) for i in range(self.m)]
         )
 
     def energy(self, x: np.ndarray, p: np.ndarray, u: np.ndarray) -> float:
+        x = x.tolist()
         value = float(p @ np.asarray(self.f(x), dtype=float))
         for i in range(self.m):
             if u[i] != 0.0:
@@ -416,7 +426,7 @@ def local_order_on_arc(
     if t0 < traj.t[0] - eps or t1 > traj.t[-1] + eps:
         raise ValueError("interval is not contained in the trajectory span")
     indices = [s for s in range(traj.samples) if t0 - eps <= traj.t[s] <= t1 + eps]
-    evaluator = _BMatrixEvaluator(sys, k_max)
+    evaluator = _BMatrixEvaluator(sys)
     levels: list[int | None] = []
     for s in indices:
         result = local_order_at(
@@ -453,18 +463,19 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
         for g in sys.inputs
     ]
 
+    xs = traj.x.tolist()  # Python floats, as in the integrator
     inner = np.array(
-        [float(traj.p[s] @ np.asarray(h_fn(traj.x[s]))) for s in range(traj.samples)]
+        [float(traj.p[s] @ np.asarray(h_fn(xs[s]))) for s in range(traj.samples)]
     )
     worst = math.nan
     for s in range(1, traj.samples - 1):
         if not np.array_equal(traj.u[s - 1], traj.u[s]):
             continue
         lhs = (inner[s + 1] - inner[s - 1]) / (2.0 * traj.step)
-        rhs_vec = np.asarray(fh_fn(traj.x[s]), dtype=float)
+        rhs_vec = np.asarray(fh_fn(xs[s]), dtype=float)
         for i in range(traj.input_count):
             if traj.u[s, i] != 0.0:
-                rhs_vec = rhs_vec + traj.u[s, i] * np.asarray(gh_fns[i](traj.x[s]), dtype=float)
+                rhs_vec = rhs_vec + traj.u[s, i] * np.asarray(gh_fns[i](xs[s]), dtype=float)
         rhs = float(traj.p[s] @ rhs_vec)
         residual = abs(lhs - rhs)
         if math.isnan(worst) or residual > worst:

@@ -11,6 +11,7 @@ import pytest
 import ctrlorder.order
 from ctrlorder import VectorField, const, lie_bracket
 from ctrlorder.cli import main
+from ctrlorder.expr import MAX_NESTING
 
 from helpers import SYSTEMS_DIR, strict_json
 
@@ -367,6 +368,10 @@ def test_bad_policy_string(capsys, tmp_path):
         (["verify", FULLER, "lemma1", "--step", "inf"], "--step"),
         (["simulate", DOUBLE_INTEGRATOR, "--x0", "nan,0", "--p0", "1,0"], "--x0"),
         (["local-order", FULLER, "--x0", "inf,0,0", "--p0", "1,0,0", "--json"], "--x0"),
+        (["simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0",
+          "--horizon", "1e300", "--step", "1e-300"], "horizon/step must be at most"),
+        (["simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0",
+          "--horizon", "10", "--step", "1e-6"], "horizon/step must be at most"),
     ],
 )
 def test_bad_flag_value_is_one_line_input_error(capsys, tmp_path, monkeypatch, argv, names):
@@ -415,12 +420,40 @@ def write_system(tmp_path, f, g):
 
 def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
     path = write_system(tmp_path, ["1/x1"], ["1"])
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "simulate", path, "--x0", "0", "--p0", "1",
         "--out", str(tmp_path / "t.csv"), "--json",
     )
     assert code == 4
-    assert strict_json(out)["H_drift"] is None
+    report = strict_json(out)
+    assert report["H_drift"] is None
+    # 1/x1 at x1 = 0 is a division by zero, not a numpy inf
+    assert report["status"] == "eval_error"
+    assert report["failure_time"] == 0.0
+    assert report["samples"] == 0
+    assert err == ""
+
+
+def nested_system(tmp_path, opener, closer, levels):
+    return write_system(tmp_path, ["x2", opener * levels + "x1" + closer * levels], ["0", "1"])
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("sin(", ")"), ("-", "")])
+def test_nesting_at_the_limit_runs_and_past_it_is_input_error(capsys, tmp_path, opener, closer):
+    path = nested_system(tmp_path, opener, closer, MAX_NESTING)
+    code, _, _ = run(capsys, "order", path, "--k-max", "2")
+    assert code == 3
+    code, _, _ = run(
+        capsys, "simulate", path, "--x0", "0.1,0", "--p0", "1,1",
+        "--horizon", "0.01", "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    path = nested_system(tmp_path, opener, closer, MAX_NESTING + 1)
+    for argv in (["order", path], ["simulate", path, "--x0", "0,0", "--p0", "1,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"nested deeper than {MAX_NESTING} levels" in err
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from ctrlorder import (
     to_text,
     variables,
 )
-from ctrlorder.expr import ExprSyntaxError, compile_components
+from ctrlorder.expr import MAX_NESTING, ExprSyntaxError, compile_components
 
 from helpers import random_binding, random_expr
 
@@ -88,6 +88,17 @@ def test_parse_syntax_error_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x1 @ x2", VARS)
     assert err.value.position == 3
+
+
+def test_parse_nesting_limit_positions_the_crossing_token():
+    for opener, closer, width in (("(", ")", 1), ("sin(", ")", 4), ("-", "", 1)):
+        parse(opener * MAX_NESTING + "x1" + closer * MAX_NESTING, VARS)
+        text = opener * (MAX_NESTING + 1) + "x1" + closer * (MAX_NESTING + 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, VARS)
+        assert err.value.position == width * MAX_NESTING
+    # levels close again: siblings do not add up
+    parse(" + ".join(["(" * MAX_NESTING + "x1" + ")" * MAX_NESTING] * 3), VARS)
 
 
 def test_parse_precedence_and_unary():
@@ -231,6 +242,22 @@ def test_simplify_cancellation():
     assert simplify(parse("x1^2 - x1*x1", VARS)) == const(0)
 
 
+def test_simplify_scales_collected_quotients_in_one_pass():
+    x = Variable("x1")
+    den = Sum((IntPower(x, 2), const(1)))
+    cases = [
+        ("x1/(x1^2 + 1) + x1/(x1^2 + 1)", Quotient(Product((const(2), x)), den)),
+        (
+            "x1/(x1^2 + 1) + x1/(x1^2 + 1) + 2*x1/(x1^2 + 1)",
+            Quotient(Product((const(4), x)), den),
+        ),
+    ]
+    for text, expected in cases:
+        s = simplify(parse(text, VARS))
+        assert s == expected, text
+        assert simplify(s) == s
+
+
 def test_simplify_constant_folding_prefers_exact():
     s = simplify(parse("1/3 + 1/6", VARS))
     assert s == Constant(Fraction(1, 2))
@@ -275,7 +302,7 @@ def test_simplify_structural_invariants():
 def test_simplify_idempotent_on_random_trees():
     rng = random.Random(5150)
     for _ in range(200):
-        e = random_expr(rng, VARS[:4], depth=rng.randint(0, 4))
+        e = random_expr(rng, VARS[:4], depth=rng.randint(0, 6))
         s = simplify(e)
         assert simplify(s) == s
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctrlorder import (
+    BracketTable,
     DimensionMismatchError,
     Negate,
     Sum,
@@ -229,10 +230,16 @@ def test_ad_pow_rejects_negative_level():
         ad_pow(f, f, -1)
 
 
-def test_ad_pow_caches_by_identity():
+def test_bracket_table_memoises_each_chain():
     sys6 = counterexample_raw()
-    f, g1 = sys6.drift, sys6.inputs[0]
-    assert ad_pow(f, g1, 3) is ad_pow(f, g1, 3)
+    t = BracketTable(sys6.drift, sys6.inputs)
+    assert t.ad(0, 3) is t.ad(0, 3)
+    assert_field_equal(t.ad(0, 3), ad_pow(sys6.drift, sys6.inputs[0], 3))
+
+
+def test_bracket_table_rejects_mismatched_input():
+    with pytest.raises(DimensionMismatchError):
+        BracketTable(vf(("x1",), "x1"), (vf(("x2",), "1"),))
 
 
 def test_ad_pow_concurrent_access_is_consistent():

@@ -1,6 +1,8 @@
 """Order analysis: switching coefficients, problem order, parity, identities."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +132,15 @@ def test_problem_order_deterministic_under_policy_seed():
     a = problem_order(counterexample_raw(), 5, policy)
     b = problem_order(counterexample_raw(), 5, policy)
     assert a == b
+
+
+def test_problem_order_keeps_no_field_alive():
+    sys6 = counterexample_raw()
+    assert problem_order(sys6).found
+    drift = weakref.ref(sys6.drift)
+    del sys6
+    gc.collect()
+    assert drift() is None
 
 
 # ---------------------------------------------------------------------------

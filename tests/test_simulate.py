@@ -24,6 +24,7 @@ from ctrlorder import (
     without_cost,
 )
 from ctrlorder.expr import compile_components
+from ctrlorder.simulate import MAX_STEPS
 from ctrlorder.order import evaluate_b_matrix
 
 from helpers import (
@@ -217,6 +218,12 @@ def test_sim_config_validation():
         SimConfig(initial_state=(0,), initial_adjoint=(0,), lam=0)
     # lam = 1 with a zero adjoint is allowed
     SimConfig(initial_state=(0,), initial_adjoint=(0.0,), lam=1)
+    # the RK4 step count is capped, and a ratio that overflows is rejected
+    SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=MAX_STEPS * 1e-3)
+    with pytest.raises(ValueError, match="horizon/step"):
+        SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=(MAX_STEPS + 1) * 1e-3)
+    with pytest.raises(ValueError, match="horizon/step"):
+        SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=1e300, step=1e-300)
 
 
 def test_adjoint_scaling_leaves_bang_bang_control_invariant():
