@@ -62,6 +62,7 @@ from .order import (
     SwitchingCoefficients,
     evaluate_b_matrix,
     local_order_at,
+    local_order_on_arc,
     problem_order,
     switching_coeffs,
     verify_bracket_identities,
@@ -79,7 +80,6 @@ from .simulate import (
     detect_singular_intervals,
     hamiltonian,
     integrate_extremal,
-    local_order_on_arc,
     switching_values,
 )
 from .system import (

@@ -244,8 +244,7 @@ def cmd_simulate(args):
     )
     traj = integrate_extremal(sys_model, config)
     out_path = Path(args.out)
-    if traj.samples:
-        traj.write_csv(out_path)
+    traj.write_csv(out_path)
 
     intervals = detect_singular_intervals(traj, config)
     drift = abs(float(traj.H[-1]) - float(traj.H[0])) if traj.samples else float("nan")

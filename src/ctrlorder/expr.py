@@ -245,8 +245,9 @@ class _Parser:
     power := atom ('^' integer)?
     atom  := number | identifier | identifier '(' expr ')' | '(' expr ')'
 
-    Each '(', function call and unary '-' opens one nesting level; a level
-    past MAX_NESTING is a syntax error at the token that opens it.
+    Each '(', function call, unary '-' and '*' or '/' opens one nesting
+    level; a level past MAX_NESTING is a syntax error at the token that
+    opens it.
     """
 
     def __init__(self, text: str, allowed_vars: Iterable[str]):
@@ -297,10 +298,13 @@ class _Parser:
 
     def term(self) -> Expr:
         cur = self.unary()
+        opened = self.depth
         while self.at_op("*", "/"):
-            op = self.advance().text
+            tok = self.advance()
+            self.open_level(tok)  # the tree nests one level per operator
             rhs = self.unary()
-            cur = Product((cur, rhs)) if op == "*" else Quotient(cur, rhs)
+            cur = Product((cur, rhs)) if tok.text == "*" else Quotient(cur, rhs)
+        self.depth = opened
         return cur
 
     def unary(self) -> Expr:
@@ -861,28 +865,39 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _pycode(e: Expr, names: Mapping[str, str]) -> str:
+# Python binding strength of each rendered node.  A child is parenthesised
+# only where the grammar needs it, so the code parses to the same tree as a
+# fully parenthesised rendering while nesting fewer brackets.
+_PY_SUM, _PY_MUL, _PY_NEG, _PY_POW, _PY_ATOM = range(5)
+
+
+def _pycode(e: Expr, names: Mapping[str, str]) -> tuple[str, int]:
     if isinstance(e, Constant):
-        return repr(float(e.value))
+        v = float(e.value)
+        return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
     if isinstance(e, Variable):
-        return names[e.name]
+        return names[e.name], _PY_ATOM
     if isinstance(e, Negate):
-        return f"(-{_pycode(e.child, names)})"
-    if isinstance(e, Sum):
-        return "(" + " + ".join(_pycode(c, names) for c in e.children) + ")"
-    if isinstance(e, Product):
-        return "(" + "*".join(_pycode(c, names) for c in e.children) + ")"
+        return "-" + _pyarg(e.child, names, _PY_NEG), _PY_NEG
+    if isinstance(e, (Sum, Product)):
+        op, strength = (" + ", _PY_SUM) if isinstance(e, Sum) else ("*", _PY_MUL)
+        first, *rest = e.children  # left-associative: only later operands bind tighter
+        codes = [_pyarg(first, names, strength)] + [_pyarg(c, names, strength + 1) for c in rest]
+        return op.join(codes), strength
     if isinstance(e, Quotient):
-        return f"({_pycode(e.numerator, names)}/{_pycode(e.denominator, names)})"
+        num, den = _pyarg(e.numerator, names, _PY_MUL), _pyarg(e.denominator, names, _PY_NEG)
+        return f"{num}/{den}", _PY_MUL
     if isinstance(e, IntPower):
-        return f"({_pycode(e.base, names)}**{e.exponent})"
-    if isinstance(e, Sin):
-        return f"_sin({_pycode(e.child, names)})"
-    if isinstance(e, Cos):
-        return f"_cos({_pycode(e.child, names)})"
-    if isinstance(e, Exp):
-        return f"_exp({_pycode(e.child, names)})"
+        return f"{_pyarg(e.base, names, _PY_ATOM)}**{e.exponent}", _PY_POW
+    if isinstance(e, (Sin, Cos, Exp)):
+        fn = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}[type(e)]
+        return f"{fn}({_pycode(e.child, names)[0]})", _PY_ATOM
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _pyarg(e: Expr, names: Mapping[str, str], binding: int) -> str:
+    code, strength = _pycode(e, names)
+    return code if strength >= binding else f"({code})"
 
 
 def compile_components(
@@ -899,10 +914,14 @@ def compile_components(
         if extra:
             raise ValueError(f"expression uses undeclared variables {sorted(extra)}")
     names = {name: f"_v[{i}]" for i, name in enumerate(var_order)}
-    body = ", ".join(_pycode(e, names) for e in exprs)
+    body = ", ".join(_pycode(e, names)[0] for e in exprs)
     if len(exprs) == 1:
         body += ","
     src = f"def _fn(_v):\n    return ({body})"
+    try:
+        code = compile(src, "<compile_components>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):  # nesting beyond the compiler's limits
+        raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
     env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp}
-    exec(src, env)  # source is generated from our own AST only
+    exec(code, env)  # source is generated from our own AST only
     return env["_fn"]

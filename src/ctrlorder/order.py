@@ -19,13 +19,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .expr import EvalError, Negate, Sum, ZeroTestPolicy, compile_components, simplify
 from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
+
+if TYPE_CHECKING:
+    from .simulate import Trajectory
 
 
 @dataclass(frozen=True)
@@ -322,13 +325,44 @@ def local_order_at(
     p: Sequence[float],
     k_max: int = 10,
     tolerance: float = 1e-9,
-    _evaluator: "_BMatrixEvaluator | None" = None,
 ) -> LocalOrderResult:
     """First level where B_l at this (x, p) has an entry above tolerance."""
-    _check_point_sizes(sys, x, p)
+    return _local_order(_BMatrixEvaluator(sys), x, p, k_max, tolerance)
+
+
+def local_order_on_arc(
+    sys: ControlSystem,
+    traj: Trajectory,
+    interval: tuple[float, float],
+    k_max: int = 10,
+    tolerance: float = 1e-9,
+) -> ArcOrderResult:
+    """Local order at every grid sample of the interval, plus the modal level."""
+    t0, t1 = interval
+    eps = 1e-9 * max(1.0, traj.step)
+    if traj.samples == 0:
+        raise ValueError("trajectory has no samples")
+    if t0 < traj.t[0] - eps or t1 > traj.t[-1] + eps:
+        raise ValueError("interval is not contained in the trajectory span")
+    indices = [s for s in range(traj.samples) if t0 - eps <= traj.t[s] <= t1 + eps]
+    evaluator = _BMatrixEvaluator(sys)
+    levels: list[int | None] = []
+    for s in indices:
+        result = _local_order(evaluator, traj.x[s], traj.p[s], k_max, tolerance)
+        levels.append(result.k_local if result.found else None)
+    consensus, dissent = consensus_of(levels)
+    return ArcOrderResult(
+        sample_times=tuple(float(traj.t[s]) for s in indices),
+        per_sample=tuple(levels),
+        consensus_k=consensus,
+        dissent=dissent,
+    )
+
+
+def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: float):
+    _check_point_sizes(evaluator.sys, x, p)
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
-    evaluator = _evaluator if _evaluator is not None else _BMatrixEvaluator(sys)
     for k in range(1, k_max + 1):
         matrix = evaluator.matrix(k, x, p)
         if np.max(np.abs(matrix)) > tolerance:

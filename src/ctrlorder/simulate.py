@@ -26,7 +26,6 @@ import numpy as np
 
 from .expr import compile_components, diff, evaluate
 from .fields import VectorField, lie_bracket
-from .order import _BMatrixEvaluator, consensus_of, local_order_at, ArcOrderResult
 from .system import ControlSystem
 
 _RESERVED_TIME_NAME = "t"
@@ -146,16 +145,8 @@ class Trajectory:
         )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for s in range(self.samples):
-                row = (
-                    [self.t[s]]
-                    + list(self.x[s])
-                    + list(self.p[s])
-                    + list(self.u[s])
-                    + list(self.phi[s])
-                    + [self.H[s]]
-                )
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            rows = np.column_stack((self.t, self.x, self.p, self.u, self.phi, self.H))
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
 
 def hamiltonian(
@@ -217,61 +208,50 @@ def bang_bang_control(
 
 
 class _CompiledSystem:
-    """Per-system compiled field and Jacobian evaluators.
+    """One compiled function of the state returning f, g_1..g_m and then their
+    Jacobian entries, plus the compiled bound K(t) when the system has one.
 
-    They are called with Python floats, not numpy scalars, so that a
-    division by zero raises ZeroDivisionError instead of returning inf.
+    It is called with Python floats, not numpy scalars, so that a division
+    by zero raises ZeroDivisionError instead of returning inf.
     """
 
     def __init__(self, sys: ControlSystem):
         names = sys.state_names
-        n = sys.n
-        self.n = n
+        fields = (sys.drift, *sys.inputs)
+        self.n = sys.n
         self.m = sys.m
-        self.f = compile_components(sys.drift.components, names)
-        self.g = [compile_components(g.components, names) for g in sys.inputs]
-        self.jf = compile_components(
-            [diff(c, v) for c in sys.drift.components for v in names], names
+        self._fn = compile_components(
+            [c for vf in fields for c in vf.components]
+            + [diff(c, v) for vf in fields for c in vf.components for v in names],
+            names,
         )
-        self.jg = [
-            compile_components([diff(c, v) for c in g.components for v in names], names)
-            for g in sys.inputs
-        ]
-        if sys.bound is not None:
-            self.k_bound = compile_components([sys.bound], (_RESERVED_TIME_NAME,))
-        else:
-            self.k_bound = None
+        self.k_bound = (
+            None if sys.bound is None else compile_components([sys.bound], (_RESERVED_TIME_NAME,))
+        )
 
     def bound_at(self, t: float) -> float:
         if self.k_bound is None:
             return 1.0
         return float(self.k_bound((t,))[0])
 
-    def rhs(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        n = self.n
-        x, p = y[:n].tolist(), y[n:]
-        xdot = np.asarray(self.f(x), dtype=float)
-        jac = np.asarray(self.jf(x), dtype=float).reshape(n, n)
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F (1+m, n): f and the g_i at x; J (1+m, n, n): their Jacobians."""
+        n, k = self.n, 1 + self.m
+        values = np.asarray(self._fn(x.tolist()), dtype=float)
+        return values[: k * n].reshape(k, n), values[k * n :].reshape(k, n, n)
+
+    def rhs(self, F: np.ndarray, J: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+        xdot, jac = F[0], J[0]
         for i in range(self.m):
             if u[i] != 0.0:
-                xdot = xdot + u[i] * np.asarray(self.g[i](x), dtype=float)
-                jac = jac + u[i] * np.asarray(self.jg[i](x), dtype=float).reshape(n, n)
+                xdot = xdot + u[i] * F[1 + i]
+                jac = jac + u[i] * J[1 + i]
         pdot = -jac.T @ p
         return np.concatenate((xdot, pdot))
 
-    def phi(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x = x.tolist()
-        return np.array(
-            [float(p @ np.asarray(self.g[i](x), dtype=float)) for i in range(self.m)]
-        )
-
-    def energy(self, x: np.ndarray, p: np.ndarray, u: np.ndarray) -> float:
-        x = x.tolist()
-        value = float(p @ np.asarray(self.f(x), dtype=float))
-        for i in range(self.m):
-            if u[i] != 0.0:
-                value += u[i] * float(p @ np.asarray(self.g[i](x), dtype=float))
-        return value
+    def stage(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(x', p') at the stacked point y = (x, p)."""
+        return self.rhs(*self.at(y[: self.n]), y[self.n :], u)
 
 
 def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
@@ -307,12 +287,11 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     phi_arr = np.empty((steps + 1, m))
     h_arr = np.empty(steps + 1)
 
-    def control_at(t: float, x: np.ndarray, p: np.ndarray, last_u: np.ndarray):
+    def control_at(t: float, phi: np.ndarray, last_u: np.ndarray):
         if isinstance(policy, FixedControl):
             return np.asarray(policy.u)
         if isinstance(policy, PiecewiseControl):
             return np.asarray(policy.at(t))
-        phi = compiled.phi(x, p)
         return np.asarray(
             bang_bang_control(phi, compiled.bound_at(t), last_u, policy.deadband)
         )
@@ -328,13 +307,17 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
         t = s * h
         x, p = y[:n], y[n:]
         try:
-            u = control_at(t, x, p, last_u)
-            phi = compiled.phi(x, p)
-            energy = compiled.energy(x, p, u)
+            F, J = compiled.at(x)
+            phi = np.array([float(p @ F[1 + i]) for i in range(m)])
+            u = control_at(t, phi, last_u)
         except (ZeroDivisionError, OverflowError, ValueError):
             status = "eval_error"
             failure_time = t
             break
+        energy = float(p @ F[0])
+        for i in range(m):
+            if u[i] != 0.0:
+                energy += u[i] * phi[i]
         t_arr[s] = t
         x_arr[s] = x
         p_arr[s] = p
@@ -349,10 +332,10 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
             # overflow to inf is tolerated here; the isfinite check below
             # turns it into a flagged divergence abort
             with np.errstate(over="ignore", invalid="ignore"):
-                k1 = compiled.rhs(y, u)
-                k2 = compiled.rhs(y + 0.5 * h * k1, u)
-                k3 = compiled.rhs(y + 0.5 * h * k2, u)
-                k4 = compiled.rhs(y + h * k3, u)
+                k1 = compiled.rhs(F, J, p, u)
+                k2 = compiled.stage(y + 0.5 * h * k1, u)
+                k3 = compiled.stage(y + 0.5 * h * k2, u)
+                k4 = compiled.stage(y + h * k3, u)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except (ZeroDivisionError, OverflowError, ValueError):
             status = "eval_error"
@@ -411,37 +394,6 @@ def detect_singular_intervals(traj: Trajectory, config: SimConfig) -> SingularIn
     return SingularIntervals(tuple(per_input))
 
 
-def local_order_on_arc(
-    sys: ControlSystem,
-    traj: Trajectory,
-    interval: tuple[float, float],
-    k_max: int = 10,
-    tolerance: float = 1e-9,
-) -> ArcOrderResult:
-    """Local order at every grid sample of the interval, plus the modal level."""
-    t0, t1 = interval
-    eps = 1e-9 * max(1.0, traj.step)
-    if traj.samples == 0:
-        raise ValueError("trajectory has no samples")
-    if t0 < traj.t[0] - eps or t1 > traj.t[-1] + eps:
-        raise ValueError("interval is not contained in the trajectory span")
-    indices = [s for s in range(traj.samples) if t0 - eps <= traj.t[s] <= t1 + eps]
-    evaluator = _BMatrixEvaluator(sys)
-    levels: list[int | None] = []
-    for s in indices:
-        result = local_order_at(
-            sys, traj.x[s], traj.p[s], k_max, tolerance, _evaluator=evaluator
-        )
-        levels.append(result.k_local if result.found else None)
-    consensus, dissent = consensus_of(levels)
-    return ArcOrderResult(
-        sample_times=tuple(float(traj.t[s]) for s in indices),
-        per_sample=tuple(levels),
-        consensus_k=consensus,
-        dissent=dissent,
-    )
-
-
 def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> float:
     """Max residual of d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]>.
 
@@ -455,27 +407,22 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
     if traj.samples < 3:
         raise ValueError("need at least three samples for a central difference")
 
-    names = sys.state_names
-    h_fn = compile_components(h_field.components, names)
-    fh_fn = compile_components(lie_bracket(sys.drift, h_field).components, names)
-    gh_fns = [
-        compile_components(lie_bracket(g, h_field).components, names)
-        for g in sys.inputs
-    ]
-
-    xs = traj.x.tolist()  # Python floats, as in the integrator
-    inner = np.array(
-        [float(traj.p[s] @ np.asarray(h_fn(xs[s]))) for s in range(traj.samples)]
-    )
+    n, m = sys.n, sys.m
+    fields = (h_field, lie_bracket(sys.drift, h_field))
+    fields += tuple(lie_bracket(g, h_field) for g in sys.inputs)
+    fn = compile_components([c for vf in fields for c in vf.components], sys.state_names)
+    # rows per sample: h, [f, h], [g_1, h], ..., [g_m, h]; Python floats, as in the integrator
+    values = np.asarray([fn(x) for x in traj.x.tolist()], dtype=float).reshape(-1, 2 + m, n)
+    inner = np.array([float(traj.p[s] @ values[s, 0]) for s in range(traj.samples)])
     worst = math.nan
     for s in range(1, traj.samples - 1):
         if not np.array_equal(traj.u[s - 1], traj.u[s]):
             continue
         lhs = (inner[s + 1] - inner[s - 1]) / (2.0 * traj.step)
-        rhs_vec = np.asarray(fh_fn(xs[s]), dtype=float)
-        for i in range(traj.input_count):
+        rhs_vec = values[s, 1]
+        for i in range(m):
             if traj.u[s, i] != 0.0:
-                rhs_vec = rhs_vec + traj.u[s, i] * np.asarray(gh_fns[i](xs[s]), dtype=float)
+                rhs_vec = rhs_vec + traj.u[s, i] * values[s, 2 + i]
         rhs = float(traj.p[s] @ rhs_vec)
         residual = abs(lhs - rhs)
         if math.isnan(worst) or residual > worst:

@@ -419,26 +419,46 @@ def write_system(tmp_path, f, g):
 
 
 def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
+    cases = [
+        # 1/x1 at x1 = 0 is a division by zero, not a numpy inf
+        (["1/x1"], ["1"], "0", "1"),
+        # f and g evaluate at x2 = 1e-200, but d(x1/x2)/dx2 = -x1/x2^2 divides by
+        # an underflowed 0, and a sample is stored only where the Jacobians evaluate
+        (["x1/x2", "0"], ["0", "1"], "1,1e-200", "1,1"),
+    ]
+    for f, g, x0, p0 in cases:
+        path = write_system(tmp_path, f, g)
+        code, out, err = run(
+            capsys, "simulate", path, "--x0", x0, "--p0", p0,
+            "--out", str(tmp_path / "t.csv"), "--json",
+        )
+        assert code == 4
+        report = strict_json(out)
+        assert report["H_drift"] is None
+        assert report["status"] == "eval_error"
+        assert report["failure_time"] == 0.0
+        assert report["samples"] == 0
+        assert err == ""
+
+
+def test_simulate_eval_error_at_t0_leaves_a_header_only_csv(capsys, tmp_path):
     path = write_system(tmp_path, ["1/x1"], ["1"])
-    code, out, err = run(
-        capsys, "simulate", path, "--x0", "0", "--p0", "1",
-        "--out", str(tmp_path / "t.csv"), "--json",
-    )
+    out_path = tmp_path / "t.csv"
+    out_path.write_text("stale trajectory\n")
+    code, _, _ = run(capsys, "simulate", path, "--x0", "0", "--p0", "1", "--out", str(out_path))
     assert code == 4
-    report = strict_json(out)
-    assert report["H_drift"] is None
-    # 1/x1 at x1 = 0 is a division by zero, not a numpy inf
-    assert report["status"] == "eval_error"
-    assert report["failure_time"] == 0.0
-    assert report["samples"] == 0
-    assert err == ""
+    assert out_path.read_text() == "t,x_x1,p_x1,u_1,phi_1,H\n"
 
 
 def nested_system(tmp_path, opener, closer, levels):
     return write_system(tmp_path, ["x2", opener * levels + "x1" + closer * levels], ["0", "1"])
 
 
-@pytest.mark.parametrize("opener, closer", [("(", ")"), ("sin(", ")"), ("-", "")])
+# each '*' or '/' of a chain is one level; the Jacobian of the cos(x1)/... chain
+# nests quotients twice as deep as the chain
+@pytest.mark.parametrize(
+    "opener, closer", [("(", ")"), ("sin(", ")"), ("-", ""), ("x1*", ""), ("cos(x1)/", "")]
+)
 def test_nesting_at_the_limit_runs_and_past_it_is_input_error(capsys, tmp_path, opener, closer):
     path = nested_system(tmp_path, opener, closer, MAX_NESTING)
     code, _, _ = run(capsys, "order", path, "--k-max", "2")
@@ -454,6 +474,20 @@ def test_nesting_at_the_limit_runs_and_past_it_is_input_error(capsys, tmp_path, 
         assert code == 1
         assert out == ""
         assert f"nested deeper than {MAX_NESTING} levels" in err
+
+
+def test_sum_too_large_to_compile_is_input_error(capsys, tmp_path):
+    path = write_system(tmp_path, ["x2", " + ".join(["x1"] * 3000)], ["0", "1"])
+    code, _, _ = run(capsys, "order", path, "--k-max", "2")
+    assert code == 3
+    code, out, err = run(
+        capsys, "simulate", path, "--x0", "0.1,0", "--p0", "1,1",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "too large to compile" in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,21 @@ def test_parse_nesting_limit_positions_the_crossing_token():
     parse(" + ".join(["(" * MAX_NESTING + "x1" + ")" * MAX_NESTING] * 3), VARS)
 
 
+def test_parse_operator_chains_count_toward_the_nesting_limit():
+    # a*b*c... and a/b/c... build left-nested trees, one level per operator
+    for op in "*/":
+        parse(("x1" + op) * MAX_NESTING + "x1", VARS)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(("x1" + op) * (MAX_NESTING + 1) + "x1", VARS)
+        assert err.value.position == 3 * MAX_NESTING + 2
+    # the chain's levels add to the enclosing ones and close when its term ends
+    half = MAX_NESTING // 2
+    parse("(" * half + "x1*" * half + "x1" + ")" * half, VARS)
+    with pytest.raises(ExprSyntaxError):
+        parse("(" * half + "x1*" * (half + 1) + "x1" + ")" * half, VARS)
+    parse(" + ".join(["x1*" * MAX_NESTING + "x1"] * 3), VARS)
+
+
 def test_parse_precedence_and_unary():
     assert parse("-x1^2", VARS) == Negate(IntPower(Variable("x1"), 2))
     assert parse("x1 + x2*t", VARS) == Sum(
@@ -421,6 +436,24 @@ def test_compile_components_matches_evaluate():
         pt = random_binding(rng, names)
         vec = [pt[n] for n in names]
         assert abs(fn(vec)[0] - evaluate(e, pt)) < 1e-9
+
+
+def test_compile_components_parenthesises_only_where_python_needs_it():
+    x = Variable("x1")
+    cases = [
+        (IntPower(const(-1), 2), 1.0),  # not -(1**2)
+        (IntPower(const(-0.5), 3), -0.125),
+        (IntPower(Negate(x), 2), 4.0),
+        (Negate(IntPower(x, 2)), -4.0),
+        (Quotient(x, Product((x, x))), 0.5),
+        (Product((x, Quotient(const(1), x))), 1.0),
+        (Quotient(Quotient(const(1), x), x), 0.25),
+        (Sum((x, Negate(Sum((x, const(1)))))), -1.0),
+        (IntPower(IntPower(x, 2), 3), 64.0),
+    ]
+    for e, value in cases:
+        assert compile_components([e], ("x1",))([2.0]) == (value,)
+        assert evaluate(e, {"x1": 2}) == value
 
 
 def test_variables_listing():

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import ctrlorder.simulate
+
 from ctrlorder import (
     BangBang,
     FixedControl,
@@ -176,6 +178,35 @@ def test_phi_and_h_recomputed_from_samples():
         assert np.max(np.abs(np.asarray(phi) - traj.phi[s])) < 1e-12
         h_val = hamiltonian(sys6, traj.x[s], traj.p[s], traj.u[s])
         assert abs(h_val - traj.H[s]) < 1e-12
+
+
+def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
+    compiled = []  # [variable names, call count] per compiled function
+
+    def counting(exprs, names):
+        fn = compile_components(exprs, names)
+        record = [tuple(names), 0]
+        compiled.append(record)
+
+        def counted(v):
+            record[1] += 1
+            return fn(v)
+
+        return counted
+
+    monkeypatch.setattr(ctrlorder.simulate, "compile_components", counting)
+    ext = counterexample_extended()
+    cfg = SimConfig(
+        initial_state=(0.0, *GENERIC_X0),
+        initial_adjoint=(-1.0, *GENERIC_P0),
+        horizon=0.01,
+        step=1e-3,
+    )
+    traj = integrate_extremal(ext, cfg)
+    assert traj.status == "ok" and traj.samples == 11
+    of_state = [calls for names, calls in compiled if names == ext.state_names]
+    # the sample's evaluation also serves stage 1; stages 2-4 take one each
+    assert of_state == [11 + 3 * 10]
 
 
 def test_divergence_flags_partial_trajectory():
