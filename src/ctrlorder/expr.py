@@ -29,6 +29,9 @@ _FUNCTION_NAMES = ("sin", "cos", "exp")
 # that the recursive passes over a parsed tree stay far below Python's
 # recursion limit.
 MAX_NESTING = 100
+# Largest integer exponent the parser accepts: x^1000 already costs `order`
+# half a second, and exact powers grow with the exponent.
+MAX_EXPONENT = 1000
 
 
 class ExprError(Exception):
@@ -171,15 +174,13 @@ _ZERO = const(0)
 _ONE = const(1)
 
 
-def variables(e: Expr) -> frozenset[str]:
-    """Set of variable names appearing in the expression."""
-    out: set[str] = set()
+def _nodes(e: Expr):
+    """Every node of the tree, a shared subtree once per occurrence."""
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Variable):
-            out.add(node.name)
-        elif isinstance(node, (Sum, Product)):
+        yield node
+        if isinstance(node, (Sum, Product)):
             stack.extend(node.children)
         elif isinstance(node, Quotient):
             stack.append(node.numerator)
@@ -188,7 +189,23 @@ def variables(e: Expr) -> frozenset[str]:
             stack.append(node.base)
         elif isinstance(node, (Negate, Sin, Cos, Exp)):
             stack.append(node.child)
-    return frozenset(out)
+
+
+def variables(e: Expr) -> frozenset[str]:
+    """Set of variable names appearing in the expression."""
+    return frozenset(node.name for node in _nodes(e) if isinstance(node, Variable))
+
+
+def _is_finite_float(v: NumberValue) -> bool:
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # a rational beyond the float range
+        return False
+
+
+def has_finite_constants(e: Expr) -> bool:
+    """True when every constant of `e` is a finite float or a rational within float range."""
+    return all(_is_finite_float(node.value) for node in _nodes(e) if isinstance(node, Constant))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +259,7 @@ class _Parser:
     expr  := term (('+'|'-') term)*
     term  := unary (('*'|'/') unary)*
     unary := '-' unary | power
-    power := atom ('^' integer)?
+    power := atom ('^' integer)?     (integer <= MAX_EXPONENT)
     atom  := number | identifier | identifier '(' expr ')' | '(' expr ')'
 
     Each '(', function call, unary '-' and '*' or '/' opens one nesting
@@ -323,7 +340,11 @@ class _Parser:
             if tok.kind != "num" or not _INTEGER_RE.fullmatch(tok.text):
                 raise ExprSyntaxError("expected an integer exponent after '^'", tok.pos)
             self.advance()
-            k = int(tok.text)
+            # a digit string longer than the cap's is over it without converting it
+            digits = tok.text.lstrip("0")
+            k = int(tok.text) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+            if k > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent larger than {MAX_EXPONENT}", tok.pos)
             if k == 0:
                 return _ONE
             if k == 1:
@@ -337,7 +358,10 @@ class _Parser:
             self.advance()
             if _INTEGER_RE.fullmatch(tok.text):
                 return Constant(Fraction(int(tok.text)))
-            return Constant(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number '{tok.text}' is too large for a float", tok.pos)
+            return Constant(value)
         if tok.kind == "ident":
             self.advance()
             if self.at_op("("):
@@ -873,7 +897,12 @@ _PY_SUM, _PY_MUL, _PY_NEG, _PY_POW, _PY_ATOM = range(5)
 
 def _pycode(e: Expr, names: Mapping[str, str]) -> tuple[str, int]:
     if isinstance(e, Constant):
-        v = float(e.value)
+        # a rational past the float range (a derivative's coefficient can be
+        # one) renders as inf, which the generated code's namespace defines
+        try:
+            v = float(e.value)
+        except OverflowError:
+            v = math.inf if e.value > 0 else -math.inf
         return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
     if isinstance(e, Variable):
         return names[e.name], _PY_ATOM
@@ -922,6 +951,6 @@ def compile_components(
         code = compile(src, "<compile_components>", "exec")
     except (SyntaxError, RecursionError, MemoryError):  # nesting beyond the compiler's limits
         raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
-    env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp}
+    env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "inf": math.inf, "nan": math.nan}
     exec(code, env)  # source is generated from our own AST only
     return env["_fn"]

@@ -24,13 +24,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import compile_components, diff, evaluate
-from .fields import VectorField, lie_bracket
+from .expr import Expr, Negate, Product, Sum, Variable, compile_components, const, evaluate
+from .fields import VectorField, jacobian, lie_bracket
 from .system import ControlSystem
 
 _RESERVED_TIME_NAME = "t"
 # 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
 MAX_STEPS = 10**6
+_ZERO, _ONE = const(0), const(1)
 
 
 @dataclass(frozen=True)
@@ -207,24 +208,45 @@ def bang_bang_control(
     return tuple(out)
 
 
-class _CompiledSystem:
-    """One compiled function of the state returning f, g_1..g_m and then their
-    Jacobian entries, plus the compiled bound K(t) when the system has one.
+def _linear(pairs) -> Expr:
+    """w_1*e_1 + w_2*e_2 + ... in the given order, a weight None meaning 1.
 
-    It is called with Python floats, not numpy scalars, so that a division
-    by zero raises ZeroDivisionError instead of returning inf.
+    Each e_i stays whole (no distribution over its sums), so a term rounds as
+    the product of two floats; terms whose e_i is the constant 0 drop out.
+    """
+    terms = tuple(
+        e if w is None else w if e == _ONE else Product((w, e))
+        for w, e in pairs
+        if e != _ZERO
+    )
+    return _ZERO if not terms else terms[0] if len(terms) == 1 else Sum(terms)
+
+
+class _CompiledSystem:
+    """The coupled system as two compiled scalar functions, plus K(t).
+
+    rhs((x, p, u)) returns (x', p'), with x' = f + sum_k u_k g_k and
+    p'_j = -sum_i p_i (df_i/dx_j + sum_k u_k dg_k,i/dx_j); sample((x, p))
+    returns (<p, f>, phi_1..phi_m).  The adjoint and control enter as
+    variables named "p:<state>" and "u:<k>", which no state name can be.
+    Both are called with Python floats, not numpy scalars, so that a
+    division by zero raises ZeroDivisionError instead of returning inf.
     """
 
     def __init__(self, sys: ControlSystem):
-        names = sys.state_names
-        fields = (sys.drift, *sys.inputs)
-        self.n = sys.n
-        self.m = sys.m
-        self._fn = compile_components(
-            [c for vf in fields for c in vf.components]
-            + [diff(c, v) for vf in fields for c in vf.components for v in names],
-            names,
-        )
+        n, fields = sys.n, (sys.drift, *sys.inputs)
+        p = [Variable(f"p:{name}") for name in sys.state_names]
+        u = [Variable(f"u:{k + 1}") for k in range(sys.m)]
+        weights = [None, *u]  # f, then u_k for g_k
+        comps = [vf.components for vf in fields]
+        jacs = [jacobian(vf).rows for vf in fields]
+        xdot = [_linear(zip(weights, (c[i] for c in comps))) for i in range(n)]
+        jac = [[_linear(zip(weights, (J[i][j] for J in jacs))) for j in range(n)] for i in range(n)]
+        pdot = [_linear(zip(p, (row[j] for row in jac))) for j in range(n)]
+        pdot = [e if e == _ZERO else Negate(e) for e in pdot]
+        state = (*sys.state_names, *(v.name for v in p))
+        self.rhs = compile_components(xdot + pdot, (*state, *(v.name for v in u)))
+        self.sample = compile_components([_linear(zip(p, c)) for c in comps], state)
         self.k_bound = (
             None if sys.bound is None else compile_components([sys.bound], (_RESERVED_TIME_NAME,))
         )
@@ -234,31 +256,14 @@ class _CompiledSystem:
             return 1.0
         return float(self.k_bound((t,))[0])
 
-    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F (1+m, n): f and the g_i at x; J (1+m, n, n): their Jacobians."""
-        n, k = self.n, 1 + self.m
-        values = np.asarray(self._fn(x.tolist()), dtype=float)
-        return values[: k * n].reshape(k, n), values[k * n :].reshape(k, n, n)
-
-    def rhs(self, F: np.ndarray, J: np.ndarray, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-        xdot, jac = F[0], J[0]
-        for i in range(self.m):
-            if u[i] != 0.0:
-                xdot = xdot + u[i] * F[1 + i]
-                jac = jac + u[i] * J[1 + i]
-        pdot = -jac.T @ p
-        return np.concatenate((xdot, pdot))
-
-    def stage(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(x', p') at the stacked point y = (x, p)."""
-        return self.rhs(*self.at(y[: self.n]), y[self.n :], u)
-
 
 def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     """Fixed-step RK4 integration of the coupled (x, p) system.
 
-    On evaluation failure or divergence the trajectory returned is the finite
-    prefix, flagged through `status` and `failure_time`.
+    Each sample takes one `sample` and one `rhs` call (the latter is also
+    the first RK4 stage), each later stage one `rhs` call, all on Python
+    floats.  On evaluation failure or divergence the trajectory returned is
+    the finite prefix, flagged through `status` and `failure_time`.
     """
     if sys.cost is not None:
         raise ValueError(
@@ -276,86 +281,74 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
                 raise ValueError(f"piecewise control rows must have dimension {sys.m}")
 
     compiled = _CompiledSystem(sys)
+    sample, rhs = compiled.sample, compiled.rhs
     h = config.step
+    half, sixth = 0.5 * h, h / 6.0
     steps = max(1, round(config.horizon / h))
     n, m = sys.n, sys.m
+    # one row per sample: t, x, p, u, phi, H (the CSV's column order)
+    table = np.empty((steps + 1, 2 + 2 * n + 2 * m))
 
-    t_arr = np.empty(steps + 1)
-    x_arr = np.empty((steps + 1, n))
-    p_arr = np.empty((steps + 1, n))
-    u_arr = np.empty((steps + 1, m))
-    phi_arr = np.empty((steps + 1, m))
-    h_arr = np.empty(steps + 1)
-
-    def control_at(t: float, phi: np.ndarray, last_u: np.ndarray):
+    def control_at(t: float, phi: list, last_u: list) -> list:
         if isinstance(policy, FixedControl):
-            return np.asarray(policy.u)
+            return list(policy.u)
         if isinstance(policy, PiecewiseControl):
-            return np.asarray(policy.at(t))
-        return np.asarray(
-            bang_bang_control(phi, compiled.bound_at(t), last_u, policy.deadband)
-        )
+            return list(policy.at(t))
+        return list(bang_bang_control(phi, compiled.bound_at(t), last_u, policy.deadband))
 
-    y = np.concatenate(
-        (np.asarray(config.initial_state), np.asarray(config.initial_adjoint))
-    )
-    last_u = np.zeros(m)
+    y = [*config.initial_state, *config.initial_adjoint]
+    last_u = [0.0] * m
     status = "ok"
     failure_time = None
     stored = 0
     for s in range(steps + 1):
         t = s * h
-        x, p = y[:n], y[n:]
         try:
-            F, J = compiled.at(x)
-            phi = np.array([float(p @ F[1 + i]) for i in range(m)])
+            energy, *phi = sample(y)
             u = control_at(t, phi, last_u)
+            k1 = rhs(y + u)
         except (ZeroDivisionError, OverflowError, ValueError):
             status = "eval_error"
             failure_time = t
             break
-        energy = float(p @ F[0])
-        for i in range(m):
-            if u[i] != 0.0:
-                energy += u[i] * phi[i]
-        t_arr[s] = t
-        x_arr[s] = x
-        p_arr[s] = p
-        u_arr[s] = u
-        phi_arr[s] = phi
-        h_arr[s] = energy
+        for uk, phik in zip(u, phi):
+            if uk != 0.0:
+                energy += uk * phik
+        table[s] = (t, *y, *u, *phi, energy)
         stored = s + 1
         last_u = u
         if s == steps:
             break
+        # overflow to inf is tolerated here; the isfinite check below turns
+        # it into a flagged divergence abort
         try:
-            # overflow to inf is tolerated here; the isfinite check below
-            # turns it into a flagged divergence abort
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = compiled.rhs(F, J, p, u)
-                k2 = compiled.stage(y + 0.5 * h * k1, u)
-                k3 = compiled.stage(y + 0.5 * h * k2, u)
-                k4 = compiled.stage(y + h * k3, u)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs([a + half * b for a, b in zip(y, k1)] + u)
+            k3 = rhs([a + half * b for a, b in zip(y, k2)] + u)
+            k4 = rhs([a + h * b for a, b in zip(y, k3)] + u)
         except (ZeroDivisionError, OverflowError, ValueError):
             status = "eval_error"
             failure_time = t
             break
-        if not np.all(np.isfinite(y)):
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, y)):
             status = "diverged"
             failure_time = t + h
             break
 
+    rows = table[:stored]
     return Trajectory(
         state_names=sys.state_names,
         input_count=m,
         step=h,
-        t=t_arr[:stored],
-        x=x_arr[:stored],
-        p=p_arr[:stored],
-        u=u_arr[:stored],
-        phi=phi_arr[:stored],
-        H=h_arr[:stored],
+        t=rows[:, 0],
+        x=rows[:, 1 : 1 + n],
+        p=rows[:, 1 + n : 1 + 2 * n],
+        u=rows[:, 1 + 2 * n : 1 + 2 * n + m],
+        phi=rows[:, 1 + 2 * n + m : 1 + 2 * n + 2 * m],
+        H=rows[:, -1],
         status=status,
         failure_time=failure_time,
     )

@@ -13,7 +13,16 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .expr import Expr, ExprError, evaluate, parse, to_text, variables
+from .expr import (
+    Expr,
+    ExprError,
+    evaluate,
+    has_finite_constants,
+    parse,
+    simplify,
+    to_text,
+    variables,
+)
 from .fields import VectorField
 
 _RESERVED_TIME_NAME = "t"
@@ -80,6 +89,23 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
     return dataclasses.replace(sys, cost=None)
 
 
+def _parse_field(text: str, names, location: str) -> Expr:
+    """Parse one field; its constants, folded as the analysis folds them, must be finite floats."""
+    try:
+        e = parse(text, names)
+    except ExprError as err:
+        raise SystemLoadError(str(err), location) from err
+    try:
+        finite = has_finite_constants(simplify(e))
+    except ExprError:  # a literal division by zero, which validate reports
+        return e
+    except OverflowError:  # a rational beyond the float range met a float
+        finite = False
+    if not finite:
+        raise SystemLoadError("a constant folds to a value that is not a finite float", location)
+    return e
+
+
 def load(document: Mapping[str, Any]) -> ControlSystem:
     """Build a validated system from a key-value document (see README schema)."""
     if not isinstance(document, Mapping):
@@ -107,10 +133,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     def parse_at(text: Any, location: str) -> Expr:
         if not isinstance(text, str):
             raise SystemLoadError("expected an expression string", location)
-        try:
-            return parse(text, names)
-        except ExprError as err:
-            raise SystemLoadError(str(err), location) from err
+        return _parse_field(text, names, location)
 
     f_doc = document.get("f")
     if not isinstance(f_doc, list) or len(f_doc) != n:
@@ -145,10 +168,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
         text = document["K"]
         if not isinstance(text, str):
             raise SystemLoadError("'K' must be an expression string in 't'", "K")
-        try:
-            bound = parse(text, (_RESERVED_TIME_NAME,))
-        except ExprError as err:
-            raise SystemLoadError(str(err), "K") from err
+        bound = _parse_field(text, (_RESERVED_TIME_NAME,), "K")
 
     label = document.get("label", "")
     if not isinstance(label, str):

@@ -441,6 +441,38 @@ def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("1e999*x1", "f[0]: number '1e999' is too large for a float (at position 0)"),
+        ("1e200*1e200*x1", "f[0]: a constant folds to a value that is not a finite float"),
+        ("x1^1001", "f[0]: exponent larger than 1000 (at position 3)"),
+    ],
+)
+def test_non_finite_constants_and_huge_exponents_are_input_errors(capsys, tmp_path, f, message):
+    path = write_system(tmp_path, [f], ["1"])
+    for argv in (
+        ["simulate", path, "--x0", "1", "--p0", "1", "--out", str(tmp_path / "t.csv")],
+        ["order", path, "--k-max", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
+
+
+def test_simulate_with_a_derivative_past_the_float_range_ends_flagged(capsys, tmp_path):
+    # d(1e308*x1^2)/dx1 = 2e308 is inf; the adjoint equation carries it
+    path = write_system(tmp_path, ["1e308*x1^2"], ["1"])
+    code, out, err = run(
+        capsys, "simulate", path, "--x0", "1", "--p0", "1",
+        "--out", str(tmp_path / "t.csv"), "--json",
+    )
+    assert code == 4
+    assert strict_json(out)["status"] in ("diverged", "eval_error")
+    assert err == ""
+
+
 def test_simulate_eval_error_at_t0_leaves_a_header_only_csv(capsys, tmp_path):
     path = write_system(tmp_path, ["1/x1"], ["1"])
     out_path = tmp_path / "t.csv"

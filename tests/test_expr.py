@@ -32,7 +32,13 @@ from ctrlorder import (
     to_text,
     variables,
 )
-from ctrlorder.expr import MAX_NESTING, ExprSyntaxError, compile_components
+from ctrlorder.expr import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    ExprSyntaxError,
+    compile_components,
+    has_finite_constants,
+)
 
 from helpers import random_binding, random_expr
 
@@ -132,6 +138,25 @@ def test_parse_power_degenerate_exponents():
     assert parse("x1^0", VARS) == const(1)
     assert parse("x1^1", VARS) == Variable("x1")
     assert parse("x1^3", VARS) == IntPower(Variable("x1"), 3)
+
+
+def test_parse_exponent_cap_positions_the_exponent():
+    assert parse(f"x1^{MAX_EXPONENT}", VARS) == IntPower(Variable("x1"), MAX_EXPONENT)
+    assert parse(f"x1^000{MAX_EXPONENT}", VARS) == IntPower(Variable("x1"), MAX_EXPONENT)
+    # the last is past Python's limit for converting a digit string to int
+    for exponent in (str(MAX_EXPONENT + 1), "99999999999", "9" * 5000):
+        with pytest.raises(ExprSyntaxError, match=f"larger than {MAX_EXPONENT}") as err:
+            parse(f"1 + x1^{exponent}", VARS)
+        assert err.value.position == 7
+
+
+def test_parse_rejects_literals_past_the_float_range():
+    for literal in ("1e999", "1.5e309", ".1e400"):
+        with pytest.raises(ExprSyntaxError, match="too large for a float") as err:
+            parse(f"x1 + {literal}*x2", VARS)
+        assert err.value.position == 5
+    assert parse("1e308", VARS) == Constant(1e308)
+    assert parse("1e-999", VARS) == Constant(0.0)  # underflow is exact enough
 
 
 def test_parse_whitespace_insensitive():
@@ -454,6 +479,26 @@ def test_compile_components_parenthesises_only_where_python_needs_it():
     for e, value in cases:
         assert compile_components([e], ("x1",))([2.0]) == (value,)
         assert evaluate(e, {"x1": 2}) == value
+
+
+def test_compile_components_renders_constants_past_the_float_range():
+    # a derivative can fold a coefficient past the float range; the code stays valid
+    x = Variable("x1")
+    cases = [
+        (Product((const(2 * 10**308), x)), math.inf),
+        (Product((const(-(10**400)), x)), -math.inf),
+        (Product((Constant(math.inf), x)), math.inf),
+    ]
+    for e, value in cases:
+        assert compile_components([e], ("x1",))([1.0]) == (value,)
+    assert math.isnan(compile_components([Constant(math.nan)], ())([])[0])
+
+
+def test_has_finite_constants():
+    assert has_finite_constants(parse("1e308*x1 + 10^308", VARS))
+    assert not has_finite_constants(simplify(parse("1e200*1e200*x1", VARS)))
+    assert not has_finite_constants(simplify(parse("10^400*x1", VARS)))
+    assert not has_finite_constants(Product((Constant(math.nan), Variable("x1"))))
 
 
 def test_variables_listing():

@@ -1,5 +1,6 @@
 """Extremal integration: oracles, conservation, singular intervals, Lemma-style checks."""
 
+import math
 import random
 
 import numpy as np
@@ -180,16 +181,91 @@ def test_phi_and_h_recomputed_from_samples():
         assert abs(h_val - traj.H[s]) < 1e-12
 
 
+def reference_extremal(x0, p0, control, steps, h):
+    """RK4 of the raw counterexample written out by hand: (x, p, u, phi, H) per sample.
+
+    States (x, y, theta, v1, v2, Omega), u_k drives the (3 + k)-th state, and
+    the control is frozen per step at control(t, phi, last_u).
+    """
+
+    def rhs(z, u):
+        _, _, th, v1, v2, om, px, py, pth, _, _, _ = z
+        c, s = math.cos(th), math.sin(th)
+        return (
+            v1 * c + v2 * s, v2 * c - v1 * s, om, u[0], u[1], u[2],
+            0.0, 0.0, -(px * (v2 * c - v1 * s) - py * (v1 * c + v2 * s)),
+            -(px * c - py * s), -(px * s + py * c), -pth,
+        )
+
+    z = [float(v) for v in (*x0, *p0)]
+    rows = []
+    last = (0.0, 0.0, 0.0)
+    for k in range(steps + 1):
+        phi = tuple(z[9:12])
+        u = tuple(control(k * h, phi, last))
+        k1 = rhs(z, u)
+        # <p, f>: f is the first three entries of x' and zero below them
+        energy = sum(pi * fi for pi, fi in zip(z[6:9], k1[:3])) + sum(
+            ui * fi for ui, fi in zip(u, phi)
+        )
+        rows.append((z[:6], z[6:], u, phi, energy))
+        last = u
+        if k == steps:
+            break
+        k2 = rhs([a + 0.5 * h * b for a, b in zip(z, k1)], u)
+        k3 = rhs([a + 0.5 * h * b for a, b in zip(z, k2)], u)
+        k4 = rhs([a + h * b for a, b in zip(z, k3)], u)
+        z = [
+            a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)
+        ]
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize(
+    "policy, control",
+    [
+        (FixedControl(FIXED_U3), lambda t, phi, last: FIXED_U3),
+        (
+            PiecewiseControl(((0.0, (0.3, 0.5, 0.7)), (0.5, (-0.3, 0.5, -0.7)))),
+            lambda t, phi, last: (0.3, 0.5, 0.7) if t < 0.5 else (-0.3, 0.5, -0.7),
+        ),
+        (
+            BangBang(),
+            lambda t, phi, last: tuple(
+                1.0 if f > 0 else -1.0 if f < 0 else l for f, l in zip(phi, last)
+            ),
+        ),
+    ],
+    ids=["fixed", "piecewise", "bang-bang"],
+)
+def test_integrator_matches_a_hand_written_rk4(policy, control):
+    steps, h = 2000, 1e-3
+    x0, p0 = GENERIC_X0, (1.0, 0.5, 0.25, 0.2, -0.1, 0.05)
+    cfg = SimConfig(
+        initial_state=x0, initial_adjoint=p0, horizon=steps * h, step=h, control_policy=policy
+    )
+    traj = integrate_extremal(counterexample_raw(), cfg)
+    assert traj.status == "ok" and traj.samples == steps + 1
+    ref_x, ref_p, ref_u, ref_phi, ref_h = reference_extremal(x0, p0, control, steps, h)
+    # off phi = 0 on the grid, so last-bit rounding cannot flip a bang-bang switch
+    assert np.min(np.abs(ref_phi)) > 1e-6
+    assert np.array_equal(traj.u, ref_u)
+    for got, ref in ((traj.x, ref_x), (traj.p, ref_p), (traj.phi, ref_phi), (traj.H, ref_h)):
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-12
+    if isinstance(policy, BangBang):
+        assert np.any(ref_u[1:] != ref_u[:-1])  # the run switches
+
+
 def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
-    compiled = []  # [variable names, call count] per compiled function
+    compiled = {}  # call count per compiled function, keyed by its variable count
 
     def counting(exprs, names):
         fn = compile_components(exprs, names)
-        record = [tuple(names), 0]
-        compiled.append(record)
+        compiled[len(names)] = 0
 
         def counted(v):
-            record[1] += 1
+            compiled[len(names)] += 1
             return fn(v)
 
         return counted
@@ -204,9 +280,11 @@ def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
     )
     traj = integrate_extremal(ext, cfg)
     assert traj.status == "ok" and traj.samples == 11
-    of_state = [calls for names, calls in compiled if names == ext.state_names]
-    # the sample's evaluation also serves stage 1; stages 2-4 take one each
-    assert of_state == [11 + 3 * 10]
+    n, m = ext.n, ext.m
+    # sample((x, p)) once per sample; rhs((x, p, u)) once per sample, which
+    # is also RK4 stage 1, and once for each of stages 2-4
+    assert compiled[2 * n] == 11
+    assert compiled[2 * n + m] == 11 + 3 * 10
 
 
 def test_divergence_flags_partial_trajectory():
@@ -224,6 +302,24 @@ def test_divergence_flags_partial_trajectory():
     assert traj.failure_time is not None
     assert 0 < traj.samples < 2001
     assert np.all(np.isfinite(traj.x))
+
+
+def test_input_field_overflowing_while_its_control_is_zero_diverges():
+    # g = (0, x1*x2) is inf at x1 = x2 = 1e200; u*g = 0*inf is nan in x'
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["0", "0"], "g": [["0", "x1*x2"]]}
+    cfg = SimConfig(
+        initial_state=(1e200, 1e200),
+        initial_adjoint=(1.0, 1.0),
+        horizon=0.01,
+        step=1e-3,
+        control_policy=FixedControl((0.0,)),
+    )
+    traj = integrate_extremal(load(doc), cfg)
+    assert traj.status == "diverged"
+    assert traj.failure_time == 1e-3
+    assert traj.samples == 1
+    assert traj.phi[0, 0] == math.inf
+    assert traj.H[0] == 0.0  # u*phi is left out of H while u = 0
 
 
 def test_integrate_rejects_pending_cost_and_bad_sizes():

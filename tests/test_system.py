@@ -69,6 +69,40 @@ def test_load_reports_expression_location():
     assert err.value.location == "g[0][1]"
 
 
+@pytest.mark.parametrize(
+    "field, text, location",
+    [
+        ("f", "1e200*1e200*x1", "f[0]"),
+        ("f", "x1*1e200 + x2*1e200*1e200", "f[0]"),
+        ("f", "10^400*1.5*x1", "f[0]"),
+        ("f", "10^400*x1", "f[0]"),
+        ("g", "1e308 + 1e308", "g[0][1]"),
+        ("g", "(1e200)^2", "g[0][1]"),
+        ("f0", "1/1e-320", "cost.f0"),
+        ("K", "1e300*1e300", "K"),
+    ],
+)
+def test_load_rejects_constants_that_fold_past_the_float_range(field, text, location):
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["x2", "0"], "g": [["0", "1"]]}
+    if field == "f":
+        doc["f"] = [text, "0"]
+    elif field == "g":
+        doc["g"] = [["0", text]]
+    elif field == "f0":
+        doc["cost"] = {"f0": text, "g0": ["0"]}
+    else:
+        doc["K"] = text
+    with pytest.raises(SystemLoadError, match="not a finite float") as err:
+        load(doc)
+    assert err.value.location == location
+
+
+def test_load_leaves_a_literal_division_by_zero_to_validate():
+    doc = {"states": ["x1"], "inputs": 1, "f": ["x1/0"], "g": [["1"]]}
+    report = validate(load(doc), 1.0)
+    assert [f.location for f in report.errors()] == ["f[0]"]
+
+
 def test_load_rejects_unknown_keys():
     doc = {
         "states": ["x1"],
