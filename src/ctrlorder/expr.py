@@ -32,6 +32,9 @@ MAX_NESTING = 100
 # Largest integer exponent the parser accepts: x^1000 already costs `order`
 # half a second, and exact powers grow with the exponent.
 MAX_EXPONENT = 1000
+# Most bits that simplify lets a folded constant power reach; a float needs
+# about 1100, so this only stops ((2^1000)^1000)^1000 and the like.
+_MAX_POWER_BITS = 1 << 20
 
 
 class ExprError(Exception):
@@ -208,6 +211,11 @@ def has_finite_constants(e: Expr) -> bool:
     return all(_is_finite_float(node.value) for node in _nodes(e) if isinstance(node, Constant))
 
 
+def has_bounded_exponents(e: Expr) -> bool:
+    """True when no power of `e` has an exponent above MAX_EXPONENT."""
+    return all(node.exponent <= MAX_EXPONENT for node in _nodes(e) if isinstance(node, IntPower))
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -357,7 +365,12 @@ class _Parser:
         if tok.kind == "num":
             self.advance()
             if _INTEGER_RE.fullmatch(tok.text):
-                return Constant(Fraction(int(tok.text)))
+                try:
+                    return Constant(Fraction(int(tok.text)))
+                except ValueError:  # past Python's limit on integer string conversion
+                    raise ExprSyntaxError(
+                        f"integer literal of {len(tok.text)} digits is too long", tok.pos
+                    ) from None
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"number '{tok.text}' is too large for a float", tok.pos)
@@ -590,7 +603,12 @@ def _recip(v: NumberValue) -> NumberValue:
 
 def _simp_power(base: Expr, k: int) -> Expr:
     if isinstance(base, Constant):
-        return Constant(_ipow(base.value, k))
+        v = base.value
+        if isinstance(v, float):
+            return Constant(_ipow(v, k))
+        if k * max(v.numerator.bit_length(), v.denominator.bit_length()) > _MAX_POWER_BITS:
+            raise ExprError(f"a constant power folds past {_MAX_POWER_BITS} bits")
+        return Constant(v**k)
     if isinstance(base, IntPower):
         return _simp_power(base.base, base.exponent * k)
     if isinstance(base, Product):
@@ -838,25 +856,209 @@ class ZeroTestPolicy:
         )
 
 
+# How a verdict was reached, from the strongest to the weakest.
+SYMBOLIC, EXACT_SAMPLED, FLOAT_SAMPLED = "symbolic", "exact-sampled", "float-sampled"
+ZERO_TEST_KINDS = (SYMBOLIC, EXACT_SAMPLED, FLOAT_SAMPLED)
+
+
 @dataclass(frozen=True)
 class ZeroVerdict:
     is_zero: bool
+    kind: str  # one of ZERO_TEST_KINDS
     witness: Mapping[str, float] | None = None
     value: float | None = None
 
 
-def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
-    """Zero if simplify gives the constant 0, else sampled verdict.
+# A straight-line program holds one instruction (op, operand) per
+# structurally unique node of a simplified tree, children before parents; an
+# operand names earlier slots: a tuple of them for a sum, product or
+# quotient, and (slot, exponent) for a power.  A constant holds its Fraction
+# (its residue in a modular program) and a variable its name.
+_CONST, _VAR, _ADD, _MUL, _DIV, _POW = range(6)
+_MODULUS = (1 << 61) - 1  # a Mersenne prime
 
-    Sample points are exact dyadic rationals, so purely rational expressions
-    evaluate without rounding and a true zero can never spuriously exceed the
-    tolerance.  A "zero" verdict on expressions that merely vanish at every
-    sampled point is probabilistic.
+
+class _FloatTainted(Exception):
+    """The tree holds a float constant or sin/cos/exp, so it is not rational-exact."""
+
+
+def _lower(e: Expr) -> list[tuple] | None:
+    """The straight-line program of a simplified rational-exact tree, or None for a
+    float-tainted one.
+
+    Nodes are memoised by id() within this one call, never by value: hashing a
+    frozen node walks its whole subtree.
+    """
+    code: list[tuple] = []
+    slot_of: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}
+
+    def visit(node: Expr) -> int:
+        slot = by_id.get(id(node))
+        if slot is not None:
+            return slot
+        t = type(node)
+        if t is Constant:
+            if isinstance(node.value, float):
+                raise _FloatTainted
+            key = (_CONST, node.value)
+        elif t is Variable:
+            key = (_VAR, node.name)
+        elif t is Sum or t is Product:
+            key = (_ADD if t is Sum else _MUL, tuple(map(visit, node.children)))
+        elif t is Quotient:
+            key = (_DIV, (visit(node.numerator), visit(node.denominator)))
+        elif t is IntPower:
+            key = (_POW, (visit(node.base), node.exponent))
+        elif t is Negate:  # simplify writes -x as -1*x
+            raise TypeError(f"not a simplified node: {node!r}")
+        else:
+            raise _FloatTainted
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(code)
+            code.append(key)
+        by_id[id(node)] = slot
+        return slot
+
+    try:
+        visit(e)
+    except _FloatTainted:
+        return None
+    return code
+
+
+def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> NumberValue:
+    """The program's value in the arithmetic of `point`'s numbers (Fraction or float)."""
+    v: list[NumberValue] = []
+    for op, arg in code:
+        if op == _CONST:
+            x = arg
+        elif op == _VAR:
+            x = point[arg]
+        elif op == _ADD or op == _MUL:
+            x = v[arg[0]]
+            for c in arg[1:]:
+                x = x + v[c] if op == _ADD else x * v[c]
+        elif op == _DIV:
+            x = v[arg[0]] / v[arg[1]]
+        else:
+            x = v[arg[0]] ** arg[1]
+        v.append(x)
+    return v[-1]
+
+
+def _modular(code: list[tuple]) -> list[tuple] | None:
+    """The program with each constant replaced by its residue, or None if one has none."""
+    out = []
+    for op, arg in code:
+        if op == _CONST:
+            if arg.denominator % _MODULUS == 0:
+                return None
+            arg = arg.numerator * pow(arg.denominator, -1, _MODULUS) % _MODULUS
+        out.append((op, arg))
+    return out
+
+
+def _residue(code: list[tuple], point: Mapping[str, int]) -> int | None:
+    """The modular program's value mod the prime; None where a denominator is 0 there."""
+    P = _MODULUS
+    v: list[int] = []
+    for op, arg in code:
+        if op == _MUL:
+            x = v[arg[0]]
+            for c in arg[1:]:
+                x = x * v[c] % P
+        elif op == _ADD:
+            x = 0
+            for c in arg:
+                x += v[c]
+            x %= P
+        elif op == _POW:
+            x = pow(v[arg[0]], arg[1], P)
+        elif op == _DIV:
+            d = v[arg[1]]
+            if not d:
+                return None
+            x = v[arg[0]] * pow(d, -1, P) % P
+        elif op == _VAR:
+            x = point[arg]
+        else:
+            x = arg
+        v.append(x)
+    return v[-1]
+
+
+def _exact_sampler(code: list[tuple]) -> Callable[[Mapping[str, Fraction]], bool | None]:
+    """point -> nonzero?, or None where a denominator is 0.
+
+    A sample is decided mod the prime, and in Fraction only where that
+    cannot decide it: a constant or a denominator with no inverse there.
+    """
+    mod_code = _modular(code)
+
+    def sample(point):
+        if mod_code is not None:
+            residues = {
+                name: q.numerator * pow(q.denominator, -1, _MODULUS) % _MODULUS
+                for name, q in point.items()
+            }
+            r = _residue(mod_code, residues)
+            if r is not None:
+                return r != 0
+        try:
+            return _run(code, point) != 0
+        except ZeroDivisionError:
+            return None
+
+    return sample
+
+
+def _witness(
+    s: Expr, code: list[tuple] | None, point: Mapping[str, Fraction], kind: str
+) -> ZeroVerdict:
+    witness = {name: float(v) for name, v in point.items()}
+    if code is None:
+        value = float(_eval(s, point))
+    else:  # in floats, so that no large exact power is built
+        try:
+            value = float(_run(code, witness))
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+    return ZeroVerdict(False, kind, witness=witness, value=value)
+
+
+def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
+    """Zero if simplify gives the constant 0, else a sampled verdict.
+
+    A rational-exact expression (no float constant, no sin/cos/exp) is lowered
+    to a straight-line program and sampled modulo the prime 2^61 - 1: a
+    nonzero residue is a witness, with no tolerance.  Sample coordinates come
+    from a grid of 2^21 + 1 dyadic rationals, so a nonzero rational function
+    of degree d vanishes at one sample with probability at most d / (2^21 + 1)
+    (Schwartz-Zippel).  A sample whose residue cannot be formed (a
+    denominator that is 0 mod the prime) is evaluated in Fraction instead, and
+    redrawn only where a denominator is exactly 0.  One exact evaluation then
+    confirms a zero verdict, since a polynomial whose coefficients are all
+    multiples of the prime has zero residues everywhere.  A float-tainted
+    expression is evaluated as is and compared with the policy's tolerance.
     """
     s = simplify(e)
     if isinstance(s, Constant) and s.value == 0:
-        return ZeroVerdict(True)
+        return ZeroVerdict(True, SYMBOLIC)
     names = sorted(variables(s))
+    code = _lower(s)
+    if code is None:
+        kind = FLOAT_SAMPLED
+
+        def sample(point):
+            try:
+                return abs(_eval(s, point)) > policy.tolerance
+            except EvalError:
+                return None
+
+    else:
+        kind, sample = EXACT_SAMPLED, _exact_sampler(code)
     rng = random.Random(policy.seed)
     scale = Fraction(policy.box_halfwidth)
     produced = 0
@@ -869,19 +1071,20 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
             * scale
             for name in names
         }
-        try:
-            value = _eval(s, point)
-        except EvalError:
+        nonzero = sample(point)
+        if nonzero is None:
             continue
         produced += 1
-        if abs(value) > policy.tolerance:
-            witness = {name: float(v) for name, v in point.items()}
-            return ZeroVerdict(False, witness=witness, value=float(value))
+        if nonzero:
+            return _witness(s, code, point, kind)
+        last = point
     if produced == 0:
         raise IndeterminateZeroTest(
             f"no sample point of '{to_text(s)}' could be evaluated"
         )
-    return ZeroVerdict(True)
+    if code is not None and _run(code, last) != 0:
+        return _witness(s, code, last, kind)
+    return ZeroVerdict(True, kind)
 
 
 # ---------------------------------------------------------------------------

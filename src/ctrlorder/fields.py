@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
+    SYMBOLIC,
+    ZERO_TEST_KINDS,
     Expr,
     ZeroTestPolicy,
     ZeroVerdict,
@@ -158,20 +160,25 @@ def ad_pow(f: VectorField, g: VectorField, k: int) -> VectorField:
 @dataclass(frozen=True)
 class VfZeroVerdict:
     is_zero: bool
+    kind: str  # one of expr.ZERO_TEST_KINDS
     component: int | None = None
     witness: dict | None = None
     value: float | None = None
 
 
 def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:
-    """Zero iff every component tests zero; else first witnessing component."""
+    """Zero iff every component tests zero, of the weakest kind among theirs;
+    else the first witnessing component's verdict."""
+    kind = SYMBOLIC
     for i, comp in enumerate(h.components):
         verdict: ZeroVerdict = is_zero(comp, policy.derive("component", i))
         if not verdict.is_zero:
             return VfZeroVerdict(
                 False,
+                verdict.kind,
                 component=i,
                 witness=dict(verdict.witness) if verdict.witness else {},
                 value=verdict.value,
             )
-    return VfZeroVerdict(True)
+        kind = max(kind, verdict.kind, key=ZERO_TEST_KINDS.index)
+    return VfZeroVerdict(True, kind)

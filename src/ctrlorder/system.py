@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .expr import (
+    MAX_EXPONENT,
+    DivisionByZeroError,
     Expr,
     ExprError,
     evaluate,
+    has_bounded_exponents,
     has_finite_constants,
     parse,
     simplify,
@@ -90,19 +93,24 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
 
 
 def _parse_field(text: str, names, location: str) -> Expr:
-    """Parse one field; its constants, folded as the analysis folds them, must be finite floats."""
+    """Parse one field; folded as the analysis folds it, its constants must be finite
+    floats and its exponents at most MAX_EXPONENT."""
     try:
         e = parse(text, names)
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     try:
-        finite = has_finite_constants(simplify(e))
-    except ExprError:  # a literal division by zero, which validate reports
+        folded = simplify(e)
+    except DivisionByZeroError:  # a literal division by zero, which validate reports
         return e
+    except ExprError as err:  # a constant power too large to fold
+        raise SystemLoadError(str(err), location) from err
     except OverflowError:  # a rational beyond the float range met a float
-        finite = False
-    if not finite:
+        folded = None
+    if folded is None or not has_finite_constants(folded):
         raise SystemLoadError("a constant folds to a value that is not a finite float", location)
+    if not has_bounded_exponents(folded):
+        raise SystemLoadError(f"a power folds to an exponent larger than {MAX_EXPONENT}", location)
     return e
 
 

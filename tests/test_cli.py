@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,17 @@ def test_order_fuller(capsys):
 
 def test_order_half_integer(capsys):
     code, out, _ = run(capsys, "order", HALF_INTEGER)
+    assert code == 0
+    assert "k = 1, q = 1/2" in out
+
+
+def test_order_half_integer_with_a_tiny_coefficient(capsys, tmp_path):
+    # [g2, g1] = (0, -1e-13): below the float tolerance, but exactly nonzero
+    document = json.loads(Path(HALF_INTEGER).read_text())
+    document["g"][1] = ["0", "x1/10000000000000"]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(document))
+    code, out, _ = run(capsys, "order", str(path))
     assert code == 0
     assert "k = 1, q = 1/2" in out
 
@@ -447,6 +459,19 @@ def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
         ("1e999*x1", "f[0]: number '1e999' is too large for a float (at position 0)"),
         ("1e200*1e200*x1", "f[0]: a constant folds to a value that is not a finite float"),
         ("x1^1001", "f[0]: exponent larger than 1000 (at position 3)"),
+        pytest.param(
+            "((x1^1000)^1000)^1000", "f[0]: a power folds to an exponent larger than 1000",
+            id="folded-exponent",
+        ),
+        pytest.param(
+            "((2^1000)^1000)^1000*x1", "f[0]: a constant power folds past 1048576 bits",
+            id="folded-constant",
+        ),
+        pytest.param(
+            "9" * 5000 + "*x1",
+            "f[0]: integer literal of 5000 digits is too long (at position 0)",
+            id="long-literal",
+        ),
     ],
 )
 def test_non_finite_constants_and_huge_exponents_are_input_errors(capsys, tmp_path, f, message):
@@ -455,7 +480,9 @@ def test_non_finite_constants_and_huge_exponents_are_input_errors(capsys, tmp_pa
         ["simulate", path, "--x0", "1", "--p0", "1", "--out", str(tmp_path / "t.csv")],
         ["order", path, "--k-max", "2"],
     ):
+        start = time.monotonic()
         code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 5
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and message in err

@@ -23,6 +23,7 @@ from ctrlorder import (
     UnknownIdentifierError,
     Variable,
     ZeroTestPolicy,
+    ZeroVerdict,
     const,
     diff,
     evaluate,
@@ -33,10 +34,16 @@ from ctrlorder import (
     variables,
 )
 from ctrlorder.expr import (
+    EXACT_SAMPLED,
+    FLOAT_SAMPLED,
     MAX_EXPONENT,
     MAX_NESTING,
+    SYMBOLIC,
+    ExprError,
     ExprSyntaxError,
+    _nodes,
     compile_components,
+    has_bounded_exponents,
     has_finite_constants,
 )
 
@@ -441,10 +448,124 @@ def test_is_zero_indeterminate_when_nothing_evaluates():
 
 
 def test_is_zero_exact_rational_sampling():
-    # tiny but nonzero rational constants stay below tolerance: documented risk
-    assert is_zero(Product((Constant(Fraction(1, 10**12)), Variable("x1")))).is_zero
-    # while anything above tolerance is flagged
+    # a rational expression is decided exactly: no tolerance hides a tiny constant
+    assert not is_zero(Product((Constant(Fraction(1, 10**12)), Variable("x1")))).is_zero
     assert not is_zero(Product((Constant(Fraction(1, 10**6)), Variable("x1")))).is_zero
+    verdict = is_zero(parse("x1/10000000000000", VARS))
+    assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
+    assert verdict.value == pytest.approx(verdict.witness["x1"] / 1e13, rel=1e-15)
+
+
+def test_is_zero_kinds():
+    assert is_zero(parse("0*x1 + x2 - x2", VARS)).kind == SYMBOLIC
+    # simplify does not cancel the common factor, so the zero is sampled
+    rational_zero = parse("x1*(x1 + 1)/(x1 + 1) - x1", VARS)
+    assert not isinstance(simplify(rational_zero), Constant)
+    assert is_zero(rational_zero) == ZeroVerdict(True, EXACT_SAMPLED)
+    assert is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == EXACT_SAMPLED
+    assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)) == ZeroVerdict(True, FLOAT_SAMPLED)
+    assert is_zero(parse("0.5*x1 + x2", VARS)).kind == FLOAT_SAMPLED
+    nonzero = is_zero(parse("exp(x1) - 1", VARS))
+    assert not nonzero.is_zero and nonzero.kind == FLOAT_SAMPLED
+
+
+def test_is_zero_exact_sampling_draws_the_points_of_the_tolerance_rule():
+    # x1*x2 is far above the tolerance wherever it is nonzero: both rules
+    # must stop at the same first sample of the same seeded stream
+    exact = is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    tainted = is_zero(parse("2.0*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    assert exact.kind == EXACT_SAMPLED and tainted.kind == FLOAT_SAMPLED
+    assert exact.witness == tainted.witness
+    assert exact.value == tainted.value
+
+
+def test_is_zero_confirms_a_zero_residue_exactly():
+    prime = 2**61 - 1
+    # every coefficient is a multiple of the prime, so every residue is 0
+    assert not is_zero(Product((Constant(Fraction(prime)), Variable("x1")))).is_zero
+    e = parse(f"(x1 + 1)*(x1 + {prime - 1}) - x1^2 - {prime - 1}", VARS)
+    verdict = is_zero(e)
+    assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
+    assert verdict.value == pytest.approx(prime * verdict.witness["x1"])
+
+
+def test_is_zero_samples_in_fractions_when_a_constant_has_no_residue():
+    prime = 2**61 - 1
+    zero = parse(f"x1*(x1 + 1)/({prime}*(x1 + 1)) - x1/{prime}", VARS)
+    assert not isinstance(simplify(zero), Constant)
+    assert is_zero(zero) == ZeroVerdict(True, EXACT_SAMPLED)
+    verdict = is_zero(parse(f"x1/{prime}", VARS))
+    assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
+
+
+def test_is_zero_redraws_a_point_where_a_denominator_vanishes():
+    policy = ZeroTestPolicy(sample_count=1, seed=11)
+    draws = random.Random(policy.seed)
+    first, second = (Fraction(draws.randint(-(1 << 20), 1 << 20), 1 << 20) for _ in range(2))
+    verdict = is_zero(Quotient(const(1), Sum((Variable("x1"), Constant(-first)))), policy)
+    assert not verdict.is_zero
+    assert verdict.witness == {"x1": float(second)}
+    zero = Sum((Quotient(Variable("x1"), Variable("x1")), const(-1)))
+    assert is_zero(zero, policy) == ZeroVerdict(True, EXACT_SAMPLED)
+
+
+def test_is_zero_decides_in_fractions_where_a_denominator_vanishes_mod_the_prime():
+    prime = 2**61 - 1
+    # the denominator is 0 mod the prime at every sample, and exactly 0 at none
+    e = parse(f"1/({prime}*x1 + {prime}*x2)", VARS)
+    assert isinstance(simplify(e).denominator, Sum)
+    verdict = is_zero(e)
+    assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
+    expected = 1 / (prime * (verdict.witness["x1"] + verdict.witness["x2"]))
+    assert verdict.value == pytest.approx(expected)
+
+
+def _to_sympy(e, sympy):
+    if isinstance(e, Constant):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Variable):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Negate):
+        return -_to_sympy(e.child, sympy)
+    if isinstance(e, Sum):
+        return sympy.Add(*(_to_sympy(c, sympy) for c in e.children))
+    if isinstance(e, Product):
+        return sympy.Mul(*(_to_sympy(c, sympy) for c in e.children))
+    if isinstance(e, Quotient):
+        return _to_sympy(e.numerator, sympy) / _to_sympy(e.denominator, sympy)
+    assert isinstance(e, IntPower)
+    return _to_sympy(e.base, sympy) ** e.exponent
+
+
+def _rational(e) -> bool:
+    return all(isinstance(n.value, Fraction) for n in _nodes(e) if isinstance(n, Constant))
+
+
+def test_is_zero_agrees_with_sympy_on_random_rational_trees():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    names = ("x1", "x2", "x3")
+    trees = []
+    while len(trees) < 200:
+        e = random_expr(rng, names, depth=4, allow_trig=False)
+        if _rational(e):
+            trees.append(e)
+    sampled = {True: 0, False: 0}
+    for n, e in enumerate(trees):
+        # e itself, its difference with a re-simplified copy, and e*d/d - e,
+        # whose common factor d simplify leaves in place
+        d = random_expr(rng, names, depth=2, allow_quotient=False, allow_trig=False)
+        cases = [e, Sum((e, Negate(simplify(parse(to_text(e), names)))))]
+        if _rational(d) and sympy.cancel(_to_sympy(d, sympy)) != 0:
+            cases.append(Sum((Quotient(Product((e, d)), d), Negate(e))))
+        for case in cases:
+            verdict = is_zero(case, ZeroTestPolicy(seed=n))
+            assert verdict.is_zero == (sympy.cancel(_to_sympy(case, sympy)) == 0), to_text(case)
+            assert verdict.kind in (SYMBOLIC, EXACT_SAMPLED)
+            if verdict.kind == EXACT_SAMPLED:
+                sampled[verdict.is_zero] += 1
+    # both verdicts were reached by sampling, not by simplify alone
+    assert sampled[True] > 100 and sampled[False] > 100
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +613,24 @@ def test_compile_components_renders_constants_past_the_float_range():
     for e, value in cases:
         assert compile_components([e], ("x1",))([1.0]) == (value,)
     assert math.isnan(compile_components([Constant(math.nan)], ())([])[0])
+
+
+def test_has_bounded_exponents():
+    assert has_bounded_exponents(simplify(parse(f"(x1^{MAX_EXPONENT // 2})^2", VARS)))
+    assert not has_bounded_exponents(simplify(parse("(x1^1000)^1000", VARS)))
+    assert not has_bounded_exponents(simplify(parse("x1^600*x1^600", VARS)))
+
+
+def test_simplify_refuses_a_constant_power_past_the_bit_budget():
+    assert simplify(parse("(2^1000)^1000", VARS)) == const(2**1000000)
+    with pytest.raises(ExprError, match="constant power folds past"):
+        simplify(parse("((2^1000)^1000)^1000*x1", VARS))
+
+
+def test_parse_positions_an_integer_literal_past_the_conversion_limit():
+    with pytest.raises(ExprSyntaxError, match="integer literal of 5000 digits is too long") as err:
+        parse("x1 + " + "9" * 5000 + "*x2", VARS)
+    assert err.value.position == 5
 
 
 def test_has_finite_constants():

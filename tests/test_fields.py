@@ -11,6 +11,7 @@ from ctrlorder import (
     Negate,
     Sum,
     VectorField,
+    VfZeroVerdict,
     ZeroTestPolicy,
     ad_pow,
     const,
@@ -20,6 +21,7 @@ from ctrlorder import (
     simplify,
     vf_is_zero,
 )
+from ctrlorder.expr import EXACT_SAMPLED, FLOAT_SAMPLED, SYMBOLIC
 
 from helpers import (
     counterexample_raw,
@@ -286,6 +288,20 @@ def test_vf_is_zero_reports_component():
     assert not verdict.is_zero
     assert verdict.component == 1
     assert "x1" in verdict.witness
+
+
+def test_vf_is_zero_kind_is_the_weakest_of_its_components():
+    names = ("t", "x1")
+    zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # sampled: simplify keeps the common factor
+    assert vf_is_zero(vf(names, "0", "x1 - x1")) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(vf(names, "0", zero)) == VfZeroVerdict(True, EXACT_SAMPLED)
+    trig = "sin(t)^2 + cos(t)^2 - 1"
+    assert vf_is_zero(vf(names, trig, zero)) == VfZeroVerdict(True, FLOAT_SAMPLED)
+    # a nonzero verdict carries the kind of the witnessing component
+    verdict = vf_is_zero(vf(names, trig, "x1/10000000000000"))
+    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, EXACT_SAMPLED)
+    verdict = vf_is_zero(vf(names, zero, "exp(x1)"))
+    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, FLOAT_SAMPLED)
 
 
 def test_vector_field_validates_unknown_names():
