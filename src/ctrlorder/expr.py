@@ -831,7 +831,8 @@ def _derive_seed(seed: int, tags: tuple) -> int:
 
 @dataclass(frozen=True)
 class ZeroTestPolicy:
-    """How to decide "identically zero": sample count, box, tolerance, seed."""
+    """How to decide "identically zero": sample count, box, tolerance (relative,
+    for float-tainted expressions only: see is_zero), seed."""
 
     sample_count: int = 32
     box_halfwidth: float = 1.0
@@ -843,8 +844,8 @@ class ZeroTestPolicy:
             raise ValueError("sample_count must be >= 1")
         if not self.box_halfwidth > 0:
             raise ValueError("box_halfwidth must be > 0")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        if not 0 < self.tolerance < 1:  # the rounding scale is at least |value|
+            raise ValueError("tolerance must be > 0 and < 1")
 
     def derive(self, *tags) -> "ZeroTestPolicy":
         """Policy with a substream seed mixed deterministically from `tags`."""
@@ -870,24 +871,24 @@ class ZeroVerdict:
 
 
 # A straight-line program holds one instruction (op, operand) per
-# structurally unique node of a simplified tree, children before parents; an
-# operand names earlier slots: a tuple of them for a sum, product or
-# quotient, and (slot, exponent) for a power.  A constant holds its Fraction
-# (its residue in a modular program) and a variable its name.
-_CONST, _VAR, _ADD, _MUL, _DIV, _POW = range(6)
+# structurally unique node of a tree, children before parents; an operand
+# names earlier slots: one for a negation, sin, cos or exp, a tuple of them
+# for a sum, product or quotient, and (slot, exponent) for a power.  A
+# constant holds its value (a Fraction's residue in a modular program) and a
+# variable its name.  The ops up to _POW are rational-exact.
+_CONST, _VAR, _ADD, _MUL, _DIV, _POW, _NEG, _SIN, _COS, _EXP = range(10)
+_UNARY = {Negate: _NEG, Sin: _SIN, Cos: _COS, Exp: _EXP}
+_MATH = {_SIN: math.sin, _COS: math.cos, _EXP: math.exp}
 _MODULUS = (1 << 61) - 1  # a Mersenne prime
 
 
-class _FloatTainted(Exception):
-    """The tree holds a float constant or sin/cos/exp, so it is not rational-exact."""
-
-
-def _lower(e: Expr) -> list[tuple] | None:
-    """The straight-line program of a simplified rational-exact tree, or None for a
-    float-tainted one.
+def _lower(exprs: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
+    """The straight-line program of the trees, and the slot of each root (a
+    single tree's root is the last instruction).
 
     Nodes are memoised by id() within this one call, never by value: hashing a
-    frozen node walks its whole subtree.
+    frozen node walks its whole subtree.  A float constant is keyed by its
+    repr, which keeps 0.0 and -0.0 (equal as numbers) apart.
     """
     code: list[tuple] = []
     slot_of: dict[tuple, int] = {}
@@ -899,37 +900,31 @@ def _lower(e: Expr) -> list[tuple] | None:
             return slot
         t = type(node)
         if t is Constant:
-            if isinstance(node.value, float):
-                raise _FloatTainted
-            key = (_CONST, node.value)
+            ins = (_CONST, node.value)
         elif t is Variable:
-            key = (_VAR, node.name)
+            ins = (_VAR, node.name)
         elif t is Sum or t is Product:
-            key = (_ADD if t is Sum else _MUL, tuple(map(visit, node.children)))
+            ins = (_ADD if t is Sum else _MUL, tuple(map(visit, node.children)))
         elif t is Quotient:
-            key = (_DIV, (visit(node.numerator), visit(node.denominator)))
+            ins = (_DIV, (visit(node.numerator), visit(node.denominator)))
         elif t is IntPower:
-            key = (_POW, (visit(node.base), node.exponent))
-        elif t is Negate:  # simplify writes -x as -1*x
-            raise TypeError(f"not a simplified node: {node!r}")
+            ins = (_POW, (visit(node.base), node.exponent))
         else:
-            raise _FloatTainted
+            ins = (_UNARY[t], visit(node.child))
+        key = (_CONST, repr(node.value)) if isinstance(ins[1], float) else ins
         slot = slot_of.get(key)
         if slot is None:
             slot = slot_of[key] = len(code)
-            code.append(key)
+            code.append(ins)
         by_id[id(node)] = slot
         return slot
 
-    try:
-        visit(e)
-    except _FloatTainted:
-        return None
-    return code
+    return code, [visit(e) for e in exprs]
 
 
-def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> NumberValue:
-    """The program's value in the arithmetic of `point`'s numbers (Fraction or float)."""
+def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> list[NumberValue]:
+    """Every slot's value in the arithmetic of `point`'s numbers (Fraction or float;
+    sin, cos, exp and float powers as in `evaluate`)."""
     v: list[NumberValue] = []
     for op, arg in code:
         if op == _CONST:
@@ -942,10 +937,41 @@ def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> NumberValue:
                 x = x + v[c] if op == _ADD else x * v[c]
         elif op == _DIV:
             x = v[arg[0]] / v[arg[1]]
+        elif op == _POW:
+            b = v[arg[0]]
+            x = b ** arg[1] if isinstance(b, Fraction) else _ipow(b, arg[1])
+        elif op == _NEG:
+            x = -v[arg]
         else:
-            x = v[arg[0]] ** arg[1]
+            x = _MATH[op](float(v[arg]))
         v.append(x)
-    return v[-1]
+    return v
+
+
+def _magnitude(code: list[tuple], v: list[NumberValue]) -> float:
+    """The first-order scale of the rounding error in the program's value where its
+    slots hold `v`: |value| at a leaf, the terms' scales summed for a sum and
+    multiplied for a product or power, propagated through /, sin, cos and exp."""
+    m: list[float] = []
+    for (op, arg), x in zip(code, v):
+        if op == _ADD:
+            y = sum(m[c] for c in arg)
+        elif op == _MUL:
+            y = math.prod(m[c] for c in arg)
+        elif op == _DIV:  # (scale(n) + |n/d| scale(d)) / |d|
+            y = (m[arg[0]] + abs(x) * m[arg[1]]) / abs(v[arg[1]])
+        elif op == _POW:
+            y = m[arg[0]] ** arg[1]
+        elif op == _NEG:
+            y = m[arg]
+        elif op == _EXP:
+            y = abs(x) * (1.0 + m[arg])
+        elif op >= _SIN:  # |sin'| and |cos'| are at most 1
+            y = abs(x) + m[arg]
+        else:
+            y = abs(x)
+        m.append(float(y))
+    return m[-1]
 
 
 def _modular(code: list[tuple]) -> list[tuple] | None:
@@ -1007,58 +1033,57 @@ def _exact_sampler(code: list[tuple]) -> Callable[[Mapping[str, Fraction]], bool
             if r is not None:
                 return r != 0
         try:
-            return _run(code, point) != 0
+            return _run(code, point)[-1] != 0
         except ZeroDivisionError:
             return None
 
     return sample
 
 
-def _witness(
-    s: Expr, code: list[tuple] | None, point: Mapping[str, Fraction], kind: str
-) -> ZeroVerdict:
+def _witness(code: list[tuple], point: Mapping[str, Fraction], kind: str) -> ZeroVerdict:
     witness = {name: float(v) for name, v in point.items()}
-    if code is None:
-        value = float(_eval(s, point))
-    else:  # in floats, so that no large exact power is built
-        try:
-            value = float(_run(code, witness))
-        except (ZeroDivisionError, OverflowError):
-            value = math.nan
+    try:  # in floats, so that no large exact power is built
+        value = float(_run(code, witness)[-1])
+    except (ZeroDivisionError, OverflowError, ValueError):
+        value = math.nan
     return ZeroVerdict(False, kind, witness=witness, value=value)
 
 
 def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     """Zero if simplify gives the constant 0, else a sampled verdict.
 
-    A rational-exact expression (no float constant, no sin/cos/exp) is lowered
-    to a straight-line program and sampled modulo the prime 2^61 - 1: a
-    nonzero residue is a witness, with no tolerance.  Sample coordinates come
-    from a grid of 2^21 + 1 dyadic rationals, so a nonzero rational function
-    of degree d vanishes at one sample with probability at most d / (2^21 + 1)
-    (Schwartz-Zippel).  A sample whose residue cannot be formed (a
-    denominator that is 0 mod the prime) is evaluated in Fraction instead, and
-    redrawn only where a denominator is exactly 0.  One exact evaluation then
-    confirms a zero verdict, since a polynomial whose coefficients are all
-    multiples of the prime has zero residues everywhere.  A float-tainted
-    expression is evaluated as is and compared with the policy's tolerance.
+    The simplified tree is lowered to a straight-line program.  A
+    rational-exact one (no float constant, no sin/cos/exp) is sampled modulo
+    the prime 2^61 - 1: a nonzero residue is a witness, with no tolerance.
+    Sample coordinates come from a grid of 2^21 + 1 dyadic rationals, so a
+    nonzero rational function of degree d vanishes at one sample with
+    probability at most d / (2^21 + 1) (Schwartz-Zippel).  A sample whose
+    residue cannot be formed (a denominator that is 0 mod the prime) is
+    evaluated in Fraction instead, and redrawn only where a denominator is
+    exactly 0.  One exact evaluation then confirms a zero verdict, since a
+    polynomial whose coefficients are all multiples of the prime has zero
+    residues everywhere.  A float-tainted program is evaluated at the same
+    points together with its rounding scale (`_magnitude`), and a sample is a
+    witness where |value| > tolerance * scale.
     """
     s = simplify(e)
     if isinstance(s, Constant) and s.value == 0:
         return ZeroVerdict(True, SYMBOLIC)
     names = sorted(variables(s))
-    code = _lower(s)
-    if code is None:
+    code, _ = _lower([s])
+    if all(op <= _POW and not isinstance(arg, float) for op, arg in code):
+        kind, sample = EXACT_SAMPLED, _exact_sampler(code)
+    else:
         kind = FLOAT_SAMPLED
 
         def sample(point):
             try:
-                return abs(_eval(s, point)) > policy.tolerance
-            except EvalError:
+                v = _run(code, point)
+                scale = policy.tolerance * _magnitude(code, v)
+            except (ZeroDivisionError, OverflowError, ValueError):
                 return None
+            return abs(v[-1]) > scale if math.isfinite(scale) else None
 
-    else:
-        kind, sample = EXACT_SAMPLED, _exact_sampler(code)
     rng = random.Random(policy.seed)
     scale = Fraction(policy.box_halfwidth)
     produced = 0
@@ -1076,14 +1101,14 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
             continue
         produced += 1
         if nonzero:
-            return _witness(s, code, point, kind)
+            return _witness(code, point, kind)
         last = point
     if produced == 0:
         raise IndeterminateZeroTest(
             f"no sample point of '{to_text(s)}' could be evaluated"
         )
-    if code is not None and _run(code, last) != 0:
-        return _witness(s, code, last, kind)
+    if kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:
+        return _witness(code, last, kind)
     return ZeroVerdict(True, kind)
 
 
@@ -1096,40 +1121,81 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
 # only where the grammar needs it, so the code parses to the same tree as a
 # fully parenthesised rendering while nesting fewer brackets.
 _PY_SUM, _PY_MUL, _PY_NEG, _PY_POW, _PY_ATOM = range(5)
+_PY_CALLS = {_SIN: "_sin", _COS: "_cos", _EXP: "_exp"}
 
 
-def _pycode(e: Expr, names: Mapping[str, str]) -> tuple[str, int]:
-    if isinstance(e, Constant):
-        # a rational past the float range (a derivative's coefficient can be
-        # one) renders as inf, which the generated code's namespace defines
-        try:
-            v = float(e.value)
-        except OverflowError:
-            v = math.inf if e.value > 0 else -math.inf
-        return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
-    if isinstance(e, Variable):
-        return names[e.name], _PY_ATOM
-    if isinstance(e, Negate):
-        return "-" + _pyarg(e.child, names, _PY_NEG), _PY_NEG
-    if isinstance(e, (Sum, Product)):
-        op, strength = (" + ", _PY_SUM) if isinstance(e, Sum) else ("*", _PY_MUL)
-        first, *rest = e.children  # left-associative: only later operands bind tighter
-        codes = [_pyarg(first, names, strength)] + [_pyarg(c, names, strength + 1) for c in rest]
-        return op.join(codes), strength
-    if isinstance(e, Quotient):
-        num, den = _pyarg(e.numerator, names, _PY_MUL), _pyarg(e.denominator, names, _PY_NEG)
-        return f"{num}/{den}", _PY_MUL
-    if isinstance(e, IntPower):
-        return f"{_pyarg(e.base, names, _PY_ATOM)}**{e.exponent}", _PY_POW
-    if isinstance(e, (Sin, Cos, Exp)):
-        fn = {Sin: "_sin", Cos: "_cos", Exp: "_exp"}[type(e)]
-        return f"{fn}({_pycode(e.child, names)[0]})", _PY_ATOM
-    raise TypeError(f"not an expression node: {e!r}")
+def _py_number(value: NumberValue) -> tuple[str, int]:
+    # a rational past the float range (a derivative's coefficient can be
+    # one) renders as inf, which the generated code's namespace defines
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf if value > 0 else -math.inf
+    return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
 
 
-def _pyarg(e: Expr, names: Mapping[str, str], binding: int) -> str:
-    code, strength = _pycode(e, names)
-    return code if strength >= binding else f"({code})"
+def render_components(
+    exprs: Sequence[Expr], names: Mapping[str, str], prefix: str = "_t"
+) -> tuple[list[str], list[str]]:
+    """Straight-line Python for `exprs`: assignment statements, and the text of each value.
+
+    `names` maps each variable to the Python text that holds it.  Each repeated
+    subexpression other than a leaf is assigned once, in topological order, to a
+    local named `prefix` plus its slot; the rest is written inline.  The code does
+    the trees' operations in their order, so its floats are the trees' floats.
+    """
+    code, roots = _lower(exprs)
+    uses = [0] * len(code)
+    for op, arg in code:
+        operands = (arg,) if op >= _NEG else arg[:1] if op == _POW else arg if op > _VAR else ()
+        for c in operands:
+            uses[c] += 1
+    for r in roots:
+        uses[r] += 1
+    lines: list[str] = []
+    text: list[tuple[str, int]] = []  # (code, binding strength) per slot
+
+    def operand(slot: int, binding: int) -> str:
+        rendered, strength = text[slot]
+        return rendered if strength >= binding else f"({rendered})"
+
+    for slot, (op, arg) in enumerate(code):
+        if op == _CONST:
+            out = _py_number(arg)
+        elif op == _VAR:
+            out = names[arg], _PY_ATOM
+        elif op == _ADD or op == _MUL:
+            sep, strength = (" + ", _PY_SUM) if op == _ADD else ("*", _PY_MUL)
+            first, *rest = arg  # left-associative: only later operands bind tighter
+            terms = [operand(first, strength), *(operand(c, strength + 1) for c in rest)]
+            out = sep.join(terms), strength
+        elif op == _DIV:
+            out = f"{operand(arg[0], _PY_MUL)}/{operand(arg[1], _PY_NEG)}", _PY_MUL
+        elif op == _POW:
+            out = f"{operand(arg[0], _PY_ATOM)}**{arg[1]}", _PY_POW
+        elif op == _NEG:
+            out = "-" + operand(arg, _PY_NEG), _PY_NEG
+        else:
+            out = f"{_PY_CALLS[op]}({text[arg][0]})", _PY_ATOM
+        if uses[slot] > 1 and op > _VAR:
+            lines.append(f"{prefix}{slot} = {out[0]}")
+            out = f"{prefix}{slot}", _PY_ATOM
+        text.append(out)
+    return lines, [text[r][0] for r in roots]
+
+
+def compile_function(params: Sequence[str], lines: Sequence[str]) -> Callable:
+    """`_fn(_v)`: unpack the sequence `_v` into the locals `params`, then run `lines`,
+    the last of which returns.  ValueError where Python cannot compile it."""
+    unpack = [f"{', '.join(params)}, = _v"] if params else []
+    src = "def _fn(_v):\n" + "".join(f"    {line}\n" for line in [*unpack, *lines])
+    try:
+        code = compile(src, "<compile_components>", "exec")
+    except (SyntaxError, RecursionError, MemoryError):  # nesting beyond the compiler's limits
+        raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
+    env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "inf": math.inf, "nan": math.nan}
+    exec(code, env)  # source is generated from our own AST only
+    return env["_fn"]
 
 
 def compile_components(
@@ -1138,22 +1204,14 @@ def compile_components(
     """Compile expressions into one positional-vector function.
 
     The returned callable maps a sequence ordered like `var_order` to the
-    tuple of expression values.  Division by zero raises ZeroDivisionError.
+    tuple of expression values, as straight-line code (render_components).
+    Division by zero raises ZeroDivisionError.
     """
     allowed = set(var_order)
     for e in exprs:
         extra = variables(e) - allowed
         if extra:
             raise ValueError(f"expression uses undeclared variables {sorted(extra)}")
-    names = {name: f"_v[{i}]" for i, name in enumerate(var_order)}
-    body = ", ".join(_pycode(e, names)[0] for e in exprs)
-    if len(exprs) == 1:
-        body += ","
-    src = f"def _fn(_v):\n    return ({body})"
-    try:
-        code = compile(src, "<compile_components>", "exec")
-    except (SyntaxError, RecursionError, MemoryError):  # nesting beyond the compiler's limits
-        raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
-    env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "inf": math.inf, "nan": math.nan}
-    exec(code, env)  # source is generated from our own AST only
-    return env["_fn"]
+    params = [f"_x{i}" for i in range(len(var_order))]
+    lines, values = render_components(exprs, dict(zip(var_order, params)))
+    return compile_function(params, [*lines, "return (" + "".join(f"{v}, " for v in values) + ")"])

@@ -24,7 +24,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .expr import Expr, Negate, Product, Sum, Variable, compile_components, const, evaluate
+from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
+from .expr import const, evaluate, render_components
 from .fields import VectorField, jacobian, lie_bracket
 from .system import ControlSystem
 
@@ -32,6 +33,9 @@ _RESERVED_TIME_NAME = "t"
 # 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
 MAX_STEPS = 10**6
 _ZERO, _ONE = const(0), const(1)
+# CSV rows formatted per `%`: one call per block, with memory bounded by the block
+_CSV_BLOCK = 256
+_EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,8 @@ class Trajectory:
         return len(self.t)
 
     def write_csv(self, path) -> None:
-        """One row per sample, 17 significant digits, header with names."""
+        """One row per sample, 17 significant digits, header with names: the
+        bytes of np.savetxt(fmt="%.17g", delimiter=","), _CSV_BLOCK rows a time."""
         header = (
             ["t"]
             + [f"x_{name}" for name in self.state_names]
@@ -144,10 +149,13 @@ class Trajectory:
             + [f"phi_{i + 1}" for i in range(self.input_count)]
             + ["H"]
         )
+        rows = np.column_stack((self.t, self.x, self.p, self.u, self.phi, self.H))
+        row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            rows = np.column_stack((self.t, self.x, self.p, self.u, self.phi, self.H))
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+            for start in range(0, len(rows), _CSV_BLOCK):
+                block = rows[start : start + _CSV_BLOCK]
+                fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def hamiltonian(
@@ -222,18 +230,45 @@ def _linear(pairs) -> Expr:
     return _ZERO if not terms else terms[0] if len(terms) == 1 else Sum(terms)
 
 
+def _rk4_step(exprs: list[Expr], state: Sequence[str], controls: Sequence[str], h: float):
+    """One classical RK4 step of y' = exprs(y, u) as one compiled function of (y, u).
+
+    Each stage is the straight-line code of `exprs` on that stage's input.  The
+    inputs y + (h/2) k, y + h k and the update y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    are written out per component, zero components included, with the
+    operations of a loop over them: every float is that of four `exprs` calls.
+    """
+    y = [f"_y{i}" for i in range(len(state))]
+    u = {name: f"_u{k}" for k, name in enumerate(controls)}
+    lines, ks, z = [], [], y
+    for stage, weight in enumerate((None, 0.5 * h, 0.5 * h, h)):
+        if weight is not None:
+            z = [f"_z{stage}_{i}" for i in range(len(y))]
+            lines += [f"{zi} = {yi} + {weight!r}*{ki}" for zi, yi, ki in zip(z, y, ks[-1])]
+        body, values = render_components(exprs, {**dict(zip(state, z)), **u}, f"_s{stage}_")
+        ks.append([f"_k{stage}_{i}" for i in range(len(y))])
+        lines += body + [f"{ki} = {value}" for ki, value in zip(ks[-1], values)]
+    sixth = h / 6.0
+    update = "".join(
+        f"{a} + {sixth!r}*({b1} + 2.0*{b2} + 2.0*{b3} + {b4}), "
+        for a, b1, b2, b3, b4 in zip(y, *ks)
+    )
+    return compile_function([*y, *u.values()], [*lines, f"return ({update})"])
+
+
 class _CompiledSystem:
-    """The coupled system as two compiled scalar functions, plus K(t).
+    """The coupled system as compiled scalar functions, plus K(t).
 
     rhs((x, p, u)) returns (x', p'), with x' = f + sum_k u_k g_k and
-    p'_j = -sum_i p_i (df_i/dx_j + sum_k u_k dg_k,i/dx_j); sample((x, p))
+    p'_j = -sum_i p_i (df_i/dx_j + sum_k u_k dg_k,i/dx_j); step((x, p, u))
+    returns (x, p) one RK4 step of size h later, from one call; sample((x, p))
     returns (<p, f>, phi_1..phi_m).  The adjoint and control enter as
     variables named "p:<state>" and "u:<k>", which no state name can be.
-    Both are called with Python floats, not numpy scalars, so that a
+    All are called with Python floats, not numpy scalars, so that a
     division by zero raises ZeroDivisionError instead of returning inf.
     """
 
-    def __init__(self, sys: ControlSystem):
+    def __init__(self, sys: ControlSystem, h: float):
         n, fields = sys.n, (sys.drift, *sys.inputs)
         p = [Variable(f"p:{name}") for name in sys.state_names]
         u = [Variable(f"u:{k + 1}") for k in range(sys.m)]
@@ -245,7 +280,9 @@ class _CompiledSystem:
         pdot = [_linear(zip(p, (row[j] for row in jac))) for j in range(n)]
         pdot = [e if e == _ZERO else Negate(e) for e in pdot]
         state = (*sys.state_names, *(v.name for v in p))
-        self.rhs = compile_components(xdot + pdot, (*state, *(v.name for v in u)))
+        controls = tuple(v.name for v in u)
+        self.rhs = compile_components(xdot + pdot, (*state, *controls))
+        self.step = _rk4_step(xdot + pdot, state, controls, h)
         self.sample = compile_components([_linear(zip(p, c)) for c in comps], state)
         self.k_bound = (
             None if sys.bound is None else compile_components([sys.bound], (_RESERVED_TIME_NAME,))
@@ -260,10 +297,12 @@ class _CompiledSystem:
 def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     """Fixed-step RK4 integration of the coupled (x, p) system.
 
-    Each sample takes one `sample` and one `rhs` call (the latter is also
-    the first RK4 stage), each later stage one `rhs` call, all on Python
-    floats.  On evaluation failure or divergence the trajectory returned is
-    the finite prefix, flagged through `status` and `failure_time`.
+    Each sample takes one `sample` call and one `step` call, on Python
+    floats; the last sample takes one `rhs` call (RK4 stage 1) instead of
+    `step`.  A sample is stored where `sample` and stage 1 evaluate: when
+    `step` fails, `rhs` tells whether stage 1 or a later stage did.  On
+    evaluation failure or divergence the trajectory returned is the finite
+    prefix, flagged through `status` and `failure_time`.
     """
     if sys.cost is not None:
         raise ValueError(
@@ -280,10 +319,9 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
             if len(u) != sys.m:
                 raise ValueError(f"piecewise control rows must have dimension {sys.m}")
 
-    compiled = _CompiledSystem(sys)
-    sample, rhs = compiled.sample, compiled.rhs
     h = config.step
-    half, sixth = 0.5 * h, h / 6.0
+    compiled = _CompiledSystem(sys, h)
+    sample, rhs, step = compiled.sample, compiled.rhs, compiled.step
     steps = max(1, round(config.horizon / h))
     n, m = sys.n, sys.m
     # one row per sample: t, x, p, u, phi, H (the CSV's column order)
@@ -303,36 +341,27 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     stored = 0
     for s in range(steps + 1):
         t = s * h
+        v = None
         try:
             energy, *phi = sample(y)
             u = control_at(t, phi, last_u)
-            k1 = rhs(y + u)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            status = "eval_error"
-            failure_time = t
-            break
+            v = [*y, *u]
+            y_next = step(v) if s < steps else rhs(v)
+        except _EVAL_ERRORS:
+            status, failure_time = "eval_error", t
+            if v is None or s == steps or not _evaluates(rhs, v):
+                break  # the sample itself does not evaluate
         for uk, phik in zip(u, phi):
             if uk != 0.0:
                 energy += uk * phik
         table[s] = (t, *y, *u, *phi, energy)
         stored = s + 1
         last_u = u
-        if s == steps:
+        if s == steps or status != "ok":
             break
-        # overflow to inf is tolerated here; the isfinite check below turns
-        # it into a flagged divergence abort
-        try:
-            k2 = rhs([a + half * b for a, b in zip(y, k1)] + u)
-            k3 = rhs([a + half * b for a, b in zip(y, k2)] + u)
-            k4 = rhs([a + h * b for a, b in zip(y, k3)] + u)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            status = "eval_error"
-            failure_time = t
-            break
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
+        # overflow to inf is tolerated in the step; the isfinite check below
+        # turns it into a flagged divergence abort
+        y = y_next
         if not all(map(math.isfinite, y)):
             status = "diverged"
             failure_time = t + h
@@ -352,6 +381,14 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
         status=status,
         failure_time=failure_time,
     )
+
+
+def _evaluates(fn, v) -> bool:
+    try:
+        fn(v)
+    except _EVAL_ERRORS:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,39 @@ def test_sum_too_large_to_compile_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "terms",
+    [
+        ["x1"] * 3000,
+        [f"{i}*x1*x2" for i in range(1, 3001)],
+        ["sin(x1)"] * 3000,
+        [f"x1^{2 + i % 5}" for i in range(3000)],
+    ],
+    ids=["same-variable", "distinct-products", "shared-call", "powers"],
+)
+def test_3000_term_sum_simulates_or_is_one_line_input_error(capsys, tmp_path, terms):
+    path = write_system(tmp_path, ["x2", " + ".join(terms)], ["0", "1"])
+    code, out, err = run(
+        capsys, "simulate", path, "--x0", "0.1,0", "--p0", "1,1",
+        "--horizon", "0.01", "--out", str(tmp_path / "t.csv"),
+    )
+    if code == 0:
+        assert "status: ok" in out
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("expression too large to compile (")
+        assert len(err.splitlines()) == 1
+
+
+def test_float_tainted_zero_test_is_relative_in_a_small_box(capsys, tmp_path):
+    # the b-field values at |th| <= 1e-4 are far below an absolute 1e-9
+    path = write_system(tmp_path, ["x2", "-sin(x1)"], ["0", "cos(x1)*x1^3"])
+    for box in ("1", "1e-4"):
+        code, out, _ = run(capsys, "order", path, "--zero-box", box, "--k-max", "4")
+        assert code == 0
+        assert out.splitlines()[-1] == "k = 2, q = 1"
+
+
+@pytest.mark.parametrize(
     "g, x0, p0, message",
     [
         (["0", "exp(x1)"], "1000,0", "1,1", "overflowed"),

@@ -45,6 +45,7 @@ from ctrlorder.expr import (
     compile_components,
     has_bounded_exponents,
     has_finite_constants,
+    render_components,
 )
 
 from helpers import random_binding, random_expr
@@ -410,6 +411,20 @@ def test_is_zero_pythagorean_identity():
     assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)).is_zero
 
 
+def test_is_zero_float_tainted_residual_is_relative():
+    # a scaled identity leaves rounding noise far above an absolute 1e-9 (about
+    # 1e-4 here), but far below 1e-9 of the rounding scale of its terms
+    verdict = is_zero(parse("10^12*(sin(x1)^2 + cos(x1)^2 - 1)", VARS))
+    assert verdict.is_zero and verdict.kind == FLOAT_SAMPLED
+    # a tiny term with no cancellation is no rounding noise
+    verdict = is_zero(parse("1e-12*sin(x1)", VARS))
+    assert not verdict.is_zero and verdict.kind == FLOAT_SAMPLED
+    assert verdict.value == pytest.approx(1e-12 * math.sin(verdict.witness["x1"]), rel=1e-12)
+    tiny_box = ZeroTestPolicy(box_halfwidth=1e-4)
+    assert not is_zero(parse("cos(x1)*x1^3", VARS), tiny_box).is_zero
+    assert is_zero(parse("x1*(sin(x1)^2 + cos(x1)^2) - x1", VARS), tiny_box).is_zero
+
+
 def test_is_zero_nonzero_with_witness():
     verdict = is_zero(parse("x1", VARS))
     assert not verdict.is_zero
@@ -430,6 +445,8 @@ def test_is_zero_policy_validation():
         ZeroTestPolicy(sample_count=0)
     with pytest.raises(ValueError):
         ZeroTestPolicy(tolerance=0.0)
+    with pytest.raises(ValueError, match="< 1"):  # relative: 1 would make every sample zero
+        ZeroTestPolicy(tolerance=1.0)
     with pytest.raises(ValueError):
         ZeroTestPolicy(box_halfwidth=-1.0)
 
@@ -600,6 +617,23 @@ def test_compile_components_parenthesises_only_where_python_needs_it():
     for e, value in cases:
         assert compile_components([e], ("x1",))([2.0]) == (value,)
         assert evaluate(e, {"x1": 2}) == value
+
+
+def test_render_components_assigns_each_repeated_subexpression_once():
+    x = Variable("x1")
+    c = Cos(x)
+    exprs = [Product((x, c)), Sum((c, x)), Cos(Variable("x1"))]  # the last is equal, not identical
+    lines, values = render_components(exprs, {"x1": "a"})
+    assert lines == ["_t1 = _cos(a)"]  # leaves stay inline
+    assert values == ["a*_t1", "_t1 + a", "_t1"]
+    assert compile_components(exprs, ("x1",))([0.5]) == (0.5 * math.cos(0.5), math.cos(0.5) + 0.5, math.cos(0.5))
+
+
+def test_compile_components_keeps_signed_zero_constants_apart():
+    # 0.0 == -0.0, but x*-0.0 and x*0.0 are different floats
+    x = Variable("x1")
+    neg, pos = compile_components([Product((x, Constant(-0.0))), Product((x, Constant(0.0)))], ("x1",))([1.0])
+    assert (math.copysign(1.0, neg), math.copysign(1.0, pos)) == (-1.0, 1.0)
 
 
 def test_compile_components_renders_constants_past_the_float_range():

@@ -1,5 +1,7 @@
 """Extremal integration: oracles, conservation, singular intervals, Lemma-style checks."""
 
+import io
+import json
 import math
 import random
 
@@ -18,6 +20,7 @@ from ctrlorder import (
     bang_bang_control,
     check_lemma1,
     detect_singular_intervals,
+    extend_with_cost,
     hamiltonian,
     integrate_extremal,
     load,
@@ -31,6 +34,7 @@ from ctrlorder.simulate import MAX_STEPS
 from ctrlorder.order import evaluate_b_matrix
 
 from helpers import (
+    SYSTEMS_DIR,
     counterexample_extended,
     counterexample_raw,
     double_integrator,
@@ -257,20 +261,34 @@ def test_integrator_matches_a_hand_written_rk4(policy, control):
         assert np.any(ref_u[1:] != ref_u[:-1])  # the run switches
 
 
+def counting_compiled_system(monkeypatch, fail=()):
+    """Patch simulate._CompiledSystem so that its sample/rhs/step calls are
+    counted; a call whose (name, number) is in `fail` raises ZeroDivisionError
+    instead."""
+    calls = {"sample": 0, "rhs": 0, "step": 0}
+
+    class Counting(ctrlorder.simulate._CompiledSystem):
+        def __init__(self, sys, h):
+            super().__init__(sys, h)
+            for name in calls:
+                setattr(self, name, self._counted(name, getattr(self, name)))
+
+        @staticmethod
+        def _counted(name, fn):
+            def counted(v):
+                calls[name] += 1
+                if (name, calls[name]) in fail:
+                    raise ZeroDivisionError
+                return fn(v)
+
+            return counted
+
+    monkeypatch.setattr(ctrlorder.simulate, "_CompiledSystem", Counting)
+    return calls
+
+
 def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
-    compiled = {}  # call count per compiled function, keyed by its variable count
-
-    def counting(exprs, names):
-        fn = compile_components(exprs, names)
-        compiled[len(names)] = 0
-
-        def counted(v):
-            compiled[len(names)] += 1
-            return fn(v)
-
-        return counted
-
-    monkeypatch.setattr(ctrlorder.simulate, "compile_components", counting)
+    calls = counting_compiled_system(monkeypatch)
     ext = counterexample_extended()
     cfg = SimConfig(
         initial_state=(0.0, *GENERIC_X0),
@@ -280,11 +298,112 @@ def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
     )
     traj = integrate_extremal(ext, cfg)
     assert traj.status == "ok" and traj.samples == 11
-    n, m = ext.n, ext.m
-    # sample((x, p)) once per sample; rhs((x, p, u)) once per sample, which
-    # is also RK4 stage 1, and once for each of stages 2-4
-    assert compiled[2 * n] == 11
-    assert compiled[2 * n + m] == 11 + 3 * 10
+    # sample((x, p)) once per sample, step((x, p, u)) once per step, and
+    # rhs((x, p, u)) once, at the last sample, where it checks stage 1 alone
+    assert calls == {"sample": 11, "step": 10, "rhs": 1}
+
+
+def all_bundled_systems():
+    """(name, system) for every system in systems/ and ctrlbench/systems/, raw and
+    (where it has a running cost) cost-extended."""
+    paths = sorted(SYSTEMS_DIR.glob("*.json"))
+    paths += sorted((SYSTEMS_DIR.parent / "ctrlbench" / "systems").glob("*.json"))
+    for path in paths:
+        loaded = load(json.loads(path.read_text()))
+        yield f"{path.stem}:raw", without_cost(loaded)
+        if loaded.cost is not None:
+            yield f"{path.stem}:extended", extend_with_cost(loaded)
+
+
+def composed_rk4_step(rhs, y, u, h):
+    """Four `rhs` calls composed as RK4, in the arithmetic order of the step code."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = rhs(y + u)
+    k2 = rhs([a + half * b for a, b in zip(y, k1)] + u)
+    k3 = rhs([a + half * b for a, b in zip(y, k2)] + u)
+    k4 = rhs([a + h * b for a, b in zip(y, k3)] + u)
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.3])
+def test_step_equals_four_composed_rhs_stages_bit_for_bit(h):
+    rng = random.Random(11)
+    checked = 0
+    for name, system in all_bundled_systems():
+        compiled = ctrlorder.simulate._CompiledSystem(system, h)
+        for _ in range(5):
+            y = [rng.uniform(-1.0, 1.0) for _ in range(2 * system.n)]
+            u = [rng.choice((-1.0, 0.0, 1.0)) * rng.uniform(0.5, 1.5) for _ in range(system.m)]
+            got = compiled.step(y + u)
+            want = composed_rk4_step(compiled.rhs, y, u, h)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), name
+            checked += 1
+    assert checked == 5 * 9  # 7 systems, 2 of them also cost-extended
+
+
+def test_shared_sin_and_cos_are_evaluated_once_per_call(monkeypatch):
+    counts = {"sin": 0, "cos": 0}
+
+    def counted(name, fn):
+        def call(x):
+            counts[name] += 1
+            return fn(x)
+
+        return call
+
+    monkeypatch.setattr(math, "sin", counted("sin", math.sin))
+    monkeypatch.setattr(math, "cos", counted("cos", math.cos))
+    for system in (counterexample_raw(), counterexample_extended()):
+        compiled = ctrlorder.simulate._CompiledSystem(system, 1e-3)
+        y = [0.1 * (i + 1) for i in range(2 * system.n)]
+        u = [0.3] * system.m
+        counts.update(sin=0, cos=0)
+        for _ in range(5):
+            compiled.rhs(y + u)
+        assert counts == {"sin": 5, "cos": 5}  # sin(theta) and cos(theta), once each
+        counts.update(sin=0, cos=0)
+        compiled.step(y + u)
+        assert counts == {"sin": 4, "cos": 4}  # once per stage
+
+
+def test_a_failing_stage_1_stores_no_sample_and_a_later_stage_keeps_it():
+    fixed = FixedControl((0.0,))
+    # 1/x1 evaluates at 1e-200, but its derivative's x1^2 underflows to 0: the
+    # sample evaluates and stage 1 does not
+    doc = {"states": ["x1"], "inputs": 1, "f": ["1/x1"], "g": [["0"]]}
+    cfg = SimConfig(initial_state=(1e-200,), initial_adjoint=(1.0,), control_policy=fixed)
+    traj = integrate_extremal(load(doc), cfg)
+    assert (traj.status, traj.samples, traj.failure_time) == ("eval_error", 0, 0.0)
+    # x1' = 1: stage 2 of the first step evaluates at x1 = h/2 = 0.125, where 8*x1 - 1 = 0
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["1", "1/(8*x1 - 1)"], "g": [["0", "0"]]}
+    cfg = SimConfig(
+        initial_state=(0.0, 0.0), initial_adjoint=(1.0, 1.0), horizon=1.0, step=0.25,
+        control_policy=fixed,
+    )
+    traj = integrate_extremal(load(doc), cfg)
+    assert (traj.status, traj.samples, traj.failure_time) == ("eval_error", 1, 0.0)
+    assert traj.x[0].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "fail, samples, failure_step",
+    [
+        ({("step", 3)}, 3, 2),  # a later stage fails: sample 2 is kept
+        ({("step", 3), ("rhs", 1)}, 2, 2),  # stage 1 fails: sample 2 is not stored
+        ({("rhs", 1)}, 10, 10),  # stage 1 fails at the last sample: not stored
+    ],
+)
+def test_failure_rules_follow_stage_1(monkeypatch, fail, samples, failure_step):
+    calls = counting_compiled_system(monkeypatch, fail)
+    cfg = SimConfig(
+        initial_state=GENERIC_X0, initial_adjoint=GENERIC_P0, horizon=0.01, step=1e-3,
+        control_policy=FixedControl(FIXED_U3),
+    )
+    traj = integrate_extremal(counterexample_raw(), cfg)
+    assert (traj.status, traj.samples) == ("eval_error", samples)
+    assert traj.failure_time == failure_step * 1e-3
+    # only a failing step is followed by an rhs call, and the last sample makes one
+    assert calls["rhs"] == 1 and calls["sample"] == failure_step + 1
 
 
 def test_divergence_flags_partial_trajectory():
@@ -635,6 +754,24 @@ def test_third_derivative_matches_switching_coefficients():
 # ---------------------------------------------------------------------------
 # trajectory export
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [0, 1, 256, 257, 600])
+def test_write_csv_is_byte_identical_to_savetxt(tmp_path, samples):
+    rng = np.random.default_rng(samples)
+    table = rng.normal(size=(samples, 8)) * 10.0 ** rng.integers(-300, 300, size=(samples, 8))
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1]
+    table.ravel()[: min(table.size, len(specials))] = specials[: table.size]
+    traj = Trajectory(
+        state_names=("a", "b"), input_count=1, step=1e-3, t=table[:, 0], x=table[:, 1:3],
+        p=table[:, 3:5], u=table[:, 5:6], phi=table[:, 6:7], H=table[:, 7],
+    )
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    reference = io.StringIO()
+    reference.write("t,x_a,x_b,p_a,p_b,u_1,phi_1,H\n")
+    np.savetxt(reference, table, fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == reference.getvalue().encode()
 
 
 def test_write_csv_format(tmp_path):

@@ -4,19 +4,23 @@
 
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
 package (a checkout's `src/`).  Each tree runs, in its own interpreter,
-`brackets --json`, `order --json` and `verify identities --json` on every
-system in `systems/` and `ctrlbench/systems/`, calling `ctrlorder.cli.main`
-with stdout and stderr captured.  The manifest timestamp is dropped from
-each report.
+`brackets`, `order`, `verify identities`, `verify lemma1`, `local-order` and
+`simulate` (also with `--extend-cost` where the system has a running cost),
+each with `--json`, on every system in `systems/` and `ctrlbench/systems/`,
+calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
+timestamp is dropped from each report.  `local-order` and `simulate` start
+from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost state), and the CSV
+that `simulate` writes is compared byte for byte.
 
-One line per invocation tells whether the exit code, the report body and
-stderr are equal.  The last line is PASS when all of them are, and the exit
-code is 0 then and 1 when not.
+One line per invocation tells whether the exit code, the report body,
+stderr and the CSV are equal.  The last line is PASS when all of them are,
+and the exit code is 0 then and 1 when not.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,15 +33,31 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
-COMMANDS = (["brackets"], ["order"], ["verify", "identities"])
+COMMANDS = (["brackets"], ["order"], ["verify", "identities"], ["verify", "lemma1"])
 
 
-def invocations() -> list[list[str]]:
+def point(n: int, cost_state: bool = False) -> list[str]:
+    x0 = [0.1 * (i + 1) for i in range(n)]
+    p0 = [1.0 / (i + 1) for i in range(n)]
+    if cost_state:
+        x0, p0 = [0.0, *x0], [-1.0, *p0]
+    return [f"--x0={','.join(map(repr, x0))}", f"--p0={','.join(map(repr, p0))}"]
+
+
+def invocations(csv_path: str) -> list[list[str]]:
     out = []
     for path in SYSTEM_FILES:
         rel = str(path.relative_to(ROOT))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        n = len(doc["states"])
         for command in COMMANDS:
             out.append([command[0], rel, *command[1:], "--json"])
+        out.append(["local-order", rel, *point(n), "--json"])
+        out.append(["simulate", rel, *point(n), "--out", csv_path, "--json"])
+        if doc.get("cost"):
+            out.append(
+                ["simulate", rel, "--extend-cost", *point(n, True), "--out", csv_path, "--json"]
+            )
     return out
 
 
@@ -52,16 +72,27 @@ def body(stdout: str):
 
 
 def dump(out_path: str) -> None:
-    """Run every invocation with the ctrlorder on sys.path and write the results."""
+    """Run every invocation with the ctrlorder on sys.path and write the results.
+
+    The CSV goes next to `out_path`, so that both trees write the same path."""
     from ctrlorder.cli import main
 
+    csv_path = Path(out_path).parent / "trajectory.csv"
     results = []
-    for argv in invocations():
+    for argv in invocations(str(csv_path)):
+        csv_path.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        csv = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.exists() else None
         results.append(
-            {"argv": argv, "code": code, "body": body(out.getvalue()), "stderr": err.getvalue()}
+            {
+                "argv": argv,
+                "code": code,
+                "body": body(out.getvalue()),
+                "stderr": err.getvalue(),
+                "csv": csv,
+            }
         )
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
 
@@ -73,18 +104,28 @@ def run_tree(src: str, out_path: str) -> list[dict]:
     return json.loads(Path(out_path).read_text(encoding="utf-8"))
 
 
+def csv_of(result: dict) -> str | None:
+    argv = result["argv"]
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
 def compare(parent: list[dict], change: list[dict]) -> bool:
-    print(f"{'invocation':<62} {'exit':>9} {'body':>5} {'stderr':>6}")
+    print(f"{'invocation':<62} {'exit':>9} {'body':>5} {'stderr':>6} {'csv':>5}")
     passed = 0
     for a, b in zip(parent, change):
-        same = [a["code"] == b["code"], a["body"] == b["body"], a["stderr"] == b["stderr"]]
+        same = [a[key] == b[key] for key in ("code", "body", "stderr", "csv")]
         codes = f"{a['code']}/{b['code']}"
-        print(f"{' '.join(a['argv']):<62} {codes:>9} {same[1]!s:>5} {same[2]!s:>6}")
+        # the listed invocation leaves out the --x0/--p0 vectors and the CSV path
+        hidden = ("--out", csv_of(a))
+        argv = " ".join(
+            arg for arg in a["argv"] if not arg.startswith(("--x0=", "--p0=")) and arg not in hidden
+        )
+        print(f"{argv:<62} {codes:>9} {same[1]!s:>5} {same[2]!s:>6} {same[3]!s:>5}")
         passed += all(same)
     ok = passed == len(parent) == len(change)
     print(
         f"{passed}/{len(parent)} invocations have equal exit codes, report bodies"
-        f" (timestamps aside) and stderr: {'PASS' if ok else 'FAIL'}"
+        f" (timestamps aside), stderr and CSV: {'PASS' if ok else 'FAIL'}"
     )
     return ok
 
