@@ -91,19 +91,26 @@ class IndeterminateZeroTest(ExprError):
 
 
 class Expr:
-    """Base class for all expression nodes.  Instances are immutable."""
+    """Base class for all expression nodes.  Instances are immutable.
+
+    `_canonical` marks a node that simplify leaves as it is (see `_canon`); it
+    is not a field, so equality, hashing and printing ignore it.
+    """
 
     __slots__ = ()
+    _canonical = False
 
 
 @dataclass(frozen=True)
 class Constant(Expr):
     value: NumberValue
+    _canonical = True
 
 
 @dataclass(frozen=True)
 class Variable(Expr):
     name: str
+    _canonical = True
 
 
 @dataclass(frozen=True)
@@ -517,48 +524,6 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-
-def _diff(e: Expr, var: str) -> Expr:
-    if isinstance(e, Constant):
-        return _ZERO
-    if isinstance(e, Variable):
-        return _ONE if e.name == var else _ZERO
-    if isinstance(e, Negate):
-        return Negate(_diff(e.child, var))
-    if isinstance(e, Sum):
-        return Sum(tuple(_diff(c, var) for c in e.children))
-    if isinstance(e, Product):
-        terms = []
-        for i in range(len(e.children)):
-            factors = list(e.children)
-            factors[i] = _diff(e.children[i], var)
-            terms.append(Product(tuple(factors)))
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
-    if isinstance(e, Quotient):
-        n, d = e.numerator, e.denominator
-        num = Sum((Product((_diff(n, var), d)), Negate(Product((n, _diff(d, var))))))
-        return Quotient(num, IntPower(d, 2))
-    if isinstance(e, IntPower):
-        down = e.base if e.exponent == 2 else IntPower(e.base, e.exponent - 1)
-        return Product((const(e.exponent), down, _diff(e.base, var)))
-    if isinstance(e, Sin):
-        return Product((Cos(e.child), _diff(e.child, var)))
-    if isinstance(e, Cos):
-        return Product((const(-1), Sin(e.child), _diff(e.child, var)))
-    if isinstance(e, Exp):
-        return Product((Exp(e.child), _diff(e.child, var)))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def diff(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to `var`, simplified."""
-    return simplify(_diff(e, var))
-
-
-# ---------------------------------------------------------------------------
 # Simplification
 # ---------------------------------------------------------------------------
 
@@ -588,7 +553,7 @@ def _sort_key(e: Expr):
 
 
 def _ipow(v: NumberValue, k: int) -> NumberValue:
-    # Left-associated repeated multiplication, matching Product evaluation.
+    # Left-associated repeated multiplication: how simplify folds a float power.
     out = v
     for _ in range(k - 1):
         out = out * v
@@ -599,6 +564,24 @@ def _recip(v: NumberValue) -> NumberValue:
     if isinstance(v, Fraction):
         return Fraction(1) / v
     return 1.0 / v
+
+
+def _canon(node: Expr) -> Expr:
+    """`node`, built below from canonical operands, marked canonical."""
+    object.__setattr__(node, "_canonical", True)
+    return node
+
+
+def _neg(e: Expr) -> Expr:
+    return _simp_product((const(-1), e))
+
+
+def _sin(e: Expr) -> Expr:
+    return _canon(Sin(e))
+
+
+def _cos(e: Expr) -> Expr:
+    return _canon(Cos(e))
 
 
 def _simp_power(base: Expr, k: int) -> Expr:
@@ -615,7 +598,7 @@ def _simp_power(base: Expr, k: int) -> Expr:
         return _simp_product(tuple(_simp_power(c, k) for c in base.children))
     if isinstance(base, Quotient):
         return _simp_quotient(_simp_power(base.numerator, k), _simp_power(base.denominator, k))
-    return IntPower(base, k)
+    return _canon(IntPower(base, k))
 
 
 def _simp_quotient(num: Expr, den: Expr) -> Expr:
@@ -632,10 +615,10 @@ def _simp_quotient(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Product) and isinstance(den.children[0], Constant):
         # keep denominators constant-free: the coefficient moves to the numerator
         rest = den.children[1:]
-        den_core = rest[0] if len(rest) == 1 else Product(rest)
+        den_core = rest[0] if len(rest) == 1 else _canon(Product(rest))
         num_scaled = _simp_product((num, Constant(_recip(den.children[0].value))))
         return _simp_quotient(num_scaled, den_core)
-    return Quotient(num, den)
+    return _canon(Quotient(num, den))
 
 
 def _simp_product(children: tuple[Expr, ...]) -> Expr:
@@ -680,14 +663,14 @@ def _simp_product(children: tuple[Expr, ...]) -> Expr:
     if coeff == 0:
         return _ZERO
     factors = [
-        base if k == 1 else IntPower(base, k) for base, k in exponents.items()
+        base if k == 1 else _canon(IntPower(base, k)) for base, k in exponents.items()
     ]
     factors.sort(key=_sort_key)
     if not factors:
         return Constant(coeff)
     if coeff == 1:
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
-    return Product((Constant(coeff), *factors))
+        return factors[0] if len(factors) == 1 else _canon(Product(tuple(factors)))
+    return _canon(Product((Constant(coeff), *factors)))
 
 
 def _simp_sum(children: tuple[Expr, ...]) -> Expr:
@@ -707,7 +690,7 @@ def _simp_sum(children: tuple[Expr, ...]) -> Expr:
         if isinstance(t, Product) and isinstance(t.children[0], Constant):
             c = t.children[0].value
             rest = t.children[1:]
-            core = rest[0] if len(rest) == 1 else Product(rest)
+            core = rest[0] if len(rest) == 1 else _canon(Product(rest))
         else:
             c = Fraction(1)
             core = t
@@ -726,9 +709,9 @@ def _simp_sum(children: tuple[Expr, ...]) -> Expr:
             terms.append(_simp_product((Constant(c), core)))
             rescaled = True
         elif isinstance(core, Product):
-            terms.append(Product((Constant(c), *core.children)))
+            terms.append(_canon(Product((Constant(c), *core.children))))
         else:
-            terms.append(Product((Constant(c), core)))
+            terms.append(_canon(Product((Constant(c), core))))
     if const_part != 0:
         terms.append(Constant(const_part))
     if rescaled:
@@ -737,14 +720,14 @@ def _simp_sum(children: tuple[Expr, ...]) -> Expr:
         return _ZERO
     if len(terms) == 1:
         return terms[0]
-    return Sum(tuple(terms))
+    return _canon(Sum(tuple(terms)))
 
 
 def _simp(e: Expr) -> Expr:
-    if isinstance(e, (Constant, Variable)):
+    if e._canonical:
         return e
     if isinstance(e, Negate):
-        return _simp_product((const(-1), _simp(e.child)))
+        return _neg(_simp(e.child))
     if isinstance(e, Sum):
         return _simp_sum(tuple(_simp(c) for c in e.children))
     if isinstance(e, Product):
@@ -754,17 +737,83 @@ def _simp(e: Expr) -> Expr:
     if isinstance(e, IntPower):
         return _simp_power(_simp(e.base), e.exponent)
     if isinstance(e, Sin):
-        return Sin(_simp(e.child))
+        return _sin(_simp(e.child))
     if isinstance(e, Cos):
-        return Cos(_simp(e.child))
+        return _cos(_simp(e.child))
     if isinstance(e, Exp):
-        return Exp(_simp(e.child))
+        return _canon(Exp(_simp(e.child)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form in one idempotent pass: folded constants, flat sorted, collected terms."""
+    """Canonical form in one idempotent pass: folded constants, flat sorted, collected
+    terms.  A node marked canonical is returned as it is, without a walk."""
     return _simp(e)
+
+
+# ---------------------------------------------------------------------------
+# Differentiation
+# ---------------------------------------------------------------------------
+
+
+# What the derivative rules build with: (sum, product, quotient, power,
+# negation, sin, cos).  Raw nodes leave the folding to simplify; the
+# simplifier's constructors fold as they build, and take canonical operands.
+_RAW = (Sum, Product, Quotient, IntPower, Negate, Sin, Cos)
+_CANONICAL = (_simp_sum, _simp_product, _simp_quotient, _simp_power, _neg, _sin, _cos)
+
+
+def _derivative(e: Expr, var: str, build: tuple) -> Expr:
+    """d e / d var by the sum, product, quotient, power and chain rules, with the
+    constructors `build`.  A shared subtree is differentiated once: nodes are
+    memoised by id() within this one call."""
+    add, mul, div, power, neg, sin, cos = build
+    memo: dict[int, Expr] = {}
+
+    def d(node: Expr) -> Expr:
+        out = memo.get(id(node))
+        if out is not None:
+            return out
+        if isinstance(node, Constant):
+            out = _ZERO
+        elif isinstance(node, Variable):
+            out = _ONE if node.name == var else _ZERO
+        elif isinstance(node, Negate):
+            out = neg(d(node.child))
+        elif isinstance(node, Sum):
+            out = add(tuple(d(c) for c in node.children))
+        elif isinstance(node, Product):
+            cs = node.children
+            out = add(tuple(mul((*cs[:i], d(c), *cs[i + 1 :])) for i, c in enumerate(cs)))
+        elif isinstance(node, Quotient):
+            n, q = node.numerator, node.denominator
+            out = div(add((mul((d(n), q)), neg(mul((n, d(q)))))), power(q, 2))
+        elif isinstance(node, IntPower):
+            b, k = node.base, node.exponent
+            out = mul((const(k), b if k == 2 else power(b, k - 1), d(b)))
+        elif isinstance(node, Sin):
+            out = mul((cos(node.child), d(node.child)))
+        elif isinstance(node, Cos):
+            out = mul((const(-1), sin(node.child), d(node.child)))
+        elif isinstance(node, Exp):
+            out = mul((node, d(node.child)))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        memo[id(node)] = out
+        return out
+
+    return d(e)
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """Exact partial derivative with respect to `var`, simplified.
+
+    A canonical tree's derivative is built canonical by the simplifier's
+    constructors; any other tree's is its raw derivative, simplified.
+    """
+    if e._canonical:
+        return _derivative(e, var, _CANONICAL)
+    return simplify(_derivative(e, var, _RAW))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +848,7 @@ def _eval(e: Expr, binding: Mapping[str, NumberValue]) -> NumberValue:
             raise DivisionByZeroError(to_text(e))
         return num / den
     if isinstance(e, IntPower):
-        return _ipow(_eval(e.base, binding), e.exponent)
+        return _pow(_eval(e.base, binding), e.exponent)
     if isinstance(e, Sin):
         return math.sin(float(_eval(e.child, binding)))
     if isinstance(e, Cos):
@@ -810,6 +859,15 @@ def _eval(e: Expr, binding: Mapping[str, NumberValue]) -> NumberValue:
         except OverflowError:
             raise EvalError(f"overflow in '{to_text(e)}'") from None
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _pow(b: NumberValue, k: int) -> NumberValue:
+    """b**k, as generated code computes it; a float past the float range is
+    +-inf, as the product b*...*b would be, rather than an OverflowError."""
+    try:
+        return b**k
+    except OverflowError:
+        return math.inf if b > 0 or k % 2 == 0 else -math.inf
 
 
 def evaluate(e: Expr, binding: Mapping[str, NumberValue]) -> float:
@@ -938,8 +996,7 @@ def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> list[NumberValu
         elif op == _DIV:
             x = v[arg[0]] / v[arg[1]]
         elif op == _POW:
-            b = v[arg[0]]
-            x = b ** arg[1] if isinstance(b, Fraction) else _ipow(b, arg[1])
+            x = _pow(v[arg[0]], arg[1])
         elif op == _NEG:
             x = -v[arg]
         else:

@@ -9,6 +9,7 @@ checks that identity numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import (
     SYMBOLIC,
@@ -58,6 +59,13 @@ class VectorField:
     def dim(self) -> int:
         return len(self.state_names)
 
+    @cached_property
+    def jacobian(self) -> "ExprMatrix":
+        """Entry (i, j) = d(component_i)/d(state_j), simplified; computed once per field."""
+        return ExprMatrix(
+            tuple(tuple(diff(comp, name) for name in self.state_names) for comp in self.components)
+        )
+
     @classmethod
     def from_strings(cls, state_names, texts) -> "VectorField":
         names = tuple(state_names)
@@ -104,19 +112,14 @@ def _require_same_space(a: VectorField, b: VectorField) -> None:
 
 
 def jacobian(h: VectorField) -> ExprMatrix:
-    """Entry (i, j) = d(component_i)/d(state_j), simplified."""
-    return ExprMatrix(
-        tuple(
-            tuple(diff(comp, name) for name in h.state_names)
-            for comp in h.components
-        )
-    )
+    """Entry (i, j) = d(component_i)/d(state_j), simplified (the field's cached Jacobian)."""
+    return h.jacobian
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     """[a, b] = (Db)a - (Da)b, component-wise simplified."""
     _require_same_space(a, b)
-    da, db = jacobian(a).rows, jacobian(b).rows
+    da, db = a.jacobian.rows, b.jacobian.rows
     a_s = [simplify(c) for c in a.components]
     b_s = [simplify(c) for c in b.components]
     comps = []

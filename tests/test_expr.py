@@ -39,8 +39,10 @@ from ctrlorder.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
     SYMBOLIC,
+    _RAW,
     ExprError,
     ExprSyntaxError,
+    _derivative,
     _nodes,
     compile_components,
     has_bounded_exponents,
@@ -352,7 +354,67 @@ def test_simplify_idempotent_on_random_trees():
     for _ in range(200):
         e = random_expr(rng, VARS[:4], depth=rng.randint(0, 6))
         s = simplify(e)
-        assert simplify(s) == s
+        assert simplify(s) is s  # a marked node, returned as it is
+        assert simplify(_unmarked(s)) == s
+
+
+def _unmarked(e):
+    """A structural copy of `e` in which no node is marked canonical."""
+    if isinstance(e, (Sum, Product)):
+        return type(e)(tuple(_unmarked(c) for c in e.children))
+    if isinstance(e, Quotient):
+        return Quotient(_unmarked(e.numerator), _unmarked(e.denominator))
+    if isinstance(e, IntPower):
+        return IntPower(_unmarked(e.base), e.exponent)
+    if isinstance(e, (Negate, Sin, Cos, Exp)):
+        return type(e)(_unmarked(e.child))
+    return e  # a constant or a variable, canonical as it is
+
+
+def _simplified_random_trees(seed: int, count: int):
+    rng = random.Random(seed)
+    return [simplify(random_expr(rng, VARS[:3], depth=rng.randint(0, 6))) for _ in range(count)]
+
+
+def test_every_built_node_is_marked_and_simplify_leaves_its_unmarked_copy_equal():
+    checked = 0
+    for s in _simplified_random_trees(6060, 500):
+        seen = set()
+        for node in _nodes(s):
+            if id(node) in seen or isinstance(node, (Constant, Variable)):
+                continue
+            seen.add(id(node))
+            assert node._canonical, to_text(node)
+            copy = _unmarked(node)
+            assert not copy._canonical
+            assert simplify(copy) == node, to_text(node)
+            checked += 1
+    assert checked > 1000
+
+
+def test_diff_of_a_canonical_tree_is_the_simplified_raw_derivative():
+    for s in _simplified_random_trees(7070, 500):
+        copy = _unmarked(s)
+        for v in VARS[:3]:
+            d = diff(s, v)
+            assert d == simplify(_derivative(copy, v, _RAW)), (to_text(s), v)
+            assert d._canonical and simplify(_unmarked(d)) == d
+
+
+def test_diff_agrees_with_sympy_on_random_rational_trees():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8080)
+    names = ("x1", "x2")
+    checked = 0
+    while checked < 40:
+        e = random_expr(rng, names, depth=3, allow_trig=False)
+        if not _rational(e):
+            continue
+        for s in (e, simplify(e)):
+            for v in names:
+                residual = _to_sympy(diff(s, v), sympy) - sympy.diff(_to_sympy(e, sympy), v)
+                assert sympy.cancel(residual) == 0, (to_text(s), v)
+        checked += 1
 
 
 def test_simplify_preserves_values():
@@ -599,6 +661,18 @@ def test_compile_components_matches_evaluate():
         pt = random_binding(rng, names)
         vec = [pt[n] for n in names]
         assert abs(fn(vec)[0] - evaluate(e, pt)) < 1e-9
+
+
+def test_evaluate_and_compiled_code_compute_powers_alike_bit_for_bit():
+    rng = random.Random(3571)
+    x = Variable("x1")
+    powers = [IntPower(x, k) for k in (3, 5, 7)]
+    fn = compile_components(powers, ("x1",))
+    for _ in range(1000):
+        v = rng.uniform(-2.0, 2.0)
+        compiled = fn([v])
+        for e, c in zip(powers, compiled):
+            assert evaluate(e, {"x1": v}).hex() == c.hex(), (to_text(e), v)
 
 
 def test_compile_components_parenthesises_only_where_python_needs_it():

@@ -1,10 +1,13 @@
 """Vector fields: Jacobians, Lie brackets, iterated brackets, zero tests."""
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctrlorder import fields, order
 from ctrlorder import (
     BracketTable,
     DimensionMismatchError,
@@ -17,8 +20,11 @@ from ctrlorder import (
     const,
     jacobian,
     lie_bracket,
+    load,
     parse,
+    problem_order,
     simplify,
+    verify_bracket_identities,
     vf_is_zero,
 )
 from ctrlorder.expr import EXACT_SAMPLED, FLOAT_SAMPLED, SYMBOLIC
@@ -266,6 +272,50 @@ def test_ad_pow_concurrent_access_is_consistent():
     assert not errors
     reference = ad_pow(f, g1, 4)
     assert all(r == reference for r in results)
+
+
+def _counted_diffs(monkeypatch) -> list:
+    calls = []
+    real = fields.diff
+
+    def counted(e, var):
+        calls.append(var)
+        return real(e, var)
+
+    monkeypatch.setattr(fields, "diff", counted)
+    return calls
+
+
+def test_problem_order_differentiates_each_field_once(monkeypatch):
+    calls = _counted_diffs(monkeypatch)
+    chain = Path(__file__).resolve().parents[1] / "ctrlbench" / "systems" / "chain.json"
+    report = problem_order(load(json.loads(chain.read_text())))
+    assert report.k == 6
+    # f, g and ad_f^0..5 g: eight fields of 25 partial derivatives each
+    assert len(calls) <= 200
+
+
+def test_verify_bracket_identities_differentiates_each_distinct_field_once(monkeypatch):
+    calls = _counted_diffs(monkeypatch)
+    operands = []  # kept alive, so that each id() names one field
+    real = fields.lie_bracket
+
+    def recorded(a, b):
+        operands.extend((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(fields, "lie_bracket", recorded)
+    monkeypatch.setattr(order, "lie_bracket", recorded)
+    sys3 = fuller()
+    assert verify_bracket_identities(sys3).all_passed
+    distinct = {id(field) for field in operands}
+    assert len(operands) > 2 * len(distinct)  # fields recur as operands
+    assert len(calls) == sys3.n**2 * len(distinct)
+
+
+def test_jacobian_is_computed_once_per_field():
+    field = vf(("x1", "x2"), "x2^2", "sin(x1)")
+    assert jacobian(field) is jacobian(field) is field.jacobian
 
 
 # ---------------------------------------------------------------------------

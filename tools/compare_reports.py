@@ -4,8 +4,9 @@
 
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
 package (a checkout's `src/`).  Each tree runs, in its own interpreter,
-`brackets`, `order`, `verify identities`, `verify lemma1`, `local-order` and
-`simulate` (also with `--extend-cost` where the system has a running cost),
+`brackets` (at its default depth and at `--depth 5`), `order`, `verify
+identities`, `verify lemma1`, `local-order` and `simulate` (also with
+`--extend-cost` where the system has a running cost),
 each with `--json`, on every system in `systems/` and `ctrlbench/systems/`,
 calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
 timestamp is dropped from each report.  `local-order` and `simulate` start
@@ -33,7 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
-COMMANDS = (["brackets"], ["order"], ["verify", "identities"], ["verify", "lemma1"])
+COMMANDS = (
+    ["brackets"],
+    ["brackets", "--depth", "5"],
+    ["order"],
+    ["verify", "identities"],
+    ["verify", "lemma1"],
+)
 
 
 def point(n: int, cost_state: bool = False) -> list[str]:
@@ -110,7 +117,7 @@ def csv_of(result: dict) -> str | None:
 
 
 def compare(parent: list[dict], change: list[dict]) -> bool:
-    print(f"{'invocation':<62} {'exit':>9} {'body':>5} {'stderr':>6} {'csv':>5}")
+    print(f"{'invocation':<64} {'exit':>9} {'body':>5} {'stderr':>6} {'csv':>5}")
     passed = 0
     for a, b in zip(parent, change):
         same = [a[key] == b[key] for key in ("code", "body", "stderr", "csv")]
@@ -120,7 +127,7 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
         argv = " ".join(
             arg for arg in a["argv"] if not arg.startswith(("--x0=", "--p0=")) and arg not in hidden
         )
-        print(f"{argv:<62} {codes:>9} {same[1]!s:>5} {same[2]!s:>6} {same[3]!s:>5}")
+        print(f"{argv:<64} {codes:>9} {same[1]!s:>5} {same[2]!s:>6} {same[3]!s:>5}")
         passed += all(same)
     ok = passed == len(parent) == len(change)
     print(
