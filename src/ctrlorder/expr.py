@@ -20,6 +20,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 NumberValue = Union[Fraction, float]
@@ -93,12 +94,21 @@ class IndeterminateZeroTest(ExprError):
 class Expr:
     """Base class for all expression nodes.  Instances are immutable.
 
-    `_canonical` marks a node that simplify leaves as it is (see `_canon`); it
-    is not a field, so equality, hashing and printing ignore it.
+    `_canonical` marks a node that simplify leaves as it is (see `_canon`).
+    `_hash` and `_key` hold its hash and sort key, each built on first use from
+    the children's stored ones (`_node_hash`, `_node_key`).  None of them is a
+    field, so equality and printing ignore them.
     """
 
     __slots__ = ()
     _canonical = False
+    _hash = None
+    _key = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", _node_hash(self))
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -182,6 +192,16 @@ def const(value: Union[int, Fraction, float]) -> Constant:
 
 _ZERO = const(0)
 _ONE = const(1)
+_FIELDS = {}  # node class -> (hash tag, getter of its fields)
+for _tag, _cls in enumerate(Expr.__subclasses__()):
+    _FIELDS[_cls] = (_tag, attrgetter(*_cls.__match_args__))
+    _cls.__hash__ = Expr.__hash__  # the stored hash, for the dataclass's recursive one
+
+
+def _node_hash(e: Expr) -> int:
+    """One level of the hash: the class tag and the fields, child nodes by their stored hashes."""
+    tag, fields = _FIELDS[type(e)]
+    return hash((tag, fields(e)))
 
 
 def _nodes(e: Expr):
@@ -529,6 +549,13 @@ def to_text(e: Expr) -> str:
 
 
 def _sort_key(e: Expr):
+    if e._key is None:
+        object.__setattr__(e, "_key", _node_key(e))
+    return e._key
+
+
+def _node_key(e: Expr):
+    """One level of the sort key: a class tag and the children's stored keys."""
     if isinstance(e, Constant):
         return (0, repr(e.value))
     if isinstance(e, Variable):
@@ -546,9 +573,9 @@ def _sort_key(e: Expr):
     if isinstance(e, Quotient):
         return (7, _sort_key(e.numerator), _sort_key(e.denominator))
     if isinstance(e, Product):
-        return (8, tuple(_sort_key(c) for c in e.children))
+        return (8, tuple(map(_sort_key, e.children)))
     if isinstance(e, Sum):
-        return (9, tuple(_sort_key(c) for c in e.children))
+        return (9, tuple(map(_sort_key, e.children)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -944,9 +971,9 @@ def _lower(exprs: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
     """The straight-line program of the trees, and the slot of each root (a
     single tree's root is the last instruction).
 
-    Nodes are memoised by id() within this one call, never by value: hashing a
-    frozen node walks its whole subtree.  A float constant is keyed by its
-    repr, which keeps 0.0 and -0.0 (equal as numbers) apart.
+    Nodes are memoised by id() within this one call, and instructions by their
+    operand slots, so equal subtrees share one slot.  A float constant is keyed
+    by its repr, which keeps 0.0 and -0.0 (equal as numbers) apart.
     """
     code: list[tuple] = []
     slot_of: dict[tuple, int] = {}

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from ctrlorder import expr
 from ctrlorder import (
     ArityError,
+    BracketTable,
     Constant,
     Cos,
     DivisionByZeroError,
@@ -22,6 +24,7 @@ from ctrlorder import (
     Sum,
     UnknownIdentifierError,
     Variable,
+    VectorField,
     ZeroTestPolicy,
     ZeroVerdict,
     const,
@@ -44,6 +47,7 @@ from ctrlorder.expr import (
     ExprSyntaxError,
     _derivative,
     _nodes,
+    _sort_key,
     compile_components,
     has_bounded_exponents,
     has_finite_constants,
@@ -387,9 +391,46 @@ def test_every_built_node_is_marked_and_simplify_leaves_its_unmarked_copy_equal(
             assert node._canonical, to_text(node)
             copy = _unmarked(node)
             assert not copy._canonical
+            assert all(
+                n._hash is None and n._key is None
+                for n in _nodes(copy)
+                if not isinstance(n, (Constant, Variable))
+            )
+            # the stored hash and key, built level by level, match the original's
+            assert hash(copy) == hash(node) and _sort_key(copy) == _sort_key(node)
             assert simplify(copy) == node, to_text(node)
             checked += 1
     assert checked > 1000
+
+
+def test_each_node_builds_its_hash_and_sort_key_at_most_once(monkeypatch):
+    built = {"hash": [], "key": []}  # the nodes, kept alive so that each id() names one
+    for name, rule in (("hash", expr._node_hash), ("key", expr._node_key)):
+
+        def counted(e, rule=rule, nodes=built[name]):
+            nodes.append(e)
+            return rule(e)
+
+        monkeypatch.setattr(expr, f"_node_{name}", counted)
+    names = ("th", "w")
+    f = VectorField.from_strings(names, ("w", "-sin(th)/(1 + w^2)"))
+    g = VectorField.from_strings(names, ("0", "1/(1 + th^2)"))
+    BracketTable(f, (g,)).ad(0, 4)
+    for nodes in built.values():
+        assert len(nodes) > 1000
+        assert len({id(n) for n in nodes}) == len(nodes)
+
+
+def test_equal_nodes_hash_alike_and_classes_hash_apart():
+    x = Variable("x")
+    assert hash(Constant(Fraction(1))) == hash(Constant(1.0))
+    assert hash(Constant(0.0)) == hash(Constant(-0.0))
+    text = "sin(x)/(1 + x^2) - x*cos(x)^3"
+    a, b = (simplify(parse(text, ("x",))) for _ in range(2))
+    assert a == b and a is not b and hash(a) == hash(b)
+    # one child under each unary class: four distinct hashes
+    assert len({hash(Sin(x)), hash(Cos(x)), hash(Exp(x)), hash(Negate(x))}) == 4
+    assert hash(Sum((x, x))) != hash(Product((x, x)))
 
 
 def test_diff_of_a_canonical_tree_is_the_simplified_raw_derivative():

@@ -30,6 +30,7 @@ from ctrlorder import (
 from ctrlorder.expr import EXACT_SAMPLED, FLOAT_SAMPLED, SYMBOLIC
 
 from helpers import (
+    SYSTEMS_DIR,
     counterexample_raw,
     eval_field,
     fuller,
@@ -357,3 +358,40 @@ def test_vf_is_zero_kind_is_the_weakest_of_its_components():
 def test_vector_field_validates_unknown_names():
     with pytest.raises(ValueError):
         VectorField(("x1",), (parse("x1 + x2", ("x1", "x2")),))
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle for brackets on trig and rational fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["stress/rational_pendulum", "counterexample"])
+def test_iterated_brackets_agree_with_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    doc = json.loads((SYSTEMS_DIR / f"{name}.json").read_text())
+    names = tuple(doc["states"])
+    symbols = {n: sympy.Symbol(n) for n in names}
+    x = sympy.Matrix([symbols[n] for n in names])
+
+    def sym_field(texts):
+        return sympy.Matrix([sympy.sympify(t, locals=symbols) for t in texts])
+
+    f = sym_field(doc["f"])
+    table = BracketTable(vf(names, *doc["f"]), [vf(names, *g) for g in doc["g"]])
+    rng = random.Random(4242)
+    points = [{n: rng.uniform(-1.5, 1.5) for n in names} for _ in range(8)]
+    checked = 0
+    for i, g_texts in enumerate(doc["g"]):
+        h = sym_field(g_texts)
+        for k in range(4):
+            if k:  # [f, h] = (Dh) f - (Df) h
+                h = h.jacobian(x) * f - f.jacobian(x) * h
+            oracle = sympy.lambdify([symbols[n] for n in names], list(h), "math")
+            field = table.ad(i, k)
+            for pt in points:
+                want = oracle(*(pt[n] for n in names))
+                got = eval_field(field, pt)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * abs(b), (name, i, k, pt)
+                    checked += 1
+    assert checked == len(doc["g"]) * 4 * len(points) * len(names)

@@ -8,6 +8,8 @@ package (a checkout's `src/`).  Each tree runs, in its own interpreter,
 identities`, `verify lemma1`, `local-order` and `simulate` (also with
 `--extend-cost` where the system has a running cost),
 each with `--json`, on every system in `systems/` and `ctrlbench/systems/`,
+and `brackets --depth 4 --json` on every stress system in `systems/stress/`
+(deep rational trees, where term collection and sort order matter most),
 calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
 timestamp is dropped from each report.  `local-order` and `simulate` start
 from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost state), and the CSV
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
+STRESS_FILES = sorted((ROOT / "systems" / "stress").glob("*.json"))
 COMMANDS = (
     ["brackets"],
     ["brackets", "--depth", "5"],
@@ -65,6 +68,8 @@ def invocations(csv_path: str) -> list[list[str]]:
             out.append(
                 ["simulate", rel, "--extend-cost", *point(n, True), "--out", csv_path, "--json"]
             )
+    for path in STRESS_FILES:
+        out.append(["brackets", str(path.relative_to(ROOT)), "--depth", "4", "--json"])
     return out
 
 
