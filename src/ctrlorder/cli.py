@@ -188,8 +188,9 @@ def cmd_brackets(args):
     lines, rows = [], []
 
     def row(name: str, field, **keys) -> None:
-        lines.append(f"{name} = {field}")
-        rows.append({**keys, "components": [to_text(c) for c in field.components]})
+        texts = [to_text(c) for c in field.components]  # each component rendered once
+        lines.append(f"{name} = ({', '.join(texts)})")
+        rows.append({**keys, "components": texts})
 
     table = BracketTable(sys_model.drift, sys_model.inputs)
     for k in range(args.depth + 1):

@@ -204,21 +204,29 @@ def _node_hash(e: Expr) -> int:
     return hash((tag, fields(e)))
 
 
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, (Sum, Product)):
+        return node.children
+    if isinstance(node, Quotient):
+        return (node.numerator, node.denominator)
+    if isinstance(node, IntPower):
+        return (node.base,)
+    if isinstance(node, (Negate, Sin, Cos, Exp)):
+        return (node.child,)
+    return ()
+
+
 def _nodes(e: Expr):
-    """Every node of the tree, a shared subtree once per occurrence."""
+    """Every distinct node object of the tree, once: a shared subtree is walked once."""
     stack = [e]
+    seen = {id(e)}
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Sum, Product)):
-            stack.extend(node.children)
-        elif isinstance(node, Quotient):
-            stack.append(node.numerator)
-            stack.append(node.denominator)
-        elif isinstance(node, IntPower):
-            stack.append(node.base)
-        elif isinstance(node, (Negate, Sin, Cos, Exp)):
-            stack.append(node.child)
+        for child in _children(node):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
 
 
 def variables(e: Expr) -> frozenset[str]:
@@ -783,18 +791,10 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-# What the derivative rules build with: (sum, product, quotient, power,
-# negation, sin, cos).  Raw nodes leave the folding to simplify; the
-# simplifier's constructors fold as they build, and take canonical operands.
-_RAW = (Sum, Product, Quotient, IntPower, Negate, Sin, Cos)
-_CANONICAL = (_simp_sum, _simp_product, _simp_quotient, _simp_power, _neg, _sin, _cos)
-
-
-def _derivative(e: Expr, var: str, build: tuple) -> Expr:
-    """d e / d var by the sum, product, quotient, power and chain rules, with the
-    constructors `build`.  A shared subtree is differentiated once: nodes are
+def _derivative(e: Expr, var: str) -> Expr:
+    """d e / d var by the sum, product, quotient, power and chain rules, built raw
+    for simplify to fold.  A shared subtree is differentiated once: nodes are
     memoised by id() within this one call."""
-    add, mul, div, power, neg, sin, cos = build
     memo: dict[int, Expr] = {}
 
     def d(node: Expr) -> Expr:
@@ -806,24 +806,24 @@ def _derivative(e: Expr, var: str, build: tuple) -> Expr:
         elif isinstance(node, Variable):
             out = _ONE if node.name == var else _ZERO
         elif isinstance(node, Negate):
-            out = neg(d(node.child))
+            out = Negate(d(node.child))
         elif isinstance(node, Sum):
-            out = add(tuple(d(c) for c in node.children))
+            out = Sum(tuple(d(c) for c in node.children))
         elif isinstance(node, Product):
             cs = node.children
-            out = add(tuple(mul((*cs[:i], d(c), *cs[i + 1 :])) for i, c in enumerate(cs)))
+            out = Sum(tuple(Product((*cs[:i], d(c), *cs[i + 1 :])) for i, c in enumerate(cs)))
         elif isinstance(node, Quotient):
             n, q = node.numerator, node.denominator
-            out = div(add((mul((d(n), q)), neg(mul((n, d(q)))))), power(q, 2))
+            out = Quotient(Sum((Product((d(n), q)), Negate(Product((n, d(q)))))), IntPower(q, 2))
         elif isinstance(node, IntPower):
             b, k = node.base, node.exponent
-            out = mul((const(k), b if k == 2 else power(b, k - 1), d(b)))
+            out = Product((const(k), b if k == 2 else IntPower(b, k - 1), d(b)))
         elif isinstance(node, Sin):
-            out = mul((cos(node.child), d(node.child)))
+            out = Product((Cos(node.child), d(node.child)))
         elif isinstance(node, Cos):
-            out = mul((const(-1), sin(node.child), d(node.child)))
+            out = Product((const(-1), Sin(node.child), d(node.child)))
         elif isinstance(node, Exp):
-            out = mul((node, d(node.child)))
+            out = Product((node, d(node.child)))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         memo[id(node)] = out
@@ -833,14 +833,8 @@ def _derivative(e: Expr, var: str, build: tuple) -> Expr:
 
 
 def diff(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to `var`, simplified.
-
-    A canonical tree's derivative is built canonical by the simplifier's
-    constructors; any other tree's is its raw derivative, simplified.
-    """
-    if e._canonical:
-        return _derivative(e, var, _CANONICAL)
-    return simplify(_derivative(e, var, _RAW))
+    """Exact partial derivative with respect to `var`, simplified."""
+    return simplify(_derivative(e, var))
 
 
 # ---------------------------------------------------------------------------
@@ -1133,6 +1127,33 @@ def _witness(code: list[tuple], point: Mapping[str, Fraction], kind: str) -> Zer
     return ZeroVerdict(False, kind, witness=witness, value=value)
 
 
+def _search(names: Sequence[str], sample, policy: ZeroTestPolicy):
+    """(witness, last): the first seeded point over the sorted `names` where
+    `sample` says nonzero, or None, and the last point it evaluated, or None
+    where none evaluated; sample(point) is None where a point must be redrawn."""
+    rng = random.Random(policy.seed)
+    scale = Fraction(policy.box_halfwidth)
+    produced = 0
+    attempts = 0
+    max_attempts = 10 * policy.sample_count + 10
+    last = None
+    while produced < policy.sample_count and attempts < max_attempts:
+        attempts += 1
+        point = {
+            name: Fraction(rng.randint(-(1 << _DENOM_BITS), 1 << _DENOM_BITS), 1 << _DENOM_BITS)
+            * scale
+            for name in names
+        }
+        nonzero = sample(point)
+        if nonzero is None:
+            continue
+        produced += 1
+        if nonzero:
+            return point, point
+        last = point
+    return None, last
+
+
 def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     """Zero if simplify gives the constant 0, else a sampled verdict.
 
@@ -1153,7 +1174,6 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     s = simplify(e)
     if isinstance(s, Constant) and s.value == 0:
         return ZeroVerdict(True, SYMBOLIC)
-    names = sorted(variables(s))
     code, _ = _lower([s])
     if all(op <= _POW and not isinstance(arg, float) for op, arg in code):
         kind, sample = EXACT_SAMPLED, _exact_sampler(code)
@@ -1168,26 +1188,10 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
                 return None
             return abs(v[-1]) > scale if math.isfinite(scale) else None
 
-    rng = random.Random(policy.seed)
-    scale = Fraction(policy.box_halfwidth)
-    produced = 0
-    attempts = 0
-    max_attempts = 10 * policy.sample_count + 10
-    while produced < policy.sample_count and attempts < max_attempts:
-        attempts += 1
-        point = {
-            name: Fraction(rng.randint(-(1 << _DENOM_BITS), 1 << _DENOM_BITS), 1 << _DENOM_BITS)
-            * scale
-            for name in names
-        }
-        nonzero = sample(point)
-        if nonzero is None:
-            continue
-        produced += 1
-        if nonzero:
-            return _witness(code, point, kind)
-        last = point
-    if produced == 0:
+    witness, last = _search(sorted(variables(s)), sample, policy)
+    if witness is not None:
+        return _witness(code, witness, kind)
+    if last is None:
         raise IndeterminateZeroTest(
             f"no sample point of '{to_text(s)}' could be evaluated"
         )

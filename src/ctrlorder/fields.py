@@ -1,9 +1,14 @@
-"""Vector fields as expression vectors: Jacobians, Lie brackets, iterated brackets.
+"""Vector fields: Jacobians, Lie brackets, iterated brackets, zero tests.
 
 The bracket convention is [a, b] = (Db)a - (Da)b, chosen so that along an
 extremal d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]> holds with the
 adjoint dynamics p' = -(Df)^T p - sum_i u_i (Dg_i)^T p; the simulation module
 checks that identity numerically.
+
+A field read from a system holds expression trees.  Brackets, sums and zero
+tests work on the fields' rational normal forms (see `normal`), which a
+field builds on first use, in a `Ring` it shares with the fields it meets; a
+bracket's components render to trees only when they are read.
 """
 
 from __future__ import annotations
@@ -11,49 +16,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import (
-    SYMBOLIC,
-    ZERO_TEST_KINDS,
-    Expr,
-    ZeroTestPolicy,
-    ZeroVerdict,
-    _simp_product,
-    _simp_sum,
-    const,
-    diff,
-    is_zero,
-    parse,
-    simplify,
-    to_text,
-    variables,
-)
+from . import normal
+from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, ZeroTestPolicy, const, parse, to_text, variables
+from .expr import diff as tree_diff
+from .normal import Ring, diff
 
 
 class DimensionMismatchError(ValueError):
     """Operands do not share state coordinates."""
 
 
-@dataclass(frozen=True)
 class VectorField:
-    """Ordered expression components over named state coordinates."""
+    """Ordered components over named state coordinates.
 
-    state_names: tuple[str, ...]
-    components: tuple[Expr, ...]
+    `components` are expression trees: as given, or, for a field built from
+    normal forms, rendered from them on first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "state_names", tuple(self.state_names))
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != len(self.state_names):
-            raise DimensionMismatchError(
-                f"{len(self.components)} components for {len(self.state_names)} states"
-            )
-        declared = set(self.state_names)
-        for i, comp in enumerate(self.components):
+    def __init__(self, state_names, components):
+        names, comps = tuple(state_names), tuple(components)
+        if len(comps) != len(names):
+            raise DimensionMismatchError(f"{len(comps)} components for {len(names)} states")
+        declared = set(names)
+        for i, comp in enumerate(comps):
             extra = variables(comp) - declared
             if extra:
-                raise ValueError(
-                    f"component {i} uses undeclared variables {sorted(extra)}"
-                )
+                raise ValueError(f"component {i} uses undeclared variables {sorted(extra)}")
+        self.state_names = names
+        self._components = comps
+        self._normal = None  # (ring, normal forms, their Jacobian or None)
+
+    @classmethod
+    def _of_normal(cls, state_names, ring: Ring, comps) -> "VectorField":
+        field = cls.__new__(cls)
+        field.state_names = tuple(state_names)
+        field._components = None
+        field._normal = (ring, tuple(comps), None)
+        return field
+
+    @property
+    def components(self) -> tuple[Expr, ...]:
+        if self._components is None:
+            self._components = tuple(map(normal.render, self._normal[1]))
+        return self._components
+
+    def _normal_in(self, ring: Ring | None = None) -> tuple:
+        """(ring, normal forms, Jacobian or None) in `ring`; None means the field's own."""
+        cached = self._normal
+        if cached is not None and (ring is None or cached[0] is ring):
+            return cached
+        ring = ring or Ring(self.state_names)
+        cached = self._normal = (ring, tuple(map(ring.convert, self.components)), None)
+        return cached
+
+    def _jacobian_in(self, ring: Ring) -> tuple:
+        ring, comps, jac = self._normal_in(ring)
+        if jac is None:
+            jac = tuple(tuple(diff(c, name) for name in self.state_names) for c in comps)
+            self._normal = (ring, comps, jac)
+        return jac
+
+    def __getstate__(self) -> dict:
+        # trees only: a normal form belongs to its ring, which holds a lock
+        return {"state_names": self.state_names, "_components": self.components, "_normal": None}
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return self.state_names == other.state_names and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.state_names, self.components))
+
+    def __repr__(self) -> str:
+        return f"VectorField(state_names={self.state_names!r}, components={self.components!r})"
+
+    def __add__(self, other: "VectorField") -> "VectorField":
+        return _combine(self, other, 1)
+
+    def __sub__(self, other: "VectorField") -> "VectorField":
+        return _combine(self, other, -1)
 
     @property
     def dim(self) -> int:
@@ -61,9 +103,13 @@ class VectorField:
 
     @cached_property
     def jacobian(self) -> "ExprMatrix":
-        """Entry (i, j) = d(component_i)/d(state_j), simplified; computed once per field."""
+        """Entry (i, j) = d(component_i)/d(state_j) of the trees, simplified; computed
+        once per field (what `simulate` compiles; brackets use the normal form's)."""
         return ExprMatrix(
-            tuple(tuple(diff(comp, name) for name in self.state_names) for comp in self.components)
+            tuple(
+                tuple(tree_diff(comp, name) for name in self.state_names)
+                for comp in self.components
+            )
         )
 
     @classmethod
@@ -75,9 +121,6 @@ class VectorField:
     def zero(cls, state_names) -> "VectorField":
         names = tuple(state_names)
         return cls(names, tuple(const(0) for _ in names))
-
-    def simplified(self) -> "VectorField":
-        return VectorField(self.state_names, tuple(simplify(c) for c in self.components))
 
     def __str__(self) -> str:
         return "(" + ", ".join(to_text(c) for c in self.components) + ")"
@@ -111,35 +154,56 @@ def _require_same_space(a: VectorField, b: VectorField) -> None:
         )
 
 
+def _shared_ring(*fields: VectorField) -> Ring:
+    """The ring of the first field that has one, else a new one."""
+    for field in fields:
+        cached = field._normal
+        if cached is not None:
+            return cached[0]
+    return Ring(fields[0].state_names)
+
+
+def _combine(a: VectorField, b: VectorField, sign: int) -> VectorField:
+    _require_same_space(a, b)
+    ring = _shared_ring(a, b)
+    na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
+    comps = [normal.add(x, y, sign) for x, y in zip(na, nb)]
+    return VectorField._of_normal(a.state_names, ring, comps)
+
+
 def jacobian(h: VectorField) -> ExprMatrix:
     """Entry (i, j) = d(component_i)/d(state_j), simplified (the field's cached Jacobian)."""
     return h.jacobian
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
-    """[a, b] = (Db)a - (Da)b, component-wise simplified."""
+    """[a, b] = (Db)a - (Da)b, in normal form, from each operand's Jacobian (computed
+    once per field and ring)."""
     _require_same_space(a, b)
-    da, db = a.jacobian.rows, b.jacobian.rows
-    a_s = [simplify(c) for c in a.components]
-    b_s = [simplify(c) for c in b.components]
-    comps = []
-    for i in range(a.dim):
-        terms = []
-        for j in range(a.dim):
-            terms.append(_simp_product((db[i][j], a_s[j])))
-            terms.append(_simp_product((const(-1), _simp_product((da[i][j], b_s[j])))))
-        comps.append(_simp_sum(tuple(terms)))
-    return VectorField(a.state_names, tuple(comps))
+    ring = _shared_ring(b, a)
+    na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
+    ja, jb = a._jacobian_in(ring), b._jacobian_in(ring)
+    comps = [normal.lie_component(na, nb, ja, jb, i) for i in range(a.dim)]
+    return VectorField._of_normal(a.state_names, ring, comps)
 
 
 class BracketTable:
-    """Brackets of one analysis: ad_f^k g_i memoised per input, grown on demand."""
+    """Brackets of one analysis: ad_f^k g_i memoised per input, grown on demand.
+
+    Every field of the table lives in one ring, shared with f and the g_i.
+    """
 
     def __init__(self, f: VectorField, inputs) -> None:
         self.f, self.inputs = f, tuple(inputs)
         for g in self.inputs:
             _require_same_space(f, g)
-        self._chains = [[g.simplified()] for g in self.inputs]
+        ring = _shared_ring(f, *self.inputs)
+        f._normal_in(ring)
+        # ad^0 = g_i, as its normal form prints
+        self._inputs = [
+            VectorField._of_normal(g.state_names, ring, g._normal_in(ring)[1]) for g in self.inputs
+        ]
+        self._chains = [[g] for g in self._inputs]
 
     def ad(self, i: int, k: int) -> VectorField:
         """Iterated bracket: ad^0 = g_i, ad^k = [f, ad^(k-1)]."""
@@ -152,7 +216,7 @@ class BracketTable:
 
     def b(self, i: int, j: int, k: int) -> VectorField:
         """The bracket field [g_j, ad_f^(k-1) g_i] behind B_k[i][j]."""
-        return lie_bracket(self.inputs[j], self.ad(i, k - 1))
+        return lie_bracket(self._inputs[j], self.ad(i, k - 1))
 
 
 def ad_pow(f: VectorField, g: VectorField, k: int) -> VectorField:
@@ -170,11 +234,11 @@ class VfZeroVerdict:
 
 
 def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:
-    """Zero iff every component tests zero, of the weakest kind among theirs;
-    else the first witnessing component's verdict."""
+    """Zero iff every component's normal form is zero (normal.is_zero), of the
+    weakest kind among theirs; else the first witnessing component's verdict."""
     kind = SYMBOLIC
-    for i, comp in enumerate(h.components):
-        verdict: ZeroVerdict = is_zero(comp, policy.derive("component", i))
+    for i, comp in enumerate(h._normal_in()[1]):
+        verdict = normal.is_zero(comp, policy.derive("component", i))
         if not verdict.is_zero:
             return VfZeroVerdict(
                 False,

@@ -1,0 +1,893 @@
+"""Bracket fields in a rational normal form over algebraically independent atoms.
+
+Each component is N prod_i p_i^-e_i.
+
+- N is a sparse polynomial: a dict from a packed monomial (one exponent of
+  `_BITS` bits per atom, so that multiplying two monomials adds two ints) to
+  a nonzero coefficient (int, Fraction, or float where the input had a
+  float constant).  The atoms are the states, plus s = sin u and c = cos u,
+  or E = exp u, for each distinct kernel argument u, and an atom P for each
+  factor p_i whose power is too large to expand (below); N is reduced by
+  c^2 -> 1 - s^2, so no monomial holds c twice.
+- The p_i are the factor list of the component's `Ring`: the distinct
+  denominators met while converting the input trees (made primitive, with
+  monomial factors split into atoms), the bases of powers of sums, plus any
+  that a kernel argument's derivative adds.  `den` holds the e_i, signed: a
+  positive e_i puts p_i in the denominator, a negative one in the numerator,
+  so that a power of a sum such as (x1 + x2)^1000 is not expanded.
+
+The operations are sums, products and partial derivatives.  A derivative
+changes exponents only by one:
+(N D)' = N' D - sum_i e_i N p_i' D / p_i, D = prod_i p_i^-e_i,
+with ds = c du, dc = -s du, dE = E du and dP = dp_i.  A sum brings its terms to the
+larger exponent of each factor (the common factor of the terms); no gcd is
+needed.  `cancel` divides out a denominator p_i that divides N exactly,
+which only makes the form smaller; converted trees are cancelled, brackets
+are not (differentiating N / p^e, p irreducible and not dividing N, never
+makes p divide the new numerator).  Where a sum would expand a large power
+of a sum, as in x1 + (x1 + x2 + x3 + x4)^1000, it writes P^1000 instead, P
+an atom that stands for the sum; a product that would pair more than
+`MAX_TERMS` terms raises `ExprError` rather than run unbounded.
+
+The zero decision (`is_zero`).  A component is zero iff N = 0 where the
+atoms in N and in its numerator factors are algebraically independent over
+Q(x) modulo c^2 + s^2 = 1; each p_i is a nonzero polynomial.  By Ax's
+theorem (Ax, "On Schanuel's conjectures", Ann. Math. 1971), exp(u_1), ...,
+exp(u_n) of rational functions are algebraically independent over C(x) when
+the u_i are Q-linearly independent modulo constants; sin and cos are
+exp(+-iu).  So a verdict is `symbolic` when every coefficient of N and of
+its numerator factors is rational and the kernel arguments they use are
+float-free, kernel-free and, together with 1, Q-linearly independent (trig
+arguments and exp arguments each), and no atom P.  Otherwise, a float
+constant, sin x beside sin 2x or beside sin(x + 1), a nested kernel or an
+atom P,
+it is the sampled `expr.is_zero` of the component's tree.  A nonzero
+symbolic verdict carries the witness that `expr.is_zero` would draw: the
+same seeded points over the same sorted names, each evaluated from the
+normal form.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+from fractions import Fraction
+from functools import reduce
+from operator import or_
+
+from .expr import (
+    SYMBOLIC,
+    Constant,
+    Cos,
+    DivisionByZeroError,
+    Exp,
+    Expr,
+    ExprError,
+    IndeterminateZeroTest,
+    IntPower,
+    Negate,
+    Product,
+    Quotient,
+    Sin,
+    Sum,
+    Variable,
+    ZeroTestPolicy,
+    ZeroVerdict,
+    _canon,
+    _ipow,
+    _search,
+    _sort_key,
+    is_zero as sampled_is_zero,
+    to_text,
+)
+
+_BITS = 24  # bits per atom in a packed monomial
+_SLOT = (1 << _BITS) - 1
+# A product is formed only while every exponent is below 2^(_BITS - 2), so no
+# slot carries into the next and the top bit of each slot stays clear.
+_HIGH = _SLOT ^ ((1 << (_BITS - 2)) - 1)
+_TOP = 1 << (_BITS - 1)
+MAX_TERMS = 1 << 20  # the most term pairs one product forms
+_EXPAND = 1 << 12  # the most terms of a power of a sum that `Ring.product` expands
+
+
+class Rat:
+    """One component N prod p_i^-e_i of `ring`: `num` maps packed monomials to
+    nonzero coefficients; `den` holds the signed e_i by factor, trailing zeros
+    trimmed."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: "Ring", num: dict, den: tuple = ()):
+        self.ring, self.num, self.den = ring, num, den if num else ()
+
+
+class _Kernel:
+    """sin/cos (slots s, c) or exp (slot E) of one argument u, or (`trig` None)
+    an atom P (slot P) that stands for the factor u = p_i itself; with u's
+    partials."""
+
+    __slots__ = ("trig", "arg", "slots", "partials")
+
+    def __init__(self, trig: bool, arg: Rat, slots: tuple[int, ...]):
+        self.trig, self.arg, self.slots = trig, arg, slots
+        self.partials: dict[int, Rat] = {}
+
+
+class Ring:
+    """The atoms and denominator factors that the normal forms of one analysis share.
+
+    Both lists only grow: converting a tree adds what it needs, and a form
+    built earlier keeps its meaning, since new atoms take new slots and new
+    factors new indices.  Registration holds a lock; everything else only
+    reads the lists or fills caches whose entries do not depend on timing.
+    """
+
+    def __init__(self, state_names):
+        self.names = tuple(state_names)
+        self.index = {name: j for j, name in enumerate(self.names)}
+        self._lock = threading.RLock()
+        self.atoms: list[Expr] = []  # the tree of each slot's atom
+        self.kernels: list[_Kernel] = []
+        self._kernel_of: dict = {}
+        self.kernel_of_slot: dict[int, _Kernel] = {}
+        self.factors: list[dict] = []
+        self._factor_of: dict = {}
+        self._factor_trees: dict[int, Expr] = {}
+        self._factor_partials: dict[tuple[int, int], Rat] = {}
+        self._products: dict[tuple, dict] = {}
+        self._powers: dict[tuple[Expr, int], Expr] = {}
+        self._independent: dict[tuple, bool] = {}
+        self._factor_atoms: dict[int, _Kernel] = {}
+        self.pairs: list[tuple[int, int]] = []  # (s shift, c shift) per trig kernel
+        self.cmask = 0  # the bits of every c exponent >= 2
+        self.high = 0  # the bits of every exponent >= 2^(_BITS - 2)
+        self.top = 0  # the top bit of every slot
+        for name in self.names:
+            self._atom(Variable(name))
+
+    # -- registration -------------------------------------------------------
+
+    def _atom(self, tree: Expr) -> int:
+        slot = len(self.atoms)
+        self.atoms.append(tree)
+        self.high |= _HIGH << (slot * _BITS)
+        self.top |= _TOP << (slot * _BITS)
+        return slot
+
+    def _kernel(self, node: Expr, arg: Rat) -> _Kernel:
+        trig = not isinstance(node, Exp)
+        key = (trig, frozenset(arg.num.items()), arg.den)
+        with self._lock:
+            kernel = self._kernel_of.get(key)
+            if kernel is None:
+                u = render(arg)
+                if trig:
+                    s, c = self._atom(_canon(Sin(u))), self._atom(_canon(Cos(u)))
+                    kernel = _Kernel(True, arg, (s, c))
+                    self.pairs.append((s * _BITS, c * _BITS))
+                    self.cmask |= (_SLOT ^ 1) << (c * _BITS)
+                else:
+                    kernel = _Kernel(False, arg, (self._atom(_canon(Exp(u))),))
+                for slot in kernel.slots:
+                    self.kernel_of_slot[slot] = kernel
+                self.kernels.append(kernel)
+                self._kernel_of[key] = kernel
+        return kernel
+
+    def _factor_atom(self, i: int) -> int:
+        """The slot of the atom P that stands for p_i (see `product`)."""
+        with self._lock:
+            kernel = self._factor_atoms.get(i)
+            if kernel is None:
+                slot = self._atom(self.factor_tree(i))
+                kernel = _Kernel(None, Rat(self, self.factors[i]), (slot,))
+                self.kernel_of_slot[slot] = self._factor_atoms[i] = kernel
+                self.kernels.append(kernel)
+        return kernel.slots[0]
+
+    def _factor(self, p: dict) -> int:
+        key = frozenset(p.items())
+        with self._lock:
+            index = self._factor_of.get(key)
+            if index is None:
+                index = self._factor_of[key] = len(self.factors)
+                self.factors.append(p)
+        return index
+
+    # -- cached derived values -----------------------------------------------
+
+    def product(self, gap: tuple, atoms: bool = True) -> dict:
+        """prod p_i^gap_i, expanded; but a power p_i^k of more than `_EXPAND`
+        terms (a power k of n terms has at most C(n + k - 1, k)) is kept as
+        P^k of the atom P that stands for p_i, or, where `atoms` is false,
+        expanded up to `MAX_TERMS` terms."""
+        out = self._products.get((gap, atoms))
+        if out is None:
+            out, atom = {0: 1}, 0
+            for i, k in enumerate(gap):
+                size = math.comb(len(self.factors[i]) + k - 1, k)
+                if size <= _EXPAND or not atoms and size <= MAX_TERMS:
+                    for _ in range(k):
+                        out = _pmul(self, out, self.factors[i])
+                elif atoms and not k >> (_BITS - 2):
+                    atom += k << (self._factor_atom(i) * _BITS)
+                else:
+                    raise ExprError(f"a power of a sum expands past {MAX_TERMS} terms")
+            if atom:
+                out = {m + atom: c for m, c in out.items()}
+            self._products[(gap, atoms)] = out
+        return out
+
+    def factor_partial(self, i: int, j: int) -> Rat:
+        out = self._factor_partials.get((i, j))
+        if out is None:
+            out = self._factor_partials[(i, j)] = _dpoly(self, self.factors[i], j)
+        return out
+
+    def kernel_partial(self, kernel: _Kernel, j: int) -> Rat:
+        out = kernel.partials.get(j)
+        if out is None:
+            out = kernel.partials[j] = diff_index(kernel.arg, j)
+        return out
+
+    def power(self, base: Expr, k: int) -> Expr:
+        """base^k of an atom's or a factor's tree."""
+        out = self._powers.get((base, k))
+        if out is None:
+            out = self._powers[(base, k)] = base if k == 1 else _canon(IntPower(base, k))
+        return out
+
+    def factor_tree(self, i: int) -> Expr:
+        out = self._factor_trees.get(i)
+        if out is None:
+            out = self._factor_trees[i] = _render_poly(self, self.factors[i], {})
+        return out
+
+    # -- trees to normal forms -----------------------------------------------
+
+    def convert(self, e: Expr) -> Rat:
+        """The normal form of a tree, cancelled; a shared subtree is converted once."""
+        memo: dict[int, Rat] = {}
+
+        def conv(node: Expr) -> Rat:
+            out = memo.get(id(node))
+            if out is not None:
+                return out
+            t = type(node)
+            if t is Constant:
+                out = self.constant(node.value)
+            elif t is Variable:
+                out = Rat(self, {1 << (self.index[node.name] * _BITS): 1})
+            elif t is Negate:
+                out = scale(conv(node.child), -1)
+            elif t is Sum:
+                out = total([conv(c) for c in node.children])
+            elif t is Product:
+                out = reduce(mul, map(conv, node.children))
+            elif t is IntPower:
+                out = power(conv(node.base), node.exponent)
+            elif t is Quotient:
+                out = mul(conv(node.numerator), inverse(node.denominator))
+            elif t in (Sin, Cos, Exp):
+                kernel = self._kernel(node, cancel(conv(node.child)))
+                slot = kernel.slots[1] if t is Cos else kernel.slots[0]
+                out = Rat(self, {1 << (slot * _BITS): 1})
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            memo[id(node)] = out
+            return out
+
+        def inverse(node: Expr) -> Rat:
+            """1/node, with the structure of a product or power kept as factors."""
+            t = type(node)
+            if t is Product:
+                return reduce(mul, map(inverse, node.children))
+            if t is IntPower:
+                return power(inverse(node.base), node.exponent)
+            if t is Negate:
+                return scale(inverse(node.child), -1)
+            if t is Quotient:
+                return mul(conv(node.denominator), inverse(node.numerator))
+            out = conv(node)
+            if not out.num:
+                raise DivisionByZeroError(to_text(node))
+            return self._reciprocal(out)
+
+        with self._lock:
+            return cancel(conv(e))
+
+    def constant(self, v) -> Rat:
+        if isinstance(v, Fraction) and v.denominator == 1:
+            v = v.numerator
+        return Rat(self, {0: v} if v else {})
+
+    def _reciprocal(self, a: Rat) -> Rat:
+        """1/a: N's monomial content becomes atom factors, and the rest one
+        primitive factor; a's numerator factors move to the denominator, and
+        its denominator is multiplied out."""
+        n = a.num
+        content = _monomial_gcd(n)
+        rest = {m - content: c for m, c in n.items()} if content else n
+        den = [max(-e, 0) for e in a.den]
+        m, slot = content, 0
+        while m:
+            k = m & _SLOT
+            if k:
+                _bump(den, self._factor({1 << (slot * _BITS): 1}), k)
+            m >>= _BITS
+            slot += 1
+        if len(rest) == 1:
+            coeff = rest[0]
+        else:
+            coeff, primitive = _primitive(rest)
+            _bump(den, self._factor(primitive), 1)
+        top = self.product(_trim(max(e, 0) for e in a.den))
+        return Rat(self, {m: _quotient(c, coeff) for m, c in top.items()}, _trim(den))
+
+
+# ---------------------------------------------------------------------------
+# Polynomials (dicts) and exponent tuples
+# ---------------------------------------------------------------------------
+
+
+def _trim(den) -> tuple:
+    den = list(den)
+    while den and not den[-1]:
+        den.pop()
+    return tuple(den)
+
+
+def _bump(den: list, i: int, k: int) -> None:
+    den.extend([0] * (i + 1 - len(den)))
+    den[i] += k
+
+
+def _den_max(dens) -> tuple:
+    width = max(map(len, dens), default=0)
+    return tuple(max(d[i] if i < len(d) else 0 for d in dens) for i in range(width))
+
+
+def _gap(top: tuple, den: tuple) -> tuple:
+    """top - den, by factor; top is at least den everywhere."""
+    width = max(len(top), len(den))
+    top, den = top + (0,) * (width - len(top)), den + (0,) * (width - len(den))
+    return _trim(t - d for t, d in zip(top, den))
+
+
+def _den_add(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return a or b
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b) :]))
+
+
+def _unit(i: int, e: int) -> tuple:
+    """The exponent tuple of p_i^-e."""
+    return (0,) * i + (e,)
+
+
+def _quotient(c, d):
+    """c/d, an int where it divides exactly."""
+    if isinstance(c, int) and isinstance(d, int):
+        q, r = divmod(c, d)
+        return q if not r else Fraction(c, d)
+    out = c / d
+    return out.numerator if isinstance(out, Fraction) and out.denominator == 1 else out
+
+
+def _monomial_gcd(p: dict) -> int:
+    """The packed monomial of the smallest exponent of each atom over p."""
+    keys = iter(p)
+    g = next(keys)
+    for m in keys:
+        if not g:
+            break
+        out, shift, a, b = 0, 0, g, m
+        while a and b:
+            out |= min(a & _SLOT, b & _SLOT) << shift
+            a >>= _BITS
+            b >>= _BITS
+            shift += _BITS
+        g = out
+    return g
+
+
+def _primitive(p: dict) -> tuple:
+    """(k, q) with p = k q, q's coefficients coprime integers and its leading one
+    positive; k = 1 (q = p) where a coefficient is a float."""
+    coeffs = p.values()
+    if any(isinstance(c, float) for c in coeffs):
+        return 1, p
+    lcm = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = {m: int(c * lcm) for m, c in p.items()}
+    g = reduce(math.gcd, ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return _quotient(g, lcm), {m: c // g for m, c in ints.items()}
+
+
+def _padd(acc: dict, p: dict) -> None:
+    get = acc.get
+    for m, c in p.items():
+        acc[m] = get(m, 0) + c
+
+
+def _nonzero(p: dict) -> dict:
+    return {m: c for m, c in p.items() if c}
+
+
+def _pmul(ring: Ring, p: dict, q: dict) -> dict:
+    if not p or not q:
+        return {}
+    if len(p) == 1 and 0 in p:
+        c = p[0]
+        return q if c == 1 else _nonzero({m: c * x for m, x in q.items()})
+    if len(q) == 1 and 0 in q:
+        return _pmul(ring, q, p)
+    if (reduce(or_, p) | reduce(or_, q)) & ring.high:
+        raise ExprError(f"a bracket exponent reaches 2^{_BITS - 2}")
+    if len(p) * len(q) > MAX_TERMS:
+        raise ExprError(f"a bracket product pairs more than {MAX_TERMS} terms")
+    out: dict = {}
+    get = out.get
+    for mq, cq in q.items():
+        for mp, cp in p.items():
+            m = mp + mq
+            out[m] = get(m, 0) + cp * cq
+    if ring.cmask:
+        _reduce_cos(ring, out)
+    return _nonzero(out)
+
+
+def _reduce_cos(ring: Ring, p: dict) -> None:
+    """Rewrite, in place, every c^k with k >= 2 as c^(k mod 2) (1 - s^2)^(k div 2)."""
+    for m in [m for m in p if m & ring.cmask]:
+        terms = {m: p.pop(m)}
+        for s_shift, c_shift in ring.pairs:
+            out: dict = {}
+            for mono, coeff in terms.items():
+                half = ((mono >> c_shift) & _SLOT) >> 1
+                if not half:
+                    out[mono] = out.get(mono, 0) + coeff
+                    continue
+                base = mono - ((2 * half) << c_shift)
+                binom = 1
+                for j in range(half + 1):  # sum_j C(half, j) (-s^2)^j
+                    key = base + ((2 * j) << s_shift)
+                    out[key] = out.get(key, 0) + (coeff * binom if j % 2 == 0 else -coeff * binom)
+                    binom = binom * (half - j) // (j + 1)
+            terms = out
+        _padd(p, terms)
+
+
+def _pdiv(ring: Ring, n: dict, p: dict) -> dict | None:
+    """n / p where p divides n exactly, else None (lex order on packed monomials)."""
+    lead = max(p)
+    lc = p[lead]
+    top = ring.top
+    r = dict(n)
+    q: dict = {}
+    while r:
+        m = max(r)
+        d = (m | top) - lead  # no slot borrows: each keeps its top bit iff it divides
+        if d & top != top:
+            return None
+        d -= top
+        c = q[d] = _quotient(r.pop(m), lc)
+        for mp, cp in p.items():
+            if mp == lead:
+                continue
+            key = d + mp
+            v = r.get(key, 0) - c * cp
+            if v:
+                r[key] = v
+            else:
+                r.pop(key, None)
+    return q
+
+
+# ---------------------------------------------------------------------------
+# Operations on normal forms
+# ---------------------------------------------------------------------------
+
+
+def scale(a: Rat, k) -> Rat:
+    return Rat(a.ring, {m: c * k for m, c in a.num.items()}, a.den) if k else Rat(a.ring, {})
+
+
+def mul(a: Rat, b: Rat) -> Rat:
+    if not a.num or not b.num:
+        return Rat(a.ring, {})
+    return Rat(a.ring, _pmul(a.ring, a.num, b.num), _den_add(a.den, b.den))
+
+
+def power(a: Rat, k: int) -> Rat:
+    """a^k, k >= 1.  A sum is not expanded: its primitive part becomes a
+    numerator factor."""
+    ring, num, den = a.ring, a.num, a.den
+    if len(num) > 1:
+        content = _monomial_gcd(num)
+        coeff, base = _primitive({m - content: c for m, c in num.items()})
+        num, den = {content: coeff}, _den_add(den, _unit(ring._factor(base), -1))
+    if not num:
+        return a
+    ((m, c),) = num.items()
+    top, rest = 0, m
+    while rest:
+        top, rest = max(top, rest & _SLOT), rest >> _BITS
+    if top * k >> (_BITS - 2):
+        raise ExprError(f"a bracket exponent reaches 2^{_BITS - 2}")
+    num = {m * k: _ipow(c, k) if isinstance(c, float) else c**k}  # a float as simplify folds it
+    if m * k & ring.cmask:
+        _reduce_cos(ring, num)
+        num = _nonzero(num)
+    return Rat(ring, num, tuple(e * k for e in den))
+
+
+def total(terms) -> Rat:
+    """The sum, over the larger exponent of each factor; terms with one
+    denominator are added before any is multiplied up."""
+    groups: dict[tuple, dict] = {}
+    ring = None
+    for t in terms:
+        ring = t.ring
+        if not t.num:
+            continue
+        acc = groups.get(t.den)
+        if acc is None:
+            groups[t.den] = dict(t.num)
+        else:
+            _padd(acc, t.num)
+    groups = {d: n for d, n in ((d, _nonzero(n)) for d, n in groups.items()) if n}
+    if not groups:
+        return Rat(ring, {})
+    if len(groups) == 1:
+        (den, num), = groups.items()
+        return Rat(ring, num, den)
+    top = _den_max(groups)
+    out: dict = {}
+    for den, num in groups.items():
+        gap = _gap(top, den)
+        _padd(out, _pmul(ring, num, ring.product(gap)) if gap else num)
+    return Rat(ring, _nonzero(out), _trim(top))
+
+
+def add(a: Rat, b: Rat, sign: int = 1) -> Rat:
+    return total([a, scale(b, sign) if sign != 1 else b])
+
+
+def cancel(a: Rat) -> Rat:
+    """a with every denominator factor that divides its numerator exactly divided
+    out (none where a float makes the division inexact)."""
+    if not a.den or any(isinstance(c, float) for p in _polys(a) for c in p.values()):
+        return a
+    ring, num, den = a.ring, a.num, list(a.den)
+    for i, e in enumerate(den):
+        while e > 0:
+            q = _pdiv(ring, num, ring.factors[i])
+            if q is None:
+                break
+            num, e = q, e - 1
+        den[i] = e
+    return Rat(ring, num, _trim(den))
+
+
+def _dpoly(ring: Ring, n: dict, j: int) -> Rat:
+    """d n / d x_j of a polynomial in the atoms."""
+    shift = j * _BITS
+    unit = 1 << shift
+    terms = [Rat(ring, {m - unit: c * k for m, c in n.items() if (k := (m >> shift) & _SLOT)})]
+    used = reduce(or_, n, 0)
+    for kernel in ring.kernels:
+        if not any((used >> (slot * _BITS)) & _SLOT for slot in kernel.slots):
+            continue
+        du = ring.kernel_partial(kernel, j)
+        if not du.num:
+            continue
+        out: dict = {}
+        if kernel.trig:
+            s_shift, c_shift = (slot * _BITS for slot in kernel.slots)
+            swap = (1 << c_shift) - (1 << s_shift)
+            for m, c in n.items():
+                k = (m >> s_shift) & _SLOT
+                if k:  # d s = c du
+                    out[m + swap] = out.get(m + swap, 0) + c * k
+                k = (m >> c_shift) & _SLOT
+                if k:  # d c = -s du
+                    out[m - swap] = out.get(m - swap, 0) - c * k
+            _reduce_cos(ring, out)
+        else:
+            e_shift = kernel.slots[0] * _BITS
+            unit = 0 if kernel.trig is False else 1 << e_shift
+            for m, c in n.items():
+                k = (m >> e_shift) & _SLOT
+                if k:  # d E = E du, d P = du
+                    out[m - unit] = c * k
+        terms.append(mul(Rat(ring, _nonzero(out)), du))
+    return total(terms)
+
+
+def diff_index(a: Rat, j: int) -> Rat:
+    """d a / d x_j, the j-th state of a's ring."""
+    ring = a.ring
+    da = _dpoly(ring, a.num, j) if a.num else a
+    if not a.den:
+        return da
+    one = Rat(ring, {0: 1}, a.den)
+    terms = [mul(da, one)]
+    for i, e in enumerate(a.den):
+        if not e:
+            continue
+        dp = ring.factor_partial(i, j)
+        if dp.num:
+            raised = _trim([*[0] * i, 1])
+            terms.append(scale(mul(mul(a, dp), Rat(ring, {0: 1}, raised)), -e))
+    return total(terms)
+
+
+def diff(a: Rat, var: str) -> Rat:
+    """d a / d var, var a state name of a's ring."""
+    return diff_index(a, a.ring.index[var])
+
+
+def lie_component(a, b, ja, jb, i: int) -> Rat:
+    """Component i of [a, b] = (Db) a - (Da) b, from the components and Jacobians."""
+    terms = []
+    for j, (aj, bj) in enumerate(zip(a, b)):
+        terms.append(mul(jb[i][j], aj))
+        terms.append(scale(mul(ja[i][j], bj), -1))
+    return total(terms)
+
+
+# ---------------------------------------------------------------------------
+# Normal forms to trees
+# ---------------------------------------------------------------------------
+
+
+def _number(c) -> Constant:
+    return Constant(Fraction(c) if isinstance(c, int) else c)
+
+
+def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
+    """The polynomial times the powers `extra` (base tree -> exponent), as
+    simplify collects it: cores sorted by their sort key, each with its
+    coefficient in front, the constant term last.  An atom P joins the power
+    of the sum it stands for."""
+    cores = []
+    constant = 0
+    for m, c in p.items():
+        powers, slot = dict(extra), 0
+        while m:
+            k = m & _SLOT
+            if k:
+                base = ring.atoms[slot]
+                powers[base] = powers.get(base, 0) + k
+            m >>= _BITS
+            slot += 1
+        if not powers:
+            constant = c
+            continue
+        factors = [ring.power(base, k) for base, k in powers.items()]
+        if len(factors) == 1:
+            core = factors[0]
+        else:
+            factors.sort(key=_sort_key)
+            core = _canon(Product(tuple(factors)))
+        cores.append((_sort_key(core), core, c))
+    cores.sort(key=lambda t: t[0])
+    terms = []
+    for _, core, c in cores:
+        if c == 1:
+            terms.append(core)
+        else:
+            rest = core.children if isinstance(core, Product) else (core,)
+            terms.append(_canon(Product((_number(c), *rest))))
+    if constant:
+        terms.append(_number(constant))
+    if not terms:
+        return _number(0)
+    return terms[0] if len(terms) == 1 else _canon(Sum(tuple(terms)))
+
+
+def render(a: Rat) -> Expr:
+    """The tree of N prod p_i^-e_i: N times its numerator factor powers,
+    collected, over the sorted denominator factor powers."""
+    ring = a.ring
+    num = _render_poly(ring, a.num, {ring.factor_tree(i): -e for i, e in enumerate(a.den) if e < 0})
+    factors = [ring.power(ring.factor_tree(i), e) for i, e in enumerate(a.den) if e > 0]
+    factors.sort(key=_sort_key)
+    if not factors:
+        return num
+    den = factors[0] if len(factors) == 1 else _canon(Product(tuple(factors)))
+    return _canon(Quotient(num, den))
+
+
+# ---------------------------------------------------------------------------
+# The zero decision
+# ---------------------------------------------------------------------------
+
+
+def decides(a: Rat) -> bool:
+    """True when N = 0 decides whether `a` is zero (see the module docstring)."""
+    if not a.num:
+        return True
+    ring = a.ring
+    polys = [a.num, *(ring.factors[i] for i, e in enumerate(a.den) if e < 0)]
+    if any(isinstance(c, float) for p in polys for c in p.values()):
+        return False
+    used = reduce(or_, (m for p in polys for m in p))
+    kernels = {
+        id(k): k
+        for slot, k in ring.kernel_of_slot.items()
+        if (used >> (slot * _BITS)) & _SLOT
+    }
+    for k in kernels.values():
+        if k.trig is None:
+            return False  # an atom that stands for a polynomial
+        polys = _polys(k.arg)
+        if any(isinstance(c, float) for p in polys for c in p.values()):
+            return False
+        if reduce(or_, (m for p in polys for m in p), 0) >> (len(ring.names) * _BITS):
+            return False  # a nested kernel
+    for trig in (True, False):
+        group = tuple(sorted(i for i, k in kernels.items() if k.trig is trig))
+        if group and not _independent(ring, group, [kernels[i] for i in group]):
+            return False
+    return True
+
+
+def _polys(a: Rat) -> list[dict]:
+    """N and the factors of a's numerator and denominator."""
+    return [a.num, *(a.ring.factors[i] for i, e in enumerate(a.den) if e)]
+
+
+def _independent(ring: Ring, key: tuple, kernels) -> bool:
+    """Whether the kernels' arguments and 1 are linearly independent over Q
+    (each multiplied by one common polynomial, so that all are polynomials)."""
+    out = ring._independent.get(key)
+    if out is None:
+        top = tuple(max(e, 0) for e in _den_max([k.arg.den for k in kernels]))
+        vectors = [
+            _pmul(ring, k.arg.num, ring.product(_gap(top, k.arg.den), False)) for k in kernels
+        ]
+        vectors.append(ring.product(_trim(top), False))
+        out = ring._independent[key] = _rank(vectors) == len(vectors)
+    return out
+
+
+def _rank(vectors) -> int:
+    """Rank over Q of sparse vectors (dicts), by elimination in Fractions."""
+    basis: list[tuple[int, dict]] = []
+    for v in vectors:
+        v = {m: Fraction(c) for m, c in v.items()}
+        for pivot, b in basis:
+            c = v.get(pivot)
+            if c:
+                for m, x in b.items():
+                    y = v.get(m, 0) - c * x
+                    if y:
+                        v[m] = y
+                    else:
+                        v.pop(m, None)
+        if v:
+            pivot = max(v)
+            lead = v[pivot]
+            basis.append((pivot, {m: c / lead for m, c in v.items()}))
+    return len(basis)
+
+
+def is_zero(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
+    """The verdict on one component: N = 0, or the sampled test of its tree."""
+    if not a.num:
+        return ZeroVerdict(True, SYMBOLIC)
+    if not decides(a):
+        return sampled_is_zero(render(a), policy)
+    return _witnessed(a, policy)
+
+
+# ---------------------------------------------------------------------------
+# The witness of a nonzero verdict
+# ---------------------------------------------------------------------------
+
+
+def _slots(a: Rat) -> list[int]:
+    """The atom slots that a's tree holds, kernel arguments included, in order."""
+    ring, seen, todo = a.ring, set(), [a]
+    while todo:
+        m, slot = reduce(or_, (m for p in _polys(todo.pop()) for m in p), 0), 0
+        while m:
+            if m & _SLOT and slot not in seen:
+                seen.add(slot)
+                if slot in ring.kernel_of_slot:
+                    todo.append(ring.kernel_of_slot[slot].arg)
+            m >>= _BITS
+            slot += 1
+    return sorted(seen)
+
+
+def _atom_values(ring: Ring, slots: list[int], point, exact: bool) -> dict:
+    """The value of each slot's atom at the point (a kernel argument holds only
+    lower slots): exact for states where `exact`, else floats."""
+    vals = {}
+    for slot in slots:
+        if slot < len(ring.names):
+            x = point[ring.names[slot]]
+            vals[slot] = x if exact else float(x)
+            continue
+        kernel = ring.kernel_of_slot[slot]
+        u = _value(kernel.arg, vals)
+        if kernel.trig is None:
+            vals[slot] = u
+        elif not kernel.trig:
+            vals[slot] = math.exp(u)
+        else:
+            vals[slot] = math.sin(u) if slot == kernel.slots[0] else math.cos(u)
+    return vals
+
+
+def _peval(p: dict, vals: dict) -> tuple:
+    """(p, sum of |term|) at the atom values."""
+    value = size = 0
+    for m, c in p.items():
+        slot = 0
+        while m:
+            k = m & _SLOT
+            if k:
+                c = c * vals[slot] ** k
+            m >>= _BITS
+            slot += 1
+        value += c
+        size += abs(c)
+    return value, size
+
+
+def _value(a: Rat, vals: dict):
+    out = _peval(a.num, vals)[0]
+    for i, e in enumerate(a.den):
+        if e:
+            out = out / _peval(a.ring.factors[i], vals)[0] ** e
+    return out
+
+
+def _witnessed(a: Rat, policy: ZeroTestPolicy) -> ZeroVerdict:
+    """The symbolic nonzero verdict on `a`, with the witness that the sampled
+    test of its tree draws: the first seeded point where `a` does not vanish,
+    N measured against the sum of its terms' sizes as a float-sampled tree
+    is, else the last point that evaluates.  A point where a denominator
+    vanishes or a value overflows is redrawn."""
+    ring = a.ring
+    slots = _slots(a)
+    names = sorted(ring.names[s] for s in slots if s < len(ring.names))
+    kernels = [ring.kernel_of_slot[s] for s in slots if s in ring.kernel_of_slot]
+    exact = all(k.trig is None for k in kernels)  # no sin, cos or exp
+    numerator = [ring.factors[i] for i, e in enumerate(a.den) if e < 0]
+    denominator = [ring.factors[i] for i, e in enumerate(a.den) if e > 0]
+
+    def sample(point):
+        try:
+            vals = _atom_values(ring, slots, point, exact)
+            if any(_peval(p, vals)[0] == 0 for p in denominator):
+                return None
+            n, size = _peval(a.num, vals)
+            if not exact and not math.isfinite(size):
+                return None
+            if not (n != 0 if exact else abs(n) > policy.tolerance * size):
+                return False
+            return all(_peval(p, vals)[0] != 0 for p in numerator)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return None
+
+    witness, last = _search(names, sample, policy)
+    if last is None:
+        raise IndeterminateZeroTest(f"no sample point of '{to_text(render(a))}' could be evaluated")
+    point = {name: float(v) for name, v in (last if witness is None else witness).items()}
+    try:
+        value = float(_value(a, _atom_values(ring, slots, point, False)))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        value = math.nan
+    return ZeroVerdict(False, SYMBOLIC, witness=point, value=value)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .expr import EvalError, Negate, Sum, ZeroTestPolicy, compile_components, simplify
+from .expr import EvalError, ZeroTestPolicy, compile_components
 from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
 
@@ -167,7 +167,8 @@ def verify_bracket_identities(
     """Single-input bracket identities under [g, ad_f^i g] = 0 for i < k*.
 
     k* is the first level with [g, ad_f^(k*) g] not identically zero (capped
-    at depth_cap).  Checked, all via vector-field zero tests on differences:
+    at depth_cap).  Checked, all via zero tests on sums and differences of
+    fields, formed in normal form:
 
       swap:   [ad_f^j g, ad_f^l g] + [ad_f^(j-1) g, ad_f^(l+1) g] = 0
               for 1 <= j <= k*, 0 <= l <= k* - (j+1);
@@ -190,21 +191,10 @@ def verify_bracket_identities(
             capped = False
             break
 
-    def bracket_sum(j: int, l: int) -> VectorField:
-        left = lie_bracket(ad(0, j), ad(0, l))
-        right = lie_bracket(ad(0, j - 1), ad(0, l + 1))
-        return VectorField(
-            left.state_names,
-            tuple(
-                _difference(a, b, negate=False)
-                for a, b in zip(left.components, right.components)
-            ),
-        )
-
     checks: list[IdentityCheck] = []
     for j in range(1, k_star + 1):
         for l in range(0, k_star - j):
-            field = bracket_sum(j, l)
+            field = lie_bracket(ad(0, j), ad(0, l)) + lie_bracket(ad(0, j - 1), ad(0, l + 1))
             verdict = vf_is_zero(field, policy.derive("swap", j, l))
             checks.append(
                 IdentityCheck(
@@ -217,14 +207,7 @@ def verify_bracket_identities(
     top = lie_bracket(g, ad(0, k_star))
     for j in range(0, k_star + 1):
         other = lie_bracket(ad(0, j), ad(0, k_star - j))
-        sign_flip = j % 2 == 1
-        field = VectorField(
-            top.state_names,
-            tuple(
-                _difference(a, b, negate=not sign_flip)
-                for a, b in zip(top.components, other.components)
-            ),
-        )
+        field = top + other if j % 2 == 1 else top - other
         verdict = vf_is_zero(field, policy.derive("slide", j))
         checks.append(
             IdentityCheck(
@@ -245,11 +228,6 @@ def verify_bracket_identities(
         )
 
     return IdentityReport(k_star, capped, tuple(checks))
-
-
-def _difference(a, b, negate: bool):
-    rhs = Negate(b) if negate else b
-    return simplify(Sum((a, rhs)))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,23 @@ def test_order_half_integer_with_a_tiny_coefficient(capsys, tmp_path):
     assert "k = 1, q = 1/2" in out
 
 
+def test_a_large_power_of_a_sum_is_answered_in_bounded_time(capsys, tmp_path):
+    document = {
+        "states": ["x1", "x2", "x3", "x4"],
+        "inputs": 1,
+        "f": ["x2 + (x1 + x2 + x3 + x4)^1000", "x1", "x2", "x3"],
+        "g": [["0", "1", "0", "0"]],
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(document))
+    for argv in (["order"], ["brackets", "--depth", "4"], ["verify", "identities"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert time.perf_counter() - start < 10, argv
+        assert code == 0, (argv, err)
+    assert "k = 2" in run(capsys, "order", str(path))[1]
+
+
 def test_order_truncated_exit_code(capsys):
     code, out, _ = run(capsys, "order", COMMUTING, "--k-max", "6")
     assert code == 3
@@ -147,6 +164,34 @@ def test_brackets_deterministic_across_runs(capsys):
     for line in shallow.splitlines():
         if line.startswith(("g", "ad_f", "[g")):
             assert line in first
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_brackets_renders_each_component_once(capsys, monkeypatch, as_json):
+    import ctrlorder.cli
+    import ctrlorder.fields
+
+    rendered = []
+    real = ctrlorder.cli.to_text
+
+    def counted(e):
+        rendered.append(e)
+        return real(e)
+
+    monkeypatch.setattr(ctrlorder.cli, "to_text", counted)
+    monkeypatch.setattr(ctrlorder.fields, "to_text", counted)  # VectorField.__str__
+    pendulum = str(SYSTEMS_DIR / "stress" / "rational_pendulum.json")
+    code, out, _ = run(capsys, "brackets", pendulum, "--depth", "3", *(["--json"] if as_json else []))
+    assert code == 0
+    # g, ad_f^1..3 g and [g, ad_f^0..2 g]: seven rows of two components
+    assert len(rendered) == 7 * 2
+    texts = [real(e) for e in rendered]
+    if as_json:
+        assert [t for row in strict_json(out)["rows"] for t in row["components"]] == texts
+    else:
+        assert [line.split(" = ", 1)[1] for line in out.splitlines()] == [
+            f"({texts[i]}, {texts[i + 1]})" for i in range(0, len(texts), 2)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Expression core: parsing, printing, differentiation, simplification, zero tests."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -42,7 +43,6 @@ from ctrlorder.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
     SYMBOLIC,
-    _RAW,
     ExprError,
     ExprSyntaxError,
     _derivative,
@@ -54,7 +54,7 @@ from ctrlorder.expr import (
     render_components,
 )
 
-from helpers import random_binding, random_expr
+from helpers import SYSTEMS_DIR, random_binding, random_expr
 
 VARS = ("v1", "v2", "theta", "x1", "x2", "t")
 
@@ -412,13 +412,32 @@ def test_each_node_builds_its_hash_and_sort_key_at_most_once(monkeypatch):
             return rule(e)
 
         monkeypatch.setattr(expr, f"_node_{name}", counted)
+    # nested tree derivatives: every node is built by the simplifier's constructors
     names = ("th", "w")
-    f = VectorField.from_strings(names, ("w", "-sin(th)/(1 + w^2)"))
-    g = VectorField.from_strings(names, ("0", "1/(1 + th^2)"))
-    BracketTable(f, (g,)).ad(0, 4)
+    e = parse("-sin(th)*w/((1 + w^2)*(1 + th^2))", names)
+    for var in ("th", "w", "th", "w"):
+        e = diff(e, var)
     for nodes in built.values():
         assert len(nodes) > 1000
         assert len({id(n) for n in nodes}) == len(nodes)
+
+
+def test_nodes_visits_each_distinct_node_once():
+    doc = json.loads((SYSTEMS_DIR / "stress" / "rational_pendulum.json").read_text())
+    f = VectorField.from_strings(doc["states"], doc["f"])
+    g = VectorField.from_strings(doc["states"], doc["g"][0])
+    field = BracketTable(f, (g,)).ad(0, 4)
+    for tree in field.components:
+        distinct, occurrences = set(), 0
+        stack = [tree]
+        while stack:  # every occurrence of every node
+            node = stack.pop()
+            distinct.add(id(node))
+            occurrences += 1
+            stack.extend(expr._children(node))
+        steps = sum(1 for _ in _nodes(tree))
+        assert steps == len(distinct) < occurrences  # the tree shares subtrees
+        assert variables(tree) == {"th", "w"}
 
 
 def test_equal_nodes_hash_alike_and_classes_hash_apart():
@@ -438,7 +457,7 @@ def test_diff_of_a_canonical_tree_is_the_simplified_raw_derivative():
         copy = _unmarked(s)
         for v in VARS[:3]:
             d = diff(s, v)
-            assert d == simplify(_derivative(copy, v, _RAW)), (to_text(s), v)
+            assert d == simplify(_derivative(copy, v)), (to_text(s), v)
             assert d._canonical and simplify(_unmarked(d)) == d
 
 

@@ -27,7 +27,7 @@ from ctrlorder import (
     verify_bracket_identities,
     vf_is_zero,
 )
-from ctrlorder.expr import EXACT_SAMPLED, FLOAT_SAMPLED, SYMBOLIC
+from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC
 
 from helpers import (
     SYSTEMS_DIR,
@@ -275,6 +275,41 @@ def test_ad_pow_concurrent_access_is_consistent():
     assert all(r == reference for r in results)
 
 
+def test_one_ring_shared_by_threads_registers_each_kernel_and_factor_once():
+    import os
+    import sys
+    import threading
+
+    from ctrlorder.normal import Ring, render
+
+    names = ("th", "w")
+    texts = ("-sin(th)/(1 + w^2)", "cos(th)*exp(w*th)/(2 + 2*w^2)", "exp(th*w)/(1 + th^2)")
+    trees = [parse(t, names) for t in texts]
+    ring = Ring(names)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(tuple(render(ring.convert(t)) for t in trees))
+        except Exception as exc:  # noqa: BLE001 - surfaced via the errors list
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(64, (os.cpu_count() or 2) + 4))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads) and len(set(results)) == 1
+    assert len(ring.kernels) == 2  # sin/cos(th) and exp(th*w)
+    assert len(ring.factors) == 2  # w^2 + 1 (also from 2 + 2*w^2) and th^2 + 1
+
+
 def _counted_diffs(monkeypatch) -> list:
     calls = []
     real = fields.diff
@@ -343,16 +378,35 @@ def test_vf_is_zero_reports_component():
 
 def test_vf_is_zero_kind_is_the_weakest_of_its_components():
     names = ("t", "x1")
-    zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # sampled: simplify keeps the common factor
+    zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # simplify keeps the common factor; N = 0 does not
     assert vf_is_zero(vf(names, "0", "x1 - x1")) == VfZeroVerdict(True, SYMBOLIC)
-    assert vf_is_zero(vf(names, "0", zero)) == VfZeroVerdict(True, EXACT_SAMPLED)
+    assert vf_is_zero(vf(names, "0", zero)) == VfZeroVerdict(True, SYMBOLIC)
     trig = "sin(t)^2 + cos(t)^2 - 1"
-    assert vf_is_zero(vf(names, trig, zero)) == VfZeroVerdict(True, FLOAT_SAMPLED)
+    assert vf_is_zero(vf(names, trig, zero)) == VfZeroVerdict(True, SYMBOLIC)
+    # sin(2t) beside sin(t): dependent arguments, so this zero is sampled in floats
+    dependent = "sin(2*t) - 2*sin(t)*cos(t)"
+    assert vf_is_zero(vf(names, trig, dependent)) == VfZeroVerdict(True, FLOAT_SAMPLED)
     # a nonzero verdict carries the kind of the witnessing component
     verdict = vf_is_zero(vf(names, trig, "x1/10000000000000"))
-    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, EXACT_SAMPLED)
+    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
     verdict = vf_is_zero(vf(names, zero, "exp(x1)"))
+    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
+    verdict = vf_is_zero(vf(names, zero, "0.5*exp(x1)"))
     assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, FLOAT_SAMPLED)
+
+
+def test_analysed_fields_pickle_and_copy_as_trees():
+    import copy
+    import pickle
+
+    system = fuller()
+    table = BracketTable(system.drift, system.inputs)
+    bracket = table.b(0, 0, 4)
+    for field in (system.drift, bracket):
+        for clone in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+            assert clone == field and clone._normal is None
+    assert problem_order(copy.deepcopy(system)).k == 4
+    assert not vf_is_zero(pickle.loads(pickle.dumps(bracket))).is_zero
 
 
 def test_vector_field_validates_unknown_names():
@@ -395,3 +449,265 @@ def test_iterated_brackets_agree_with_sympy(name):
                     assert abs(a - b) <= 1e-12 * abs(b), (name, i, k, pt)
                     checked += 1
     assert checked == len(doc["g"]) * 4 * len(points) * len(names)
+
+
+# ---------------------------------------------------------------------------
+# the normal form against oracles: sympy values, 50-digit mpmath zeros, Jacobi
+# ---------------------------------------------------------------------------
+
+NAMES2 = ("x1", "x2")
+# kernel arguments that are Q-linearly independent together with 1: every
+# verdict on fields built from them is symbolic
+TRIG_ARGS = ("x1", "x2", "x1*x2", "x1 + x2^2", "x1/(1 + x2^2)")
+EXP_ARGS = ("x2", "x1*x2 - x1")
+DENOMINATORS = ("1 + x1^2", "2 + x2^2", "1 + x1^2*x2^2")
+
+
+def random_component(rng: random.Random, kind: str) -> str:
+    """A seeded random component: 'poly', 'rational' or 'trig' (trig, exp and
+    rational terms, compound arguments included)."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice(("1", "-1", "2", "-3", "1/2", "-2/3"))]
+        factors += [rng.choice(("x1", "x2", "x1^2", "x2^3", "x1*x2")) for _ in range(rng.randint(0, 2))]
+        if kind == "trig":
+            function = rng.choice(("sin", "cos", "exp"))
+            arg = rng.choice(EXP_ARGS if function == "exp" else TRIG_ARGS)
+            factors.append(f"{function}({arg})" + rng.choice(("", "^2")))
+        term = "*".join(f"({f})" for f in factors)
+        if kind != "poly" and rng.random() < 0.5:
+            term = f"{term}/({rng.choice(DENOMINATORS)})"
+        terms.append(term)
+    return " + ".join(terms)
+
+
+def random_texts(rng: random.Random, kind: str) -> tuple[str, ...]:
+    return tuple(random_component(rng, kind) if rng.random() < 0.85 else "0" for _ in NAMES2)
+
+
+class SympyOracle:
+    def __init__(self, sympy):
+        self.sympy = sympy
+        self.symbols = [sympy.Symbol(n) for n in NAMES2]
+        self.x = sympy.Matrix(self.symbols)
+
+    def field(self, texts):
+        locals_ = dict(zip(NAMES2, self.symbols))
+        return self.sympy.Matrix([self.sympy.sympify(t, locals=locals_) for t in texts])
+
+    def bracket(self, a, b):  # [a, b] = (Db) a - (Da) b
+        return b.jacobian(self.x) * a - a.jacobian(self.x) * b
+
+
+@pytest.mark.parametrize("kind", ["poly", "rational", "trig"])
+def test_normal_form_brackets_agree_with_sympy_on_random_fields(kind):
+    sympy = pytest.importorskip("sympy")
+    oracle = SympyOracle(sympy)
+    rng = random.Random(f"normal-{kind}")
+    checked = 0
+    for n in range(12):
+        ta, tb = random_texts(rng, kind), random_texts(rng, kind)
+        a, b = vf(NAMES2, *ta), vf(NAMES2, *tb)
+        sa, sb = oracle.field(ta), oracle.field(tb)
+        ab, sab = lie_bracket(a, b), oracle.bracket(sa, sb)
+        pairs = [(ab, sab)]
+        if n < 4:  # sympy is slow on the nested bracket
+            pairs.append((lie_bracket(a, ab), oracle.bracket(sa, sab)))
+        for ours, theirs in pairs:
+            fn = sympy.lambdify(oracle.symbols, list(theirs), "math")
+            for _ in range(4):
+                pt = {n: rng.uniform(-1.5, 1.5) for n in NAMES2}
+                want = fn(*(pt[n] for n in NAMES2))
+                got = eval_field(ours, pt)
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 1e-9 * (1 + abs(y)), (ta, tb, pt)
+                    checked += 1
+    assert checked == 16 * 4 * 2
+
+
+def _trig_cases(rng: random.Random):
+    """(field, its sympy texts) pairs of bracket-built fields, zero and not."""
+    for _ in range(6):
+        ta, tb = random_texts(rng, "trig"), random_texts(rng, "trig")
+        # fields along x1 that depend on x2 only commute
+        sa = (random_component(rng, "trig").replace("x1", "x2"), "0")
+        sb = (random_component(rng, "trig").replace("x1", "x2"), "0")
+        yield ta, tb
+        yield sa, sb
+        yield (f"({ta[0]})*(sin(x1*x2)^2 + cos(x1*x2)^2 - 1)", ta[1]), tb
+
+
+def test_trig_zero_verdicts_hold_at_50_digits():
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    oracle = SympyOracle(sympy)
+    rng = random.Random(5050)
+    verdicts = {True: 0, False: 0}
+    for ta, tb in _trig_cases(rng):
+        a, b = vf(NAMES2, *ta), vf(NAMES2, *tb)
+        sa, sb = oracle.field(ta), oracle.field(tb)
+        fields_ = [
+            (lie_bracket(a, b), oracle.bracket(sa, sb)),
+            (lie_bracket(a, b) + lie_bracket(b, a), oracle.bracket(sa, sb) + oracle.bracket(sb, sa)),
+        ]
+        for ours, theirs in fields_:
+            verdict = vf_is_zero(ours)
+            assert verdict.kind == SYMBOLIC
+            fn = sympy.lambdify(oracle.symbols, list(theirs), "mpmath")
+            with mpmath.workdps(50):
+                if verdict.is_zero:
+                    for _ in range(3):
+                        pt = [mpmath.mpf(rng.randint(-10**6, 10**6)) / 10**6 for _ in NAMES2]
+                        assert all(abs(v) < mpmath.mpf(10) ** -35 for v in fn(*pt)), (ta, tb)
+                else:
+                    pt = [mpmath.mpf(verdict.witness[n]) for n in NAMES2]
+                    value = fn(*pt)[verdict.component]
+                    assert abs(value) > mpmath.mpf(10) ** -20, (ta, tb)
+            verdicts[verdict.is_zero] += 1
+    assert verdicts[True] >= 12 and verdicts[False] >= 6
+
+
+@pytest.mark.parametrize("kind", ["poly", "rational", "trig"])
+def test_jacobi_identity_is_a_symbolic_zero(kind):
+    rng = random.Random(f"jacobi-{kind}")
+    for _ in range(4):
+        a, b, c = (vf(NAMES2, *random_texts(rng, kind)) for _ in range(3))
+        total = (
+            lie_bracket(a, lie_bracket(b, c))
+            + lie_bracket(b, lie_bracket(c, a))
+            + lie_bracket(c, lie_bracket(a, b))
+        )
+        assert vf_is_zero(total) == VfZeroVerdict(True, SYMBOLIC)
+
+
+@pytest.mark.parametrize(
+    "text, zero",
+    [
+        ("0.5*x1*sin(x2)", False),  # a float constant
+        ("0.1*x1 + 0.2*x1 - 0.3*x1", False),  # a float constant that leaves rounding
+        ("x1*(0.5*x1 + x2)^3", False),  # a float in a numerator factor
+        ("sin(x1 + 1)*sin(x1)", False),  # arguments that differ by a constant: dependent
+        ("sin(x1 + 1) - sin(x1)*cos(1) - cos(x1)*sin(1)", True),
+        ("sin(2*x1) - 2*sin(x1)*cos(x1)", True),  # sin x beside sin 2x: dependent
+        ("exp(x1)*exp(x2) - exp(x1 + x2)", True),  # dependent exp arguments
+        ("sin(sin(x1))", False),  # a nested kernel
+        ("exp(sin(x1))^2 - exp(2*sin(x1))", True),
+    ],
+)
+def test_each_fallback_case_is_sampled(text, zero):
+    from ctrlorder import normal
+
+    field = vf(NAMES2, "0", text)
+    _, comps, _ = field._normal_in()
+    assert not normal.decides(comps[1])
+    verdict = vf_is_zero(field)
+    assert verdict.is_zero == zero
+    assert verdict.kind == FLOAT_SAMPLED
+    # the same component without the offending feature is decided by N
+    assert vf_is_zero(vf(NAMES2, "0", "x1*sin(x2) - exp(x1*x2)")).kind == SYMBOLIC
+
+
+def test_a_symbolic_witness_is_the_point_the_sampled_test_draws():
+    from ctrlorder import normal
+    from ctrlorder.expr import _DENOM_BITS, is_zero
+
+    policy = ZeroTestPolicy()
+    draw = random.Random(policy.seed).randint(-(1 << _DENOM_BITS), 1 << _DENOM_BITS)
+    a = f"{draw}/{1 << _DENOM_BITS}"  # x1 at the first seeded point
+    texts = (
+        f"x1 - {a}",  # N vanishes there: not a witness
+        f"(x1 - {a})^3",  # a numerator factor that vanishes there: not a witness
+        f"x2/(x1 - {a})",  # a denominator that vanishes there: redrawn
+        "x1*x2 - 1",
+        "sin(x1)*exp(x2/(1 + x1^2)) + x2",
+    )
+    for text in texts:
+        _, comps, _ = vf(NAMES2, "0", text)._normal_in()
+        verdict = normal.is_zero(comps[1], policy)
+        sampled = is_zero(normal.render(comps[1]), policy)
+        assert not verdict.is_zero and verdict.kind == SYMBOLIC, text
+        assert verdict.witness == sampled.witness, text
+        assert verdict.value == pytest.approx(sampled.value, rel=1e-12), text
+
+
+def test_a_constant_part_alone_is_decided_by_n():
+    # Ax's condition is independence modulo constants: x1 + 1 and x2 with 1 are
+    # independent, so sin(x1 + 1) and exp(x2 + 1/2) are atoms like sin(x1)
+    verdict = vf_is_zero(vf(NAMES2, "0", "sin(x1 + 1)*exp(x2 + 1/2) - x1"))
+    assert not verdict.is_zero and verdict.kind == SYMBOLIC
+    field = vf(NAMES2, "0", "sin(x1 + 1)^2 + cos(1 + x1)^2 - 1")
+    assert vf_is_zero(field) == VfZeroVerdict(True, SYMBOLIC)
+
+
+POWER_STATES = ("x1", "x2", "x3", "x4")
+
+
+@pytest.mark.parametrize(
+    "first, atom",  # whether f itself needs the atom that stands for the sum
+    [("(x1 + x2 + x3 + x4)^1000", False), ("x2 + (x1 + x2 + x3 + x4)^1000", True)],
+)
+def test_a_large_power_of_a_sum_is_not_expanded(first, atom):
+    import time
+
+    from ctrlorder import normal
+    from ctrlorder.expr import EXACT_SAMPLED, diff, evaluate
+
+    f = VectorField.from_strings(POWER_STATES, (first, "x1", "x2", "x3"))
+    g = VectorField.from_strings(POWER_STATES, ("0", "1", "0", "0"))
+    start = time.perf_counter()
+    table = BracketTable(f, (g,))
+    ads = [table.ad(0, k) for k in range(5)]
+    verdicts = [vf_is_zero(table.b(0, 0, k)) for k in range(1, 5)]
+    texts = [str(field) for field in ads]
+    assert time.perf_counter() - start < 10
+    # each power prints whole: no expansion into its ~1.7e8 monomials
+    assert max(map(len, texts)) < 20_000 and "(x1 + x2 + x3 + x4)^3996" in texts[4]
+    ring = f._normal[0]
+    assert all(len(p) <= normal._EXPAND for p in ring.factors)
+    # b_k = [g, ad_f^(k-1) g] = d ad_f^(k-1) g / d x2, since g = e2
+    point = {"x1": 0.25, "x2": 0.375, "x3": 0.25, "x4": 0.127}  # the sum is 1.002
+    for k in range(1, 5):
+        want = [evaluate(diff(c, "x2"), point) for c in ads[k - 1].components]
+        got = eval_field(table.b(0, 0, k), point)
+        assert np.allclose(got, want, rtol=1e-9, atol=0), k
+    assert verdicts[0] == VfZeroVerdict(True, SYMBOLIC)
+    # where a sum has to stand as an atom, a nonzero verdict is sampled
+    assert verdicts[1].kind == (EXACT_SAMPLED if atom else SYMBOLIC)
+    assert {v.kind for v in verdicts[2:]} == {EXACT_SAMPLED}
+    assert not any(v.is_zero for v in verdicts[1:])
+
+
+def test_n_zero_decides_whatever_the_atoms():
+    # cos(x1)^2 reduces to 1 - sin(x1)^2 inside a kernel argument too, so both
+    # sines have one argument and N = 0, although the arguments nest kernels
+    field = vf(NAMES2, "sin(cos(x1)^2) - sin(1 - sin(x1)^2)", "0.5*x2 - x2/2")
+    assert vf_is_zero(field) == VfZeroVerdict(True, SYMBOLIC)
+
+
+SHIPPED_ORDERS = {  # system file: k, raw and (where it has a cost) cost-extended
+    "systems/commuting.json": (None,),
+    "systems/counterexample.json": (3, 3),
+    "systems/double_integrator.json": (None, 4),
+    "systems/fuller.json": (4,),
+    "systems/half_integer.json": (1,),
+    "systems/stress/rational_pendulum.json": (2,),
+    "ctrlbench/systems/chain.json": (6,),
+    "ctrlbench/systems/rational_chain.json": (None,),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_ORDERS))
+def test_every_shipped_b_field_verdict_is_symbolic(path):
+    from ctrlorder import extend_with_cost, without_cost
+
+    doc = json.loads((SYSTEMS_DIR.parent / path).read_text())
+    systems = [without_cost(load(doc))] + ([extend_with_cost(load(doc))] if doc.get("cost") else [])
+    for system, k in zip(systems, SHIPPED_ORDERS[path], strict=True):
+        assert problem_order(system).k == k
+        table = BracketTable(system.drift, system.inputs)
+        for level in range(1, (k or 10) + 1):
+            verdicts = [
+                vf_is_zero(table.b(i, j, level)) for i in range(system.m) for j in range(system.m)
+            ]
+            assert {v.kind for v in verdicts} == {SYMBOLIC}
+            assert all(v.is_zero for v in verdicts) == (level != k)

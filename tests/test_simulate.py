@@ -125,6 +125,15 @@ def test_double_integrator_parabola():
     assert abs(traj.x[-1, 1] - 1.0) < 1e-8
 
 
+def test_simulating_builds_no_normal_form():
+    # the integrator compiles the input fields' tree Jacobians; only brackets
+    # use the normal form
+    system = counterexample_raw()
+    cfg = SimConfig(initial_state=GENERIC_X0, initial_adjoint=GENERIC_P0, horizon=0.01)
+    assert integrate_extremal(system, cfg).status == "ok"
+    assert all(field._normal is None for field in (system.drift, *system.inputs))
+
+
 def test_linear_drift_adjoint_closed_form():
     cfg = SimConfig(
         initial_state=(0.5, -0.2),
