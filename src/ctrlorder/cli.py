@@ -20,6 +20,7 @@ to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -469,10 +470,16 @@ def _join_negative_vectors(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_negative_vectors(argv))
+        args = _parser().parse_args(_join_negative_vectors(argv))
         code, lines, body = args.func(args)
     except SystemExit as err:  # --help and --version
         return EXIT_OK if err.code in (0, None) else EXIT_INPUT

@@ -1281,7 +1281,10 @@ def compile_function(params: Sequence[str], lines: Sequence[str]) -> Callable:
         code = compile(src, "<compile_components>", "exec")
     except (SyntaxError, RecursionError, MemoryError):  # nesting beyond the compiler's limits
         raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
-    env = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "inf": math.inf, "nan": math.nan}
+    env = {
+        "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
+        "inf": math.inf, "nan": math.nan,
+    }
     exec(code, env)  # source is generated from our own AST only
     return env["_fn"]
 

@@ -19,6 +19,7 @@ component paired with "x0" to -lambda.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -230,77 +231,116 @@ def _linear(pairs) -> Expr:
     return _ZERO if not terms else terms[0] if len(terms) == 1 else Sum(terms)
 
 
-def _rk4_step(exprs: list[Expr], state: Sequence[str], controls: Sequence[str], h: float):
-    """One classical RK4 step of y' = exprs(y, u) as one compiled function of (y, u).
+def _coupled(sys: ControlSystem):
+    """The coupled system as scalar expressions: (rhs, sample, state, controls).
 
-    Each stage is the straight-line code of `exprs` on that stage's input.  The
-    inputs y + (h/2) k, y + h k and the update y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
-    are written out per component, zero components included, with the
-    operations of a loop over them: every float is that of four `exprs` calls.
+    rhs is x' = f + sum_k u_k g_k followed by p'_j = -sum_i p_i (df_i/dx_j +
+    sum_k u_k dg_k,i/dx_j); sample is <p, f>, phi_1..phi_m.  The adjoint and
+    control enter as variables named "p:<state>" and "u:<k>", which no state
+    name can be; `state` is the states then the adjoint, `controls` the u:<k>.
     """
-    y = [f"_y{i}" for i in range(len(state))]
-    u = {name: f"_u{k}" for k, name in enumerate(controls)}
-    lines, ks, z = [], [], y
+    n, fields = sys.n, (sys.drift, *sys.inputs)
+    p = [Variable(f"p:{name}") for name in sys.state_names]
+    u = [Variable(f"u:{k + 1}") for k in range(sys.m)]
+    weights = [None, *u]  # f, then u_k for g_k
+    comps = [vf.components for vf in fields]
+    jacs = [jacobian(vf).rows for vf in fields]
+    xdot = [_linear(zip(weights, (c[i] for c in comps))) for i in range(n)]
+    jac = [[_linear(zip(weights, (J[i][j] for J in jacs))) for j in range(n)] for i in range(n)]
+    pdot = [_linear(zip(p, (row[j] for row in jac))) for j in range(n)]
+    pdot = [e if e == _ZERO else Negate(e) for e in pdot]
+    state = (*sys.state_names, *(v.name for v in p))
+    return xdot + pdot, [_linear(zip(p, c)) for c in comps], state, tuple(v.name for v in u)
+
+
+def _rk4_lines(rhs: list[Expr], state: Sequence[str], names: dict[str, str], h: float):
+    """One classical RK4 step of y' = rhs as straight-line code: (stage 1, the rest).
+
+    `names` maps each variable of `rhs` to its local, and y is that of `state`.  Each
+    stage is the straight-line code of `rhs` on that stage's input.  The inputs
+    y + (h/2) k, y + h k and the update y += (h/6)(k1 + 2 k2 + 2 k3 + k4) are
+    written out per component, zero components included, with the operations
+    of a loop over them: every float is that of four evaluations of `rhs`.
+    """
+    y = [names[name] for name in state]
+    stages, ks, z = [], [], y
     for stage, weight in enumerate((None, 0.5 * h, 0.5 * h, h)):
+        lines = []
         if weight is not None:
             z = [f"_z{stage}_{i}" for i in range(len(y))]
             lines += [f"{zi} = {yi} + {weight!r}*{ki}" for zi, yi, ki in zip(z, y, ks[-1])]
-        body, values = render_components(exprs, {**dict(zip(state, z)), **u}, f"_s{stage}_")
+        body, values = render_components(rhs, {**names, **dict(zip(state, z))}, f"_s{stage}_")
         ks.append([f"_k{stage}_{i}" for i in range(len(y))])
-        lines += body + [f"{ki} = {value}" for ki, value in zip(ks[-1], values)]
+        stages.append(lines + body + [f"{ki} = {value}" for ki, value in zip(ks[-1], values)])
     sixth = h / 6.0
-    update = "".join(
-        f"{a} + {sixth!r}*({b1} + 2.0*{b2} + 2.0*{b3} + {b4}), "
+    update = [
+        f"{a} = {a} + {sixth!r}*({b1} + 2.0*{b2} + 2.0*{b3} + {b4})"
         for a, b1, b2, b3, b4 in zip(y, *ks)
-    )
-    return compile_function([*y, *u.values()], [*lines, f"return ({update})"])
+    ]
+    return stages[0], [*stages[1], *stages[2], *stages[3], *update]
 
 
-class _CompiledSystem:
-    """The coupled system as compiled scalar functions, plus K(t).
+def _extremal_loop(sys: ControlSystem, config: SimConfig):
+    """The whole grid as one generated function of (*x0, *p0, *u0, store, at).
 
-    rhs((x, p, u)) returns (x', p'), with x' = f + sum_k u_k g_k and
-    p'_j = -sum_i p_i (df_i/dx_j + sum_k u_k dg_k,i/dx_j); step((x, p, u))
-    returns (x, p) one RK4 step of size h later, from one call; sample((x, p))
-    returns (<p, f>, phi_1..phi_m).  The adjoint and control enter as
-    variables named "p:<state>" and "u:<k>", which no state name can be.
-    All are called with Python floats, not numpy scalars, so that a
-    division by zero raises ZeroDivisionError instead of returning inf.
+    Per sample s, in locals: t = s*h; <p, f> and the phi_i; the control (set
+    once before the loop for FixedControl, `at(t)` for PiecewiseControl, the
+    sign law with K(t) inline for BangBang); RK4 stage 1; then `store` of the
+    row (t, x, p, u, phi, H); then, but for the last sample, stages 2-4, the
+    update and the finiteness check.  So a sample is stored exactly when its
+    <p, f>, phi, control and stage 1 evaluate.  Returns (status,
+    failure_time).  All arithmetic is on Python floats, so a division by zero
+    raises ZeroDivisionError instead of returning inf.
     """
-
-    def __init__(self, sys: ControlSystem, h: float):
-        n, fields = sys.n, (sys.drift, *sys.inputs)
-        p = [Variable(f"p:{name}") for name in sys.state_names]
-        u = [Variable(f"u:{k + 1}") for k in range(sys.m)]
-        weights = [None, *u]  # f, then u_k for g_k
-        comps = [vf.components for vf in fields]
-        jacs = [jacobian(vf).rows for vf in fields]
-        xdot = [_linear(zip(weights, (c[i] for c in comps))) for i in range(n)]
-        jac = [[_linear(zip(weights, (J[i][j] for J in jacs))) for j in range(n)] for i in range(n)]
-        pdot = [_linear(zip(p, (row[j] for row in jac))) for j in range(n)]
-        pdot = [e if e == _ZERO else Negate(e) for e in pdot]
-        state = (*sys.state_names, *(v.name for v in p))
-        controls = tuple(v.name for v in u)
-        self.rhs = compile_components(xdot + pdot, (*state, *controls))
-        self.step = _rk4_step(xdot + pdot, state, controls, h)
-        self.sample = compile_components([_linear(zip(p, c)) for c in comps], state)
-        self.k_bound = (
-            None if sys.bound is None else compile_components([sys.bound], (_RESERVED_TIME_NAME,))
-        )
-
-    def bound_at(self, t: float) -> float:
-        if self.k_bound is None:
-            return 1.0
-        return float(self.k_bound((t,))[0])
+    h, policy = config.step, config.control_policy
+    steps = max(1, round(config.horizon / h))
+    rhs, sample, state, controls = _coupled(sys)
+    y = [f"_y{i}" for i in range(len(state))]
+    u = [f"_u{k}" for k in range(sys.m)]
+    phi = [f"_f{k}" for k in range(sys.m)]
+    names = {**dict(zip(state, y)), **dict(zip(controls, u))}
+    lines, (energy, *values) = render_components(sample, names, "_a")
+    body = [f"_t = _i*{h!r}", *lines, f"_e = {energy}", *map("{} = {}".format, phi, values)]
+    if isinstance(policy, PiecewiseControl):
+        body.append(f"{', '.join(u)}, = _at(_t)")
+    elif isinstance(policy, BangBang):
+        bound = _ONE if sys.bound is None else sys.bound
+        lines, (K,) = render_components([bound], {_RESERVED_TIME_NAME: "_t"}, "_b")
+        body += [*lines, f"_K = {K}", "if not _K > 0.0:"]
+        body.append("    raise ValueError('K must be strictly positive')")
+        # bang_bang_control: sign(phi) K where |phi| > deadband, else the last u
+        db = float(policy.deadband)
+        for uk, fk in zip(u, phi):
+            body += [f"if {fk} > {db!r}:", f"    {uk} = _K"]
+            body += [f"elif {fk} < {-db!r}:", f"    {uk} = -_K"]
+    first, rest = _rk4_lines(rhs, state, names, h)
+    body += first
+    # H = <p, f> + sum u_k phi_k, each term only where u_k != 0
+    for uk, fk in zip(u, phi):
+        body += [f"if {uk} != 0.0:", f"    _e += {uk}*{fk}"]
+    body += [f"_store((_t, {', '.join(y + u + phi)}, _e))", f"if _i == {steps}:", "    break"]
+    body += rest
+    # overflow to inf is tolerated in the step and ends the run here as a divergence
+    finite = " and ".join(f"_isfinite({v})" for v in y)
+    body += [f"if not ({finite}):", f"    return 'diverged', _t + {h!r}"]
+    loop = [
+        "try:",
+        f"    for _i in range({steps + 1}):",
+        *(f"        {line}" for line in body),
+        f"except ({', '.join(e.__name__ for e in _EVAL_ERRORS)}):",
+        "    return 'eval_error', _t",
+        "return 'ok', None",
+    ]
+    return compile_function([*y, *u, "_store", "_at"], loop)
 
 
 def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     """Fixed-step RK4 integration of the coupled (x, p) system.
 
-    Each sample takes one `sample` call and one `step` call, on Python
-    floats; the last sample takes one `rhs` call (RK4 stage 1) instead of
-    `step`.  A sample is stored where `sample` and stage 1 evaluate: when
-    `step` fails, `rhs` tells whether stage 1 or a later stage did.  On
+    One generated function runs the whole grid (_extremal_loop), on Python
+    floats, and appends each sample's row to an array of doubles.  A sample is
+    stored where <p, f>, phi, the control and RK4 stage 1 evaluate; a failure
+    in a later stage keeps it.  The last sample runs stage 1 only.  On
     evaluation failure or divergence the trajectory returned is the finite
     prefix, flagged through `status` and `failure_time`.
     """
@@ -319,59 +359,19 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
             if len(u) != sys.m:
                 raise ValueError(f"piecewise control rows must have dimension {sys.m}")
 
-    h = config.step
-    compiled = _CompiledSystem(sys, h)
-    sample, rhs, step = compiled.sample, compiled.rhs, compiled.step
-    steps = max(1, round(config.horizon / h))
     n, m = sys.n, sys.m
+    u0 = policy.u if isinstance(policy, FixedControl) else (0.0,) * m
+    at = policy.at if isinstance(policy, PiecewiseControl) else None
     # one row per sample: t, x, p, u, phi, H (the CSV's column order)
-    table = np.empty((steps + 1, 2 + 2 * n + 2 * m))
-
-    def control_at(t: float, phi: list, last_u: list) -> list:
-        if isinstance(policy, FixedControl):
-            return list(policy.u)
-        if isinstance(policy, PiecewiseControl):
-            return list(policy.at(t))
-        return list(bang_bang_control(phi, compiled.bound_at(t), last_u, policy.deadband))
-
-    y = [*config.initial_state, *config.initial_adjoint]
-    last_u = [0.0] * m
-    status = "ok"
-    failure_time = None
-    stored = 0
-    for s in range(steps + 1):
-        t = s * h
-        v = None
-        try:
-            energy, *phi = sample(y)
-            u = control_at(t, phi, last_u)
-            v = [*y, *u]
-            y_next = step(v) if s < steps else rhs(v)
-        except _EVAL_ERRORS:
-            status, failure_time = "eval_error", t
-            if v is None or s == steps or not _evaluates(rhs, v):
-                break  # the sample itself does not evaluate
-        for uk, phik in zip(u, phi):
-            if uk != 0.0:
-                energy += uk * phik
-        table[s] = (t, *y, *u, *phi, energy)
-        stored = s + 1
-        last_u = u
-        if s == steps or status != "ok":
-            break
-        # overflow to inf is tolerated in the step; the isfinite check below
-        # turns it into a flagged divergence abort
-        y = y_next
-        if not all(map(math.isfinite, y)):
-            status = "diverged"
-            failure_time = t + h
-            break
-
-    rows = table[:stored]
+    store = array("d")
+    run = _extremal_loop(sys, config)
+    start = (*config.initial_state, *config.initial_adjoint, *u0)
+    status, failure_time = run((*start, store.extend, at))
+    rows = np.frombuffer(store).reshape(-1, 2 + 2 * n + 2 * m)
     return Trajectory(
         state_names=sys.state_names,
         input_count=m,
-        step=h,
+        step=config.step,
         t=rows[:, 0],
         x=rows[:, 1 : 1 + n],
         p=rows[:, 1 + n : 1 + 2 * n],
@@ -381,14 +381,6 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
         status=status,
         failure_time=failure_time,
     )
-
-
-def _evaluates(fn, v) -> bool:
-    try:
-        fn(v)
-    except _EVAL_ERRORS:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -404,23 +396,14 @@ class SingularIntervals:
 def detect_singular_intervals(traj: Trajectory, config: SimConfig) -> SingularIntervals:
     """Maximal grid runs with |phi_i| < tolerance, at least min_length long."""
     min_length = config.resolved_min_length()
-    tol = config.singular_tolerance
     per_input: list[tuple[tuple[float, float], ...]] = []
     for i in range(traj.input_count):
-        intervals: list[tuple[float, float]] = []
-        if traj.samples:
-            mask = np.abs(traj.phi[:, i]) < tol
-            s = 0
-            while s < traj.samples:
-                if mask[s]:
-                    start = s
-                    while s + 1 < traj.samples and mask[s + 1]:
-                        s += 1
-                    t0, t1 = float(traj.t[start]), float(traj.t[s])
-                    if t1 - t0 >= min_length:
-                        intervals.append((t0, t1))
-                s += 1
-        per_input.append(tuple(intervals))
+        # a run starts where the False-padded mask rises and ends before it falls
+        mask = np.abs(traj.phi[:, i]) < config.singular_tolerance
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+        t0, t1 = traj.t[edges[0::2]], traj.t[edges[1::2] - 1]
+        keep = t1 - t0 >= min_length
+        per_input.append(tuple(zip(t0[keep].tolist(), t1[keep].tolist())))
     return SingularIntervals(tuple(per_input))
 
 

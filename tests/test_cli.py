@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ctrlorder.cli
 import ctrlorder.order
 from ctrlorder import VectorField, const, lie_bracket
 from ctrlorder.cli import main
@@ -197,6 +198,32 @@ def test_brackets_renders_each_component_once(capsys, monkeypatch, as_json):
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+def test_one_parser_serves_alternating_calls_without_leaking_state(capsys, tmp_path):
+    out_path = tmp_path / "traj.csv"
+    # phi = p2 = 0.05 - t: u = 1 throughout, or held at 0 by a deadband of 0.1
+    simulate = [
+        "simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0.05", "--horizon", "0.01",
+        "--json", "--out", str(out_path),
+    ]
+    order = ["order", COUNTEREXAMPLE, "--json"]
+
+    def call(argv):
+        code, out, err = run(capsys, *argv)
+        report = strict_json(out)
+        del report["manifest"]["timestamp"]
+        return code, report, err, out_path.read_bytes() if argv[0] == "simulate" else None
+
+    ctrlorder.cli._parser.cache_clear()
+    fresh = {"order": call(order), "simulate": call(simulate)}
+    with_deadband = call([*simulate, "--deadband", "0.1"])
+    assert with_deadband[1]["manifest"]["options"]["deadband"] == 0.1
+    assert with_deadband[3] != fresh["simulate"][3]
+    assert call(order) == fresh["order"]
+    assert call(simulate) == fresh["simulate"]
+    assert fresh["simulate"][1]["manifest"]["options"]["deadband"] == 0.0
+    assert ctrlorder.cli._parser.cache_info().misses == 1
 
 
 def test_simulate_double_integrator(capsys, tmp_path):

@@ -270,34 +270,48 @@ def test_integrator_matches_a_hand_written_rk4(policy, control):
         assert np.any(ref_u[1:] != ref_u[:-1])  # the run switches
 
 
-def counting_compiled_system(monkeypatch, fail=()):
-    """Patch simulate._CompiledSystem so that its sample/rhs/step calls are
-    counted; a call whose (name, number) is in `fail` raises ZeroDivisionError
-    instead."""
-    calls = {"sample": 0, "rhs": 0, "step": 0}
+@pytest.mark.parametrize("bound", ["1", "1 + t"])
+@pytest.mark.parametrize("deadband", [0.0, 0.05])
+def test_the_loop_applies_bang_bang_control_to_each_sample(bound, deadband):
+    doc = json.loads((SYSTEMS_DIR / "counterexample.json").read_text())
+    system = without_cost(load({**doc, "K": bound}))
+    cfg = SimConfig(
+        initial_state=GENERIC_X0, initial_adjoint=(1.0, 0.5, 0.25, 0.2, -0.1, 0.05),
+        horizon=2.0, step=1e-3, control_policy=BangBang(deadband),
+    )
+    traj = integrate_extremal(system, cfg)
+    assert traj.status == "ok"
+    K = compile_components([system.bound], ("t",))
+    last = (0.0, 0.0, 0.0)
+    for s in range(traj.samples):
+        last = bang_bang_control(traj.phi[s].tolist(), K((float(traj.t[s]),))[0], last, deadband)
+        assert traj.u[s].tolist() == list(last)
+    assert np.any(traj.u[1:] != traj.u[:-1])  # the run switches
+    held = (np.abs(traj.phi) <= deadband) & (traj.u != 0.0)
+    assert np.any(held[1:]) == (deadband > 0)  # and holds inside the deadband
 
-    class Counting(ctrlorder.simulate._CompiledSystem):
-        def __init__(self, sys, h):
-            super().__init__(sys, h)
-            for name in calls:
-                setattr(self, name, self._counted(name, getattr(self, name)))
 
-        @staticmethod
-        def _counted(name, fn):
-            def counted(v):
-                calls[name] += 1
-                if (name, calls[name]) in fail:
-                    raise ZeroDivisionError
-                return fn(v)
+def patched_trig(monkeypatch, fail=()):
+    """Patch math.sin and math.cos, which the generated loop binds when it is
+    compiled, so that they record their arguments; the cos call whose number
+    is in `fail` raises ZeroDivisionError instead."""
+    calls = {"sin": [], "cos": []}
 
-            return counted
+    def recorded(name, fn):
+        def call(x):
+            calls[name].append(x)
+            if name == "cos" and len(calls[name]) in fail:
+                raise ZeroDivisionError
+            return fn(x)
 
-    monkeypatch.setattr(ctrlorder.simulate, "_CompiledSystem", Counting)
+        return call
+
+    monkeypatch.setattr(math, "sin", recorded("sin", math.sin))
+    monkeypatch.setattr(math, "cos", recorded("cos", math.cos))
     return calls
 
 
 def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
-    calls = counting_compiled_system(monkeypatch)
     ext = counterexample_extended()
     cfg = SimConfig(
         initial_state=(0.0, *GENERIC_X0),
@@ -305,11 +319,18 @@ def test_one_compiled_call_per_sample_and_per_later_rk4_stage(monkeypatch):
         horizon=0.01,
         step=1e-3,
     )
+    calls = patched_trig(monkeypatch)
     traj = integrate_extremal(ext, cfg)
     assert traj.status == "ok" and traj.samples == 11
-    # sample((x, p)) once per sample, step((x, p, u)) once per step, and
-    # rhs((x, p, u)) once, at the last sample, where it checks stage 1 alone
-    assert calls == {"sample": 11, "step": 10, "rhs": 1}
+    # cos(theta) once for <p, f> and phi, once per RK4 stage; at the last
+    # sample only stage 1 runs
+    theta, omega = traj.x[:, 3], traj.x[:, 6]
+    args = calls["cos"]
+    assert len(args) == 5 * 10 + 2
+    for s in range(11):
+        assert args[5 * s] == args[5 * s + 1] == theta[s]  # sample and stage 1 at x[s]
+        if s < 10:  # stage 2 at x[s] + (h/2) k1, and theta' = Omega
+            assert args[5 * s + 2] == theta[s] + 0.5 * 1e-3 * omega[s]
 
 
 def all_bundled_systems():
@@ -339,40 +360,40 @@ def test_step_equals_four_composed_rhs_stages_bit_for_bit(h):
     rng = random.Random(11)
     checked = 0
     for name, system in all_bundled_systems():
-        compiled = ctrlorder.simulate._CompiledSystem(system, h)
+        exprs, _, state, controls = ctrlorder.simulate._coupled(system)
+        rhs = compile_components(exprs, (*state, *controls))
         for _ in range(5):
             y = [rng.uniform(-1.0, 1.0) for _ in range(2 * system.n)]
             u = [rng.choice((-1.0, 0.0, 1.0)) * rng.uniform(0.5, 1.5) for _ in range(system.m)]
-            got = compiled.step(y + u)
-            want = composed_rk4_step(compiled.rhs, y, u, h)
+            cfg = SimConfig(
+                initial_state=y[: system.n], initial_adjoint=y[system.n :], horizon=h, step=h,
+                control_policy=FixedControl(u),
+            )
+            traj = integrate_extremal(system, cfg)  # one step: samples 0 and 1
+            assert traj.status == "ok" and traj.samples == 2, name
+            got = [*traj.x[1], *traj.p[1]]
+            want = composed_rk4_step(rhs, y, u, h)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), name
             checked += 1
     assert checked == 5 * 9  # 7 systems, 2 of them also cost-extended
 
 
 def test_shared_sin_and_cos_are_evaluated_once_per_call(monkeypatch):
-    counts = {"sin": 0, "cos": 0}
-
-    def counted(name, fn):
-        def call(x):
-            counts[name] += 1
-            return fn(x)
-
-        return call
-
-    monkeypatch.setattr(math, "sin", counted("sin", math.sin))
-    monkeypatch.setattr(math, "cos", counted("cos", math.cos))
-    for system in (counterexample_raw(), counterexample_extended()):
-        compiled = ctrlorder.simulate._CompiledSystem(system, 1e-3)
-        y = [0.1 * (i + 1) for i in range(2 * system.n)]
-        u = [0.3] * system.m
-        counts.update(sin=0, cos=0)
-        for _ in range(5):
-            compiled.rhs(y + u)
-        assert counts == {"sin": 5, "cos": 5}  # sin(theta) and cos(theta), once each
-        counts.update(sin=0, cos=0)
-        compiled.step(y + u)
-        assert counts == {"sin": 4, "cos": 4}  # once per stage
+    systems = (counterexample_raw(), counterexample_extended())
+    calls = patched_trig(monkeypatch)
+    for system in systems:
+        cfg = SimConfig(
+            initial_state=[0.1 * (i + 1) for i in range(system.n)],
+            initial_adjoint=[0.1 * (i + 1) for i in range(system.n, 2 * system.n)],
+            horizon=5e-3,
+            step=1e-3,
+            control_policy=FixedControl(FIXED_U3),
+        )
+        calls["sin"].clear(), calls["cos"].clear()
+        assert integrate_extremal(system, cfg).samples == 6
+        # sin(theta) and cos(theta) once each per evaluation: <p, f> and phi,
+        # and stage 1, at each of 6 samples; stages 2-4 in each of 5 steps
+        assert (len(calls["sin"]), len(calls["cos"])) == (6 * 2 + 5 * 3,) * 2
 
 
 def test_a_failing_stage_1_stores_no_sample_and_a_later_stage_keeps_it():
@@ -397,22 +418,48 @@ def test_a_failing_stage_1_stores_no_sample_and_a_later_stage_keeps_it():
 @pytest.mark.parametrize(
     "fail, samples, failure_step",
     [
-        ({("step", 3)}, 3, 2),  # a later stage fails: sample 2 is kept
-        ({("step", 3), ("rhs", 1)}, 2, 2),  # stage 1 fails: sample 2 is not stored
-        ({("rhs", 1)}, 10, 10),  # stage 1 fails at the last sample: not stored
+        # cos(theta) calls of step s: 5s + 1 for <p, f> and phi, 5s + 2..5s + 5 for the stages
+        ({13}, 3, 2),  # stage 2 of step 2 fails: sample 2 is kept
+        ({12}, 2, 2),  # stage 1 fails: sample 2 is not stored
+        ({52}, 10, 10),  # stage 1 fails at the last sample: not stored
+        ({11}, 2, 2),  # <p, f> and phi fail: sample 2 is not stored
     ],
 )
 def test_failure_rules_follow_stage_1(monkeypatch, fail, samples, failure_step):
-    calls = counting_compiled_system(monkeypatch, fail)
+    system = counterexample_raw()
     cfg = SimConfig(
         initial_state=GENERIC_X0, initial_adjoint=GENERIC_P0, horizon=0.01, step=1e-3,
         control_policy=FixedControl(FIXED_U3),
     )
-    traj = integrate_extremal(counterexample_raw(), cfg)
+    calls = patched_trig(monkeypatch, fail)
+    traj = integrate_extremal(system, cfg)
     assert (traj.status, traj.samples) == ("eval_error", samples)
     assert traj.failure_time == failure_step * 1e-3
-    # only a failing step is followed by an rhs call, and the last sample makes one
-    assert calls["rhs"] == 1 and calls["sample"] == failure_step + 1
+    assert len(calls["cos"]) == max(fail)  # nothing is evaluated after the failure
+
+
+def time_varying_bound_trajectory(bound, horizon, step, p0):
+    doc = json.loads((SYSTEMS_DIR / "double_integrator.json").read_text())
+    cfg = SimConfig(
+        initial_state=(0.0, 0.0), initial_adjoint=p0, horizon=horizon, step=step,
+        control_policy=BangBang(),
+    )
+    return integrate_extremal(without_cost(load({**doc, "K": bound})), cfg)
+
+
+def test_a_time_varying_bound_sets_the_bang_bang_magnitude():
+    # phi = p2 = 0.4037 - t switches sign once, between grid points
+    traj = time_varying_bound_trajectory("1 + t", 1.0, 1e-3, (1.0, 0.4037))
+    assert traj.status == "ok" and traj.samples == 1001
+    assert np.array_equal(np.abs(traj.u[:, 0]), 1.0 + traj.t)
+    assert np.array_equal(np.sign(traj.u[:, 0]), np.sign(traj.phi[:, 0]))
+
+
+def test_a_bound_reaching_zero_ends_the_run_with_eval_error():
+    # K = 1 - t is 0 at t = 1, the 101st sample, where the sign law rejects it
+    traj = time_varying_bound_trajectory("1 - t", 2.0, 0.01, (1.0, 0.5))
+    assert (traj.status, traj.samples, traj.failure_time) == ("eval_error", 100, 1.0)
+    assert np.array_equal(np.abs(traj.u[:, 0]), 1.0 - traj.t)
 
 
 def test_divergence_flags_partial_trajectory():
@@ -560,6 +607,50 @@ def test_empty_trajectory_gives_empty_intervals():
     )
     cfg = SimConfig(initial_state=(0.0,), initial_adjoint=(1.0,))
     assert detect_singular_intervals(traj, cfg).per_input == ((), ())
+
+
+def reference_singular_intervals(traj, config):
+    """The grid walk detect_singular_intervals replaced, kept as its reference."""
+    min_length = config.resolved_min_length()
+    per_input = []
+    for i in range(traj.input_count):
+        intervals = []
+        mask = np.abs(traj.phi[:, i]) < config.singular_tolerance
+        s = 0
+        while s < traj.samples:
+            if mask[s]:
+                start = s
+                while s + 1 < traj.samples and mask[s + 1]:
+                    s += 1
+                t0, t1 = float(traj.t[start]), float(traj.t[s])
+                if t1 - t0 >= min_length:
+                    intervals.append((t0, t1))
+            s += 1
+        per_input.append(tuple(intervals))
+    return tuple(per_input)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_singular_intervals_match_the_grid_walk_on_random_masks(seed):
+    rng = np.random.default_rng(seed)
+    samples, m = int(rng.integers(0, 60)), int(rng.integers(1, 4))
+    # runs of |phi| < tol of every length, at either end too, nan included
+    phi = np.where(rng.random((samples, m)) < rng.random(), 0.0, 1.0)
+    phi[rng.random((samples, m)) < 0.05] = math.nan
+    h = float(rng.choice([1e-3, 0.1, 0.3]))
+    traj = Trajectory(
+        state_names=("x1",), input_count=m, step=h, t=np.arange(samples) * h,
+        x=np.zeros((samples, 1)), p=np.zeros((samples, 1)), u=np.zeros((samples, m)),
+        phi=phi, H=np.zeros(samples),
+    )
+    for min_length in (None, 0.0, 2 * h, 5.5 * h):
+        cfg = SimConfig(
+            initial_state=(0.0,), initial_adjoint=(1.0,), step=h, horizon=1.0,
+            singular_tolerance=0.5, singular_min_length=min_length,
+        )
+        got = detect_singular_intervals(traj, cfg).per_input
+        assert got == reference_singular_intervals(traj, cfg)
+        assert all(type(v) is float for runs in got for run in runs for v in run)
 
 
 def test_intervals_invariant_under_appending_nonsingular_samples():

@@ -3,11 +3,13 @@
     python3 tools/compare_trajectories.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
-package (a checkout's `src/`).  Each tree integrates the same 144
+package (a checkout's `src/`).  Each tree integrates the same 180
 trajectories in its own interpreter: every system in `systems/` and
 `ctrlbench/systems/`, raw and (where it has a running cost) cost-extended,
-under four control policies (bang-bang, bang-bang with a deadband, fixed,
-piecewise), each from four seeded (x0, p0), over 1000 RK4 steps of 1e-3.
+under five control policies (bang-bang, bang-bang with a deadband, fixed,
+piecewise, and bang-bang with the system's bound replaced by the
+time-varying K(t) = 1 + t/2), each from four seeded (x0, p0), over 1000 RK4
+steps of 1e-3.
 
 One line per trajectory gives the sample counts, whether status and u are
 equal, the largest of |change - parent| / (1 + |parent|) over x, p, phi and
@@ -35,7 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
-POLICIES = ("bang", "deadband", "fixed", "piecewise")
+POLICIES = ("bang", "deadband", "fixed", "piecewise", "bang-K")
+TIME_VARYING_BOUND = "1 + t/2"  # K(t) of the "bang-K" policy
 SEEDS = 4
 STEPS, STEP = 1000, 1e-3
 PHI_FLOOR = 1e-9
@@ -55,12 +58,16 @@ def trajectories():
         without_cost,
     )
 
-    for path in SYSTEM_FILES:
-        loaded = load(json.loads(path.read_text(encoding="utf-8")))
-        variants = [("raw", without_cost(loaded))]
+    def variants(doc):
+        loaded = load(doc)
+        yield "raw", without_cost(loaded)
         if loaded.cost is not None:
-            variants.append(("extended", extend_with_cost(loaded)))
-        for variant, system in variants:
+            yield "extended", extend_with_cost(loaded)
+
+    for path in SYSTEM_FILES:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        time_varying = dict(variants({**doc, "K": TIME_VARYING_BOUND}))
+        for variant, system in variants(doc):
             for policy_name in POLICIES:
                 for seed in range(SEEDS):
                     name = f"{path.stem}:{variant}:{policy_name}:{seed}"
@@ -72,6 +79,7 @@ def trajectories():
                     u = tuple(rng.uniform(-1.0, 1.0) for _ in range(system.m))
                     policy = {
                         "bang": BangBang(),
+                        "bang-K": BangBang(),
                         "deadband": BangBang(deadband=0.05),
                         "fixed": FixedControl(u),
                         "piecewise": PiecewiseControl(
@@ -85,7 +93,10 @@ def trajectories():
                         step=STEP,
                         control_policy=policy,
                     )
-                    yield name, system, config
+                    if policy_name == "bang-K":
+                        yield name, time_varying[variant], config
+                    else:
+                        yield name, system, config
 
 
 def dump(out_path: str) -> None:
