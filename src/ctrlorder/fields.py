@@ -19,7 +19,7 @@ from functools import cached_property
 from . import normal
 from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, ZeroTestPolicy, const, parse, to_text, variables
 from .expr import diff as tree_diff
-from .normal import Ring, diff
+from .normal import Rat, Ring, diff
 
 
 class DimensionMismatchError(ValueError):
@@ -44,14 +44,15 @@ class VectorField:
                 raise ValueError(f"component {i} uses undeclared variables {sorted(extra)}")
         self.state_names = names
         self._components = comps
-        self._normal = None  # (ring, normal forms, their Jacobian or None)
+        self._normal = None  # (ring, normal forms, their Jacobian's columns, None until read)
 
     @classmethod
-    def _of_normal(cls, state_names, ring: Ring, comps) -> "VectorField":
+    def _of_normal(cls, state_names, ring: Ring, comps, columns=None) -> "VectorField":
         field = cls.__new__(cls)
         field.state_names = tuple(state_names)
         field._components = None
-        field._normal = (ring, tuple(comps), None)
+        comps = tuple(comps)
+        field._normal = (ring, comps, [None] * len(comps) if columns is None else columns)
         return field
 
     @property
@@ -61,20 +62,23 @@ class VectorField:
         return self._components
 
     def _normal_in(self, ring: Ring | None = None) -> tuple:
-        """(ring, normal forms, Jacobian or None) in `ring`; None means the field's own."""
+        """(ring, normal forms, Jacobian columns, None until read) in `ring`; None
+        means the field's own."""
         cached = self._normal
         if cached is not None and (ring is None or cached[0] is ring):
             return cached
         ring = ring or Ring(self.state_names)
-        cached = self._normal = (ring, tuple(map(ring.convert, self.components)), None)
+        cached = self._normal = (ring, tuple(map(ring.convert, self.components)), [None] * self.dim)
         return cached
 
-    def _jacobian_in(self, ring: Ring) -> tuple:
-        ring, comps, jac = self._normal_in(ring)
-        if jac is None:
-            jac = tuple(tuple(diff(c, name) for name in self.state_names) for c in comps)
-            self._normal = (ring, comps, jac)
-        return jac
+    def _column(self, ring: Ring, j: int) -> tuple:
+        """d(component_i)/d(state_j) for every i, in `ring`; computed on first read."""
+        _, comps, columns = self._normal_in(ring)
+        column = columns[j]
+        if column is None:
+            name = self.state_names[j]
+            column = columns[j] = tuple(diff(c, name) for c in comps)
+        return column
 
     def __getstate__(self) -> dict:
         # trees only: a normal form belongs to its ring, which holds a lock
@@ -177,13 +181,17 @@ def jacobian(h: VectorField) -> ExprMatrix:
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
-    """[a, b] = (Db)a - (Da)b, in normal form, from each operand's Jacobian (computed
-    once per field and ring)."""
+    """[a, b] = (Db)a - (Da)b, in normal form.  It reads column j of Db only where
+    a_j != 0 and column j of Da only where b_j != 0 (each computed once per field
+    and ring); a zero operand gives the zero field, which is exact by bilinearity."""
     _require_same_space(a, b)
     ring = _shared_ring(b, a)
     na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
-    ja, jb = a._jacobian_in(ring), b._jacobian_in(ring)
-    comps = [normal.lie_component(na, nb, ja, jb, i) for i in range(a.dim)]
+    if not any(c.num for c in na) or not any(c.num for c in nb):
+        return VectorField._of_normal(a.state_names, ring, [Rat(ring, {})] * a.dim)
+    da = [a._column(ring, j) if bj.num else None for j, bj in enumerate(nb)]
+    db = [b._column(ring, j) if aj.num else None for j, aj in enumerate(na)]
+    comps = [normal.lie_component(na, nb, da, db, i) for i in range(a.dim)]
     return VectorField._of_normal(a.state_names, ring, comps)
 
 
@@ -199,9 +207,9 @@ class BracketTable:
             _require_same_space(f, g)
         ring = _shared_ring(f, *self.inputs)
         f._normal_in(ring)
-        # ad^0 = g_i, as its normal form prints
+        # ad^0 = g_i, as its normal form prints; it shares g_i's Jacobian columns
         self._inputs = [
-            VectorField._of_normal(g.state_names, ring, g._normal_in(ring)[1]) for g in self.inputs
+            VectorField._of_normal(g.state_names, *g._normal_in(ring)) for g in self.inputs
         ]
         self._chains = [[g] for g in self._inputs]
 
@@ -238,6 +246,8 @@ def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZ
     weakest kind among theirs; else the first witnessing component's verdict."""
     kind = SYMBOLIC
     for i, comp in enumerate(h._normal_in()[1]):
+        if not comp.num:
+            continue  # zero, symbolically: no seed to derive
         verdict = normal.is_zero(comp, policy.derive("component", i))
         if not verdict.is_zero:
             return VfZeroVerdict(

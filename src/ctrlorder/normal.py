@@ -635,12 +635,16 @@ def diff(a: Rat, var: str) -> Rat:
     return diff_index(a, a.ring.index[var])
 
 
-def lie_component(a, b, ja, jb, i: int) -> Rat:
-    """Component i of [a, b] = (Db) a - (Da) b, from the components and Jacobians."""
+def lie_component(a, b, da, db, i: int) -> Rat:
+    """Component i of [a, b] = (Db) a - (Da) b, from the components and the
+    Jacobians' columns (column j of Db is read only where a_j != 0, column j of
+    Da only where b_j != 0), summed in the order sum_j (Db)_ij a_j - (Da)_ij b_j."""
     terms = []
     for j, (aj, bj) in enumerate(zip(a, b)):
-        terms.append(mul(jb[i][j], aj))
-        terms.append(scale(mul(ja[i][j], bj), -1))
+        if aj.num:
+            terms.append(mul(db[j][i], aj))
+        if bj.num:
+            terms.append(scale(mul(da[j][i], bj), -1))
     return total(terms)
 
 

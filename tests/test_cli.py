@@ -361,6 +361,38 @@ def test_verify_identities_fail_on_corrupted_bracket(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def _counted_integrations(monkeypatch, status="ok") -> list:
+    """The step of every extremal the CLI integrates; each ends with `status`."""
+    import dataclasses
+
+    steps = []
+    real = ctrlorder.cli.integrate_extremal
+
+    def counted(system, config):
+        steps.append(config.step)
+        return dataclasses.replace(real(system, config), status=status)
+
+    monkeypatch.setattr(ctrlorder.cli, "integrate_extremal", counted)
+    return steps
+
+
+def test_verify_lemma1_integrates_one_extremal_per_step(capsys, monkeypatch):
+    _, want, _ = run(capsys, "verify", COUNTEREXAMPLE, "lemma1", "--json")
+    steps = _counted_integrations(monkeypatch)
+    code, out, _ = run(capsys, "verify", COUNTEREXAMPLE, "lemma1", "--json")
+    assert code == 0
+    assert steps == [1e-3, 5e-4]  # f and the three g_i share both extremals
+    assert json.loads(out)["results"] == json.loads(want)["results"]
+
+
+def test_verify_lemma1_failed_integration_is_diverged(capsys, monkeypatch):
+    steps = _counted_integrations(monkeypatch, status="diverged")
+    code, _, err = run(capsys, "verify", COUNTEREXAMPLE, "lemma1")
+    assert code == 4
+    assert "lemma1 probe integration failed (diverged)" in err
+    assert steps == [1e-3]
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(capsys, "verify", FULLER, "parity", "--json")
     assert code == 0

@@ -311,11 +311,12 @@ def test_one_ring_shared_by_threads_registers_each_kernel_and_factor_once():
 
 
 def _counted_diffs(monkeypatch) -> list:
+    """The (id of the normal form, state) of every partial derivative taken."""
     calls = []
     real = fields.diff
 
     def counted(e, var):
-        calls.append(var)
+        calls.append((id(e), var))
         return real(e, var)
 
     monkeypatch.setattr(fields, "diff", counted)
@@ -324,16 +325,22 @@ def _counted_diffs(monkeypatch) -> list:
 
 def test_problem_order_differentiates_each_field_once(monkeypatch):
     calls = _counted_diffs(monkeypatch)
-    chain = Path(__file__).resolve().parents[1] / "ctrlbench" / "systems" / "chain.json"
-    report = problem_order(load(json.loads(chain.read_text())))
+    bench = Path(__file__).resolve().parents[1] / "ctrlbench" / "systems"
+    report = problem_order(load(json.loads((bench / "chain.json").read_text())))
     assert report.k == 6
-    # f, g and ad_f^0..5 g: eight fields of 25 partial derivatives each
-    assert len(calls) <= 200
+    # f, g and ad_f^0..5 g, each differentiated only in the columns a bracket
+    # reads (all of them would be 7 fields of 25 partials each, 175)
+    assert len(calls) == 155
+    calls.clear()
+    report = problem_order(load(json.loads((bench / "rational_chain.json").read_text())))
+    assert report.k is None
+    # ad_f^k g is zero from k = 4 on, so no later level reads a column (176 with full Jacobians)
+    assert len(calls) == 80
 
 
 def test_verify_bracket_identities_differentiates_each_distinct_field_once(monkeypatch):
     calls = _counted_diffs(monkeypatch)
-    operands = []  # kept alive, so that each id() names one field
+    operands = []  # kept alive, so that each id() names one field and one normal form
     real = fields.lie_bracket
 
     def recorded(a, b):
@@ -346,7 +353,8 @@ def test_verify_bracket_identities_differentiates_each_distinct_field_once(monke
     assert verify_bracket_identities(sys3).all_passed
     distinct = {id(field) for field in operands}
     assert len(operands) > 2 * len(distinct)  # fields recur as operands
-    assert len(calls) == sys3.n**2 * len(distinct)
+    assert len(set(calls)) == len(calls)  # no partial is taken twice
+    assert len(calls) <= sys3.n**2 * len(distinct)
 
 
 def test_jacobian_is_computed_once_per_field():
@@ -711,3 +719,118 @@ def test_every_shipped_b_field_verdict_is_symbolic(path):
             ]
             assert {v.kind for v in verdicts} == {SYMBOLIC}
             assert all(v.is_zero for v in verdicts) == (level != k)
+
+
+# ---------------------------------------------------------------------------
+# brackets skip the work whose result is known
+# ---------------------------------------------------------------------------
+
+
+def _skip_case_texts(rng: random.Random, kind: str) -> tuple[str, ...]:
+    """Components of `random_component`'s kind ('float': rational ones scaled by
+    a float), a third of them zero, and one field in six zero throughout."""
+    if rng.random() < 1 / 6:
+        return ("0",) * len(NAMES2)
+    texts = []
+    for _ in NAMES2:
+        text = random_component(rng, "rational" if kind == "float" else kind)
+        if kind == "float":
+            text = f"0.3*({text})"
+        texts.append("0" if rng.random() < 1 / 3 else text)
+    return tuple(texts)
+
+
+def _full_jacobian_bracket(a: VectorField, b: VectorField) -> list:
+    """Components of [a, b] in a's ring from both full Jacobians, every term summed."""
+    from ctrlorder import normal
+
+    ring, na = a._normal[:2]
+    nb = b._normal_in(ring)[1]
+    ja = [[normal.diff(c, x) for x in a.state_names] for c in na]
+    jb = [[normal.diff(c, x) for x in b.state_names] for c in nb]
+    return [
+        normal.total(
+            term
+            for j in range(a.dim)
+            for term in (normal.mul(jb[i][j], na[j]), normal.scale(normal.mul(ja[i][j], nb[j]), -1))
+        )
+        for i in range(a.dim)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["poly", "rational", "trig", "float"])
+def test_brackets_equal_the_full_jacobian_sum(kind):
+    rng = random.Random(f"skip-{kind}")
+    zero_operands = 0
+    for n in range(16):
+        a, b = (vf(NAMES2, *_skip_case_texts(rng, kind)) for _ in range(2))
+        ab = lie_bracket(a, b)
+        pairs = [(a, b, ab)]
+        if n < 2:  # nested trig brackets grow fast
+            pairs += [(a, ab, lie_bracket(a, ab)), (ab, b, lie_bracket(ab, b))]
+        for x, y, xy in pairs:
+            want = _full_jacobian_bracket(x, y)
+            got = xy._normal[1]
+            assert [list(c.num.items()) for c in got] == [list(c.num.items()) for c in want]
+            assert [c.den for c in got] == [c.den for c in want]
+            zero_operands += not any(c.num for c in (*x._normal[1], *y._normal[1]))
+    assert zero_operands  # the draws include zero fields
+
+
+def test_a_zero_operand_takes_no_derivative(monkeypatch):
+    calls = _counted_diffs(monkeypatch)
+    zero = VectorField.zero(NAMES2)
+    field = vf(NAMES2, "sin(x1*x2)/(1 + x1^2)", "exp(x2) + x1^3")
+    for a, b in ((zero, field), (field, zero), (zero, zero)):
+        bracket = lie_bracket(a, b)
+        assert not any(c.num for c in bracket._normal[1])
+        assert bracket.components == (const(0), const(0))
+    assert calls == []
+    # a zero component leaves a column unread: here a_2 = b_1 = 0, so column x1
+    # of Db and column x2 of Da are read, 4 partials where full Jacobians take 8
+    lie_bracket(vf(NAMES2, "x2", "0"), vf(NAMES2, "0", "x1^2"))
+    assert sorted(var for _, var in calls) == ["x1", "x1", "x2", "x2"]
+
+
+def test_zero_components_derive_no_seed(monkeypatch):
+    from ctrlorder import expr
+
+    seeds = []
+    real = expr._derive_seed
+
+    def counted(seed, tags):
+        seeds.append(tags)
+        return real(seed, tags)
+
+    monkeypatch.setattr(expr, "_derive_seed", counted)
+    assert vf_is_zero(VectorField.zero(NAMES2)) == VfZeroVerdict(True, SYMBOLIC)
+    assert seeds == []
+    verdict = vf_is_zero(vf(NAMES2, "0", "x1"))
+    assert (verdict.is_zero, verdict.component) == (False, 1)
+    assert seeds == [("component", 1)]
+
+
+def test_an_over_cap_product_in_an_unread_column_is_not_formed():
+    from ctrlorder import normal
+    from ctrlorder.expr import ExprError
+
+    # b_1 = N / p with N of 2^11 terms and dp/dz of 2^10: the partial by z pairs
+    # 2^21 > MAX_TERMS terms, while the partial by x11 pairs none
+    names = tuple(f"x{k}" for k in range(1, 12)) + ("z",)
+    numerator = "*".join(f"(x{k} + 1)" for k in range(1, 12))
+    factor = "1 + z*" + "*".join(f"(x{k} + 1)" for k in range(1, 11))
+    b = VectorField.from_strings(names, (f"{numerator}/({factor})",) + ("0",) * 11)
+
+    def unit(name):
+        return VectorField.from_strings(names, tuple("1" if x == name else "0" for x in names))
+
+    with pytest.raises(ExprError, match="pairs more than"):
+        normal.diff(b._normal_in()[1][0], "z")
+    with pytest.raises(ExprError, match="pairs more than"):
+        lie_bracket(unit("z"), b)
+    # [e_x11, b] = db/dx11 reads column x11 of Db only: an answer, where the
+    # full Jacobian raised
+    bracket = lie_bracket(unit("x11"), b)
+    assert len(bracket._normal[1][0].num) == 2**10
+    assert not vf_is_zero(bracket).is_zero
+    assert normal.MAX_TERMS == 2**20
