@@ -31,14 +31,12 @@ from .expr import (
     ZeroTestPolicy,
     ZeroVerdict,
     const,
-    diff,
     evaluate,
-    is_zero,
     parse,
-    simplify,
     to_text,
     variables,
 )
+from .normal import diff, is_zero, simplify
 from .fields import (
     BracketTable,
     DimensionMismatchError,

@@ -3,18 +3,18 @@
 The expression language covers rational and decimal constants, named
 variables, sums, products, quotients, integer powers (exponent >= 2), and
 sin/cos/exp.  That is enough to write every vector field this package works
-with while keeping simplification predictable: constants fold exactly
-(rationals stay rational), products distribute over sums, repeated factors
-group into powers, and syntactically identical sum terms collect with
-rational coefficients.  No trigonometric rewriting is attempted; identities
-such as sin(t)^2 + cos(t)^2 - 1 are caught by the probabilistic zero test
-instead, which samples seeded pseudo-random points after simplification.
+with.  This module parses, prints, evaluates and compiles trees, and holds
+the sampled zero test; simplifying and differentiating a tree go through its
+rational normal form (see `normal`).
+
+Evaluation, the sampled zero test and the code generator share one lowering:
+`_lower` turns trees into a straight-line program, which `_run` interprets
+in the arithmetic of its point and `render_components` writes out as Python.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 import re
@@ -33,9 +33,6 @@ MAX_NESTING = 100
 # Largest integer exponent the parser accepts: x^1000 already costs `order`
 # half a second, and exact powers grow with the exponent.
 MAX_EXPONENT = 1000
-# Most bits that simplify lets a folded constant power reach; a float needs
-# about 1100, so this only stops ((2^1000)^1000)^1000 and the like.
-_MAX_POWER_BITS = 1 << 20
 
 
 class ExprError(Exception):
@@ -94,14 +91,12 @@ class IndeterminateZeroTest(ExprError):
 class Expr:
     """Base class for all expression nodes.  Instances are immutable.
 
-    `_canonical` marks a node that simplify leaves as it is (see `_canon`).
     `_hash` and `_key` hold its hash and sort key, each built on first use from
-    the children's stored ones (`_node_hash`, `_node_key`).  None of them is a
+    the children's stored ones (`_node_hash`, `_node_key`).  Neither is a
     field, so equality and printing ignore them.
     """
 
     __slots__ = ()
-    _canonical = False
     _hash = None
     _key = None
 
@@ -114,13 +109,11 @@ class Expr:
 @dataclass(frozen=True)
 class Constant(Expr):
     value: NumberValue
-    _canonical = True
 
 
 @dataclass(frozen=True)
 class Variable(Expr):
     name: str
-    _canonical = True
 
 
 @dataclass(frozen=True)
@@ -232,23 +225,6 @@ def _nodes(e: Expr):
 def variables(e: Expr) -> frozenset[str]:
     """Set of variable names appearing in the expression."""
     return frozenset(node.name for node in _nodes(e) if isinstance(node, Variable))
-
-
-def _is_finite_float(v: NumberValue) -> bool:
-    try:
-        return math.isfinite(float(v))
-    except OverflowError:  # a rational beyond the float range
-        return False
-
-
-def has_finite_constants(e: Expr) -> bool:
-    """True when every constant of `e` is a finite float or a rational within float range."""
-    return all(_is_finite_float(node.value) for node in _nodes(e) if isinstance(node, Constant))
-
-
-def has_bounded_exponents(e: Expr) -> bool:
-    """True when no power of `e` has an exponent above MAX_EXPONENT."""
-    return all(node.exponent <= MAX_EXPONENT for node in _nodes(e) if isinstance(node, IntPower))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +523,13 @@ def _render(e: Expr) -> tuple[str, int]:
 
 
 def to_text(e: Expr) -> str:
-    """Render with minimal parenthesization; re-parsing is simplify-faithful."""
+    """Render with minimal parenthesization; the text parses back to a tree with
+    the same normal form."""
     return _render(e)[0]
 
 
 # ---------------------------------------------------------------------------
-# Simplification
+# Ordering
 # ---------------------------------------------------------------------------
 
 
@@ -587,317 +564,8 @@ def _node_key(e: Expr):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _ipow(v: NumberValue, k: int) -> NumberValue:
-    # Left-associated repeated multiplication: how simplify folds a float power.
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
-
-
-def _recip(v: NumberValue) -> NumberValue:
-    if isinstance(v, Fraction):
-        return Fraction(1) / v
-    return 1.0 / v
-
-
-def _canon(node: Expr) -> Expr:
-    """`node`, built below from canonical operands, marked canonical."""
-    object.__setattr__(node, "_canonical", True)
-    return node
-
-
-def _neg(e: Expr) -> Expr:
-    return _simp_product((const(-1), e))
-
-
-def _sin(e: Expr) -> Expr:
-    return _canon(Sin(e))
-
-
-def _cos(e: Expr) -> Expr:
-    return _canon(Cos(e))
-
-
-def _simp_power(base: Expr, k: int) -> Expr:
-    if isinstance(base, Constant):
-        v = base.value
-        if isinstance(v, float):
-            return Constant(_ipow(v, k))
-        if k * max(v.numerator.bit_length(), v.denominator.bit_length()) > _MAX_POWER_BITS:
-            raise ExprError(f"a constant power folds past {_MAX_POWER_BITS} bits")
-        return Constant(v**k)
-    if isinstance(base, IntPower):
-        return _simp_power(base.base, base.exponent * k)
-    if isinstance(base, Product):
-        return _simp_product(tuple(_simp_power(c, k) for c in base.children))
-    if isinstance(base, Quotient):
-        return _simp_quotient(_simp_power(base.numerator, k), _simp_power(base.denominator, k))
-    return _canon(IntPower(base, k))
-
-
-def _simp_quotient(num: Expr, den: Expr) -> Expr:
-    if isinstance(den, Constant):
-        if den.value == 0:
-            raise DivisionByZeroError(to_text(Quotient(num, den)))
-        return _simp_product((num, Constant(_recip(den.value))))
-    if isinstance(num, Constant) and num.value == 0:
-        return _ZERO
-    if isinstance(den, Quotient):
-        return _simp_quotient(_simp_product((num, den.denominator)), den.numerator)
-    if isinstance(num, Quotient):
-        return _simp_quotient(num.numerator, _simp_product((num.denominator, den)))
-    if isinstance(den, Product) and isinstance(den.children[0], Constant):
-        # keep denominators constant-free: the coefficient moves to the numerator
-        rest = den.children[1:]
-        den_core = rest[0] if len(rest) == 1 else _canon(Product(rest))
-        num_scaled = _simp_product((num, Constant(_recip(den.children[0].value))))
-        return _simp_quotient(num_scaled, den_core)
-    return _canon(Quotient(num, den))
-
-
-def _simp_product(children: tuple[Expr, ...]) -> Expr:
-    flat: list[Expr] = []
-    for c in children:
-        if isinstance(c, Product):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    for c in flat:
-        if isinstance(c, Constant) and c.value == 0:
-            return _ZERO
-    if any(isinstance(c, Quotient) for c in flat):
-        nums: list[Expr] = []
-        dens: list[Expr] = []
-        for c in flat:
-            if isinstance(c, Quotient):
-                nums.append(c.numerator)
-                dens.append(c.denominator)
-            else:
-                nums.append(c)
-        num = nums[0] if len(nums) == 1 else _simp_product(tuple(nums))
-        den = dens[0] if len(dens) == 1 else _simp_product(tuple(dens))
-        return _simp_quotient(num, den)
-    if any(isinstance(c, Sum) for c in flat):
-        parts = [c.children if isinstance(c, Sum) else (c,) for c in flat]
-        terms = tuple(
-            combo[0] if len(combo) == 1 else _simp_product(combo)
-            for combo in itertools.product(*parts)
-        )
-        return _simp_sum(terms)
-
-    coeff: NumberValue = Fraction(1)
-    exponents: dict[Expr, int] = {}
-    for c in flat:
-        if isinstance(c, Constant):
-            coeff = coeff * c.value
-        elif isinstance(c, IntPower):
-            exponents[c.base] = exponents.get(c.base, 0) + c.exponent
-        else:
-            exponents[c] = exponents.get(c, 0) + 1
-    if coeff == 0:
-        return _ZERO
-    factors = [
-        base if k == 1 else _canon(IntPower(base, k)) for base, k in exponents.items()
-    ]
-    factors.sort(key=_sort_key)
-    if not factors:
-        return Constant(coeff)
-    if coeff == 1:
-        return factors[0] if len(factors) == 1 else _canon(Product(tuple(factors)))
-    return _canon(Product((Constant(coeff), *factors)))
-
-
-def _simp_sum(children: tuple[Expr, ...]) -> Expr:
-    flat: list[Expr] = []
-    for c in children:
-        if isinstance(c, Sum):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-
-    coeffs: dict[Expr, NumberValue] = {}
-    const_part: NumberValue = Fraction(0)
-    for t in flat:
-        if isinstance(t, Constant):
-            const_part = const_part + t.value
-            continue
-        if isinstance(t, Product) and isinstance(t.children[0], Constant):
-            c = t.children[0].value
-            rest = t.children[1:]
-            core = rest[0] if len(rest) == 1 else _canon(Product(rest))
-        else:
-            c = Fraction(1)
-            core = t
-        coeffs[core] = coeffs.get(core, Fraction(0)) + c
-
-    terms: list[Expr] = []
-    rescaled = False
-    for core in sorted(coeffs, key=_sort_key):
-        c = coeffs[core]
-        if c == 0:
-            continue
-        if c == 1:
-            terms.append(core)
-        elif isinstance(core, Quotient):
-            # the coefficient joins the numerator; the new term may collect again
-            terms.append(_simp_product((Constant(c), core)))
-            rescaled = True
-        elif isinstance(core, Product):
-            terms.append(_canon(Product((Constant(c), *core.children))))
-        else:
-            terms.append(_canon(Product((Constant(c), core))))
-    if const_part != 0:
-        terms.append(Constant(const_part))
-    if rescaled:
-        return _simp_sum(tuple(terms))
-    if not terms:
-        return _ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return _canon(Sum(tuple(terms)))
-
-
-def _simp(e: Expr) -> Expr:
-    if e._canonical:
-        return e
-    if isinstance(e, Negate):
-        return _neg(_simp(e.child))
-    if isinstance(e, Sum):
-        return _simp_sum(tuple(_simp(c) for c in e.children))
-    if isinstance(e, Product):
-        return _simp_product(tuple(_simp(c) for c in e.children))
-    if isinstance(e, Quotient):
-        return _simp_quotient(_simp(e.numerator), _simp(e.denominator))
-    if isinstance(e, IntPower):
-        return _simp_power(_simp(e.base), e.exponent)
-    if isinstance(e, Sin):
-        return _sin(_simp(e.child))
-    if isinstance(e, Cos):
-        return _cos(_simp(e.child))
-    if isinstance(e, Exp):
-        return _canon(Exp(_simp(e.child)))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def simplify(e: Expr) -> Expr:
-    """Canonical form in one idempotent pass: folded constants, flat sorted, collected
-    terms.  A node marked canonical is returned as it is, without a walk."""
-    return _simp(e)
-
-
 # ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-
-def _derivative(e: Expr, var: str) -> Expr:
-    """d e / d var by the sum, product, quotient, power and chain rules, built raw
-    for simplify to fold.  A shared subtree is differentiated once: nodes are
-    memoised by id() within this one call."""
-    memo: dict[int, Expr] = {}
-
-    def d(node: Expr) -> Expr:
-        out = memo.get(id(node))
-        if out is not None:
-            return out
-        if isinstance(node, Constant):
-            out = _ZERO
-        elif isinstance(node, Variable):
-            out = _ONE if node.name == var else _ZERO
-        elif isinstance(node, Negate):
-            out = Negate(d(node.child))
-        elif isinstance(node, Sum):
-            out = Sum(tuple(d(c) for c in node.children))
-        elif isinstance(node, Product):
-            cs = node.children
-            out = Sum(tuple(Product((*cs[:i], d(c), *cs[i + 1 :])) for i, c in enumerate(cs)))
-        elif isinstance(node, Quotient):
-            n, q = node.numerator, node.denominator
-            out = Quotient(Sum((Product((d(n), q)), Negate(Product((n, d(q)))))), IntPower(q, 2))
-        elif isinstance(node, IntPower):
-            b, k = node.base, node.exponent
-            out = Product((const(k), b if k == 2 else IntPower(b, k - 1), d(b)))
-        elif isinstance(node, Sin):
-            out = Product((Cos(node.child), d(node.child)))
-        elif isinstance(node, Cos):
-            out = Product((const(-1), Sin(node.child), d(node.child)))
-        elif isinstance(node, Exp):
-            out = Product((node, d(node.child)))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        memo[id(node)] = out
-        return out
-
-    return d(e)
-
-
-def diff(e: Expr, var: str) -> Expr:
-    """Exact partial derivative with respect to `var`, simplified."""
-    return simplify(_derivative(e, var))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-def _eval(e: Expr, binding: Mapping[str, NumberValue]) -> NumberValue:
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        try:
-            return binding[e.name]
-        except KeyError:
-            raise MissingBindingError(e.name) from None
-    if isinstance(e, Negate):
-        return -_eval(e.child, binding)
-    if isinstance(e, Sum):
-        total = _eval(e.children[0], binding)
-        for c in e.children[1:]:
-            total = total + _eval(c, binding)
-        return total
-    if isinstance(e, Product):
-        total = _eval(e.children[0], binding)
-        for c in e.children[1:]:
-            total = total * _eval(c, binding)
-        return total
-    if isinstance(e, Quotient):
-        num = _eval(e.numerator, binding)
-        den = _eval(e.denominator, binding)
-        if den == 0:
-            raise DivisionByZeroError(to_text(e))
-        return num / den
-    if isinstance(e, IntPower):
-        return _pow(_eval(e.base, binding), e.exponent)
-    if isinstance(e, Sin):
-        return math.sin(float(_eval(e.child, binding)))
-    if isinstance(e, Cos):
-        return math.cos(float(_eval(e.child, binding)))
-    if isinstance(e, Exp):
-        try:
-            return math.exp(float(_eval(e.child, binding)))
-        except OverflowError:
-            raise EvalError(f"overflow in '{to_text(e)}'") from None
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _pow(b: NumberValue, k: int) -> NumberValue:
-    """b**k, as generated code computes it; a float past the float range is
-    +-inf, as the product b*...*b would be, rather than an OverflowError."""
-    try:
-        return b**k
-    except OverflowError:
-        return math.inf if b > 0 or k % 2 == 0 else -math.inf
-
-
-def evaluate(e: Expr, binding: Mapping[str, NumberValue]) -> float:
-    """Evaluate with real arithmetic (radians for sin/cos)."""
-    return float(_eval(e, binding))
-
-
-# ---------------------------------------------------------------------------
-# Probabilistic zero testing
+# Straight-line programs: evaluation and the sampled zero test
 # ---------------------------------------------------------------------------
 
 _DENOM_BITS = 20  # sample points are dyadic rationals so polynomials evaluate exactly
@@ -954,20 +622,22 @@ class ZeroVerdict:
 # names earlier slots: one for a negation, sin, cos or exp, a tuple of them
 # for a sum, product or quotient, and (slot, exponent) for a power.  A
 # constant holds its value (a Fraction's residue in a modular program) and a
-# variable its name.  The ops up to _POW are rational-exact.
+# variable its name.  The ops up to _NEG are rational-exact.
 _CONST, _VAR, _ADD, _MUL, _DIV, _POW, _NEG, _SIN, _COS, _EXP = range(10)
 _UNARY = {Negate: _NEG, Sin: _SIN, Cos: _COS, Exp: _EXP}
 _MATH = {_SIN: math.sin, _COS: math.cos, _EXP: math.exp}
 _MODULUS = (1 << 61) - 1  # a Mersenne prime
 
 
-def _lower(exprs: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
+def _lower(exprs: Sequence[Expr], nodes: list | None = None) -> tuple[list[tuple], list[int]]:
     """The straight-line program of the trees, and the slot of each root (a
-    single tree's root is the last instruction).
+    single tree's root is the last instruction); `nodes`, if given, receives
+    the tree node of each slot.
 
     Nodes are memoised by id() within this one call, and instructions by their
     operand slots, so equal subtrees share one slot.  A float constant is keyed
-    by its repr, which keeps 0.0 and -0.0 (equal as numbers) apart.
+    by its repr, which keeps 0.0 and -0.0 (equal as numbers) apart, and a
+    rational one by its numerator and denominator, which hash faster than it.
     """
     code: list[tuple] = []
     slot_of: dict[tuple, int] = {}
@@ -979,32 +649,48 @@ def _lower(exprs: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
             return slot
         t = type(node)
         if t is Constant:
-            ins = (_CONST, node.value)
+            v = node.value
+            ins = (_CONST, v)
+            key = (_CONST, repr(v)) if isinstance(v, float) else (_CONST, v.numerator, v.denominator)
         elif t is Variable:
-            ins = (_VAR, node.name)
+            key = ins = (_VAR, node.name)
         elif t is Sum or t is Product:
-            ins = (_ADD if t is Sum else _MUL, tuple(map(visit, node.children)))
+            key = ins = (_ADD if t is Sum else _MUL, tuple(map(visit, node.children)))
         elif t is Quotient:
-            ins = (_DIV, (visit(node.numerator), visit(node.denominator)))
+            key = ins = (_DIV, (visit(node.numerator), visit(node.denominator)))
         elif t is IntPower:
-            ins = (_POW, (visit(node.base), node.exponent))
+            key = ins = (_POW, (visit(node.base), node.exponent))
         else:
-            ins = (_UNARY[t], visit(node.child))
-        key = (_CONST, repr(node.value)) if isinstance(ins[1], float) else ins
+            key = ins = (_UNARY[t], visit(node.child))
         slot = slot_of.get(key)
         if slot is None:
             slot = slot_of[key] = len(code)
             code.append(ins)
+            if nodes is not None:
+                nodes.append(node)
         by_id[id(node)] = slot
         return slot
 
     return code, [visit(e) for e in exprs]
 
 
-def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> list[NumberValue]:
-    """Every slot's value in the arithmetic of `point`'s numbers (Fraction or float;
-    sin, cos, exp and float powers as in `evaluate`)."""
-    v: list[NumberValue] = []
+def _pow(b: NumberValue, k: int) -> NumberValue:
+    """b**k, as generated code computes it; a float past the float range is
+    +-inf, as the product b*...*b would be, rather than an OverflowError."""
+    try:
+        return b**k
+    except OverflowError:
+        return math.inf if b > 0 or k % 2 == 0 else -math.inf
+
+
+def _run(
+    code: list[tuple], point: Mapping[str, NumberValue], v: list | None = None
+) -> list[NumberValue]:
+    """Every slot's value in the arithmetic of `point`'s numbers: Fraction or float,
+    with sin, cos and exp in floats (radians) and a float power past the float
+    range +-inf (`_pow`).  The values are appended to `v` if given, so that
+    after a failure its length is the failing slot."""
+    v = [] if v is None else v
     for op, arg in code:
         if op == _CONST:
             x = arg
@@ -1024,6 +710,40 @@ def _run(code: list[tuple], point: Mapping[str, NumberValue]) -> list[NumberValu
             x = _MATH[op](float(v[arg]))
         v.append(x)
     return v
+
+
+def evaluator(exprs: Sequence[Expr]) -> Callable[[Mapping[str, NumberValue]], list[float]]:
+    """Lower `exprs` once; the returned function evaluates them all at a binding.
+
+    A variable the binding lacks raises MissingBindingError, a zero
+    denominator DivisionByZeroError naming its quotient, and a value past the
+    float range where it must become a float EvalError naming its node.
+    """
+    nodes: list[Expr] = []
+    code, roots = _lower(exprs, nodes)
+
+    def run(binding: Mapping[str, NumberValue]) -> list[float]:
+        v: list[NumberValue] = []
+        out: list[float] = []
+        try:
+            _run(code, binding, v)
+            for r in roots:
+                out.append(float(v[r]))
+        except KeyError as err:
+            raise MissingBindingError(err.args[0]) from None
+        except ZeroDivisionError:
+            raise DivisionByZeroError(to_text(nodes[len(v)])) from None
+        except OverflowError:  # in a slot, or where a root's value becomes a float
+            failed = nodes[len(v)] if len(v) < len(code) else nodes[roots[len(out)]]
+            raise EvalError(f"overflow in '{to_text(failed)}'") from None
+        return out
+
+    return run
+
+
+def evaluate(e: Expr, binding: Mapping[str, NumberValue]) -> float:
+    """Evaluate with real arithmetic (radians for sin/cos); see `evaluator`."""
+    return evaluator([e])(binding)[0]
 
 
 def _magnitude(code: list[tuple], v: list[NumberValue]) -> float:
@@ -1085,6 +805,8 @@ def _residue(code: list[tuple], point: Mapping[str, int]) -> int | None:
             if not d:
                 return None
             x = v[arg[0]] * pow(d, -1, P) % P
+        elif op == _NEG:
+            x = -v[arg] % P
         elif op == _VAR:
             x = point[arg]
         else:
@@ -1154,28 +876,25 @@ def _search(names: Sequence[str], sample, policy: ZeroTestPolicy):
     return None, last
 
 
-def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
-    """Zero if simplify gives the constant 0, else a sampled verdict.
+def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
+    """The sampled verdict on the tree as it is, with no symbolic step.
 
-    The simplified tree is lowered to a straight-line program.  A
-    rational-exact one (no float constant, no sin/cos/exp) is sampled modulo
-    the prime 2^61 - 1: a nonzero residue is a witness, with no tolerance.
-    Sample coordinates come from a grid of 2^21 + 1 dyadic rationals, so a
-    nonzero rational function of degree d vanishes at one sample with
-    probability at most d / (2^21 + 1) (Schwartz-Zippel).  A sample whose
-    residue cannot be formed (a denominator that is 0 mod the prime) is
-    evaluated in Fraction instead, and redrawn only where a denominator is
-    exactly 0.  One exact evaluation then confirms a zero verdict, since a
-    polynomial whose coefficients are all multiples of the prime has zero
-    residues everywhere.  A float-tainted program is evaluated at the same
-    points together with its rounding scale (`_magnitude`), and a sample is a
+    The tree is lowered to a straight-line program.  A rational-exact one
+    (no float constant, no sin/cos/exp) is sampled modulo the prime
+    2^61 - 1: a nonzero residue is a witness, with no tolerance.  Sample
+    coordinates come from a grid of 2^21 + 1 dyadic rationals, so a nonzero
+    rational function of degree d vanishes at one sample with probability at
+    most d / (2^21 + 1) (Schwartz-Zippel).  A sample whose residue cannot be
+    formed (a denominator that is 0 mod the prime) is evaluated in Fraction
+    instead, and redrawn only where a denominator is exactly 0.  One exact
+    evaluation then confirms a zero verdict, since a polynomial whose
+    coefficients are all multiples of the prime has zero residues
+    everywhere.  A float-tainted program is evaluated at the same points
+    together with its rounding scale (`_magnitude`), and a sample is a
     witness where |value| > tolerance * scale.
     """
-    s = simplify(e)
-    if isinstance(s, Constant) and s.value == 0:
-        return ZeroVerdict(True, SYMBOLIC)
-    code, _ = _lower([s])
-    if all(op <= _POW and not isinstance(arg, float) for op, arg in code):
+    code, _ = _lower([e])
+    if all(op <= _NEG and not isinstance(arg, float) for op, arg in code):
         kind, sample = EXACT_SAMPLED, _exact_sampler(code)
     else:
         kind = FLOAT_SAMPLED
@@ -1188,12 +907,12 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
                 return None
             return abs(v[-1]) > scale if math.isfinite(scale) else None
 
-    witness, last = _search(sorted(variables(s)), sample, policy)
+    witness, last = _search(sorted(variables(e)), sample, policy)
     if witness is not None:
         return _witness(code, witness, kind)
     if last is None:
         raise IndeterminateZeroTest(
-            f"no sample point of '{to_text(s)}' could be evaluated"
+            f"no sample point of '{to_text(e)}' could be evaluated"
         )
     if kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:
         return _witness(code, last, kind)

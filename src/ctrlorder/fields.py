@@ -5,10 +5,11 @@ extremal d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]> holds with the
 adjoint dynamics p' = -(Df)^T p - sum_i u_i (Dg_i)^T p; the simulation module
 checks that identity numerically.
 
-A field read from a system holds expression trees.  Brackets, sums and zero
-tests work on the fields' rational normal forms (see `normal`), which a
-field builds on first use, in a `Ring` it shares with the fields it meets; a
-bracket's components render to trees only when they are read.
+A field read from a system holds expression trees.  Brackets, sums,
+Jacobians and zero tests work on the fields' rational normal forms (see
+`normal`), which a field builds on first use, in a `Ring` it shares with the
+fields it meets; a bracket's components, and a Jacobian's entries, render to
+trees only when they are read.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from functools import cached_property
 
 from . import normal
 from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, ZeroTestPolicy, const, parse, to_text, variables
-from .expr import diff as tree_diff
-from .normal import Rat, Ring, diff
+from .normal import Rat, Ring, diff_index
 
 
 class DimensionMismatchError(ValueError):
@@ -76,8 +76,7 @@ class VectorField:
         _, comps, columns = self._normal_in(ring)
         column = columns[j]
         if column is None:
-            name = self.state_names[j]
-            column = columns[j] = tuple(diff(c, name) for c in comps)
+            column = columns[j] = tuple(diff_index(c, j) for c in comps)
         return column
 
     def __getstate__(self) -> dict:
@@ -107,14 +106,11 @@ class VectorField:
 
     @cached_property
     def jacobian(self) -> "ExprMatrix":
-        """Entry (i, j) = d(component_i)/d(state_j) of the trees, simplified; computed
-        once per field (what `simulate` compiles; brackets use the normal form's)."""
-        return ExprMatrix(
-            tuple(
-                tuple(tree_diff(comp, name) for name in self.state_names)
-                for comp in self.components
-            )
-        )
+        """Entry (i, j) = d(component_i)/d(state_j): the columns that brackets use,
+        rendered once per field (what `simulate` compiles)."""
+        ring = self._normal_in()[0]
+        columns = [tuple(map(normal.render, self._column(ring, j))) for j in range(self.dim)]
+        return ExprMatrix(tuple(zip(*columns)))
 
     @classmethod
     def from_strings(cls, state_names, texts) -> "VectorField":
@@ -176,7 +172,7 @@ def _combine(a: VectorField, b: VectorField, sign: int) -> VectorField:
 
 
 def jacobian(h: VectorField) -> ExprMatrix:
-    """Entry (i, j) = d(component_i)/d(state_j), simplified (the field's cached Jacobian)."""
+    """Entry (i, j) = d(component_i)/d(state_j) (the field's cached Jacobian)."""
     return h.jacobian
 
 
@@ -242,13 +238,13 @@ class VfZeroVerdict:
 
 
 def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:
-    """Zero iff every component's normal form is zero (normal.is_zero), of the
+    """Zero iff every component's normal form is zero (normal.zero_verdict), of the
     weakest kind among theirs; else the first witnessing component's verdict."""
     kind = SYMBOLIC
     for i, comp in enumerate(h._normal_in()[1]):
         if not comp.num:
             continue  # zero, symbolically: no seed to derive
-        verdict = normal.is_zero(comp, policy.derive("component", i))
+        verdict = normal.zero_verdict(comp, policy.derive("component", i))
         if not verdict.is_zero:
             return VfZeroVerdict(
                 False,

@@ -27,9 +27,15 @@ are not (differentiating N / p^e, p irreducible and not dividing N, never
 makes p divide the new numerator).  Where a sum would expand a large power
 of a sum, as in x1 + (x1 + x2 + x3 + x4)^1000, it writes P^1000 instead, P
 an atom that stands for the sum; a product that would pair more than
-`MAX_TERMS` terms raises `ExprError` rather than run unbounded.
+`MAX_TERMS` terms raises `ExprError` rather than run unbounded, and so does
+a power that folds past MAX_EXPONENT or a constant past `_MAX_POWER_BITS`
+bits.
 
-The zero decision (`is_zero`).  A component is zero iff N = 0 where the
+This is the package's one simplifier and differentiator: `simplify`, `diff`
+and `is_zero` of a tree convert it in a ring over its variables, and
+`render` turns a normal form back into a tree.
+
+The zero decision (`zero_verdict`).  A component is zero iff N = 0 where the
 atoms in N and in its numerator factors are algebraically independent over
 Q(x) modulo c^2 + s^2 = 1; each p_i is a nonzero polynomial.  By Ax's
 theorem (Ax, "On Schanuel's conjectures", Ann. Math. 1971), exp(u_1), ...,
@@ -40,11 +46,10 @@ its numerator factors is rational and the kernel arguments they use are
 float-free, kernel-free and, together with 1, Q-linearly independent (trig
 arguments and exp arguments each), and no atom P.  Otherwise, a float
 constant, sin x beside sin 2x or beside sin(x + 1), a nested kernel or an
-atom P,
-it is the sampled `expr.is_zero` of the component's tree.  A nonzero
-symbolic verdict carries the witness that `expr.is_zero` would draw: the
-same seeded points over the same sorted names, each evaluated from the
-normal form.
+atom P, it is the sampled test (`expr.sampled_is_zero`) of the component's
+tree.  A nonzero symbolic verdict carries the witness that the sampled test
+would draw: the same seeded points over the same sorted names, each
+evaluated from the normal form.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from functools import reduce
 from operator import or_
 
 from .expr import (
+    MAX_EXPONENT,
     SYMBOLIC,
     Constant,
     Cos,
@@ -73,12 +79,11 @@ from .expr import (
     Variable,
     ZeroTestPolicy,
     ZeroVerdict,
-    _canon,
-    _ipow,
     _search,
     _sort_key,
-    is_zero as sampled_is_zero,
+    sampled_is_zero,
     to_text,
+    variables,
 )
 
 _BITS = 24  # bits per atom in a packed monomial
@@ -89,6 +94,9 @@ _HIGH = _SLOT ^ ((1 << (_BITS - 2)) - 1)
 _TOP = 1 << (_BITS - 1)
 MAX_TERMS = 1 << 20  # the most term pairs one product forms
 _EXPAND = 1 << 12  # the most terms of a power of a sum that `Ring.product` expands
+# Most bits that a folded constant power may reach; a float needs about 1100,
+# so this only stops ((2^1000)^1000)^1000 and the like.
+_MAX_POWER_BITS = 1 << 20
 
 
 class Rat:
@@ -163,12 +171,12 @@ class Ring:
             if kernel is None:
                 u = render(arg)
                 if trig:
-                    s, c = self._atom(_canon(Sin(u))), self._atom(_canon(Cos(u)))
+                    s, c = self._atom(Sin(u)), self._atom(Cos(u))
                     kernel = _Kernel(True, arg, (s, c))
                     self.pairs.append((s * _BITS, c * _BITS))
                     self.cmask |= (_SLOT ^ 1) << (c * _BITS)
                 else:
-                    kernel = _Kernel(False, arg, (self._atom(_canon(Exp(u))),))
+                    kernel = _Kernel(False, arg, (self._atom(Exp(u)),))
                 for slot in kernel.slots:
                     self.kernel_of_slot[slot] = kernel
                 self.kernels.append(kernel)
@@ -235,7 +243,7 @@ class Ring:
         """base^k of an atom's or a factor's tree."""
         out = self._powers.get((base, k))
         if out is None:
-            out = self._powers[(base, k)] = base if k == 1 else _canon(IntPower(base, k))
+            out = self._powers[(base, k)] = base if k == 1 else IntPower(base, k)
         return out
 
     def factor_tree(self, i: int) -> Expr:
@@ -368,6 +376,15 @@ def _unit(i: int, e: int) -> tuple:
     return (0,) * i + (e,)
 
 
+def _ipow(v: float, k: int) -> float:
+    """v^k by left-associated repeated multiplication, so that a float power
+    folds to the bits of the product v*v*...*v."""
+    out = v
+    for _ in range(k - 1):
+        out = out * v
+    return out
+
+
 def _quotient(c, d):
     """c/d, an int where it divides exactly."""
     if isinstance(c, int) and isinstance(d, int):
@@ -430,9 +447,9 @@ def _pmul(ring: Ring, p: dict, q: dict) -> dict:
     if len(q) == 1 and 0 in q:
         return _pmul(ring, q, p)
     if (reduce(or_, p) | reduce(or_, q)) & ring.high:
-        raise ExprError(f"a bracket exponent reaches 2^{_BITS - 2}")
+        raise ExprError(f"an exponent reaches 2^{_BITS - 2}")
     if len(p) * len(q) > MAX_TERMS:
-        raise ExprError(f"a bracket product pairs more than {MAX_TERMS} terms")
+        raise ExprError(f"a product pairs more than {MAX_TERMS} terms")
     out: dict = {}
     get = out.get
     for mq, cq in q.items():
@@ -508,7 +525,10 @@ def mul(a: Rat, b: Rat) -> Rat:
 
 def power(a: Rat, k: int) -> Rat:
     """a^k, k >= 1.  A sum is not expanded: its primitive part becomes a
-    numerator factor."""
+    numerator factor.  ExprError where a power of a power, as in (x1^1000)^2,
+    folds an exponent past MAX_EXPONENT, or a rational coefficient past
+    `_MAX_POWER_BITS` bits.  (A first power keeps its exponent, so that the
+    tree of a bracket, which can hold (x1 + x2)^3996, converts back.)"""
     ring, num, den = a.ring, a.num, a.den
     if len(num) > 1:
         content = _monomial_gcd(num)
@@ -517,12 +537,20 @@ def power(a: Rat, k: int) -> Rat:
     if not num:
         return a
     ((m, c),) = num.items()
-    top, rest = 0, m
+    top, rest = max(map(abs, den), default=0), m
     while rest:
         top, rest = max(top, rest & _SLOT), rest >> _BITS
+    if top > 1 and top * k > MAX_EXPONENT:
+        raise ExprError(f"a power folds to an exponent larger than {MAX_EXPONENT}")
     if top * k >> (_BITS - 2):
-        raise ExprError(f"a bracket exponent reaches 2^{_BITS - 2}")
-    num = {m * k: _ipow(c, k) if isinstance(c, float) else c**k}  # a float as simplify folds it
+        raise ExprError(f"an exponent reaches 2^{_BITS - 2}")
+    if isinstance(c, float):
+        c = _ipow(c, k)
+    elif k * max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_POWER_BITS:
+        raise ExprError(f"a constant power folds past {_MAX_POWER_BITS} bits")
+    else:
+        c = c**k
+    num = {m * k: c}
     if m * k & ring.cmask:
         _reduce_cos(ring, num)
         num = _nonzero(num)
@@ -630,11 +658,6 @@ def diff_index(a: Rat, j: int) -> Rat:
     return total(terms)
 
 
-def diff(a: Rat, var: str) -> Rat:
-    """d a / d var, var a state name of a's ring."""
-    return diff_index(a, a.ring.index[var])
-
-
 def lie_component(a, b, da, db, i: int) -> Rat:
     """Component i of [a, b] = (Db) a - (Da) b, from the components and the
     Jacobians' columns (column j of Db is read only where a_j != 0, column j of
@@ -658,10 +681,9 @@ def _number(c) -> Constant:
 
 
 def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
-    """The polynomial times the powers `extra` (base tree -> exponent), as
-    simplify collects it: cores sorted by their sort key, each with its
-    coefficient in front, the constant term last.  An atom P joins the power
-    of the sum it stands for."""
+    """The polynomial times the powers `extra` (base tree -> exponent), collected:
+    cores sorted by their sort key, each with its coefficient in front, the
+    constant term last.  An atom P joins the power of the sum it stands for."""
     cores = []
     constant = 0
     for m, c in p.items():
@@ -681,7 +703,7 @@ def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
             core = factors[0]
         else:
             factors.sort(key=_sort_key)
-            core = _canon(Product(tuple(factors)))
+            core = Product(tuple(factors))
         cores.append((_sort_key(core), core, c))
     cores.sort(key=lambda t: t[0])
     terms = []
@@ -690,12 +712,12 @@ def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
             terms.append(core)
         else:
             rest = core.children if isinstance(core, Product) else (core,)
-            terms.append(_canon(Product((_number(c), *rest))))
+            terms.append(Product((_number(c), *rest)))
     if constant:
         terms.append(_number(constant))
     if not terms:
         return _number(0)
-    return terms[0] if len(terms) == 1 else _canon(Sum(tuple(terms)))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def render(a: Rat) -> Expr:
@@ -707,8 +729,8 @@ def render(a: Rat) -> Expr:
     factors.sort(key=_sort_key)
     if not factors:
         return num
-    den = factors[0] if len(factors) == 1 else _canon(Product(tuple(factors)))
-    return _canon(Quotient(num, den))
+    den = factors[0] if len(factors) == 1 else Product(tuple(factors))
+    return Quotient(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +807,8 @@ def _rank(vectors) -> int:
     return len(basis)
 
 
-def is_zero(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
-    """The verdict on one component: N = 0, or the sampled test of its tree."""
+def zero_verdict(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
+    """The verdict on one normal form: N = 0, or the sampled test of its tree."""
     if not a.num:
         return ZeroVerdict(True, SYMBOLIC)
     if not decides(a):
@@ -799,11 +821,14 @@ def is_zero(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _slots(a: Rat) -> list[int]:
-    """The atom slots that a's tree holds, kernel arguments included, in order."""
-    ring, seen, todo = a.ring, set(), [a]
+def _closure(a: Rat) -> tuple[list[int], list[Rat]]:
+    """The atom slots that a's tree holds, kernel arguments included, in order;
+    and the forms it holds: a and those kernels' arguments."""
+    ring, seen, todo, forms = a.ring, set(), [a], []
     while todo:
-        m, slot = reduce(or_, (m for p in _polys(todo.pop()) for m in p), 0), 0
+        form = todo.pop()
+        forms.append(form)
+        m, slot = reduce(or_, (m for p in _polys(form) for m in p), 0), 0
         while m:
             if m & _SLOT and slot not in seen:
                 seen.add(slot)
@@ -811,7 +836,7 @@ def _slots(a: Rat) -> list[int]:
                     todo.append(ring.kernel_of_slot[slot].arg)
             m >>= _BITS
             slot += 1
-    return sorted(seen)
+    return sorted(seen), forms
 
 
 def _atom_values(ring: Ring, slots: list[int], point, exact: bool) -> dict:
@@ -865,7 +890,7 @@ def _witnessed(a: Rat, policy: ZeroTestPolicy) -> ZeroVerdict:
     is, else the last point that evaluates.  A point where a denominator
     vanishes or a value overflows is redrawn."""
     ring = a.ring
-    slots = _slots(a)
+    slots = _closure(a)[0]
     names = sorted(ring.names[s] for s in slots if s < len(ring.names))
     kernels = [ring.kernel_of_slot[s] for s in slots if s in ring.kernel_of_slot]
     exact = all(k.trig is None for k in kernels)  # no sin, cos or exp
@@ -895,3 +920,55 @@ def _witnessed(a: Rat, policy: ZeroTestPolicy) -> ZeroVerdict:
     except (ZeroDivisionError, OverflowError, ValueError):
         value = math.nan
     return ZeroVerdict(False, SYMBOLIC, witness=point, value=value)
+
+
+# ---------------------------------------------------------------------------
+# Trees: simplify, differentiate, test for zero, check a loaded input
+# ---------------------------------------------------------------------------
+
+
+def _ring_over(e: Expr, *names: str) -> Ring:
+    return Ring(sorted(variables(e).union(names)))
+
+
+def simplify(e: Expr) -> Expr:
+    """The tree of e's normal form: constants folded, polynomials expanded and
+    collected, cos^2 written 1 - sin^2, common factors cancelled."""
+    return render(_ring_over(e).convert(e))
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """Exact partial derivative with respect to `var`, as the tree of its normal form."""
+    ring = _ring_over(e, var)
+    return render(diff_index(ring.convert(e), ring.index[var]))
+
+
+def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
+    """The verdict on a tree: that on its normal form (`zero_verdict`)."""
+    return zero_verdict(_ring_over(e).convert(e), policy)
+
+
+def _finite(c) -> bool:
+    try:
+        return math.isfinite(c)
+    except OverflowError:  # a rational beyond the float range
+        return False
+
+
+def check_input(a: Rat) -> None:
+    """ExprError unless every coefficient of a's tree, kernel arguments and
+    factors included, is a finite float or a rational within the float range,
+    and every exponent, of an atom or a factor, is at most MAX_EXPONENT."""
+    forms = _closure(a)[1] if a.ring.kernels else [a]  # with no kernel, a alone
+    polys = [p for form in forms for p in _polys(form)]
+    if not all(map(_finite, [c for p in polys for c in p.values()])):
+        raise ExprError("a constant folds to a value that is not a finite float")
+    # Each exponent is below 2^(_BITS - 1) (see `_pmul`), so adding the bias
+    # to every slot carries into the slot's two high bits exactly where the
+    # exponent exceeds MAX_EXPONENT.
+    high = a.ring.high
+    bias = ((1 << (_BITS - 2)) - 1 - MAX_EXPONENT) * (high // _HIGH)
+    if any(abs(e) > MAX_EXPONENT for form in forms for e in form.den) or any(
+        (m + bias) & high for p in polys for m in p
+    ):
+        raise ExprError(f"a power folds to an exponent larger than {MAX_EXPONENT}")

@@ -13,20 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .expr import (
-    MAX_EXPONENT,
-    DivisionByZeroError,
-    Expr,
-    ExprError,
-    evaluate,
-    has_bounded_exponents,
-    has_finite_constants,
-    parse,
-    simplify,
-    to_text,
-    variables,
-)
+from .expr import DivisionByZeroError, Expr, ExprError, evaluator, parse, to_text, variables
 from .fields import VectorField
+from .normal import Ring, check_input
 
 _RESERVED_TIME_NAME = "t"
 _COST_STATE_NAME = "x0"
@@ -92,25 +81,24 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
     return dataclasses.replace(sys, cost=None)
 
 
-def _parse_field(text: str, names, location: str) -> Expr:
-    """Parse one field; folded as the analysis folds it, its constants must be finite
-    floats and its exponents at most MAX_EXPONENT."""
+def _parse_field(text: str, ring: Ring, location: str) -> Expr:
+    """Parse one field over the ring's states; in its normal form (`ring.convert`),
+    its constants must be finite floats and its exponents at most MAX_EXPONENT,
+    and its size within the normal form's caps."""
     try:
-        e = parse(text, names)
+        e = parse(text, ring.names)
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     try:
-        folded = simplify(e)
+        check_input(ring.convert(e))
     except DivisionByZeroError:  # a literal division by zero, which validate reports
         return e
-    except ExprError as err:  # a constant power too large to fold
+    except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     except OverflowError:  # a rational beyond the float range met a float
-        folded = None
-    if folded is None or not has_finite_constants(folded):
-        raise SystemLoadError("a constant folds to a value that is not a finite float", location)
-    if not has_bounded_exponents(folded):
-        raise SystemLoadError(f"a power folds to an exponent larger than {MAX_EXPONENT}", location)
+        raise SystemLoadError(
+            "a constant folds to a value that is not a finite float", location
+        ) from None
     return e
 
 
@@ -133,6 +121,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
             raise SystemLoadError(f"'{name}' is not a valid identifier", f"states[{i}]")
     names = tuple(states)
     n = len(names)
+    ring = Ring(names)  # the fold check's, one for the whole system
 
     m = document.get("inputs")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -141,7 +130,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     def parse_at(text: Any, location: str) -> Expr:
         if not isinstance(text, str):
             raise SystemLoadError("expected an expression string", location)
-        return _parse_field(text, names, location)
+        return _parse_field(text, ring, location)
 
     f_doc = document.get("f")
     if not isinstance(f_doc, list) or len(f_doc) != n:
@@ -176,7 +165,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
         text = document["K"]
         if not isinstance(text, str):
             raise SystemLoadError("'K' must be an expression string in 't'", "K")
-        bound = _parse_field(text, (_RESERVED_TIME_NAME,), "K")
+        bound = _parse_field(text, Ring((_RESERVED_TIME_NAME,)), "K")
 
     label = document.get("label", "")
     if not isinstance(label, str):
@@ -268,10 +257,11 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
             )
 
     if sys.bound is not None:
+        bound = evaluator([sys.bound])
         for s in range(_K_SAMPLES):
             t = horizon * s / (_K_SAMPLES - 1)
             try:
-                value = evaluate(sys.bound, {_RESERVED_TIME_NAME: t})
+                (value,) = bound({_RESERVED_TIME_NAME: t})
             except ExprError as err:
                 findings.append(Finding("error", f"bound K failed to evaluate: {err}", "K"))
                 break
@@ -291,12 +281,15 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
     if sys.cost is not None:
         targets.append((sys.cost.f0, "cost.f0"))
         targets.extend((e, f"cost.g0[{i}]") for i, e in enumerate(sys.cost.g0))
-    for e, location in targets:
-        try:
-            evaluate(e, probe)
-        except ExprError as err:
-            findings.append(
-                Finding("error", f"failed to evaluate at a random interior point: {err}", location)
-            )
+    try:  # one program for them all; where it fails, each alone names its failure
+        evaluator([e for e, _ in targets])(probe)
+    except ExprError:
+        for e, location in targets:
+            try:
+                evaluator([e])(probe)
+            except ExprError as err:
+                findings.append(
+                    Finding("error", f"failed to evaluate at a random interior point: {err}", location)
+                )
 
     return ValidationReport(tuple(findings))

@@ -592,6 +592,17 @@ def test_non_finite_constants_and_huge_exponents_are_input_errors(capsys, tmp_pa
         assert err.count("\n") == 1 and message in err
 
 
+def test_a_wide_product_is_an_input_error_in_bounded_time(capsys, tmp_path):
+    # 22 binomials over 44 states expand to 2^22 monomials, past the normal form's cap
+    f = ["*".join(f"(x{2 * k + 1} + x{2 * k + 2})" for k in range(22))] + ["0"] * 43
+    path = write_system(tmp_path, f, ["1"] + ["0"] * 43)
+    start = time.monotonic()
+    code, out, err = run(capsys, "order", path, "--k-max", "1")
+    assert time.monotonic() - start < 15
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "f[0]: a product pairs more than 1048576 terms" in err
+
+
 def test_simulate_with_a_derivative_past_the_float_range_ends_flagged(capsys, tmp_path):
     # d(1e308*x1^2)/dx1 = 2e308 is inf; the adjoint equation carries it
     path = write_system(tmp_path, ["1e308*x1^2"], ["1"])

@@ -1,4 +1,8 @@
-"""Expression core: parsing, printing, differentiation, simplification, zero tests."""
+"""Expression core: parsing, printing, differentiation, simplification, zero tests.
+
+`simplify`, `diff` and `is_zero` go through the normal form; the tests of the
+sampled test's own rules call `sampled_is_zero` directly.
+"""
 
 import json
 import math
@@ -14,6 +18,7 @@ from ctrlorder import (
     Constant,
     Cos,
     DivisionByZeroError,
+    EvalError,
     Exp,
     IndeterminateZeroTest,
     IntPower,
@@ -45,14 +50,13 @@ from ctrlorder.expr import (
     SYMBOLIC,
     ExprError,
     ExprSyntaxError,
-    _derivative,
     _nodes,
     _sort_key,
     compile_components,
-    has_bounded_exponents,
-    has_finite_constants,
     render_components,
+    sampled_is_zero,
 )
+from ctrlorder.normal import Ring, check_input
 
 from helpers import SYSTEMS_DIR, random_binding, random_expr
 
@@ -275,7 +279,9 @@ def test_simplify_examples():
         (const(2), Variable("x1"))
     )
     pythag = Sum((IntPower(Sin(Variable("t")), 2), IntPower(Cos(Variable("t")), 2)))
-    assert simplify(pythag) == pythag  # no trigonometric rewriting
+    assert simplify(pythag) == const(1)  # cos^2 is written 1 - sin^2
+    # common factors cancel
+    assert simplify(parse("x1*(x1 + 1)/(x1 + 1)", VARS)) == Variable("x1")
 
 
 def test_simplify_identity_elements():
@@ -358,21 +364,20 @@ def test_simplify_idempotent_on_random_trees():
     for _ in range(200):
         e = random_expr(rng, VARS[:4], depth=rng.randint(0, 6))
         s = simplify(e)
-        assert simplify(s) is s  # a marked node, returned as it is
-        assert simplify(_unmarked(s)) == s
+        assert simplify(s) == s, to_text(e)
 
 
-def _unmarked(e):
-    """A structural copy of `e` in which no node is marked canonical."""
+def _copy(e):
+    """A structural copy of `e`, with no stored hash or sort key."""
     if isinstance(e, (Sum, Product)):
-        return type(e)(tuple(_unmarked(c) for c in e.children))
+        return type(e)(tuple(_copy(c) for c in e.children))
     if isinstance(e, Quotient):
-        return Quotient(_unmarked(e.numerator), _unmarked(e.denominator))
+        return Quotient(_copy(e.numerator), _copy(e.denominator))
     if isinstance(e, IntPower):
-        return IntPower(_unmarked(e.base), e.exponent)
+        return IntPower(_copy(e.base), e.exponent)
     if isinstance(e, (Negate, Sin, Cos, Exp)):
-        return type(e)(_unmarked(e.child))
-    return e  # a constant or a variable, canonical as it is
+        return type(e)(_copy(e.child))
+    return e
 
 
 def _simplified_random_trees(seed: int, count: int):
@@ -380,7 +385,7 @@ def _simplified_random_trees(seed: int, count: int):
     return [simplify(random_expr(rng, VARS[:3], depth=rng.randint(0, 6))) for _ in range(count)]
 
 
-def test_every_built_node_is_marked_and_simplify_leaves_its_unmarked_copy_equal():
+def test_a_copy_builds_the_stored_hash_and_sort_key_of_its_original():
     checked = 0
     for s in _simplified_random_trees(6060, 500):
         seen = set()
@@ -388,9 +393,7 @@ def test_every_built_node_is_marked_and_simplify_leaves_its_unmarked_copy_equal(
             if id(node) in seen or isinstance(node, (Constant, Variable)):
                 continue
             seen.add(id(node))
-            assert node._canonical, to_text(node)
-            copy = _unmarked(node)
-            assert not copy._canonical
+            copy = _copy(node)
             assert all(
                 n._hash is None and n._key is None
                 for n in _nodes(copy)
@@ -398,7 +401,7 @@ def test_every_built_node_is_marked_and_simplify_leaves_its_unmarked_copy_equal(
             )
             # the stored hash and key, built level by level, match the original's
             assert hash(copy) == hash(node) and _sort_key(copy) == _sort_key(node)
-            assert simplify(copy) == node, to_text(node)
+            assert copy == node
             checked += 1
     assert checked > 1000
 
@@ -412,11 +415,15 @@ def test_each_node_builds_its_hash_and_sort_key_at_most_once(monkeypatch):
             return rule(e)
 
         monkeypatch.setattr(expr, f"_node_{name}", counted)
-    # nested tree derivatives: every node is built by the simplifier's constructors
-    names = ("th", "w")
-    e = parse("-sin(th)*w/((1 + w^2)*(1 + th^2))", names)
-    for var in ("th", "w", "th", "w"):
-        e = diff(e, var)
+    # rendered brackets: `render` sorts the nodes it builds and keys caches by
+    # them, and hashing or sorting a whole tree then reads the stored values
+    doc = json.loads((SYSTEMS_DIR / "stress" / "rational_pendulum.json").read_text())
+    f = VectorField.from_strings(doc["states"], doc["f"])
+    g = VectorField.from_strings(doc["states"], doc["g"][0])
+    table = BracketTable(f, (g,))
+    for tree in (c for k in range(5) for c in table.ad(0, k).components):
+        hash(tree)
+        _sort_key(tree)
     for nodes in built.values():
         assert len(nodes) > 1000
         assert len({id(n) for n in nodes}) == len(nodes)
@@ -450,15 +457,6 @@ def test_equal_nodes_hash_alike_and_classes_hash_apart():
     # one child under each unary class: four distinct hashes
     assert len({hash(Sin(x)), hash(Cos(x)), hash(Exp(x)), hash(Negate(x))}) == 4
     assert hash(Sum((x, x))) != hash(Product((x, x)))
-
-
-def test_diff_of_a_canonical_tree_is_the_simplified_raw_derivative():
-    for s in _simplified_random_trees(7070, 500):
-        copy = _unmarked(s)
-        for v in VARS[:3]:
-            d = diff(s, v)
-            assert d == simplify(_derivative(copy, v)), (to_text(s), v)
-            assert d._canonical and simplify(_unmarked(d)) == d
 
 
 def test_diff_agrees_with_sympy_on_random_rational_trees():
@@ -516,6 +514,16 @@ def test_evaluate_missing_binding():
     assert err.value.name == "x2"
 
 
+def test_evaluate_overflow_names_the_node():
+    with pytest.raises(EvalError, match=r"^overflow in 'exp\(x1\^2\)'$"):
+        evaluate(parse("1 + exp(x1^2)", VARS), {"x1": 30.0})
+    # an exact value past the float range, where it meets a float or is returned
+    with pytest.raises(EvalError, match=r"^overflow in '10\^400\*x1'$"):
+        evaluate(parse("10^400*x1/10^400", VARS), {"x1": 0.5})
+    with pytest.raises(EvalError, match=r"^overflow in '10\^400'$"):
+        evaluate(parse("10^400", VARS), {})
+
+
 def test_evaluate_radians():
     assert abs(evaluate(parse("sin(t)", VARS), {"t": math.pi / 2}) - 1.0) < 1e-15
 
@@ -536,15 +544,15 @@ def test_is_zero_pythagorean_identity():
 def test_is_zero_float_tainted_residual_is_relative():
     # a scaled identity leaves rounding noise far above an absolute 1e-9 (about
     # 1e-4 here), but far below 1e-9 of the rounding scale of its terms
-    verdict = is_zero(parse("10^12*(sin(x1)^2 + cos(x1)^2 - 1)", VARS))
+    verdict = sampled_is_zero(parse("10^12*(sin(x1)^2 + cos(x1)^2 - 1)", VARS))
     assert verdict.is_zero and verdict.kind == FLOAT_SAMPLED
     # a tiny term with no cancellation is no rounding noise
-    verdict = is_zero(parse("1e-12*sin(x1)", VARS))
+    verdict = sampled_is_zero(parse("1e-12*sin(x1)", VARS))
     assert not verdict.is_zero and verdict.kind == FLOAT_SAMPLED
     assert verdict.value == pytest.approx(1e-12 * math.sin(verdict.witness["x1"]), rel=1e-12)
     tiny_box = ZeroTestPolicy(box_halfwidth=1e-4)
-    assert not is_zero(parse("cos(x1)*x1^3", VARS), tiny_box).is_zero
-    assert is_zero(parse("x1*(sin(x1)^2 + cos(x1)^2) - x1", VARS), tiny_box).is_zero
+    assert not sampled_is_zero(parse("cos(x1)*x1^3", VARS), tiny_box).is_zero
+    assert sampled_is_zero(parse("x1*(sin(x1)^2 + cos(x1)^2) - x1", VARS), tiny_box).is_zero
 
 
 def test_is_zero_nonzero_with_witness():
@@ -588,42 +596,53 @@ def test_is_zero_indeterminate_when_nothing_evaluates():
 
 def test_is_zero_exact_rational_sampling():
     # a rational expression is decided exactly: no tolerance hides a tiny constant
-    assert not is_zero(Product((Constant(Fraction(1, 10**12)), Variable("x1")))).is_zero
-    assert not is_zero(Product((Constant(Fraction(1, 10**6)), Variable("x1")))).is_zero
-    verdict = is_zero(parse("x1/10000000000000", VARS))
-    assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
-    assert verdict.value == pytest.approx(verdict.witness["x1"] / 1e13, rel=1e-15)
+    assert not sampled_is_zero(Product((Constant(Fraction(1, 10**12)), Variable("x1")))).is_zero
+    assert not sampled_is_zero(Product((Constant(Fraction(1, 10**6)), Variable("x1")))).is_zero
+    for sign, text in ((1, "x1/10000000000000"), (-1, "-x1/10000000000000")):
+        verdict = sampled_is_zero(parse(text, VARS))  # a negation is rational-exact too
+        assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
+        assert verdict.value == pytest.approx(sign * verdict.witness["x1"] / 1e13, rel=1e-15)
 
 
 def test_is_zero_kinds():
+    # a tree is decided by its normal form wherever N = 0 decides it
     assert is_zero(parse("0*x1 + x2 - x2", VARS)).kind == SYMBOLIC
-    # simplify does not cancel the common factor, so the zero is sampled
     rational_zero = parse("x1*(x1 + 1)/(x1 + 1) - x1", VARS)
-    assert not isinstance(simplify(rational_zero), Constant)
-    assert is_zero(rational_zero) == ZeroVerdict(True, EXACT_SAMPLED)
-    assert is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == EXACT_SAMPLED
-    assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)) == ZeroVerdict(True, FLOAT_SAMPLED)
+    assert is_zero(rational_zero) == ZeroVerdict(True, SYMBOLIC)
+    assert is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == SYMBOLIC
+    assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)) == ZeroVerdict(True, SYMBOLIC)
     assert is_zero(parse("0.5*x1 + x2", VARS)).kind == FLOAT_SAMPLED
     nonzero = is_zero(parse("exp(x1) - 1", VARS))
+    assert not nonzero.is_zero and nonzero.kind == SYMBOLIC
+    assert is_zero(parse("sin(2*t) - 2*sin(t)*cos(t)", VARS)) == ZeroVerdict(True, FLOAT_SAMPLED)
+    # the sampled test alone: exact where the tree is rational, else in floats
+    assert sampled_is_zero(rational_zero) == ZeroVerdict(True, EXACT_SAMPLED)
+    assert sampled_is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == EXACT_SAMPLED
+    pythag = parse("sin(t)^2 + cos(t)^2 - 1", VARS)
+    assert sampled_is_zero(pythag) == ZeroVerdict(True, FLOAT_SAMPLED)
+    nonzero = sampled_is_zero(parse("exp(x1) - 1", VARS))
     assert not nonzero.is_zero and nonzero.kind == FLOAT_SAMPLED
 
 
 def test_is_zero_exact_sampling_draws_the_points_of_the_tolerance_rule():
     # x1*x2 is far above the tolerance wherever it is nonzero: both rules
-    # must stop at the same first sample of the same seeded stream
-    exact = is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
-    tainted = is_zero(parse("2.0*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    # must stop at the same first sample of the same seeded stream, and so
+    # must the symbolic verdict's witness
+    exact = sampled_is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    tainted = sampled_is_zero(parse("2.0*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    symbolic = is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
     assert exact.kind == EXACT_SAMPLED and tainted.kind == FLOAT_SAMPLED
-    assert exact.witness == tainted.witness
-    assert exact.value == tainted.value
+    assert symbolic.kind == SYMBOLIC
+    assert exact.witness == tainted.witness == symbolic.witness
+    assert exact.value == tainted.value == symbolic.value
 
 
 def test_is_zero_confirms_a_zero_residue_exactly():
     prime = 2**61 - 1
     # every coefficient is a multiple of the prime, so every residue is 0
-    assert not is_zero(Product((Constant(Fraction(prime)), Variable("x1")))).is_zero
+    assert not sampled_is_zero(Product((Constant(Fraction(prime)), Variable("x1")))).is_zero
     e = parse(f"(x1 + 1)*(x1 + {prime - 1}) - x1^2 - {prime - 1}", VARS)
-    verdict = is_zero(e)
+    verdict = sampled_is_zero(e)
     assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
     assert verdict.value == pytest.approx(prime * verdict.witness["x1"])
 
@@ -631,9 +650,8 @@ def test_is_zero_confirms_a_zero_residue_exactly():
 def test_is_zero_samples_in_fractions_when_a_constant_has_no_residue():
     prime = 2**61 - 1
     zero = parse(f"x1*(x1 + 1)/({prime}*(x1 + 1)) - x1/{prime}", VARS)
-    assert not isinstance(simplify(zero), Constant)
-    assert is_zero(zero) == ZeroVerdict(True, EXACT_SAMPLED)
-    verdict = is_zero(parse(f"x1/{prime}", VARS))
+    assert sampled_is_zero(zero) == ZeroVerdict(True, EXACT_SAMPLED)
+    verdict = sampled_is_zero(parse(f"x1/{prime}", VARS))
     assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
 
 
@@ -641,19 +659,19 @@ def test_is_zero_redraws_a_point_where_a_denominator_vanishes():
     policy = ZeroTestPolicy(sample_count=1, seed=11)
     draws = random.Random(policy.seed)
     first, second = (Fraction(draws.randint(-(1 << 20), 1 << 20), 1 << 20) for _ in range(2))
-    verdict = is_zero(Quotient(const(1), Sum((Variable("x1"), Constant(-first)))), policy)
-    assert not verdict.is_zero
-    assert verdict.witness == {"x1": float(second)}
+    for test in (sampled_is_zero, is_zero):
+        verdict = test(Quotient(const(1), Sum((Variable("x1"), Constant(-first)))), policy)
+        assert not verdict.is_zero
+        assert verdict.witness == {"x1": float(second)}
     zero = Sum((Quotient(Variable("x1"), Variable("x1")), const(-1)))
-    assert is_zero(zero, policy) == ZeroVerdict(True, EXACT_SAMPLED)
+    assert sampled_is_zero(zero, policy) == ZeroVerdict(True, EXACT_SAMPLED)
 
 
 def test_is_zero_decides_in_fractions_where_a_denominator_vanishes_mod_the_prime():
     prime = 2**61 - 1
     # the denominator is 0 mod the prime at every sample, and exactly 0 at none
     e = parse(f"1/({prime}*x1 + {prime}*x2)", VARS)
-    assert isinstance(simplify(e).denominator, Sum)
-    verdict = is_zero(e)
+    verdict = sampled_is_zero(e)
     assert not verdict.is_zero and verdict.kind == EXACT_SAMPLED
     expected = 1 / (prime * (verdict.witness["x1"] + verdict.witness["x2"]))
     assert verdict.value == pytest.approx(expected)
@@ -691,19 +709,19 @@ def test_is_zero_agrees_with_sympy_on_random_rational_trees():
             trees.append(e)
     sampled = {True: 0, False: 0}
     for n, e in enumerate(trees):
-        # e itself, its difference with a re-simplified copy, and e*d/d - e,
-        # whose common factor d simplify leaves in place
+        # e itself, its difference with a re-simplified copy, and e*d/d - e
         d = random_expr(rng, names, depth=2, allow_quotient=False, allow_trig=False)
         cases = [e, Sum((e, Negate(simplify(parse(to_text(e), names)))))]
         if _rational(d) and sympy.cancel(_to_sympy(d, sympy)) != 0:
             cases.append(Sum((Quotient(Product((e, d)), d), Negate(e))))
         for case in cases:
+            zero = sympy.cancel(_to_sympy(case, sympy)) == 0
             verdict = is_zero(case, ZeroTestPolicy(seed=n))
-            assert verdict.is_zero == (sympy.cancel(_to_sympy(case, sympy)) == 0), to_text(case)
-            assert verdict.kind in (SYMBOLIC, EXACT_SAMPLED)
-            if verdict.kind == EXACT_SAMPLED:
-                sampled[verdict.is_zero] += 1
-    # both verdicts were reached by sampling, not by simplify alone
+            assert verdict == ZeroVerdict(zero, SYMBOLIC, verdict.witness, verdict.value), to_text(case)
+            # the sampled test alone, on the tree as it is
+            verdict = sampled_is_zero(case, ZeroTestPolicy(seed=n))
+            assert (verdict.is_zero, verdict.kind) == (zero, EXACT_SAMPLED), to_text(case)
+            sampled[zero] += 1
     assert sampled[True] > 100 and sampled[False] > 100
 
 
@@ -720,7 +738,7 @@ def test_compile_components_matches_evaluate():
         fn = compile_components([e], names)
         pt = random_binding(rng, names)
         vec = [pt[n] for n in names]
-        assert abs(fn(vec)[0] - evaluate(e, pt)) < 1e-9
+        assert fn(vec)[0] == evaluate(e, pt)
 
 
 def test_evaluate_and_compiled_code_compute_powers_alike_bit_for_bit():
@@ -783,10 +801,30 @@ def test_compile_components_renders_constants_past_the_float_range():
     assert math.isnan(compile_components([Constant(math.nan)], ())([])[0])
 
 
+def _checked(text: str):
+    """Parse, then check the normal form as loading checks a field."""
+    e = parse(text, VARS)
+    check_input(Ring(VARS).convert(e))
+    return e
+
+
 def test_has_bounded_exponents():
-    assert has_bounded_exponents(simplify(parse(f"(x1^{MAX_EXPONENT // 2})^2", VARS)))
-    assert not has_bounded_exponents(simplify(parse("(x1^1000)^1000", VARS)))
-    assert not has_bounded_exponents(simplify(parse("x1^600*x1^600", VARS)))
+    _checked(f"(x1^{MAX_EXPONENT // 2})^2")
+    _checked(f"1/(x1 + 1)^{MAX_EXPONENT}")
+    # what cancels is not held against the input
+    _checked("x1^600*x1^600/(x1^600*x1^600)")
+    over = f"larger than {MAX_EXPONENT}"
+    for text in (
+        "(x1^1000)^1000",  # refused by the power itself
+        "((x1 + x2)^1000)^2",
+        "x1^600*x1^600",
+        "1/(x1^600*x1^600)",
+        "1/((x1 + 1)^600*(x1 + 1)^600)",
+        "(x1^600*x1^600 + 1)^2",  # in a factor
+        "sin(x1^600*x1^600)",  # in a kernel argument
+    ):
+        with pytest.raises(ExprError, match=over):
+            _checked(text)
 
 
 def test_simplify_refuses_a_constant_power_past_the_bit_budget():
@@ -802,10 +840,12 @@ def test_parse_positions_an_integer_literal_past_the_conversion_limit():
 
 
 def test_has_finite_constants():
-    assert has_finite_constants(parse("1e308*x1 + 10^308", VARS))
-    assert not has_finite_constants(simplify(parse("1e200*1e200*x1", VARS)))
-    assert not has_finite_constants(simplify(parse("10^400*x1", VARS)))
-    assert not has_finite_constants(Product((Constant(math.nan), Variable("x1"))))
+    _checked("1e308*x1 + 10^308")
+    for text in ("1e200*1e200*x1", "10^400*x1", "sin(1e200*1e200*x1)", "1/(1e200*1e200*x1 + 1)"):
+        with pytest.raises(ExprError, match="not a finite float"):
+            _checked(text)
+    with pytest.raises(ExprError, match="not a finite float"):
+        check_input(Ring(VARS).convert(Product((Constant(math.nan), Variable("x1")))))
 
 
 def test_variables_listing():

@@ -18,12 +18,14 @@ from ctrlorder import (
     ZeroTestPolicy,
     ad_pow,
     const,
+    evaluate,
     jacobian,
     lie_bracket,
     load,
     parse,
     problem_order,
     simplify,
+    to_text,
     verify_bracket_identities,
     vf_is_zero,
 )
@@ -80,6 +82,48 @@ def test_jacobian_counterexample_first_row():
 def test_jacobian_constant_field_is_zero_matrix():
     m = jacobian(vf(("x1", "x2"), "3", "-1"))
     assert all(entry == const(0) for row in m.rows for entry in row)
+
+
+def _document(path: str) -> dict:
+    return json.loads((SYSTEMS_DIR.parent / path).read_text())
+
+
+def test_jacobian_of_a_rational_field_is_cancelled():
+    # d(y2/(y4^2 + 1))/dy2, where the quotient rule leaves (y4^2 + 1)/(y4^2 + 1)^2
+    doc = _document("ctrlbench/systems/rational_chain.json")
+    f = vf(doc["states"], *doc["f"])
+    assert to_text(f.jacobian.rows[0][1]) == "1/(y4^2 + 1)"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "systems/stress/rational_pendulum.json",
+        "systems/counterexample.json",
+        "ctrlbench/systems/rational_chain.json",
+    ],
+)
+def test_jacobians_agree_with_sympy(path):
+    sympy = pytest.importorskip("sympy")
+    doc = _document(path)
+    names = tuple(doc["states"])
+    symbols = {n: sympy.Symbol(n) for n in names}
+    x = list(symbols.values())
+    rng = random.Random(f"jacobian-{path}")
+    points = [[rng.uniform(-1.5, 1.5) for _ in names] for _ in range(8)]
+    checked = 0
+    for texts in (doc["f"], *doc["g"]):
+        field = sympy.Matrix([sympy.sympify(t, locals=symbols) for t in texts])
+        oracle = sympy.lambdify(x, field.jacobian(x).tolist(), "math")
+        rows = vf(names, *texts).jacobian.rows
+        for pt in points:
+            want = oracle(*pt)
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    got = evaluate(entry, dict(zip(names, pt)))
+                    assert abs(got - want[i][j]) <= 1e-12 * abs(want[i][j]), (path, i, j, pt)
+                    checked += 1
+    assert checked == len(points) * (1 + len(doc["g"])) * len(names) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +357,13 @@ def test_one_ring_shared_by_threads_registers_each_kernel_and_factor_once():
 def _counted_diffs(monkeypatch) -> list:
     """The (id of the normal form, state) of every partial derivative taken."""
     calls = []
-    real = fields.diff
+    real = fields.diff_index
 
-    def counted(e, var):
-        calls.append((id(e), var))
-        return real(e, var)
+    def counted(e, j):
+        calls.append((id(e), e.ring.names[j]))
+        return real(e, j)
 
-    monkeypatch.setattr(fields, "diff", counted)
+    monkeypatch.setattr(fields, "diff_index", counted)
     return calls
 
 
@@ -386,7 +430,7 @@ def test_vf_is_zero_reports_component():
 
 def test_vf_is_zero_kind_is_the_weakest_of_its_components():
     names = ("t", "x1")
-    zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # simplify keeps the common factor; N = 0 does not
+    zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # the common factor cancels, so N = 0
     assert vf_is_zero(vf(names, "0", "x1 - x1")) == VfZeroVerdict(True, SYMBOLIC)
     assert vf_is_zero(vf(names, "0", zero)) == VfZeroVerdict(True, SYMBOLIC)
     trig = "sin(t)^2 + cos(t)^2 - 1"
@@ -617,7 +661,7 @@ def test_each_fallback_case_is_sampled(text, zero):
 
 def test_a_symbolic_witness_is_the_point_the_sampled_test_draws():
     from ctrlorder import normal
-    from ctrlorder.expr import _DENOM_BITS, is_zero
+    from ctrlorder.expr import _DENOM_BITS, sampled_is_zero
 
     policy = ZeroTestPolicy()
     draw = random.Random(policy.seed).randint(-(1 << _DENOM_BITS), 1 << _DENOM_BITS)
@@ -631,8 +675,8 @@ def test_a_symbolic_witness_is_the_point_the_sampled_test_draws():
     )
     for text in texts:
         _, comps, _ = vf(NAMES2, "0", text)._normal_in()
-        verdict = normal.is_zero(comps[1], policy)
-        sampled = is_zero(normal.render(comps[1]), policy)
+        verdict = normal.zero_verdict(comps[1], policy)
+        sampled = sampled_is_zero(normal.render(comps[1]), policy)
         assert not verdict.is_zero and verdict.kind == SYMBOLIC, text
         assert verdict.witness == sampled.witness, text
         assert verdict.value == pytest.approx(sampled.value, rel=1e-12), text
@@ -658,7 +702,9 @@ def test_a_large_power_of_a_sum_is_not_expanded(first, atom):
     import time
 
     from ctrlorder import normal
-    from ctrlorder.expr import EXACT_SAMPLED, diff, evaluate
+    from ctrlorder.expr import EXACT_SAMPLED
+
+    sympy = pytest.importorskip("sympy")
 
     f = VectorField.from_strings(POWER_STATES, (first, "x1", "x2", "x3"))
     g = VectorField.from_strings(POWER_STATES, ("0", "1", "0", "0"))
@@ -672,12 +718,21 @@ def test_a_large_power_of_a_sum_is_not_expanded(first, atom):
     assert max(map(len, texts)) < 20_000 and "(x1 + x2 + x3 + x4)^3996" in texts[4]
     ring = f._normal[0]
     assert all(len(p) <= normal._EXPAND for p in ring.factors)
-    # b_k = [g, ad_f^(k-1) g] = d ad_f^(k-1) g / d x2, since g = e2
+    # b_k = [g, ad_f^(k-1) g] = d ad_f^(k-1) g / d x2, since g = e2; sympy
+    # differentiates the power without expanding it
     point = {"x1": 0.25, "x2": 0.375, "x3": 0.25, "x4": 0.127}  # the sum is 1.002
+    # the trees convert back, powers past MAX_EXPONENT included
+    for c in ads[4].components:
+        assert evaluate(simplify(c), point) == pytest.approx(evaluate(c, point), rel=1e-12)
+    symbols = sympy.symbols(POWER_STATES)
+    x = sympy.Matrix(symbols)
+    sf = sympy.Matrix([sympy.sympify(t) for t in (first, "x1", "x2", "x3")])
+    h = sympy.Matrix([0, 1, 0, 0])
     for k in range(1, 5):
-        want = [evaluate(diff(c, "x2"), point) for c in ads[k - 1].components]
+        want = sympy.lambdify(symbols, list(h.diff(symbols[1])), "math")(*point.values())
         got = eval_field(table.b(0, 0, k), point)
         assert np.allclose(got, want, rtol=1e-9, atol=0), k
+        h = h.jacobian(x) * sf - sf.jacobian(x) * h
     assert verdicts[0] == VfZeroVerdict(True, SYMBOLIC)
     # where a sum has to stand as an atom, a nonzero verdict is sampled
     assert verdicts[1].kind == (EXACT_SAMPLED if atom else SYMBOLIC)
@@ -746,8 +801,8 @@ def _full_jacobian_bracket(a: VectorField, b: VectorField) -> list:
 
     ring, na = a._normal[:2]
     nb = b._normal_in(ring)[1]
-    ja = [[normal.diff(c, x) for x in a.state_names] for c in na]
-    jb = [[normal.diff(c, x) for x in b.state_names] for c in nb]
+    ja = [[normal.diff_index(c, j) for j in range(a.dim)] for c in na]
+    jb = [[normal.diff_index(c, j) for j in range(b.dim)] for c in nb]
     return [
         normal.total(
             term
@@ -825,7 +880,7 @@ def test_an_over_cap_product_in_an_unread_column_is_not_formed():
         return VectorField.from_strings(names, tuple("1" if x == name else "0" for x in names))
 
     with pytest.raises(ExprError, match="pairs more than"):
-        normal.diff(b._normal_in()[1][0], "z")
+        normal.diff_index(b._normal_in()[1][0], names.index("z"))
     with pytest.raises(ExprError, match="pairs more than"):
         lie_bracket(unit("z"), b)
     # [e_x11, b] = db/dx11 reads column x11 of Db only: an answer, where the

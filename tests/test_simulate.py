@@ -125,13 +125,18 @@ def test_double_integrator_parabola():
     assert abs(traj.x[-1, 1] - 1.0) < 1e-8
 
 
-def test_simulating_builds_no_normal_form():
-    # the integrator compiles the input fields' tree Jacobians; only brackets
-    # use the normal form
+def test_simulating_compiles_the_jacobian_columns_that_brackets_read():
+    # the integrator's Jacobians are the fields' normal-form columns, rendered
+    from ctrlorder import normal
+
     system = counterexample_raw()
     cfg = SimConfig(initial_state=GENERIC_X0, initial_adjoint=GENERIC_P0, horizon=0.01)
     assert integrate_extremal(system, cfg).status == "ok"
-    assert all(field._normal is None for field in (system.drift, *system.inputs))
+    for field in (system.drift, *system.inputs):
+        columns = field._normal[2]
+        assert all(column is not None for column in columns)
+        rendered = [tuple(map(normal.render, column)) for column in columns]
+        assert field.jacobian.rows == tuple(zip(*rendered))
 
 
 def test_linear_drift_adjoint_closed_form():

@@ -8,6 +8,7 @@ from ctrlorder import (
     ControlSystem,
     SystemLoadError,
     VectorField,
+    const,
     extend_with_cost,
     load,
     parse,
@@ -95,6 +96,21 @@ def test_load_rejects_constants_that_fold_past_the_float_range(field, text, loca
     with pytest.raises(SystemLoadError, match="not a finite float") as err:
         load(doc)
     assert err.value.location == location
+
+
+def test_load_checks_the_cancelled_normal_form():
+    # x1^1200 cancels: no exponent past MAX_EXPONENT is left to refuse
+    doc = {"states": ["x1"], "inputs": 1, "f": ["x1^600*x1^600/(x1^600*x1^600)"], "g": [["1"]]}
+    assert simplify(load(doc).drift.components[0]) == const(1)
+
+
+def test_validate_reports_an_overflow_while_evaluating():
+    # the constant folds to 1, but 10^400*x1 passes the float range on the way
+    doc = {"states": ["x1"], "inputs": 1, "f": ["10^400*x1/10^400"], "g": [["1"]]}
+    report = validate(load(doc), 1.0)
+    assert [(f.location, f.message) for f in report.errors()] == [
+        ("f[0]", "failed to evaluate at a random interior point: overflow in '10^400*x1'")
+    ]
 
 
 def test_load_leaves_a_literal_division_by_zero_to_validate():
