@@ -959,7 +959,7 @@ def check_input(a: Rat) -> None:
     """ExprError unless every coefficient of a's tree, kernel arguments and
     factors included, is a finite float or a rational within the float range,
     and every exponent, of an atom or a factor, is at most MAX_EXPONENT."""
-    forms = _closure(a)[1] if a.ring.kernels else [a]  # with no kernel, a alone
+    forms = _closure(a)[1]
     polys = [p for form in forms for p in _polys(form)]
     if not all(map(_finite, [c for p in polys for c in p.values()])):
         raise ExprError("a constant folds to a value that is not a finite float")

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
-from .expr import const, evaluator, render_components
+from .expr import const, evaluate, render_components
 from .fields import VectorField, jacobian, lie_bracket
 from .system import ControlSystem
 
@@ -171,17 +171,17 @@ def hamiltonian(
         raise ValueError(f"x and p must have dimension {sys.n}")
     if len(u) != sys.m:
         raise ValueError(f"u must have dimension {sys.m}")
-    fields = [sys.drift.components, *(g.components for g in sys.inputs)]
-    cost = (sys.cost.f0, *sys.cost.g0) if sys.cost is not None and lam else ()
-    run = evaluator([*(c for comps in fields for c in comps), *cost])
-    values = iter(run(dict(zip(sys.state_names, x))))
-    rows = [[next(values) for _ in comps] for comps in fields]
-    value = sum(pi * v for pi, v in zip(p, rows[0]))
-    for ui, row in zip(u, rows[1:]):
-        value += ui * sum(pi * v for pi, v in zip(p, row))
-    if cost:
-        running = next(values)
-        running += sum(ui * v for ui, v in zip(u, values))
+    binding = dict(zip(sys.state_names, x))
+    value = sum(
+        pi * evaluate(comp, binding) for pi, comp in zip(p, sys.drift.components)
+    )
+    for ui, g in zip(u, sys.inputs):
+        value += ui * sum(
+            pi * evaluate(comp, binding) for pi, comp in zip(p, g.components)
+        )
+    if sys.cost is not None and lam:
+        running = evaluate(sys.cost.f0, binding)
+        running += sum(ui * evaluate(e, binding) for ui, e in zip(u, sys.cost.g0))
         value -= lam * running
     return float(value)
 
@@ -192,11 +192,10 @@ def switching_values(
     """phi_i = <p, g_i(x)>."""
     if len(x) != sys.n or len(p) != sys.n:
         raise ValueError(f"x and p must have dimension {sys.n}")
-    run = evaluator([c for g in sys.inputs for c in g.components])
-    values, n = run(dict(zip(sys.state_names, x))), sys.n
+    binding = dict(zip(sys.state_names, x))
     return tuple(
-        float(sum(pi * v for pi, v in zip(p, values[i * n : (i + 1) * n])))
-        for i in range(sys.m)
+        float(sum(pi * evaluate(comp, binding) for pi, comp in zip(p, g.components)))
+        for g in sys.inputs
     )
 
 

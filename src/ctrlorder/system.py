@@ -281,15 +281,12 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
     if sys.cost is not None:
         targets.append((sys.cost.f0, "cost.f0"))
         targets.extend((e, f"cost.g0[{i}]") for i, e in enumerate(sys.cost.g0))
-    try:  # one program for them all; where it fails, each alone names its failure
-        evaluator([e for e, _ in targets])(probe)
-    except ExprError:
-        for e, location in targets:
-            try:
-                evaluator([e])(probe)
-            except ExprError as err:
-                findings.append(
-                    Finding("error", f"failed to evaluate at a random interior point: {err}", location)
-                )
+    for e, location in targets:
+        try:
+            evaluator([e])(probe)
+        except ExprError as err:
+            findings.append(
+                Finding("error", f"failed to evaluate at a random interior point: {err}", location)
+            )
 
     return ValidationReport(tuple(findings))
