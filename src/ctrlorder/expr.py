@@ -569,6 +569,7 @@ def _node_key(e: Expr):
 # ---------------------------------------------------------------------------
 
 _DENOM_BITS = 20  # sample points are dyadic rationals so polynomials evaluate exactly
+_QUOTED_CHARS = 200  # the most characters of a tree that an error message quotes
 
 
 def _derive_seed(seed: int, tags: tuple) -> int:
@@ -876,6 +877,35 @@ def _search(names: Sequence[str], sample, policy: ZeroTestPolicy):
     return None, last
 
 
+def _sampled(e: Expr, policy: ZeroTestPolicy) -> tuple[list[tuple], str, Mapping | None, Mapping]:
+    """The sampled test of the tree: (its program, the kind of verdict, the
+    first seeded point where it is nonzero or None, the last point that
+    evaluated, which is that point where there is one); IndeterminateZeroTest
+    where no point evaluates."""
+    code, _ = _lower([e])
+    if all(op <= _NEG and not isinstance(arg, float) for op, arg in code):
+        kind, sample = EXACT_SAMPLED, _exact_sampler(code)
+    else:
+        kind = FLOAT_SAMPLED
+
+        def sample(point):
+            try:
+                v = _run(code, point)
+                scale = policy.tolerance * _magnitude(code, v)
+            except (ZeroDivisionError, OverflowError, ValueError):
+                return None
+            return abs(v[-1]) > scale if math.isfinite(scale) else None
+
+    witness, last = _search(sorted(variables(e)), sample, policy)
+    if last is None:
+        text = to_text(e)
+        quoted = f"'{text}'"
+        if len(text) > _QUOTED_CHARS:
+            quoted = f"'{text[:_QUOTED_CHARS]}...' ({len(text)} characters)"
+        raise IndeterminateZeroTest(f"no sample point of {quoted} could be evaluated")
+    return code, kind, witness, last
+
+
 def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     """The sampled verdict on the tree as it is, with no symbolic step.
 
@@ -893,30 +923,10 @@ def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroV
     together with its rounding scale (`_magnitude`), and a sample is a
     witness where |value| > tolerance * scale.
     """
-    code, _ = _lower([e])
-    if all(op <= _NEG and not isinstance(arg, float) for op, arg in code):
-        kind, sample = EXACT_SAMPLED, _exact_sampler(code)
-    else:
-        kind = FLOAT_SAMPLED
-
-        def sample(point):
-            try:
-                v = _run(code, point)
-                scale = policy.tolerance * _magnitude(code, v)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return None
-            return abs(v[-1]) > scale if math.isfinite(scale) else None
-
-    witness, last = _search(sorted(variables(e)), sample, policy)
-    if witness is not None:
-        return _witness(code, witness, kind)
-    if last is None:
-        raise IndeterminateZeroTest(
-            f"no sample point of '{to_text(e)}' could be evaluated"
-        )
-    if kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:
-        return _witness(code, last, kind)
-    return ZeroVerdict(True, kind)
+    code, kind, witness, last = _sampled(e, policy)
+    if witness is None and kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:
+        witness = last
+    return ZeroVerdict(True, kind) if witness is None else _witness(code, witness, kind)
 
 
 # ---------------------------------------------------------------------------

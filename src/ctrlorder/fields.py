@@ -5,11 +5,12 @@ extremal d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]> holds with the
 adjoint dynamics p' = -(Df)^T p - sum_i u_i (Dg_i)^T p; the simulation module
 checks that identity numerically.
 
-A field read from a system holds expression trees.  Brackets, sums,
-Jacobians and zero tests work on the fields' rational normal forms (see
-`normal`), which a field builds on first use, in a `Ring` it shares with the
-fields it meets; a bracket's components, and a Jacobian's entries, render to
-trees only when they are read.
+A field read from a system holds expression trees and their rational normal
+forms (see `normal`), converted once at load in the system's `Ring`.
+Brackets, sums, Jacobians and zero tests work on those forms; a field built
+from trees alone converts them on first use, in a `Ring` it shares with the
+fields it meets.  A bracket's components, and a Jacobian's entries, render
+to trees only when they are read.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ class VectorField:
         self._normal = None  # (ring, normal forms, their Jacobian's columns, None until read)
 
     @classmethod
-    def _of_normal(cls, state_names, ring: Ring, comps, columns=None) -> "VectorField":
+    def _of_normal(cls, state_names, ring: Ring, comps, columns=None, trees=None) -> "VectorField":
+        """The field of normal forms in `ring`; its components are `trees` where
+        given (the trees the forms were converted from), else rendered on first read."""
         field = cls.__new__(cls)
         field.state_names = tuple(state_names)
-        field._components = None
+        field._components = None if trees is None else tuple(trees)
         comps = tuple(comps)
         field._normal = (ring, comps, [None] * len(comps) if columns is None else columns)
         return field

@@ -47,9 +47,10 @@ float-free, kernel-free and, together with 1, Q-linearly independent (trig
 arguments and exp arguments each), and no atom P.  Otherwise, a float
 constant, sin x beside sin 2x or beside sin(x + 1), a nested kernel or an
 atom P, it is the sampled test (`expr.sampled_is_zero`) of the component's
-tree.  A nonzero symbolic verdict carries the witness that the sampled test
-would draw: the same seeded points over the same sorted names, each
-evaluated from the normal form.
+tree.  The package has no evaluator of normal forms: a nonzero symbolic
+verdict takes its witness and value from that same sampled test of its
+tree, relabelled `symbolic`, or, where the test finds no witness (a nonzero
+form that vanishes at every sample), the last point that evaluated.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .expr import (
     Exp,
     Expr,
     ExprError,
-    IndeterminateZeroTest,
     IntPower,
     Negate,
     Product,
@@ -79,8 +79,9 @@ from .expr import (
     Variable,
     ZeroTestPolicy,
     ZeroVerdict,
-    _search,
+    _sampled,
     _sort_key,
+    _witness,
     sampled_is_zero,
     to_text,
     variables,
@@ -808,118 +809,15 @@ def _rank(vectors) -> int:
 
 
 def zero_verdict(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
-    """The verdict on one normal form: N = 0, or the sampled test of its tree."""
+    """The verdict on one normal form: N = 0 where that decides, with a nonzero
+    verdict's witness from the sampled test of its tree (the last point that
+    evaluated where that test finds none); else the sampled test itself."""
     if not a.num:
         return ZeroVerdict(True, SYMBOLIC)
     if not decides(a):
         return sampled_is_zero(render(a), policy)
-    return _witnessed(a, policy)
-
-
-# ---------------------------------------------------------------------------
-# The witness of a nonzero verdict
-# ---------------------------------------------------------------------------
-
-
-def _closure(a: Rat) -> tuple[list[int], list[Rat]]:
-    """The atom slots that a's tree holds, kernel arguments included, in order;
-    and the forms it holds: a and those kernels' arguments."""
-    ring, seen, todo, forms = a.ring, set(), [a], []
-    while todo:
-        form = todo.pop()
-        forms.append(form)
-        m, slot = reduce(or_, (m for p in _polys(form) for m in p), 0), 0
-        while m:
-            if m & _SLOT and slot not in seen:
-                seen.add(slot)
-                if slot in ring.kernel_of_slot:
-                    todo.append(ring.kernel_of_slot[slot].arg)
-            m >>= _BITS
-            slot += 1
-    return sorted(seen), forms
-
-
-def _atom_values(ring: Ring, slots: list[int], point, exact: bool) -> dict:
-    """The value of each slot's atom at the point (a kernel argument holds only
-    lower slots): exact for states where `exact`, else floats."""
-    vals = {}
-    for slot in slots:
-        if slot < len(ring.names):
-            x = point[ring.names[slot]]
-            vals[slot] = x if exact else float(x)
-            continue
-        kernel = ring.kernel_of_slot[slot]
-        u = _value(kernel.arg, vals)
-        if kernel.trig is None:
-            vals[slot] = u
-        elif not kernel.trig:
-            vals[slot] = math.exp(u)
-        else:
-            vals[slot] = math.sin(u) if slot == kernel.slots[0] else math.cos(u)
-    return vals
-
-
-def _peval(p: dict, vals: dict) -> tuple:
-    """(p, sum of |term|) at the atom values."""
-    value = size = 0
-    for m, c in p.items():
-        slot = 0
-        while m:
-            k = m & _SLOT
-            if k:
-                c = c * vals[slot] ** k
-            m >>= _BITS
-            slot += 1
-        value += c
-        size += abs(c)
-    return value, size
-
-
-def _value(a: Rat, vals: dict):
-    out = _peval(a.num, vals)[0]
-    for i, e in enumerate(a.den):
-        if e:
-            out = out / _peval(a.ring.factors[i], vals)[0] ** e
-    return out
-
-
-def _witnessed(a: Rat, policy: ZeroTestPolicy) -> ZeroVerdict:
-    """The symbolic nonzero verdict on `a`, with the witness that the sampled
-    test of its tree draws: the first seeded point where `a` does not vanish,
-    N measured against the sum of its terms' sizes as a float-sampled tree
-    is, else the last point that evaluates.  A point where a denominator
-    vanishes or a value overflows is redrawn."""
-    ring = a.ring
-    slots = _closure(a)[0]
-    names = sorted(ring.names[s] for s in slots if s < len(ring.names))
-    kernels = [ring.kernel_of_slot[s] for s in slots if s in ring.kernel_of_slot]
-    exact = all(k.trig is None for k in kernels)  # no sin, cos or exp
-    numerator = [ring.factors[i] for i, e in enumerate(a.den) if e < 0]
-    denominator = [ring.factors[i] for i, e in enumerate(a.den) if e > 0]
-
-    def sample(point):
-        try:
-            vals = _atom_values(ring, slots, point, exact)
-            if any(_peval(p, vals)[0] == 0 for p in denominator):
-                return None
-            n, size = _peval(a.num, vals)
-            if not exact and not math.isfinite(size):
-                return None
-            if not (n != 0 if exact else abs(n) > policy.tolerance * size):
-                return False
-            return all(_peval(p, vals)[0] != 0 for p in numerator)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-
-    witness, last = _search(names, sample, policy)
-    if last is None:
-        raise IndeterminateZeroTest(f"no sample point of '{to_text(render(a))}' could be evaluated")
-    point = {name: float(v) for name, v in (last if witness is None else witness).items()}
-    try:
-        value = float(_value(a, _atom_values(ring, slots, point, False)))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        value = math.nan
-    return ZeroVerdict(False, SYMBOLIC, witness=point, value=value)
+    code, _, _, last = _sampled(render(a), policy)
+    return _witness(code, last, SYMBOLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -955,11 +853,26 @@ def _finite(c) -> bool:
         return False
 
 
+def _closure(a: Rat) -> list[Rat]:
+    """The forms that a's tree holds: a and the arguments of its kernels, theirs
+    included."""
+    seen, todo, forms = set(), [a], []
+    while todo:
+        form = todo.pop()
+        forms.append(form)
+        used = reduce(or_, (m for p in _polys(form) for m in p), 0)
+        for slot, kernel in a.ring.kernel_of_slot.items():
+            if (used >> (slot * _BITS)) & _SLOT and kernel not in seen:
+                seen.add(kernel)
+                todo.append(kernel.arg)
+    return forms
+
+
 def check_input(a: Rat) -> None:
     """ExprError unless every coefficient of a's tree, kernel arguments and
     factors included, is a finite float or a rational within the float range,
     and every exponent, of an atom or a factor, is at most MAX_EXPONENT."""
-    forms = _closure(a)[1]
+    forms = _closure(a)
     polys = [p for form in forms for p in _polys(form)]
     if not all(map(_finite, [c for p in polys for c in p.values()])):
         raise ExprError("a constant folds to a value that is not a finite float")

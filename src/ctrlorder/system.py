@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from .expr import DivisionByZeroError, Expr, ExprError, evaluator, parse, to_text, variables
 from .fields import VectorField
-from .normal import Ring, check_input
+from .normal import Rat, Ring, check_input
 
 _RESERVED_TIME_NAME = "t"
 _COST_STATE_NAME = "x0"
@@ -81,25 +81,27 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
     return dataclasses.replace(sys, cost=None)
 
 
-def _parse_field(text: str, ring: Ring, location: str) -> Expr:
-    """Parse one field over the ring's states; in its normal form (`ring.convert`),
-    its constants must be finite floats and its exponents at most MAX_EXPONENT,
-    and its size within the normal form's caps."""
+def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat | None]:
+    """Parse one field over the ring's states, with its normal form
+    (`ring.convert`), whose constants must be finite floats, exponents at most
+    MAX_EXPONENT and size within the normal form's caps; None in place of the
+    form where the field divides by zero, which validate reports."""
     try:
         e = parse(text, ring.names)
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     try:
-        check_input(ring.convert(e))
-    except DivisionByZeroError:  # a literal division by zero, which validate reports
-        return e
+        form = ring.convert(e)
+        check_input(form)
+    except DivisionByZeroError:
+        return e, None
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     except OverflowError:  # a rational beyond the float range met a float
         raise SystemLoadError(
             "a constant folds to a value that is not a finite float", location
         ) from None
-    return e
+    return e, form
 
 
 def load(document: Mapping[str, Any]) -> ControlSystem:
@@ -121,21 +123,28 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
             raise SystemLoadError(f"'{name}' is not a valid identifier", f"states[{i}]")
     names = tuple(states)
     n = len(names)
-    ring = Ring(names)  # the fold check's, one for the whole system
+    ring = Ring(names)  # one for the whole system, which its analyses share
 
     m = document.get("inputs")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise SystemLoadError("'inputs' must be an integer >= 1", "inputs")
 
-    def parse_at(text: Any, location: str) -> Expr:
+    def parse_at(text: Any, location: str) -> tuple[Expr, Rat | None]:
         if not isinstance(text, str):
             raise SystemLoadError("expected an expression string", location)
         return _parse_field(text, ring, location)
 
+    def field(texts: list, location: str) -> VectorField:
+        """The field of the texts, with their normal forms unless one has none."""
+        trees, forms = zip(*(parse_at(t, f"{location}[{i}]") for i, t in enumerate(texts)))
+        if None in forms:
+            return VectorField(names, trees)
+        return VectorField._of_normal(names, ring, forms, trees=trees)
+
     f_doc = document.get("f")
     if not isinstance(f_doc, list) or len(f_doc) != n:
         raise SystemLoadError(f"'f' must list {n} expression strings", "f")
-    drift = VectorField(names, tuple(parse_at(t, f"f[{i}]") for i, t in enumerate(f_doc)))
+    drift = field(f_doc, "f")
 
     g_doc = document.get("g")
     if not isinstance(g_doc, list) or len(g_doc) != m:
@@ -144,20 +153,18 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     for i, row in enumerate(g_doc):
         if not isinstance(row, list) or len(row) != n:
             raise SystemLoadError(f"input field must list {n} expression strings", f"g[{i}]")
-        inputs.append(
-            VectorField(names, tuple(parse_at(t, f"g[{i}][{j}]") for j, t in enumerate(row)))
-        )
+        inputs.append(field(row, f"g[{i}]"))
 
     cost = None
     cost_doc = document.get("cost")
     if cost_doc is not None:
         if not isinstance(cost_doc, Mapping) or set(cost_doc) - {"f0", "g0"}:
             raise SystemLoadError("'cost' must be a mapping with keys f0 and g0", "cost")
-        f0 = parse_at(cost_doc.get("f0"), "cost.f0")
+        f0 = parse_at(cost_doc.get("f0"), "cost.f0")[0]
         g0_doc = cost_doc.get("g0")
         if not isinstance(g0_doc, list) or len(g0_doc) != m:
             raise SystemLoadError(f"'cost.g0' must list {m} expression strings", "cost.g0")
-        g0 = tuple(parse_at(t, f"cost.g0[{i}]") for i, t in enumerate(g0_doc))
+        g0 = tuple(parse_at(t, f"cost.g0[{i}]")[0] for i, t in enumerate(g0_doc))
         cost = CostSpec(f0, g0)
 
     bound = None
@@ -165,7 +172,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
         text = document["K"]
         if not isinstance(text, str):
             raise SystemLoadError("'K' must be an expression string in 't'", "K")
-        bound = _parse_field(text, Ring((_RESERVED_TIME_NAME,)), "K")
+        bound = _parse_field(text, Ring((_RESERVED_TIME_NAME,)), "K")[0]
 
     label = document.get("label", "")
     if not isinstance(label, str):

@@ -594,6 +594,19 @@ def test_is_zero_indeterminate_when_nothing_evaluates():
         is_zero(e, ZeroTestPolicy(sample_count=4, seed=3))
 
 
+def test_an_indeterminate_zero_test_quotes_a_large_tree_in_one_short_line():
+    # every sample divides by x1 - x1 and is redrawn
+    zero = Sum((Variable("x1"), Negate(Variable("x1"))))
+    e = Sum(tuple(Quotient(Product((const(k), Variable("x2"))), zero) for k in range(1, 3001)))
+    with pytest.raises(IndeterminateZeroTest) as err:
+        sampled_is_zero(e)
+    text = to_text(e)
+    assert str(err.value) == (
+        f"no sample point of '{text[:200]}...' ({len(text)} characters) could be evaluated"
+    )
+    assert len(str(err.value)) < 300
+
+
 def test_is_zero_exact_rational_sampling():
     # a rational expression is decided exactly: no tolerance hides a tiny constant
     assert not sampled_is_zero(Product((Constant(Fraction(1, 10**12)), Variable("x1")))).is_zero

@@ -672,6 +672,7 @@ def test_a_symbolic_witness_is_the_point_the_sampled_test_draws():
         f"x2/(x1 - {a})",  # a denominator that vanishes there: redrawn
         "x1*x2 - 1",
         "sin(x1)*exp(x2/(1 + x1^2)) + x2",
+        "x1/(2305843009213693951*(x1 + x2))",  # 1/(2^61 - 1) has no residue: in Fraction
     )
     for text in texts:
         _, comps, _ = vf(NAMES2, "0", text)._normal_in()

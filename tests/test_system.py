@@ -6,12 +6,15 @@ import pytest
 
 from ctrlorder import (
     ControlSystem,
+    SimConfig,
     SystemLoadError,
     VectorField,
     const,
     extend_with_cost,
+    integrate_extremal,
     load,
     parse,
+    problem_order,
     simplify,
     to_document,
     validate,
@@ -117,6 +120,30 @@ def test_load_leaves_a_literal_division_by_zero_to_validate():
     doc = {"states": ["x1"], "inputs": 1, "f": ["x1/0"], "g": [["1"]]}
     report = validate(load(doc), 1.0)
     assert [f.location for f in report.errors()] == ["f[0]"]
+
+
+def test_loaded_fields_are_converted_once(monkeypatch):
+    # load converts f, g and the cost once, in one ring, and the analysis and
+    # the simulation read those forms; a cost-extended field converts once
+    from ctrlorder.normal import Ring
+
+    converted = []
+    convert = Ring.convert
+    monkeypatch.setattr(Ring, "convert", lambda ring, e: converted.append(e) or convert(ring, e))
+
+    def analyse(sys) -> None:
+        problem_order(sys, k_max=4)
+        config = SimConfig((0.1,) * sys.n, (1.0,) * sys.n, horizon=0.05, step=0.01)
+        integrate_extremal(sys, config)
+
+    sys6 = load(counterexample_doc())
+    loaded = sys6.n * (1 + sys6.m) + 1 + sys6.m + 1  # f, the g_i, f0, the g0_i and K
+    assert len(converted) == loaded
+    analyse(without_cost(sys6))
+    assert len(converted) == loaded
+    extended = extend_with_cost(sys6)
+    analyse(extended)
+    assert len(converted) == loaded + extended.n * (1 + extended.m)
 
 
 def test_load_rejects_unknown_keys():

@@ -5,12 +5,13 @@
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
 package (a checkout's `src/`).  Each tree runs, in its own interpreter,
 `brackets` (at its default depth and at `--depth 5`), `order`, `verify
-identities`, `verify lemma1`, `local-order` and `simulate` (also with
-`--extend-cost` where the system has a running cost),
-each with `--json`, on every system in `systems/` and `ctrlbench/systems/`,
-and `brackets --depth 4 --json` on every stress system in `systems/stress/`
-(deep rational trees, where term collection and sort order matter most),
-calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
+identities`, `verify lemma1`, `local-order` and `simulate`, each with
+`--json`, on every system in `systems/` and `ctrlbench/systems/`; `order`,
+`local-order` and `simulate` again with `--extend-cost` on each system with a
+running cost (so that analyses of the loaded fields and of new, cost-extended
+ones are both covered); and `brackets --depth 4 --json` on every stress
+system in `systems/stress/` (deep rational trees, where term collection and
+sort order matter most), calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
 timestamp is dropped from each report.  `local-order` and `simulate` start
 from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost state), and the CSV
 that `simulate` writes is compared byte for byte.
@@ -65,6 +66,8 @@ def invocations(csv_path: str) -> list[list[str]]:
         out.append(["local-order", rel, *point(n), "--json"])
         out.append(["simulate", rel, *point(n), "--out", csv_path, "--json"])
         if doc.get("cost"):
+            out.append(["order", rel, "--extend-cost", "--json"])
+            out.append(["local-order", rel, "--extend-cost", *point(n, True), "--json"])
             out.append(
                 ["simulate", rel, "--extend-cost", *point(n, True), "--out", csv_path, "--json"]
             )
