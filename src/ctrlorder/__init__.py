@@ -40,11 +40,8 @@ from .normal import diff, is_zero, simplify
 from .fields import (
     BracketTable,
     DimensionMismatchError,
-    ExprMatrix,
     VectorField,
     VfZeroVerdict,
-    ad_pow,
-    jacobian,
     lie_bracket,
     vf_is_zero,
 )

@@ -461,32 +461,35 @@ def _negated_form(e: Expr) -> Expr | None:
     return None
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _render(e: Expr, budget: float = math.inf) -> tuple[str, int]:
+    """(text, binding strength).  A sum or product renders no further operands
+    once its text holds `budget` characters, so a cut text holds at least
+    `budget` characters, the first `budget` of which are the whole text's."""
     if isinstance(e, Constant):
         return _render_number(e.value)
     if isinstance(e, Variable):
         return e.name, _P_ATOM
     if isinstance(e, Sin):
-        return f"sin({to_text(e.child)})", _P_ATOM
+        return f"sin({_render(e.child, budget)[0]})", _P_ATOM
     if isinstance(e, Cos):
-        return f"cos({to_text(e.child)})", _P_ATOM
+        return f"cos({_render(e.child, budget)[0]})", _P_ATOM
     if isinstance(e, Exp):
-        return f"exp({to_text(e.child)})", _P_ATOM
+        return f"exp({_render(e.child, budget)[0]})", _P_ATOM
     if isinstance(e, Negate):
-        body, prec = _render(e.child)
+        body, prec = _render(e.child, budget)
         if prec < _P_POW:
             body = f"({body})"
         return f"-{body}", _P_UNARY
     if isinstance(e, IntPower):
-        body, prec = _render(e.base)
+        body, prec = _render(e.base, budget)
         if prec < _P_ATOM:
             body = f"({body})"
         return f"{body}^{e.exponent}", _P_POW
     if isinstance(e, Quotient):
-        num, pn = _render(e.numerator)
+        num, pn = _render(e.numerator, budget)
         if pn < _P_MUL:
             num = f"({num})"
-        den, pd = _render(e.denominator)
+        den, pd = _render(e.denominator, budget - len(num))
         if pd <= _P_MUL:
             den = f"({den})"
         return f"{num}/{den}", _P_MUL
@@ -494,30 +497,35 @@ def _render(e: Expr) -> tuple[str, int]:
         if isinstance(e.children[0], Constant) and e.children[0].value == -1:
             neg = _negated_form(e)
             if neg is not None:
-                body, prec = _render(neg)
+                body, prec = _render(neg, budget)
                 if prec < _P_MUL:
                     body = f"({body})"
                 return f"-{body}", _P_UNARY
-        parts = []
+        parts, size = [], -1  # the length of "*".join(parts)
         for child in e.children:
-            body, prec = _render(child)
+            if size >= budget:
+                break
+            body, prec = _render(child, budget - size)
             if prec < _P_MUL:
                 body = f"({body})"
             parts.append(body)
+            size += len(body) + 1
         return "*".join(parts), _P_MUL
     if isinstance(e, Sum):
-        first, _ = _render(e.children[0])
-        out = [first]
+        first, _ = _render(e.children[0], budget)
+        out, size = [first], len(first)
         for child in e.children[1:]:
+            if size >= budget:
+                break
             neg = _negated_form(child)
             if neg is not None:
-                body, prec = _render(neg)
+                body, prec = _render(neg, budget - size)
                 if prec <= _P_ADD:
                     body = f"({body})"
                 out.append(f" - {body}")
             else:
-                body, _ = _render(child)
-                out.append(f" + {body}")
+                out.append(f" + {_render(child, budget - size)[0]}")
+            size += len(out[-1])
         return "".join(out), _P_ADD
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -898,10 +906,10 @@ def _sampled(e: Expr, policy: ZeroTestPolicy) -> tuple[list[tuple], str, Mapping
 
     witness, last = _search(sorted(variables(e)), sample, policy)
     if last is None:
-        text = to_text(e)
+        text = _render(e, _QUOTED_CHARS + 1)[0]
         quoted = f"'{text}'"
         if len(text) > _QUOTED_CHARS:
-            quoted = f"'{text[:_QUOTED_CHARS]}...' ({len(text)} characters)"
+            quoted = f"'{text[:_QUOTED_CHARS]}...' ({len(code)} distinct nodes)"
         raise IndeterminateZeroTest(f"no sample point of {quoted} could be evaluated")
     return code, kind, witness, last
 
@@ -939,6 +947,9 @@ def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroV
 # fully parenthesised rendering while nesting fewer brackets.
 _PY_SUM, _PY_MUL, _PY_NEG, _PY_POW, _PY_ATOM = range(5)
 _PY_CALLS = {_SIN: "_sin", _COS: "_cos", _EXP: "_exp"}
+# The most operands of a sum or product that one statement writes: Python's
+# compiler recurses once per operand of a chain, and fails near 3000.
+_CHAIN = 256
 
 
 def _py_number(value: NumberValue) -> tuple[str, int]:
@@ -958,8 +969,10 @@ def render_components(
 
     `names` maps each variable to the Python text that holds it.  Each repeated
     subexpression other than a leaf is assigned once, in topological order, to a
-    local named `prefix` plus its slot; the rest is written inline.  The code does
-    the trees' operations in their order, so its floats are the trees' floats.
+    local named `prefix` plus its slot; the rest is written inline.  A sum or
+    product of more than _CHAIN operands accumulates in that local, _CHAIN
+    operands a statement.  The code does the trees' operations in their order,
+    so its floats are the trees' floats.
     """
     code, roots = _lower(exprs)
     uses = [0] * len(code)
@@ -985,6 +998,9 @@ def render_components(
             sep, strength = (" + ", _PY_SUM) if op == _ADD else ("*", _PY_MUL)
             first, *rest = arg  # left-associative: only later operands bind tighter
             terms = [operand(first, strength), *(operand(c, strength + 1) for c in rest)]
+            while len(terms) > _CHAIN:  # a local accumulates a long chain, in the same order
+                lines.append(f"{prefix}{slot} = {sep.join(terms[:_CHAIN])}")
+                terms[:_CHAIN] = [f"{prefix}{slot}"]
             out = sep.join(terms), strength
         elif op == _DIV:
             out = f"{operand(arg[0], _PY_MUL)}/{operand(arg[1], _PY_NEG)}", _PY_MUL

@@ -108,12 +108,12 @@ class VectorField:
         return len(self.state_names)
 
     @cached_property
-    def jacobian(self) -> "ExprMatrix":
-        """Entry (i, j) = d(component_i)/d(state_j): the columns that brackets use,
-        rendered once per field (what `simulate` compiles)."""
+    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Rows of trees, entry (i, j) = d(component_i)/d(state_j): the columns that
+        brackets use, rendered once per field (what `simulate` compiles)."""
         ring = self._normal_in()[0]
         columns = [tuple(map(normal.render, self._column(ring, j))) for j in range(self.dim)]
-        return ExprMatrix(tuple(zip(*columns)))
+        return tuple(zip(*columns))
 
     @classmethod
     def from_strings(cls, state_names, texts) -> "VectorField":
@@ -127,27 +127,6 @@ class VectorField:
 
     def __str__(self) -> str:
         return "(" + ", ".join(to_text(c) for c in self.components) + ")"
-
-
-@dataclass(frozen=True)
-class ExprMatrix:
-    """Rectangular grid of expressions (rows x cols)."""
-
-    rows: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("matrix rows have unequal lengths")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if not self.rows:
-            return (0, 0)
-        return (len(self.rows), len(self.rows[0]))
 
 
 def _require_same_space(a: VectorField, b: VectorField) -> None:
@@ -172,11 +151,6 @@ def _combine(a: VectorField, b: VectorField, sign: int) -> VectorField:
     na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
     comps = [normal.add(x, y, sign) for x, y in zip(na, nb)]
     return VectorField._of_normal(a.state_names, ring, comps)
-
-
-def jacobian(h: VectorField) -> ExprMatrix:
-    """Entry (i, j) = d(component_i)/d(state_j) (the field's cached Jacobian)."""
-    return h.jacobian
 
 
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -224,11 +198,6 @@ class BracketTable:
     def b(self, i: int, j: int, k: int) -> VectorField:
         """The bracket field [g_j, ad_f^(k-1) g_i] behind B_k[i][j]."""
         return lie_bracket(self._inputs[j], self.ad(i, k - 1))
-
-
-def ad_pow(f: VectorField, g: VectorField, k: int) -> VectorField:
-    """Iterated bracket: ad^0 = g, ad^k = [f, ad^(k-1)]."""
-    return BracketTable(f, (g,)).ad(0, k)
 
 
 @dataclass(frozen=True)

@@ -239,45 +239,41 @@ class LocalOrderResult:
 
 
 class _BMatrixEvaluator:
-    """Compiled evaluation of B_l[i][j] = <p, b_ij(x)>, compiled per level on demand."""
+    """B_l[i][j] = <p, b_ij(x)>: one compiled program per level, on demand, that
+    evaluates every b-field of the level, so subexpressions they share are
+    evaluated once."""
 
     def __init__(self, sys: ControlSystem):
         self.sys = sys
         self._table = BracketTable(sys.drift, sys.inputs)
-        self._levels: dict[int, list[list]] = {}
-
-    def _level(self, k: int):
-        funcs = self._levels.get(k)
-        if funcs is None:
-            _require_analysis_ready(self.sys)
-            funcs = [
-                [
-                    compile_components(self._table.b(i, j, k).components, self.sys.state_names)
-                    for j in range(self.sys.m)
-                ]
-                for i in range(self.sys.m)
-            ]
-            self._levels[k] = funcs
-        return funcs
+        self._levels: dict = {}  # level -> its compiled program
 
     def matrix(self, k: int, x: Sequence[float], p: Sequence[float]) -> np.ndarray:
-        funcs = self._level(k)
-        x = [float(v) for v in x]  # Python floats: division by zero raises
+        m, n = self.sys.m, self.sys.n
+        program = self._levels.get(k)
+        if program is None:
+            _require_analysis_ready(self.sys)
+            program = self._levels[k] = compile_components(
+                [c for i, j in np.ndindex(m, m) for c in self._table.b(i, j, k).components],
+                self.sys.state_names,
+            )
+        try:
+            values = program([float(v) for v in x])  # Python floats: division by zero raises
+        except ZeroDivisionError:
+            raise EvalError(f"B_{k} hit a division by zero at the given point") from None
+        except OverflowError:
+            raise EvalError(f"B_{k} overflowed at the given point") from None
+        values = np.asarray(values, dtype=float).reshape(m, m, n)
         pvec = np.asarray(p, dtype=float)
-        out = np.empty((self.sys.m, self.sys.m))
-        for i in range(self.sys.m):
-            for j in range(self.sys.m):
-                name = f"b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}]"
-                try:
-                    values = funcs[i][j](x)
-                except ZeroDivisionError:
-                    raise EvalError(f"{name} hit a division by zero at the given point") from None
-                except OverflowError:
-                    raise EvalError(f"{name} overflowed at the given point") from None
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out[i, j] = pvec @ np.asarray(values, dtype=float)
-                if not math.isfinite(out[i, j]):
-                    raise EvalError(f"<p, {name}> is not finite at the given point")
+        out = np.empty((m, m))
+        for i, j in np.ndindex(m, m):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[i, j] = pvec @ values[i, j]
+            if not math.isfinite(out[i, j]):
+                raise EvalError(
+                    f"<p, b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}]> is not finite"
+                    " at the given point"
+                )
         return out
 
 

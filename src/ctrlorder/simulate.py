@@ -26,8 +26,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
-from .expr import const, evaluate, render_components
-from .fields import VectorField, jacobian, lie_bracket
+from .expr import EvalError, const, evaluate, render_components
+from .fields import VectorField, lie_bracket
 from .system import ControlSystem
 
 _RESERVED_TIME_NAME = "t"
@@ -244,7 +244,7 @@ def _coupled(sys: ControlSystem):
     u = [Variable(f"u:{k + 1}") for k in range(sys.m)]
     weights = [None, *u]  # f, then u_k for g_k
     comps = [vf.components for vf in fields]
-    jacs = [jacobian(vf).rows for vf in fields]
+    jacs = [vf.jacobian for vf in fields]
     xdot = [_linear(zip(weights, (c[i] for c in comps))) for i in range(n)]
     jac = [[_linear(zip(weights, (J[i][j] for J in jacs))) for j in range(n)] for i in range(n)]
     pdot = [_linear(zip(p, (row[j] for row in jac))) for j in range(n)]
@@ -413,7 +413,8 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
     The left side is a central difference of the sampled inner product; the
     right side is evaluated per sample from symbolically computed brackets.
     Samples adjacent to a control switch are skipped.  Returns NaN when no
-    interior sample qualifies.
+    interior sample qualifies.  A division by zero or an overflow in h or a
+    bracket raises EvalError.
     """
     if h_field.state_names != sys.state_names:
         raise ValueError("h must live on the system's state coordinates")
@@ -425,7 +426,14 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
     fields += tuple(lie_bracket(g, h_field) for g in sys.inputs)
     fn = compile_components([c for vf in fields for c in vf.components], sys.state_names)
     # rows per sample: h, [f, h], [g_1, h], ..., [g_m, h]; Python floats, as in the integrator
-    values = np.asarray([fn(x) for x in traj.x.tolist()], dtype=float).reshape(-1, 2 + m, n)
+    name = "lemma 1's h, [f, h] or [g_i, h]"
+    try:
+        values = [fn(x) for x in traj.x.tolist()]
+    except ZeroDivisionError:
+        raise EvalError(f"{name} hit a division by zero on the extremal") from None
+    except OverflowError:
+        raise EvalError(f"{name} overflowed on the extremal") from None
+    values = np.asarray(values, dtype=float).reshape(-1, 2 + m, n)
     inner = np.array([float(traj.p[s] @ values[s, 0]) for s in range(traj.samples)])
     worst = math.nan
     for s in range(1, traj.samples - 1):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ctrlorder import (
+    BracketTable,
     BangBang,
     FixedControl,
     PiecewiseControl,
@@ -21,7 +22,6 @@ from ctrlorder import (
     Sum,
     VectorField,
     ZeroTestPolicy,
-    ad_pow,
     check_lemma1,
     detect_singular_intervals,
     integrate_extremal,
@@ -80,7 +80,7 @@ def test_criterion_02_fuller_order():
         t0 = time.monotonic()
         sysf = fuller()
         f, g = sysf.drift, sysf.inputs[0]
-        ad3 = ad_pow(f, g, 3)
+        ad3 = BracketTable(f, (g,)).ad(0, 3)
         expected_ad3 = VectorField.from_strings(sysf.state_names, ("2*x2", "0", "0"))
         for a, b in zip(ad3.components, expected_ad3.components):
             assert simplify(a) == simplify(b)

@@ -210,6 +210,19 @@ def test_to_text_round_trip_random_trees():
         assert simplify(again) == simplify(e), f"round trip broke for: {text}"
 
 
+def test_a_text_rendered_within_a_budget_starts_as_the_whole_text():
+    rng = random.Random(6151)
+    for _ in range(500):
+        e = random_expr(rng, VARS[:4], depth=rng.randint(0, 5))
+        whole = to_text(e)
+        for budget in (0, 1, 7, 30, 100):
+            text = expr._render(e, budget)[0]
+            assert text == whole or (len(text) >= budget and text[:budget] == whole[:budget])
+    # a 3000-term sum stops at the first term that reaches the budget
+    e = Sum(tuple(Product((const(k), Variable("x1"))) for k in range(1, 3001)))
+    assert expr._render(e, 10)[0] == "1*x1 + 2*x1"
+
+
 def test_to_text_subtraction_rendering():
     e = simplify(parse("x1 - x2 - 1", VARS))
     assert to_text(e) == "x1 - x2 - 1"
@@ -600,9 +613,9 @@ def test_an_indeterminate_zero_test_quotes_a_large_tree_in_one_short_line():
     e = Sum(tuple(Quotient(Product((const(k), Variable("x2"))), zero) for k in range(1, 3001)))
     with pytest.raises(IndeterminateZeroTest) as err:
         sampled_is_zero(e)
-    text = to_text(e)
+    # x1, -x1, their sum, x2, 3000 constants, products and quotients, the sum
     assert str(err.value) == (
-        f"no sample point of '{text[:200]}...' ({len(text)} characters) could be evaluated"
+        f"no sample point of '{to_text(e)[:200]}...' (9005 distinct nodes) could be evaluated"
     )
     assert len(str(err.value)) < 300
 
@@ -792,6 +805,24 @@ def test_render_components_assigns_each_repeated_subexpression_once():
     assert lines == ["_t1 = _cos(a)"]  # leaves stay inline
     assert values == ["a*_t1", "_t1 + a", "_t1"]
     assert compile_components(exprs, ("x1",))([0.5]) == (0.5 * math.cos(0.5), math.cos(0.5) + 0.5, math.cos(0.5))
+
+
+def test_a_3000_operand_sum_and_product_compile_to_the_trees_floats():
+    # a long chain accumulates in a local, at most 256 operands a statement
+    x1, x2 = Variable("x1"), Variable("x2")
+    total = Sum(tuple(Product((const(k), x1, x2)) for k in range(1, 3001)))
+    product = Product(
+        tuple(Sum((const(1), Product((const(Fraction(1, k)), x1)))) for k in range(1, 3001))
+    )
+    lines, _ = render_components([total], {"x1": "a", "x2": "b"})
+    assert 0 < max(line.count(" + ") for line in lines) < 256
+    fn = compile_components([total, product], ("x1", "x2"))
+    interpreted = expr.evaluator([total, product])  # what `evaluate` runs, lowered once
+    rng = random.Random(4099)
+    for _ in range(20):
+        pt = {"x1": rng.uniform(-1.0, 1.0), "x2": rng.uniform(-1.0, 1.0)}
+        compiled = fn([pt["x1"], pt["x2"]])
+        assert [v.hex() for v in compiled] == [v.hex() for v in interpreted(pt)]
 
 
 def test_compile_components_keeps_signed_zero_constants_apart():

@@ -16,10 +16,8 @@ from ctrlorder import (
     VectorField,
     VfZeroVerdict,
     ZeroTestPolicy,
-    ad_pow,
     const,
     evaluate,
-    jacobian,
     lie_bracket,
     load,
     parse,
@@ -58,15 +56,15 @@ def assert_field_equal(a: VectorField, b: VectorField) -> None:
 
 
 def test_jacobian_linear_field():
-    m = jacobian(vf(("x1", "x2"), "x2", "0"))
-    assert m.shape == (2, 2)
-    assert m.rows[0] == (const(0), const(1))
-    assert m.rows[1] == (const(0), const(0))
+    rows = vf(("x1", "x2"), "x2", "0").jacobian
+    assert len(rows) == 2 and all(len(row) == 2 for row in rows)
+    assert rows[0] == (const(0), const(1))
+    assert rows[1] == (const(0), const(0))
 
 
 def test_jacobian_counterexample_first_row():
     sys6 = counterexample_raw()
-    m = jacobian(sys6.drift)
+    rows = sys6.drift.jacobian
     expected = (
         "0",
         "0",
@@ -75,13 +73,13 @@ def test_jacobian_counterexample_first_row():
         "sin(theta)",
         "0",
     )
-    for entry, text in zip(m.rows[0], expected):
+    for entry, text in zip(rows[0], expected):
         assert simplify(entry) == simplify(parse(text, sys6.state_names))
 
 
 def test_jacobian_constant_field_is_zero_matrix():
-    m = jacobian(vf(("x1", "x2"), "3", "-1"))
-    assert all(entry == const(0) for row in m.rows for entry in row)
+    rows = vf(("x1", "x2"), "3", "-1").jacobian
+    assert all(entry == const(0) for row in rows for entry in row)
 
 
 def _document(path: str) -> dict:
@@ -92,7 +90,7 @@ def test_jacobian_of_a_rational_field_is_cancelled():
     # d(y2/(y4^2 + 1))/dy2, where the quotient rule leaves (y4^2 + 1)/(y4^2 + 1)^2
     doc = _document("ctrlbench/systems/rational_chain.json")
     f = vf(doc["states"], *doc["f"])
-    assert to_text(f.jacobian.rows[0][1]) == "1/(y4^2 + 1)"
+    assert to_text(f.jacobian[0][1]) == "1/(y4^2 + 1)"
 
 
 @pytest.mark.parametrize(
@@ -115,7 +113,7 @@ def test_jacobians_agree_with_sympy(path):
     for texts in (doc["f"], *doc["g"]):
         field = sympy.Matrix([sympy.sympify(t, locals=symbols) for t in texts])
         oracle = sympy.lambdify(x, field.jacobian(x).tolist(), "math")
-        rows = vf(names, *texts).jacobian.rows
+        rows = vf(names, *texts).jacobian
         for pt in points:
             want = oracle(*pt)
             for i, row in enumerate(rows):
@@ -244,7 +242,7 @@ def test_bracket_matches_finite_differences():
 def test_ad_pow_level_zero_is_g():
     f = vf(("x1", "x2"), "x2", "0")
     g = vf(("x1", "x2"), "0", "1")
-    assert_field_equal(ad_pow(f, g, 0), g)
+    assert_field_equal(BracketTable(f, (g,)).ad(0, 0), g)
 
 
 def test_ad_pow_counterexample_chain():
@@ -252,10 +250,10 @@ def test_ad_pow_counterexample_chain():
     f, g1 = sys6.drift, sys6.inputs[0]
     names = sys6.state_names
     assert_field_equal(
-        ad_pow(f, g1, 1), vf(names, "-cos(theta)", "sin(theta)", "0", "0", "0", "0")
+        BracketTable(f, (g1,)).ad(0, 1), vf(names, "-cos(theta)", "sin(theta)", "0", "0", "0", "0")
     )
     assert_field_equal(
-        ad_pow(f, g1, 2),
+        BracketTable(f, (g1,)).ad(0, 2),
         vf(names, "Omega*sin(theta)", "Omega*cos(theta)", "0", "0", "0", "0"),
     )
 
@@ -264,13 +262,13 @@ def test_ad_pow_fuller_chain_with_finite_difference_cross_check():
     sysf = fuller()
     f, g = sysf.drift, sysf.inputs[0]
     names = sysf.state_names
-    ad2 = ad_pow(f, g, 2)
+    ad2 = BracketTable(f, (g,)).ad(0, 2)
     assert_field_equal(ad2, vf(names, "2*x1", "0", "0"))
-    ad3 = ad_pow(f, g, 3)
+    ad3 = BracketTable(f, (g,)).ad(0, 3)
     assert_field_equal(ad3, vf(names, "2*x2", "0", "0"))
     # cross-check level 2 numerically: [f, [f, g]] via nested finite differences
     rng = random.Random(9)
-    ad1 = ad_pow(f, g, 1)
+    ad1 = BracketTable(f, (g,)).ad(0, 1)
     for _ in range(5):
         pt = random_binding(rng, names)
         numeric = numeric_bracket(f, ad1, pt, h=1e-5)
@@ -280,14 +278,14 @@ def test_ad_pow_fuller_chain_with_finite_difference_cross_check():
 def test_ad_pow_rejects_negative_level():
     f = vf(("x1",), "x1")
     with pytest.raises(ValueError):
-        ad_pow(f, f, -1)
+        BracketTable(f, (f,)).ad(0, -1)
 
 
 def test_bracket_table_memoises_each_chain():
     sys6 = counterexample_raw()
     t = BracketTable(sys6.drift, sys6.inputs)
     assert t.ad(0, 3) is t.ad(0, 3)
-    assert_field_equal(t.ad(0, 3), ad_pow(sys6.drift, sys6.inputs[0], 3))
+    assert_field_equal(t.ad(0, 3), BracketTable(sys6.drift, (sys6.inputs[0],)).ad(0, 3))
 
 
 def test_bracket_table_rejects_mismatched_input():
@@ -305,7 +303,7 @@ def test_ad_pow_concurrent_access_is_consistent():
 
     def work(slot):
         try:
-            results[slot] = ad_pow(f, g1, 4)
+            results[slot] = BracketTable(f, (g1,)).ad(0, 4)
         except Exception as exc:  # noqa: BLE001 - surfaced via the errors list
             errors.append(exc)
 
@@ -315,7 +313,7 @@ def test_ad_pow_concurrent_access_is_consistent():
     for t in threads:
         t.join()
     assert not errors
-    reference = ad_pow(f, g1, 4)
+    reference = BracketTable(f, (g1,)).ad(0, 4)
     assert all(r == reference for r in results)
 
 
@@ -403,7 +401,7 @@ def test_verify_bracket_identities_differentiates_each_distinct_field_once(monke
 
 def test_jacobian_is_computed_once_per_field():
     field = vf(("x1", "x2"), "x2^2", "sin(x1)")
-    assert jacobian(field) is jacobian(field) is field.jacobian
+    assert field.jacobian is field.jacobian
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ctrlorder import (
+    BracketTable,
     VectorField,
     ZeroTestPolicy,
-    ad_pow,
     lie_bracket,
     local_order_at,
     problem_order,
@@ -58,7 +58,7 @@ def test_counterexample_level_three_entry():
         sys6.state_names, ("sin(theta)", "cos(theta)", "0", "0", "0", "0")
     )
     assert_field_equal(coeffs.b_fields[0][2], expected)
-    assert_field_equal(coeffs.a_fields[0], ad_pow(sys6.drift, sys6.inputs[0], 3))
+    assert_field_equal(coeffs.a_fields[0], BracketTable(sys6.drift, (sys6.inputs[0],)).ad(0, 3))
 
 
 def test_fuller_level_four_entry():
@@ -191,8 +191,8 @@ def test_identities_fuller():
     assert report.all_passed
     sysf = fuller()
     f, g = sysf.drift, sysf.inputs[0]
-    lhs = lie_bracket(g, ad_pow(f, g, 3))
-    rhs = lie_bracket(ad_pow(f, g, 1), ad_pow(f, g, 2))
+    lhs = lie_bracket(g, BracketTable(f, (g,)).ad(0, 3))
+    rhs = lie_bracket(BracketTable(f, (g,)).ad(0, 1), BracketTable(f, (g,)).ad(0, 2))
     assert_field_equal(lhs, VectorField.from_strings(sysf.state_names, ("2", "0", "0")))
     assert_field_equal(rhs, VectorField.from_strings(sysf.state_names, ("-2", "0", "0")))
 

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import ctrlorder.order
 import ctrlorder.simulate
 
 from ctrlorder import (
@@ -136,7 +137,7 @@ def test_simulating_compiles_the_jacobian_columns_that_brackets_read():
         columns = field._normal[2]
         assert all(column is not None for column in columns)
         rendered = [tuple(map(normal.render, column)) for column in columns]
-        assert field.jacobian.rows == tuple(zip(*rendered))
+        assert field.jacobian == tuple(zip(*rendered))
 
 
 def test_linear_drift_adjoint_closed_form():
@@ -733,6 +734,21 @@ def test_stay_at_origin_arc_is_fully_singular_with_degenerate_b3():
     # one level deeper the pairing becomes visible again
     arc5 = local_order_on_arc(ext, traj, (0.9, 1.0), 5, 1e-9)
     assert arc5.consensus_k == 4
+
+
+def test_an_arc_compiles_one_program_per_level(monkeypatch):
+    # one program per level holds every b-field of it: 3 x 3 fields of 7 components
+    ext, _, traj = stay_at_origin_trajectory()
+    sizes = []
+
+    def counted(exprs, var_order):
+        sizes.append(len(exprs))
+        return compile_components(exprs, var_order)
+
+    monkeypatch.setattr(ctrlorder.order, "compile_components", counted)
+    arc = local_order_on_arc(ext, traj, (0.9, 1.0), 5, 1e-9)
+    assert arc.consensus_k == 4 and arc.dissent == 0
+    assert sizes == [63] * 4
 
 
 def test_arc_single_sample_consensus():

@@ -9,9 +9,11 @@ identities`, `verify lemma1`, `local-order` and `simulate`, each with
 `--json`, on every system in `systems/` and `ctrlbench/systems/`; `order`,
 `local-order` and `simulate` again with `--extend-cost` on each system with a
 running cost (so that analyses of the loaded fields and of new, cost-extended
-ones are both covered); and `brackets --depth 4 --json` on every stress
-system in `systems/stress/` (deep rational trees, where term collection and
-sort order matter most), calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
+ones are both covered); and, on every stress system in `systems/stress/`
+(deep rational trees, where term collection and sort order matter most),
+`brackets --depth 4 --json`, `local-order --json`, and `local-order --k-max
+12 --json` with p0 = 0, which evaluates B_1, ..., B_12 and finds none
+nonzero; calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
 timestamp is dropped from each report.  `local-order` and `simulate` start
 from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost state), and the CSV
 that `simulate` writes is compared byte for byte.
@@ -72,7 +74,13 @@ def invocations(csv_path: str) -> list[list[str]]:
                 ["simulate", rel, "--extend-cost", *point(n, True), "--out", csv_path, "--json"]
             )
     for path in STRESS_FILES:
-        out.append(["brackets", str(path.relative_to(ROOT)), "--depth", "4", "--json"])
+        rel = str(path.relative_to(ROOT))
+        n = len(json.loads(path.read_text(encoding="utf-8"))["states"])
+        out.append(["brackets", rel, "--depth", "4", "--json"])
+        out.append(["local-order", rel, *point(n), "--json"])
+        # p = 0: every level to k = 12 is evaluated, and the deep ones hold long sums
+        zero = f"--p0={','.join(['0.0'] * n)}"
+        out.append(["local-order", rel, point(n)[0], zero, "--k-max", "12", "--json"])
     return out
 
 
