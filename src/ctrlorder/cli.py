@@ -246,7 +246,10 @@ def cmd_simulate(args):
     )
     traj = integrate_extremal(sys_model, config)
     out_path = Path(args.out)
-    traj.write_csv(out_path)
+    try:
+        traj.write_csv(out_path)
+    except OSError as err:
+        raise CliError(f"cannot write '{out_path}': {err.strerror or err}", EXIT_INPUT) from err
 
     intervals = detect_singular_intervals(traj, config)
     drift = abs(float(traj.H[-1]) - float(traj.H[0])) if traj.samples else float("nan")

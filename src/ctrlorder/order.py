@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from .expr import EvalError, ZeroTestPolicy, compile_components
 from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
 
+# numpy is imported by the functions that use it: the symbolic commands never
+# load it, and it is most of the CLI's import time.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simulate import Trajectory
 
 
@@ -249,6 +251,8 @@ class _BMatrixEvaluator:
         self._levels: dict = {}  # level -> its compiled program
 
     def matrix(self, k: int, x: Sequence[float], p: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         m, n = self.sys.m, self.sys.n
         program = self._levels.get(k)
         if program is None:
@@ -334,6 +338,8 @@ def local_order_on_arc(
 
 
 def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: float):
+    import numpy as np
+
     _check_point_sizes(evaluator.sys, x, p)
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")

@@ -21,14 +21,17 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
 from .expr import EvalError, const, evaluate, render_components
 from .fields import VectorField, lie_bracket
 from .system import ControlSystem
+
+# numpy is imported by the functions that use it: the symbolic commands never
+# load it, and it is most of the CLI's import time.
+if TYPE_CHECKING:
+    import numpy as np
 
 _RESERVED_TIME_NAME = "t"
 # 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
@@ -142,6 +145,8 @@ class Trajectory:
     def write_csv(self, path) -> None:
         """One row per sample, 17 significant digits, header with names: the
         bytes of np.savetxt(fmt="%.17g", delimiter=","), _CSV_BLOCK rows a time."""
+        import numpy as np
+
         header = (
             ["t"]
             + [f"x_{name}" for name in self.state_names]
@@ -344,6 +349,8 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     evaluation failure or divergence the trajectory returned is the finite
     prefix, flagged through `status` and `failure_time`.
     """
+    import numpy as np
+
     if sys.cost is not None:
         raise ValueError(
             "system carries a pending running cost; extend_with_cost first and"
@@ -395,6 +402,8 @@ class SingularIntervals:
 
 def detect_singular_intervals(traj: Trajectory, config: SimConfig) -> SingularIntervals:
     """Maximal grid runs with |phi_i| < tolerance, at least min_length long."""
+    import numpy as np
+
     min_length = config.resolved_min_length()
     per_input: list[tuple[tuple[float, float], ...]] = []
     for i in range(traj.input_count):
@@ -416,6 +425,8 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
     interior sample qualifies.  A division by zero or an overflow in h or a
     bracket raises EvalError.
     """
+    import numpy as np
+
     if h_field.state_names != sys.state_names:
         raise ValueError("h must live on the system's state coordinates")
     if traj.samples < 3:

@@ -280,6 +280,24 @@ def test_simulate_step_zero_is_input_error(capsys, tmp_path):
     assert "step" in err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_simulate_unwritable_out_is_one_line_input_error(capsys, tmp_path, where):
+    out_path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(
+        capsys,
+        "simulate",
+        DOUBLE_INTEGRATOR,
+        "--x0", "0,0",
+        "--p0", "1,0",
+        "--horizon", "0.01",
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot write '{out_path}': ")
+    assert err.count("\n") == 1
+
+
 def test_simulate_divergence_exit_code(capsys, tmp_path):
     doc = {"states": ["x1"], "inputs": 1, "f": ["x1*x1"], "g": [["0"]]}
     path = tmp_path / "explode.json"
@@ -747,14 +765,19 @@ def test_an_unsampleable_b_field_is_quoted_in_bounded_time(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def run_module(*argv):
+def run_python(*args):
+    """A fresh interpreter in the repository root, with this checkout's package."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ctrlorder", *argv],
+        [sys.executable, *args],
         cwd=root, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_module(*argv):
+    return run_python("-m", "ctrlorder", *argv)
 
 
 def test_module_entry_point():
@@ -764,3 +787,37 @@ def test_module_entry_point():
     done = run_module("order", "systems/fuller.json")
     assert done.returncode == 0
     assert "k = 4, q = 2" in done.stdout
+
+
+# The test process already holds numpy, so what a command loads is seen in a
+# fresh interpreter: four symbolic commands, then the numeric one in argv.
+_NUMPY_LOADED_AFTER = """
+import contextlib, io, json, sys
+import ctrlorder.cli
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ctrlorder.cli.main(list(argv))
+    return [code, "numpy" in sys.modules]
+
+
+fuller = "systems/fuller.json"
+print(json.dumps([
+    run("order", fuller),
+    run("brackets", fuller, "--depth", "3"),
+    run("verify", fuller, "parity"),
+    run("verify", fuller, "identities"),
+    run(*sys.argv[1:]),
+]))
+"""
+
+
+@pytest.mark.parametrize("numeric", ["local-order", "simulate"])
+def test_only_the_numeric_commands_load_numpy(tmp_path, numeric):
+    argv = [numeric, FULLER, "--x0", "0.1,0.2,0.3", "--p0", "1,0.5,0.25"]
+    if numeric == "simulate":
+        argv += ["--horizon", "0.01", "--out", str(tmp_path / "t.csv")]
+    done = run_python("-c", _NUMPY_LOADED_AFTER, *argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, False]] * 4 + [[0, True]]

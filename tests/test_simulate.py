@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import ctrlorder
 import ctrlorder.order
 import ctrlorder.simulate
 
@@ -49,6 +50,40 @@ def di_raw():
 GENERIC_X0 = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 GENERIC_P0 = (1.0, 0.5, 0.25, 0.2, 0.1, 0.05)
 FIXED_U3 = (0.3, 0.5, 0.7)
+
+
+# ---------------------------------------------------------------------------
+# package API
+# ---------------------------------------------------------------------------
+
+PACKAGE_API = [
+    "ArcOrderResult", "ArityError", "BangBang", "BracketEvidence", "BracketTable",
+    "Constant", "ControlSystem", "Cos", "CostSpec", "DimensionMismatchError",
+    "DivisionByZeroError", "EvalError", "Exp", "Expr", "ExprError", "ExprSyntaxError",
+    "Finding", "FixedControl", "IdentityCheck", "IdentityReport", "IndeterminateZeroTest",
+    "IntPower", "LevelEvidence", "LocalOrderResult", "MissingBindingError", "Negate",
+    "OrderReport", "ParityCheck", "PiecewiseControl", "Product", "Quotient", "SimConfig",
+    "Sin", "SingularIntervals", "Sum", "SwitchingCoefficients", "SystemLoadError",
+    "Trajectory", "UnknownIdentifierError", "ValidationReport", "Variable", "VectorField",
+    "VfZeroVerdict", "ZeroTestPolicy", "ZeroVerdict", "bang_bang_control", "check_lemma1",
+    "const", "detect_singular_intervals", "diff", "evaluate", "evaluate_b_matrix", "expr",
+    "extend_with_cost", "fields", "hamiltonian", "integrate_extremal", "is_zero",
+    "lie_bracket", "load", "local_order_at", "local_order_on_arc", "normal", "order",
+    "parse", "problem_order", "simplify", "simulate", "switching_coeffs", "switching_values",
+    "system", "to_document", "to_text", "validate", "variables", "verify_bracket_identities",
+    "verify_single_input_parity", "vf_is_zero", "without_cost",
+]
+
+
+def test_package_api_is_pinned_and_resolves():
+    assert sorted(ctrlorder.__all__) == PACKAGE_API
+    for name in ctrlorder.__all__:
+        assert getattr(ctrlorder, name) is not None
+    assert set(ctrlorder.__all__) <= set(dir(ctrlorder))
+    assert ctrlorder.SimConfig is ctrlorder.simulate.SimConfig
+    assert ctrlorder.integrate_extremal is integrate_extremal
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctrlorder.no_such_name
 
 
 # ---------------------------------------------------------------------------
