@@ -18,7 +18,6 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -84,16 +83,72 @@ class IndeterminateZeroTest(ExprError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields, in order, in `__match_args__`, and its
+    `__init__` checks the arguments and stores them with `object.__setattr__`.
+    Records of one class with equal fields are equal and hash alike; a record
+    prints as `Name(field=value, ...)`, cannot be assigned to, is rebuilt
+    through its `__init__` by pickle and copy, and `replace(**changes)` is a
+    copy with some fields changed.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__match_args__:
+            cls._get = attrgetter(*cls.__match_args__)  # one field's value, or a tuple of several
+
+    def _values(self) -> tuple:
+        values = self._get(self)
+        return values if len(self.__match_args__) > 1 else (values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # in 1-tuples, which compare their items by identity first and then by ==
+            return (self._get(self),) == (other._get(other),)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record is."""
+        return self.__class__(**dict(zip(self.__match_args__, self._values()), **changes))
+
+
+# ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(Record):
     """Base class for all expression nodes.  Instances are immutable.
 
-    `_hash` and `_key` hold its hash and sort key, each built on first use from
-    the children's stored ones (`_node_hash`, `_node_key`).  Neither is a
-    field, so equality and printing ignore them.
+    Each node class holds its fields in `__slots__`, in field order, which
+    is how the benchmark's tracer (`ctrlbench/tracer.py`) walks a tree.
+    `_hash` and `_key` hold its hash and sort key, each built on first use
+    from the children's stored ones (`_node_hash`, `_node_key`).  Neither is
+    a field, so equality and printing ignore them.
     """
 
     __slots__ = ()
@@ -106,70 +161,84 @@ class Expr:
         return self._hash
 
 
-@dataclass(frozen=True)
 class Constant(Expr):
-    value: NumberValue
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: NumberValue):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Negate(Expr):
-    child: Expr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
-    children: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Expr, ...]):
+        children = tuple(children)
+        if len(children) < 2:
             raise ValueError("Sum needs at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Product(Expr):
-    children: tuple[Expr, ...]
+    __slots__ = __match_args__ = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Expr, ...]):
+        children = tuple(children)
+        if len(children) < 2:
             raise ValueError("Product needs at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Quotient(Expr):
-    numerator: Expr
-    denominator: Expr
+    __slots__ = __match_args__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: Expr, denominator: Expr):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
-@dataclass(frozen=True)
 class IntPower(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 2:
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or exponent < 2:
             raise ValueError("IntPower exponent must be an integer >= 2")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Sin(Expr):
-    child: Expr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class Cos(Expr):
-    child: Expr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
-    child: Expr
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Expr):
+        object.__setattr__(self, "child", child)
 
 
 def const(value: Union[int, Fraction, float]) -> Constant:
@@ -187,8 +256,7 @@ _ZERO = const(0)
 _ONE = const(1)
 _FIELDS = {}  # node class -> (hash tag, getter of its fields)
 for _tag, _cls in enumerate(Expr.__subclasses__()):
-    _FIELDS[_cls] = (_tag, attrgetter(*_cls.__match_args__))
-    _cls.__hash__ = Expr.__hash__  # the stored hash, for the dataclass's recursive one
+    _FIELDS[_cls] = (_tag, _cls._get)
 
 
 def _node_hash(e: Expr) -> int:
@@ -237,11 +305,13 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OP_CHARS = "+-*/^(),"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __match_args__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)  # "num" | "ident" | "op" | "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -585,23 +655,29 @@ def _derive_seed(seed: int, tags: tuple) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class ZeroTestPolicy:
+class ZeroTestPolicy(Record):
     """How to decide "identically zero": sample count, box, tolerance (relative,
     for float-tainted expressions only: see is_zero), seed."""
 
-    sample_count: int = 32
-    box_halfwidth: float = 1.0
-    tolerance: float = 1e-9
-    seed: int = 1729
+    __match_args__ = ("sample_count", "box_halfwidth", "tolerance", "seed")
 
-    def __post_init__(self):
-        if self.sample_count < 1:
+    def __init__(
+        self,
+        sample_count: int = 32,
+        box_halfwidth: float = 1.0,
+        tolerance: float = 1e-9,
+        seed: int = 1729,
+    ):
+        if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if not self.box_halfwidth > 0:
+        if not box_halfwidth > 0:
             raise ValueError("box_halfwidth must be > 0")
-        if not 0 < self.tolerance < 1:  # the rounding scale is at least |value|
+        if not 0 < tolerance < 1:  # the rounding scale is at least |value|
             raise ValueError("tolerance must be > 0 and < 1")
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "box_halfwidth", box_halfwidth)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "seed", seed)
 
     def derive(self, *tags) -> "ZeroTestPolicy":
         """Policy with a substream seed mixed deterministically from `tags`."""
@@ -618,12 +694,20 @@ SYMBOLIC, EXACT_SAMPLED, FLOAT_SAMPLED = "symbolic", "exact-sampled", "float-sam
 ZERO_TEST_KINDS = (SYMBOLIC, EXACT_SAMPLED, FLOAT_SAMPLED)
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
-    is_zero: bool
-    kind: str  # one of ZERO_TEST_KINDS
-    witness: Mapping[str, float] | None = None
-    value: float | None = None
+class ZeroVerdict(Record):
+    __match_args__ = ("is_zero", "kind", "witness", "value")
+
+    def __init__(
+        self,
+        is_zero: bool,
+        kind: str,  # one of ZERO_TEST_KINDS
+        witness: Mapping[str, float] | None = None,
+        value: float | None = None,
+    ):
+        object.__setattr__(self, "is_zero", is_zero)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value", value)
 
 
 # A straight-line program holds one instruction (op, operand) per

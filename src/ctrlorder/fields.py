@@ -15,11 +15,11 @@ to trees only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import normal
-from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, ZeroTestPolicy, const, parse, to_text, variables
+from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, Record, ZeroTestPolicy, const, parse, to_text
+from .expr import variables
 from .normal import Rat, Ring, diff_index
 
 
@@ -200,13 +200,22 @@ class BracketTable:
         return lie_bracket(self._inputs[j], self.ad(i, k - 1))
 
 
-@dataclass(frozen=True)
-class VfZeroVerdict:
-    is_zero: bool
-    kind: str  # one of expr.ZERO_TEST_KINDS
-    component: int | None = None
-    witness: dict | None = None
-    value: float | None = None
+class VfZeroVerdict(Record):
+    __match_args__ = ("is_zero", "kind", "component", "witness", "value")
+
+    def __init__(
+        self,
+        is_zero: bool,
+        kind: str,  # one of expr.ZERO_TEST_KINDS
+        component: int | None = None,
+        witness: dict | None = None,
+        value: float | None = None,
+    ):
+        object.__setattr__(self, "is_zero", is_zero)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value", value)
 
 
 def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:

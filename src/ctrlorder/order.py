@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .expr import EvalError, ZeroTestPolicy, compile_components
+from .expr import EvalError, Record, ZeroTestPolicy, compile_components
 from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
 
@@ -33,13 +32,20 @@ if TYPE_CHECKING:
     from .simulate import Trajectory
 
 
-@dataclass(frozen=True)
-class SwitchingCoefficients:
+class SwitchingCoefficients(Record):
     """Bracket fields behind A_k (a_fields) and B_k (b_fields) at level k."""
 
-    k: int
-    a_fields: tuple[VectorField, ...]
-    b_fields: tuple[tuple[VectorField, ...], ...]  # b_fields[i][j] = [g_j, ad_f^(k-1) g_i]
+    __match_args__ = ("k", "a_fields", "b_fields")
+
+    def __init__(
+        self,
+        k: int,
+        a_fields: tuple[VectorField, ...],
+        b_fields: tuple[tuple[VectorField, ...], ...],  # b_fields[i][j] = [g_j, ad_f^(k-1) g_i]
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a_fields", a_fields)
+        object.__setattr__(self, "b_fields", b_fields)
 
 
 def _require_analysis_ready(sys: ControlSystem) -> None:
@@ -60,34 +66,54 @@ def switching_coeffs(sys: ControlSystem, k: int) -> SwitchingCoefficients:
     return SwitchingCoefficients(k, a_fields, b_fields)
 
 
-@dataclass(frozen=True)
-class BracketEvidence:
+class BracketEvidence(Record):
     """Zero-test verdict for one b-field [g_j, ad_f^(k-1) g_i] (0-based i, j)."""
 
-    i: int
-    j: int
-    zero: bool
-    witness_component: int | None = None
-    witness_point: Mapping[str, float] | None = None
+    __match_args__ = ("i", "j", "zero", "witness_component", "witness_point")
+
+    def __init__(
+        self,
+        i: int,
+        j: int,
+        zero: bool,
+        witness_component: int | None = None,
+        witness_point: Mapping[str, float] | None = None,
+    ):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "witness_component", witness_component)
+        object.__setattr__(self, "witness_point", witness_point)
 
 
-@dataclass(frozen=True)
-class LevelEvidence:
-    level: int
-    entries: tuple[BracketEvidence, ...]
+class LevelEvidence(Record):
+    __match_args__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: tuple[BracketEvidence, ...]):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def all_zero(self) -> bool:
         return all(e.zero for e in self.entries)
 
 
-@dataclass(frozen=True)
-class OrderReport:
-    found: bool
-    k: int | None
-    q: Fraction | None
-    evidence: tuple[LevelEvidence, ...]
-    truncated_at: int | None = None
+class OrderReport(Record):
+    __match_args__ = ("found", "k", "q", "evidence", "truncated_at")
+
+    def __init__(
+        self,
+        found: bool,
+        k: int | None,
+        q: Fraction | None,
+        evidence: tuple[LevelEvidence, ...],
+        truncated_at: int | None = None,
+    ):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "truncated_at", truncated_at)
 
 
 def problem_order(
@@ -122,13 +148,15 @@ def problem_order(
     return OrderReport(False, None, None, tuple(evidence), truncated_at=k_max)
 
 
-@dataclass(frozen=True)
-class ParityCheck:
+class ParityCheck(Record):
     """Theorem check: a single-input system with an order must have k even."""
 
-    applicable: bool
-    k_even: bool | None
-    report: OrderReport
+    __match_args__ = ("applicable", "k_even", "report")
+
+    def __init__(self, applicable: bool, k_even: bool | None, report: OrderReport):
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "k_even", k_even)
+        object.__setattr__(self, "report", report)
 
 
 def verify_single_input_parity(
@@ -143,18 +171,22 @@ def verify_single_input_parity(
     return ParityCheck(True, report.k % 2 == 0, report)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class IdentityCheck(Record):
+    __match_args__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    k_star: int
-    capped: bool
-    checks: tuple[IdentityCheck, ...]
+class IdentityReport(Record):
+    __match_args__ = ("k_star", "capped", "checks")
+
+    def __init__(self, k_star: int, capped: bool, checks: tuple[IdentityCheck, ...]):
+        object.__setattr__(self, "k_star", k_star)
+        object.__setattr__(self, "capped", capped)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def all_passed(self) -> bool:
@@ -232,12 +264,20 @@ def verify_bracket_identities(
     return IdentityReport(k_star, capped, tuple(checks))
 
 
-@dataclass(frozen=True)
-class LocalOrderResult:
-    found: bool
-    k_local: int | None
-    b_values: tuple[tuple[float, ...], ...] | None
-    rank_estimate: int | None
+class LocalOrderResult(Record):
+    __match_args__ = ("found", "k_local", "b_values", "rank_estimate")
+
+    def __init__(
+        self,
+        found: bool,
+        k_local: int | None,
+        b_values: tuple[tuple[float, ...], ...] | None,
+        rank_estimate: int | None,
+    ):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "k_local", k_local)
+        object.__setattr__(self, "b_values", b_values)
+        object.__setattr__(self, "rank_estimate", rank_estimate)
 
 
 class _BMatrixEvaluator:
@@ -357,14 +397,22 @@ def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: floa
     return LocalOrderResult(False, None, None, None)
 
 
-@dataclass(frozen=True)
-class ArcOrderResult:
+class ArcOrderResult(Record):
     """Per-sample local order along a trajectory slice, plus the modal level."""
 
-    sample_times: tuple[float, ...]
-    per_sample: tuple[int | None, ...]
-    consensus_k: int | None
-    dissent: int
+    __match_args__ = ("sample_times", "per_sample", "consensus_k", "dissent")
+
+    def __init__(
+        self,
+        sample_times: tuple[float, ...],
+        per_sample: tuple[int | None, ...],
+        consensus_k: int | None,
+        dissent: int,
+    ):
+        object.__setattr__(self, "sample_times", sample_times)
+        object.__setattr__(self, "per_sample", per_sample)
+        object.__setattr__(self, "consensus_k", consensus_k)
+        object.__setattr__(self, "dissent", dissent)
 
 
 def consensus_of(levels: Sequence[int | None]) -> tuple[int | None, int]:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
-from .expr import EvalError, const, evaluate, render_components
+from .expr import EvalError, Record, const, evaluate, render_components
 from .fields import VectorField, lie_bracket
 from .system import ControlSystem
 
@@ -42,33 +41,31 @@ _CSV_BLOCK = 256
 _EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
-@dataclass(frozen=True)
-class BangBang:
+class BangBang(Record):
     """u_i = sign(phi_i) K(t), holding the last value inside the deadband."""
 
-    deadband: float = 0.0
+    __match_args__ = ("deadband",)
 
-    def __post_init__(self):
-        if self.deadband < 0:
+    def __init__(self, deadband: float = 0.0):
+        if deadband < 0:
             raise ValueError("deadband must be >= 0")
+        object.__setattr__(self, "deadband", deadband)
 
 
-@dataclass(frozen=True)
-class FixedControl:
-    u: tuple[float, ...]
+class FixedControl(Record):
+    __match_args__ = ("u",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
+    def __init__(self, u: tuple[float, ...]):
+        object.__setattr__(self, "u", tuple(float(v) for v in u))
 
 
-@dataclass(frozen=True)
-class PiecewiseControl:
+class PiecewiseControl(Record):
     """Step table: at time t the row with the largest start <= t applies."""
 
-    table: tuple[tuple[float, tuple[float, ...]], ...]
+    __match_args__ = ("table",)
 
-    def __post_init__(self):
-        rows = tuple((float(t), tuple(float(v) for v in u)) for t, u in self.table)
+    def __init__(self, table: tuple[tuple[float, tuple[float, ...]], ...]):
+        rows = tuple((float(t), tuple(float(v) for v in u)) for t, u in table)
         object.__setattr__(self, "table", rows)
         if not rows:
             raise ValueError("piecewise control table is empty")
@@ -89,54 +86,85 @@ class PiecewiseControl:
 ControlPolicy = Union[BangBang, FixedControl, PiecewiseControl]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    initial_state: tuple[float, ...]
-    initial_adjoint: tuple[float, ...]
-    lam: int = 1  # cost multiplier, 0 for abnormal extremals
-    horizon: float = 1.0
-    step: float = 1e-3
-    control_policy: ControlPolicy = field(default_factory=BangBang)
-    singular_tolerance: float = 1e-6
-    singular_min_length: float | None = None  # defaults to 10 * step
+class SimConfig(Record):
+    __match_args__ = (
+        "initial_state", "initial_adjoint", "lam", "horizon", "step", "control_policy",
+        "singular_tolerance", "singular_min_length",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial_state", tuple(float(v) for v in self.initial_state))
-        object.__setattr__(self, "initial_adjoint", tuple(float(v) for v in self.initial_adjoint))
-        if not self.step > 0:
+    def __init__(
+        self,
+        initial_state: tuple[float, ...],
+        initial_adjoint: tuple[float, ...],
+        lam: int = 1,  # cost multiplier, 0 for abnormal extremals
+        horizon: float = 1.0,
+        step: float = 1e-3,
+        control_policy: ControlPolicy = BangBang(),  # immutable, so one instance serves
+        singular_tolerance: float = 1e-6,
+        singular_min_length: float | None = None,  # defaults to 10 * step
+    ):
+        initial_state = tuple(float(v) for v in initial_state)
+        initial_adjoint = tuple(float(v) for v in initial_adjoint)
+        if not step > 0:
             raise ValueError("step must be > 0")
-        if self.horizon < self.step:
+        if horizon < step:
             raise ValueError("horizon must be at least one step")
-        if not self.horizon / self.step <= MAX_STEPS:
+        if not horizon / step <= MAX_STEPS:
             raise ValueError(f"horizon/step must be at most {MAX_STEPS} steps")
-        if self.lam not in (0, 1):
+        if lam not in (0, 1):
             raise ValueError("lambda must be 0 or 1")
-        if self.lam == 0 and all(v == 0 for v in self.initial_adjoint):
+        if lam == 0 and all(v == 0 for v in initial_adjoint):
             raise ValueError("lambda and the initial adjoint cannot both vanish")
-        if not self.singular_tolerance > 0:
+        if not singular_tolerance > 0:
             raise ValueError("singular_tolerance must be > 0")
-        if self.singular_min_length is not None and self.singular_min_length < 0:
+        if singular_min_length is not None and singular_min_length < 0:
             raise ValueError("singular_min_length must be >= 0")
+        object.__setattr__(self, "initial_state", initial_state)
+        object.__setattr__(self, "initial_adjoint", initial_adjoint)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "control_policy", control_policy)
+        object.__setattr__(self, "singular_tolerance", singular_tolerance)
+        object.__setattr__(self, "singular_min_length", singular_min_length)
 
     def resolved_min_length(self) -> float:
         return 10.0 * self.step if self.singular_min_length is None else self.singular_min_length
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Uniform-grid samples of one extremal integration."""
 
-    state_names: tuple[str, ...]
-    input_count: int
-    step: float
-    t: np.ndarray
-    x: np.ndarray  # (samples, n)
-    p: np.ndarray  # (samples, n)
-    u: np.ndarray  # (samples, m); u[s] applies on [t[s], t[s+1])
-    phi: np.ndarray  # (samples, m)
-    H: np.ndarray  # (samples,)
-    status: str = "ok"  # "ok" | "diverged" | "eval_error"
-    failure_time: float | None = None
+    __match_args__ = (
+        "state_names", "input_count", "step", "t", "x", "p", "u", "phi", "H", "status",
+        "failure_time",
+    )
+
+    def __init__(
+        self,
+        state_names: tuple[str, ...],
+        input_count: int,
+        step: float,
+        t: np.ndarray,
+        x: np.ndarray,  # (samples, n)
+        p: np.ndarray,  # (samples, n)
+        u: np.ndarray,  # (samples, m); u[s] applies on [t[s], t[s+1])
+        phi: np.ndarray,  # (samples, m)
+        H: np.ndarray,  # (samples,)
+        status: str = "ok",  # "ok" | "diverged" | "eval_error"
+        failure_time: float | None = None,
+    ):
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "input_count", input_count)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "failure_time", failure_time)
 
     @property
     def samples(self) -> int:
@@ -390,11 +418,13 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class SingularIntervals:
+class SingularIntervals(Record):
     """Per input, the [t_start, t_end] runs where |phi_i| stays below tolerance."""
 
-    per_input: tuple[tuple[tuple[float, float], ...], ...]
+    __match_args__ = ("per_input",)
+
+    def __init__(self, per_input: tuple[tuple[tuple[float, float], ...], ...]):
+        object.__setattr__(self, "per_input", per_input)
 
     def total_length(self, input_index: int) -> float:
         return sum(t1 - t0 for t0, t1 in self.per_input[input_index])

@@ -8,12 +8,10 @@ paired with x0 then stays constant because nothing depends on x0.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .expr import DivisionByZeroError, Expr, ExprError, evaluator, parse, to_text, variables
+from .expr import DivisionByZeroError, Expr, ExprError, Record, evaluator, parse, to_text, variables
 from .fields import VectorField
 from .normal import Rat, Ring, check_input
 
@@ -30,42 +28,52 @@ class SystemLoadError(ValueError):
         self.location = location
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    f0: Expr
-    g0: tuple[Expr, ...]
+class CostSpec(Record):
+    __match_args__ = ("f0", "g0")
+
+    def __init__(self, f0: Expr, g0: tuple[Expr, ...]):
+        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "g0", g0)
 
 
-@dataclass(frozen=True)
-class ControlSystem:
-    state_names: tuple[str, ...]
-    drift: VectorField
-    inputs: tuple[VectorField, ...]
-    cost: CostSpec | None = None
-    bound: Expr | None = None  # expression over "t"; None means the constant 1
-    label: str = ""
+class ControlSystem(Record):
+    __match_args__ = ("state_names", "drift", "inputs", "cost", "bound", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "state_names", tuple(self.state_names))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        if self.drift.state_names != self.state_names:
+    def __init__(
+        self,
+        state_names: tuple[str, ...],
+        drift: VectorField,
+        inputs: tuple[VectorField, ...],
+        cost: CostSpec | None = None,
+        bound: Expr | None = None,  # expression over "t"; None means the constant 1
+        label: str = "",
+    ):
+        state_names = tuple(state_names)
+        inputs = tuple(inputs)
+        if drift.state_names != state_names:
             raise ValueError("drift coordinates do not match the system states")
-        if len(self.inputs) < 1:
+        if len(inputs) < 1:
             raise ValueError("at least one input field is required")
-        for i, g in enumerate(self.inputs):
-            if g.state_names != self.state_names:
+        for i, g in enumerate(inputs):
+            if g.state_names != state_names:
                 raise ValueError(f"input field {i} coordinates do not match the states")
-        if self.cost is not None:
-            if len(self.cost.g0) != len(self.inputs):
+        if cost is not None:
+            if len(cost.g0) != len(inputs):
                 raise ValueError("cost needs one g0 entry per input")
-            for e in (self.cost.f0, *self.cost.g0):
-                extra = variables(e) - set(self.state_names)
+            for e in (cost.f0, *cost.g0):
+                extra = variables(e) - set(state_names)
                 if extra:
                     raise ValueError(f"cost uses undeclared variables {sorted(extra)}")
-        if self.bound is not None:
-            extra = variables(self.bound) - {_RESERVED_TIME_NAME}
+        if bound is not None:
+            extra = variables(bound) - {_RESERVED_TIME_NAME}
             if extra:
                 raise ValueError(f"bound K may only use '{_RESERVED_TIME_NAME}', got {sorted(extra)}")
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "label", label)
 
     @property
     def n(self) -> int:
@@ -78,7 +86,7 @@ class ControlSystem:
 
 def without_cost(sys: ControlSystem) -> ControlSystem:
     """The same dynamics with any running cost dropped."""
-    return dataclasses.replace(sys, cost=None)
+    return sys.replace(cost=None)
 
 
 def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat | None]:
@@ -116,11 +124,15 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     states = document.get("states")
     if not isinstance(states, list) or not states:
         raise SystemLoadError("'states' must be a non-empty list of names", "states")
+    seen: set[str] = set()
     for i, name in enumerate(states):
         if not isinstance(name, str) or not name:
             raise SystemLoadError("state names must be non-empty strings", f"states[{i}]")
         if not (set(name) <= _IDENT_CHARS) or name[0].isdigit():
             raise SystemLoadError(f"'{name}' is not a valid identifier", f"states[{i}]")
+        if name in seen:
+            raise SystemLoadError(f"duplicate state name '{name}'", f"states[{i}]")
+        seen.add(name)
     names = tuple(states)
     n = len(names)
     ring = Ring(names)  # one for the whole system, which its analyses share
@@ -220,16 +232,20 @@ def extend_with_cost(sys: ControlSystem) -> ControlSystem:
     return ControlSystem(names, drift, inputs, None, sys.bound, sys.label)
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str  # "error" | "warning"
-    message: str
-    location: str
+class Finding(Record):
+    __match_args__ = ("severity", "message", "location")
+
+    def __init__(self, severity: str, message: str, location: str):
+        object.__setattr__(self, "severity", severity)  # "error" | "warning"
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "location", location)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
+class ValidationReport(Record):
+    __match_args__ = ("findings",)
+
+    def __init__(self, findings: tuple[Finding, ...]):
+        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:

@@ -121,6 +121,18 @@ def test_order_validation_failure(capsys, tmp_path):
     assert "validation failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["brackets"], ["local-order", "--x0=1,2", "--p0=1,1"], ["order"]], ids=lambda a: a[0]
+)
+def test_duplicate_state_names_are_an_input_error(capsys, tmp_path, argv):
+    doc = {"states": ["x1", "x1"], "inputs": 1, "f": ["x1", "0"], "g": [["0", "1"]]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert "states[1]: duplicate state name 'x1'" in err
+
+
 def test_order_json_manifest_reproducible(capsys):
     code, out1, _ = run(capsys, "order", COUNTEREXAMPLE, "--json")
     assert code == 0
@@ -381,14 +393,12 @@ def test_verify_identities_fail_on_corrupted_bracket(capsys, monkeypatch):
 
 def _counted_integrations(monkeypatch, status="ok") -> list:
     """The step of every extremal the CLI integrates; each ends with `status`."""
-    import dataclasses
-
     steps = []
     real = ctrlorder.cli.integrate_extremal
 
     def counted(system, config):
         steps.append(config.step)
-        return dataclasses.replace(real(system, config), status=status)
+        return real(system, config).replace(status=status)
 
     monkeypatch.setattr(ctrlorder.cli, "integrate_extremal", counted)
     return steps
@@ -799,7 +809,7 @@ import ctrlorder.cli
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ctrlorder.cli.main(list(argv))
-    return [code, "numpy" in sys.modules]
+    return [code] + [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
 
 
 fuller = "systems/fuller.json"
@@ -820,4 +830,8 @@ def test_only_the_numeric_commands_load_numpy(tmp_path, numeric):
         argv += ["--horizon", "0.01", "--out", str(tmp_path / "t.csv")]
     done = run_python("-c", _NUMPY_LOADED_AFTER, *argv)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0, False]] * 4 + [[0, True]]
+    *symbolic, (code, numpy, dataclasses, _) = json.loads(done.stdout)
+    # neither numpy nor the modules that generate or inspect code
+    assert symbolic == [[0, False, False, False]] * 4
+    # numpy imports inspect itself, but nothing imports dataclasses
+    assert (code, numpy, dataclasses) == (0, True, False)

@@ -86,6 +86,41 @@ def test_package_api_is_pinned_and_resolves():
         ctrlorder.no_such_name
 
 
+def test_records_compare_print_copy_and_replace_by_their_fields():
+    import copy
+    import pickle
+
+    verdict = ctrlorder.ZeroVerdict(True, "symbolic")
+    assert repr(verdict) == "ZeroVerdict(is_zero=True, kind='symbolic', witness=None, value=None)"
+    x = ctrlorder.Variable("x")
+    assert ctrlorder.Sum((x, x)) == ctrlorder.Sum([x, ctrlorder.Variable("x")])
+    assert ctrlorder.Sum((x, x)) != ctrlorder.Product((x, x))
+    assert hash(ctrlorder.Sum((x, x))) == hash(ctrlorder.Sum((x, x)))
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    with pytest.raises(AttributeError):
+        verdict.kind = "exact-sampled"
+
+    config = SimConfig(initial_state=(0, 1), initial_adjoint=[1, 0])
+    assert config.initial_state == (0.0, 1.0) and config.initial_adjoint == (1.0, 0.0)
+    assert (config.lam, config.horizon, config.step) == (1, 1.0, 1e-3)
+    assert config.control_policy == BangBang(0.0)
+    assert (config.singular_tolerance, config.singular_min_length) == (1e-6, None)
+    assert config.replace(step=0.01) == SimConfig((0, 1), (1, 0), step=0.01)
+    with pytest.raises(ValueError, match="step must be > 0"):
+        config.replace(step=0)
+
+    system = double_integrator()
+    assert system.cost is not None
+    assert system.replace(cost=None) == without_cost(system)
+    assert system.replace(cost=None).cost is None
+
+    node = ctrlorder.Quotient(ctrlorder.Sum((x, ctrlorder.const(2))), ctrlorder.Sin(x))
+    for original in (node, config):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert clone == original and clone is not original
+
+
 # ---------------------------------------------------------------------------
 # pointwise operations
 # ---------------------------------------------------------------------------

@@ -306,6 +306,13 @@ def test_load_rejects_invalid_state_identifier():
     assert err.value.location == "states[0]"
 
 
+def test_load_rejects_duplicate_state_names():
+    doc = {"states": ["x1", "x2", "x1"], "inputs": 1, "f": ["x2", "0", "0"], "g": [["0", "1", "0"]]}
+    with pytest.raises(SystemLoadError, match="duplicate state name 'x1'") as err:
+        load(doc)
+    assert err.value.location == "states[2]"
+
+
 def test_without_cost_drops_cost_only():
     sys6 = load(counterexample_doc())
     raw = without_cost(sys6)

@@ -5,16 +5,24 @@
 SRC_A and SRC_B are directories that contain the `ctrlorder` package (a
 checkout's `src/`).  For each tree, every pair measures in fresh interpreters:
 
-- `import ctrlorder.cli`, timed inside the interpreter (the benchmark's
-  `setup_s` measurement);
+- `import ctrlorder.cli`, timed inside the interpreter, with the package
+  compiled from source as no bytecode cache holds it (the benchmark's
+  `setup_s` measurement, which runs a fresh checkout with
+  PYTHONDONTWRITEBYTECODE=1);
+- the same import read from a bytecode cache of the package, as an installed
+  package is;
 - the wall time of `python -m ctrlorder ARGV...`, start-up included, stdout
-  discarded.
+  discarded, with the package compiled from source as in the first import.
 
-Pairs alternate which tree runs first, N pairs (10 by default), after one
-untimed run of each that fills the bytecode caches.  Every run of both trees
-must end with the same exit code.  The process pins itself, and so its
-children, to one CPU, as the benchmark does.  Relative paths in ARGV are read
-from the current directory.
+Every interpreter reads and writes bytecode under a temporary
+PYTHONPYCACHEPREFIX, never in `__pycache__` directories of the trees, so a
+tree's own caches neither help nor change.  One untimed run of each tree
+fills the caches; the package's own entries are then removed from the cache
+the uncached runs read, and the timed runs write none.  Pairs alternate which
+tree runs first, N pairs (10 by default).  Every run of both trees must end
+with the same exit code.  The process pins itself, and so its children, to
+one CPU, as the benchmark does.  Relative paths in ARGV are read from the
+current directory.
 
 The table gives per tree the median and quartiles in seconds, the ratio of
 the medians A/B, and the number of pairs in which B was faster.
@@ -24,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,20 +45,46 @@ IMPORT_CODE = (
 )
 
 
-def run(src: str, command: list[str]) -> tuple[dict[str, float], int]:
-    """({measurement: seconds}, exit code of the command) for one tree."""
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+def timed_import(env: dict[str, str]) -> float:
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_CODE], check=True, env=env, capture_output=True, text=True
     )
-    times = {"import ctrlorder.cli": float(done.stdout)}
+    return float(done.stdout)
+
+
+def run(src: str, caches: Path, command: list[str]) -> tuple[dict[str, float], int]:
+    """({measurement: seconds}, exit code of the command) for one tree; `caches`
+    holds its bytecode caches, "uncached" without the package and "cached" with it."""
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    uncached = {**env, "PYTHONPYCACHEPREFIX": str(caches / "uncached")}
+    times = {
+        "import ctrlorder.cli": timed_import(uncached),
+        "import ctrlorder.cli, bytecode cached": timed_import(
+            {**env, "PYTHONPYCACHEPREFIX": str(caches / "cached")}
+        ),
+    }
     started = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "ctrlorder", *command],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=uncached, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     times["ctrlorder " + " ".join(command)] = time.perf_counter() - started
     return times, done.returncode
+
+
+def fill_caches(src: str, caches: Path, command: list[str]) -> int:
+    """Write both bytecode caches of one tree; the command's exit code."""
+    writing = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    for name in ("uncached", "cached"):
+        env = {**writing, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": str(caches / name)}
+        timed_import(env)
+        code = subprocess.run(
+            [sys.executable, "-m", "ctrlorder", *command],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    # a prefix cache mirrors each source directory's absolute path
+    shutil.rmtree(caches / "uncached" / Path(src).relative_to(Path(src).anchor), ignore_errors=True)
+    return code
 
 
 def main(argv: list[str]) -> int:
@@ -68,16 +104,18 @@ def main(argv: list[str]) -> int:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    trees = {"A": args.src_a, "B": args.src_b}
-    codes = {name: run(src, command)[1] for name, src in trees.items()}  # untimed warm-up
+    trees = {"A": str(Path(args.src_a).resolve()), "B": str(Path(args.src_b).resolve())}
     samples: dict[str, list[dict[str, float]]] = {"A": [], "B": []}
-    for pair in range(args.runs):
-        for name in ("A", "B") if pair % 2 == 0 else ("B", "A"):
-            times, code = run(trees[name], command)
-            if code != codes["A"] or code != codes["B"]:
-                raise SystemExit(f"exit codes differ: warm-up A {codes['A']}, B {codes['B']},"
-                                 f" pair {pair} {name} {code}")
-            samples[name].append(times)
+    with tempfile.TemporaryDirectory(prefix="time_cli-") as tmp:
+        caches = {name: Path(tmp, name) for name in trees}
+        codes = {name: fill_caches(src, caches[name], command) for name, src in trees.items()}
+        for pair in range(args.runs):
+            for name in ("A", "B") if pair % 2 == 0 else ("B", "A"):
+                times, code = run(trees[name], caches[name], command)
+                if code != codes["A"] or code != codes["B"]:
+                    raise SystemExit(f"exit codes differ: warm-up A {codes['A']}, B {codes['B']},"
+                                     f" pair {pair} {name} {code}")
+                samples[name].append(times)
 
     print(f"{args.runs} alternating pairs of fresh runs, one CPU, seconds; exit code {codes['A']}")
     print(f"A = {args.src_a}\nB = {args.src_b}")
