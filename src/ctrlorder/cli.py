@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys as _sys
 from datetime import datetime, timezone
@@ -515,4 +516,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The `ctrlorder` command.  Where the reader has closed stdout, the rest of
+    the output is dropped and the exit code is 1."""
+    try:
+        code = main()
+        _sys.stdout.flush()  # here, not in the interpreter's final flush, a closed pipe raises
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        code = EXIT_INPUT
+    raise SystemExit(code)

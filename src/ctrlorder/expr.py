@@ -14,10 +14,11 @@ in the arithmetic of its point and `render_components` writes out as Python.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
+# hashlib.blake2b itself, without the OpenSSL bindings that importing hashlib loads
+from _blake2 import blake2b
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -87,23 +88,64 @@ class IndeterminateZeroTest(ExprError):
 # ---------------------------------------------------------------------------
 
 
+_setattr = object.__setattr__  # stores a field past Record.__setattr__, which refuses
+
+
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields, in order, in `__match_args__`, and its
-    `__init__` checks the arguments and stores them with `object.__setattr__`.
-    Records of one class with equal fields are equal and hash alike; a record
-    prints as `Name(field=value, ...)`, cannot be assigned to, is rebuilt
-    through its `__init__` by pickle and copy, and `replace(**changes)` is a
-    copy with some fields changed.
+    A subclass declares each field once, in order, as a class annotation,
+    `name: type` or `name: type = default`, the fields with defaults last;
+    `__match_args__` lists them.  `Record.__init__` binds positional and
+    keyword arguments to the fields and stores them.  A record with
+    invariants checks or converts its arguments in its own `__init__`, then
+    calls `Record.__init__` with every field.  Records of one class with
+    equal fields are equal and hash alike; a record prints as
+    `Name(field=value, ...)`, cannot be assigned to, is rebuilt through its
+    `__init__` by pickle and copy, and `replace(**changes)` is a copy with
+    some fields changed.
     """
 
     __match_args__: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _required = 0  # the leading fields that have no default
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls.__match_args__:
-            cls._get = attrgetter(*cls.__match_args__)  # one field's value, or a tuple of several
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:
+            slots = cls.__dict__.get("__slots__", ())  # a slot's descriptor is no default
+            defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__ and n not in slots}
+            cls._required = len(fields) - len(defaults)
+            if tuple(defaults) != fields[cls._required:]:
+                raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+            cls.__match_args__, cls._defaults = fields, defaults
+            cls._get = attrgetter(*fields)  # one field's value, or a tuple of several
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if kwargs or not self._required <= len(args) <= len(fields):
+            args = self._bind(args, kwargs)
+        # a trailing field left out is not stored: it reads as its default, the class attribute
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, in order: the arguments, then the keywords or defaults."""
+        fields, name = cls.__match_args__, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument '{field}'")
+            if fields.index(field) < len(args):
+                raise TypeError(f"{name}() got multiple values for argument '{field}'")
+        given = {**cls._defaults, **kwargs}
+        try:
+            return args + tuple(map(given.__getitem__, fields[len(args):]))
+        except KeyError as err:
+            raise TypeError(f"{name}() missing required argument '{err.args[0]}'") from None
 
     def _values(self) -> tuple:
         values = self._get(self)
@@ -133,7 +175,8 @@ class Record:
 
     def replace(self, **changes):
         """A copy with the named fields changed, checked as a new record is."""
-        return self.__class__(**dict(zip(self.__match_args__, self._values()), **changes))
+        values = [changes.pop(n, v) for n, v in zip(self.__match_args__, self._values())]
+        return self.__class__(*values, **changes)  # a name left in `changes` raises TypeError
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +187,7 @@ class Record:
 class Expr(Record):
     """Base class for all expression nodes.  Instances are immutable.
 
-    Each node class holds its fields in `__slots__`, in field order, which
+    Each node class also lists its fields in `__slots__`, in field order, which
     is how the benchmark's tracer (`ctrlbench/tracer.py`) walks a tree.
     `_hash` and `_key` hold its hash and sort key, each built on first use
     from the children's stored ones (`_node_hash`, `_node_key`).  Neither is
@@ -162,83 +205,72 @@ class Expr(Record):
 
 
 class Constant(Expr):
-    __slots__ = __match_args__ = ("value",)
-
-    def __init__(self, value: NumberValue):
-        object.__setattr__(self, "value", value)
+    __slots__ = ("value",)
+    value: NumberValue
 
 
 class Variable(Expr):
-    __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+    __slots__ = ("name",)
+    name: str
 
 
 class Negate(Expr):
-    __slots__ = __match_args__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
+    __slots__ = ("child",)
+    child: Expr
 
 
 class Sum(Expr):
-    __slots__ = __match_args__ = ("children",)
+    __slots__ = ("children",)
+    children: tuple[Expr, ...]
 
     def __init__(self, children: tuple[Expr, ...]):
         children = tuple(children)
         if len(children) < 2:
             raise ValueError("Sum needs at least two children")
-        object.__setattr__(self, "children", children)
+        super().__init__(children)
 
 
 class Product(Expr):
-    __slots__ = __match_args__ = ("children",)
+    __slots__ = ("children",)
+    children: tuple[Expr, ...]
 
     def __init__(self, children: tuple[Expr, ...]):
         children = tuple(children)
         if len(children) < 2:
             raise ValueError("Product needs at least two children")
-        object.__setattr__(self, "children", children)
+        super().__init__(children)
 
 
 class Quotient(Expr):
-    __slots__ = __match_args__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Expr, denominator: Expr):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+    __slots__ = ("numerator", "denominator")
+    numerator: Expr
+    denominator: Expr
 
 
 class IntPower(Expr):
-    __slots__ = __match_args__ = ("base", "exponent")
+    __slots__ = ("base", "exponent")
+    base: Expr
+    exponent: int
 
     def __init__(self, base: Expr, exponent: int):
         if not isinstance(exponent, int) or exponent < 2:
             raise ValueError("IntPower exponent must be an integer >= 2")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        super().__init__(base, exponent)
 
 
 class Sin(Expr):
-    __slots__ = __match_args__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
+    __slots__ = ("child",)
+    child: Expr
 
 
 class Cos(Expr):
-    __slots__ = __match_args__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
+    __slots__ = ("child",)
+    child: Expr
 
 
 class Exp(Expr):
-    __slots__ = __match_args__ = ("child",)
-
-    def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
+    __slots__ = ("child",)
+    child: Expr
 
 
 def const(value: Union[int, Fraction, float]) -> Constant:
@@ -306,12 +338,9 @@ _OP_CHARS = "+-*/^(),"
 
 
 class _Token(Record):
-    __match_args__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        object.__setattr__(self, "kind", kind)  # "num" | "ident" | "op" | "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
+    kind: str  # "num" | "ident" | "op" | "end"
+    text: str
+    pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -651,7 +680,7 @@ _QUOTED_CHARS = 200  # the most characters of a tree that an error message quote
 
 
 def _derive_seed(seed: int, tags: tuple) -> int:
-    digest = hashlib.blake2b(repr((seed, tags)).encode(), digest_size=8).digest()
+    digest = blake2b(repr((seed, tags)).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -659,7 +688,10 @@ class ZeroTestPolicy(Record):
     """How to decide "identically zero": sample count, box, tolerance (relative,
     for float-tainted expressions only: see is_zero), seed."""
 
-    __match_args__ = ("sample_count", "box_halfwidth", "tolerance", "seed")
+    sample_count: int
+    box_halfwidth: float
+    tolerance: float
+    seed: int
 
     def __init__(
         self,
@@ -674,19 +706,11 @@ class ZeroTestPolicy(Record):
             raise ValueError("box_halfwidth must be > 0")
         if not 0 < tolerance < 1:  # the rounding scale is at least |value|
             raise ValueError("tolerance must be > 0 and < 1")
-        object.__setattr__(self, "sample_count", sample_count)
-        object.__setattr__(self, "box_halfwidth", box_halfwidth)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(sample_count, box_halfwidth, tolerance, seed)
 
     def derive(self, *tags) -> "ZeroTestPolicy":
         """Policy with a substream seed mixed deterministically from `tags`."""
-        return ZeroTestPolicy(
-            sample_count=self.sample_count,
-            box_halfwidth=self.box_halfwidth,
-            tolerance=self.tolerance,
-            seed=_derive_seed(self.seed, tags),
-        )
+        return self.replace(seed=_derive_seed(self.seed, tags))
 
 
 # How a verdict was reached, from the strongest to the weakest.
@@ -695,19 +719,10 @@ ZERO_TEST_KINDS = (SYMBOLIC, EXACT_SAMPLED, FLOAT_SAMPLED)
 
 
 class ZeroVerdict(Record):
-    __match_args__ = ("is_zero", "kind", "witness", "value")
-
-    def __init__(
-        self,
-        is_zero: bool,
-        kind: str,  # one of ZERO_TEST_KINDS
-        witness: Mapping[str, float] | None = None,
-        value: float | None = None,
-    ):
-        object.__setattr__(self, "is_zero", is_zero)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "value", value)
+    is_zero: bool
+    kind: str  # one of ZERO_TEST_KINDS
+    witness: Mapping[str, float] | None = None
+    value: float | None = None
 
 
 # A straight-line program holds one instruction (op, operand) per

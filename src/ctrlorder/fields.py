@@ -201,21 +201,11 @@ class BracketTable:
 
 
 class VfZeroVerdict(Record):
-    __match_args__ = ("is_zero", "kind", "component", "witness", "value")
-
-    def __init__(
-        self,
-        is_zero: bool,
-        kind: str,  # one of expr.ZERO_TEST_KINDS
-        component: int | None = None,
-        witness: dict | None = None,
-        value: float | None = None,
-    ):
-        object.__setattr__(self, "is_zero", is_zero)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "value", value)
+    is_zero: bool
+    kind: str  # one of expr.ZERO_TEST_KINDS
+    component: int | None = None
+    witness: dict | None = None
+    value: float | None = None
 
 
 def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:

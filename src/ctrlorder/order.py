@@ -35,17 +35,14 @@ if TYPE_CHECKING:
 class SwitchingCoefficients(Record):
     """Bracket fields behind A_k (a_fields) and B_k (b_fields) at level k."""
 
-    __match_args__ = ("k", "a_fields", "b_fields")
+    k: int
+    a_fields: tuple[VectorField, ...]
+    b_fields: tuple[tuple[VectorField, ...], ...]  # b_fields[i][j] = [g_j, ad_f^(k-1) g_i]
 
-    def __init__(
-        self,
-        k: int,
-        a_fields: tuple[VectorField, ...],
-        b_fields: tuple[tuple[VectorField, ...], ...],  # b_fields[i][j] = [g_j, ad_f^(k-1) g_i]
-    ):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a_fields", a_fields)
-        object.__setattr__(self, "b_fields", b_fields)
+
+def _require_k_max(k_max: int) -> None:
+    if not isinstance(k_max, int) or k_max < 1:
+        raise ValueError("k_max must be an integer >= 1")
 
 
 def _require_analysis_ready(sys: ControlSystem) -> None:
@@ -69,29 +66,16 @@ def switching_coeffs(sys: ControlSystem, k: int) -> SwitchingCoefficients:
 class BracketEvidence(Record):
     """Zero-test verdict for one b-field [g_j, ad_f^(k-1) g_i] (0-based i, j)."""
 
-    __match_args__ = ("i", "j", "zero", "witness_component", "witness_point")
-
-    def __init__(
-        self,
-        i: int,
-        j: int,
-        zero: bool,
-        witness_component: int | None = None,
-        witness_point: Mapping[str, float] | None = None,
-    ):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "witness_component", witness_component)
-        object.__setattr__(self, "witness_point", witness_point)
+    i: int
+    j: int
+    zero: bool
+    witness_component: int | None = None
+    witness_point: Mapping[str, float] | None = None
 
 
 class LevelEvidence(Record):
-    __match_args__ = ("level", "entries")
-
-    def __init__(self, level: int, entries: tuple[BracketEvidence, ...]):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "entries", entries)
+    level: int
+    entries: tuple[BracketEvidence, ...]
 
     @property
     def all_zero(self) -> bool:
@@ -99,29 +83,18 @@ class LevelEvidence(Record):
 
 
 class OrderReport(Record):
-    __match_args__ = ("found", "k", "q", "evidence", "truncated_at")
-
-    def __init__(
-        self,
-        found: bool,
-        k: int | None,
-        q: Fraction | None,
-        evidence: tuple[LevelEvidence, ...],
-        truncated_at: int | None = None,
-    ):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "evidence", evidence)
-        object.__setattr__(self, "truncated_at", truncated_at)
+    found: bool
+    k: int | None
+    q: Fraction | None
+    evidence: tuple[LevelEvidence, ...]
+    truncated_at: int | None = None
 
 
 def problem_order(
     sys: ControlSystem, k_max: int = 10, policy: ZeroTestPolicy = ZeroTestPolicy()
 ) -> OrderReport:
     """First level k whose b-fields do not all vanish; q = k/2 exactly."""
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError("k_max must be an integer >= 1")
+    _require_k_max(k_max)
     _require_analysis_ready(sys)
     table = BracketTable(sys.drift, sys.inputs)
     evidence: list[LevelEvidence] = []
@@ -151,12 +124,9 @@ def problem_order(
 class ParityCheck(Record):
     """Theorem check: a single-input system with an order must have k even."""
 
-    __match_args__ = ("applicable", "k_even", "report")
-
-    def __init__(self, applicable: bool, k_even: bool | None, report: OrderReport):
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "k_even", k_even)
-        object.__setattr__(self, "report", report)
+    applicable: bool
+    k_even: bool | None
+    report: OrderReport
 
 
 def verify_single_input_parity(
@@ -172,21 +142,15 @@ def verify_single_input_parity(
 
 
 class IdentityCheck(Record):
-    __match_args__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    name: str
+    passed: bool
+    detail: str = ""
 
 
 class IdentityReport(Record):
-    __match_args__ = ("k_star", "capped", "checks")
-
-    def __init__(self, k_star: int, capped: bool, checks: tuple[IdentityCheck, ...]):
-        object.__setattr__(self, "k_star", k_star)
-        object.__setattr__(self, "capped", capped)
-        object.__setattr__(self, "checks", checks)
+    k_star: int
+    capped: bool
+    checks: tuple[IdentityCheck, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -265,19 +229,10 @@ def verify_bracket_identities(
 
 
 class LocalOrderResult(Record):
-    __match_args__ = ("found", "k_local", "b_values", "rank_estimate")
-
-    def __init__(
-        self,
-        found: bool,
-        k_local: int | None,
-        b_values: tuple[tuple[float, ...], ...] | None,
-        rank_estimate: int | None,
-    ):
-        object.__setattr__(self, "found", found)
-        object.__setattr__(self, "k_local", k_local)
-        object.__setattr__(self, "b_values", b_values)
-        object.__setattr__(self, "rank_estimate", rank_estimate)
+    found: bool
+    k_local: int | None
+    b_values: tuple[tuple[float, ...], ...] | None
+    rank_estimate: int | None
 
 
 class _BMatrixEvaluator:
@@ -380,6 +335,7 @@ def local_order_on_arc(
 def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: float):
     import numpy as np
 
+    _require_k_max(k_max)
     _check_point_sizes(evaluator.sys, x, p)
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
@@ -400,19 +356,10 @@ def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: floa
 class ArcOrderResult(Record):
     """Per-sample local order along a trajectory slice, plus the modal level."""
 
-    __match_args__ = ("sample_times", "per_sample", "consensus_k", "dissent")
-
-    def __init__(
-        self,
-        sample_times: tuple[float, ...],
-        per_sample: tuple[int | None, ...],
-        consensus_k: int | None,
-        dissent: int,
-    ):
-        object.__setattr__(self, "sample_times", sample_times)
-        object.__setattr__(self, "per_sample", per_sample)
-        object.__setattr__(self, "consensus_k", consensus_k)
-        object.__setattr__(self, "dissent", dissent)
+    sample_times: tuple[float, ...]
+    per_sample: tuple[int | None, ...]
+    consensus_k: int | None
+    dissent: int
 
 
 def consensus_of(levels: Sequence[int | None]) -> tuple[int | None, int]:

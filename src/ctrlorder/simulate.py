@@ -44,34 +44,34 @@ _EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 class BangBang(Record):
     """u_i = sign(phi_i) K(t), holding the last value inside the deadband."""
 
-    __match_args__ = ("deadband",)
+    deadband: float
 
     def __init__(self, deadband: float = 0.0):
         if deadband < 0:
             raise ValueError("deadband must be >= 0")
-        object.__setattr__(self, "deadband", deadband)
+        super().__init__(deadband)
 
 
 class FixedControl(Record):
-    __match_args__ = ("u",)
+    u: tuple[float, ...]
 
     def __init__(self, u: tuple[float, ...]):
-        object.__setattr__(self, "u", tuple(float(v) for v in u))
+        super().__init__(tuple(float(v) for v in u))
 
 
 class PiecewiseControl(Record):
     """Step table: at time t the row with the largest start <= t applies."""
 
-    __match_args__ = ("table",)
+    table: tuple[tuple[float, tuple[float, ...]], ...]
 
     def __init__(self, table: tuple[tuple[float, tuple[float, ...]], ...]):
         rows = tuple((float(t), tuple(float(v) for v in u)) for t, u in table)
-        object.__setattr__(self, "table", rows)
         if not rows:
             raise ValueError("piecewise control table is empty")
         times = [t for t, _ in rows]
         if times != sorted(times):
             raise ValueError("piecewise control times must be ascending")
+        super().__init__(rows)
 
     def at(self, t: float) -> tuple[float, ...]:
         chosen = self.table[0][1]
@@ -87,10 +87,14 @@ ControlPolicy = Union[BangBang, FixedControl, PiecewiseControl]
 
 
 class SimConfig(Record):
-    __match_args__ = (
-        "initial_state", "initial_adjoint", "lam", "horizon", "step", "control_policy",
-        "singular_tolerance", "singular_min_length",
-    )
+    initial_state: tuple[float, ...]
+    initial_adjoint: tuple[float, ...]
+    lam: int
+    horizon: float
+    step: float
+    control_policy: ControlPolicy
+    singular_tolerance: float
+    singular_min_length: float | None
 
     def __init__(
         self,
@@ -119,14 +123,10 @@ class SimConfig(Record):
             raise ValueError("singular_tolerance must be > 0")
         if singular_min_length is not None and singular_min_length < 0:
             raise ValueError("singular_min_length must be >= 0")
-        object.__setattr__(self, "initial_state", initial_state)
-        object.__setattr__(self, "initial_adjoint", initial_adjoint)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "control_policy", control_policy)
-        object.__setattr__(self, "singular_tolerance", singular_tolerance)
-        object.__setattr__(self, "singular_min_length", singular_min_length)
+        super().__init__(
+            initial_state, initial_adjoint, lam, horizon, step, control_policy,
+            singular_tolerance, singular_min_length,
+        )
 
     def resolved_min_length(self) -> float:
         return 10.0 * self.step if self.singular_min_length is None else self.singular_min_length
@@ -135,36 +135,17 @@ class SimConfig(Record):
 class Trajectory(Record):
     """Uniform-grid samples of one extremal integration."""
 
-    __match_args__ = (
-        "state_names", "input_count", "step", "t", "x", "p", "u", "phi", "H", "status",
-        "failure_time",
-    )
-
-    def __init__(
-        self,
-        state_names: tuple[str, ...],
-        input_count: int,
-        step: float,
-        t: np.ndarray,
-        x: np.ndarray,  # (samples, n)
-        p: np.ndarray,  # (samples, n)
-        u: np.ndarray,  # (samples, m); u[s] applies on [t[s], t[s+1])
-        phi: np.ndarray,  # (samples, m)
-        H: np.ndarray,  # (samples,)
-        status: str = "ok",  # "ok" | "diverged" | "eval_error"
-        failure_time: float | None = None,
-    ):
-        object.__setattr__(self, "state_names", state_names)
-        object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "failure_time", failure_time)
+    state_names: tuple[str, ...]
+    input_count: int
+    step: float
+    t: np.ndarray
+    x: np.ndarray  # (samples, n)
+    p: np.ndarray  # (samples, n)
+    u: np.ndarray  # (samples, m); u[s] applies on [t[s], t[s+1])
+    phi: np.ndarray  # (samples, m)
+    H: np.ndarray  # (samples,)
+    status: str = "ok"  # "ok" | "diverged" | "eval_error"
+    failure_time: float | None = None
 
     @property
     def samples(self) -> int:
@@ -421,10 +402,7 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
 class SingularIntervals(Record):
     """Per input, the [t_start, t_end] runs where |phi_i| stays below tolerance."""
 
-    __match_args__ = ("per_input",)
-
-    def __init__(self, per_input: tuple[tuple[tuple[float, float], ...], ...]):
-        object.__setattr__(self, "per_input", per_input)
+    per_input: tuple[tuple[tuple[float, float], ...], ...]
 
     def total_length(self, input_index: int) -> float:
         return sum(t1 - t0 for t0, t1 in self.per_input[input_index])

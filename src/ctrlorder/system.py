@@ -29,15 +29,17 @@ class SystemLoadError(ValueError):
 
 
 class CostSpec(Record):
-    __match_args__ = ("f0", "g0")
-
-    def __init__(self, f0: Expr, g0: tuple[Expr, ...]):
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "g0", g0)
+    f0: Expr
+    g0: tuple[Expr, ...]
 
 
 class ControlSystem(Record):
-    __match_args__ = ("state_names", "drift", "inputs", "cost", "bound", "label")
+    state_names: tuple[str, ...]
+    drift: VectorField
+    inputs: tuple[VectorField, ...]
+    cost: CostSpec | None
+    bound: Expr | None
+    label: str
 
     def __init__(
         self,
@@ -68,12 +70,7 @@ class ControlSystem(Record):
             extra = variables(bound) - {_RESERVED_TIME_NAME}
             if extra:
                 raise ValueError(f"bound K may only use '{_RESERVED_TIME_NAME}', got {sorted(extra)}")
-        object.__setattr__(self, "state_names", state_names)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "label", label)
+        super().__init__(state_names, drift, inputs, cost, bound, label)
 
     @property
     def n(self) -> int:
@@ -233,19 +230,13 @@ def extend_with_cost(sys: ControlSystem) -> ControlSystem:
 
 
 class Finding(Record):
-    __match_args__ = ("severity", "message", "location")
-
-    def __init__(self, severity: str, message: str, location: str):
-        object.__setattr__(self, "severity", severity)  # "error" | "warning"
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "location", location)
+    severity: str  # "error" | "warning"
+    message: str
+    location: str
 
 
 class ValidationReport(Record):
-    __match_args__ = ("findings",)
-
-    def __init__(self, findings: tuple[Finding, ...]):
-        object.__setattr__(self, "findings", findings)
+    findings: tuple[Finding, ...]
 
     @property
     def ok(self) -> bool:

@@ -516,6 +516,10 @@ def test_bad_policy_string(capsys, tmp_path):
           "--horizon", "1e300", "--step", "1e-300"], "horizon/step must be at most"),
         (["simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0",
           "--horizon", "10", "--step", "1e-6"], "horizon/step must be at most"),
+        (["verify", FULLER, "parity", "--k-max", "0"], "k_max must be an integer >= 1"),
+        (["verify", FULLER, "identities", "--k-max", "0"], "depth_cap must be >= 1"),
+        (["local-order", FULLER, "--x0", "0.1,0.2,0.3", "--p0", "1,0.5,0.2", "--k-max", "0"],
+         "k_max must be an integer >= 1"),
     ],
 )
 def test_bad_flag_value_is_one_line_input_error(capsys, tmp_path, monkeypatch, argv, names):
@@ -775,14 +779,19 @@ def test_an_unsampleable_b_field_is_quoted_in_bounded_time(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python_env() -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_python(*args):
     """A fresh interpreter in the repository root, with this checkout's package."""
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        cwd=root, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=_python_env(), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -799,6 +808,28 @@ def test_module_entry_point():
     assert "k = 4, q = 2" in done.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fits stdout's buffer: the write fails when the buffer is flushed at exit
+        ["order", FULLER, "--json"],
+        # about 16 kB, past the buffer: the write fails inside print
+        ["brackets", "systems/stress/rational_pendulum.json", "--depth", "4", "--json"],
+    ],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    env = _python_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as in a shell
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctrlorder", *argv],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()  # as `| head -1` does once it has its line
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.count("\n") <= 1 and "Traceback" not in err and "Exception" not in err
+
+
 # The test process already holds numpy, so what a command loads is seen in a
 # fresh interpreter: four symbolic commands, then the numeric one in argv.
 _NUMPY_LOADED_AFTER = """
@@ -809,7 +840,8 @@ import ctrlorder.cli
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ctrlorder.cli.main(list(argv))
-    return [code] + [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
+    loaded = ("numpy", "dataclasses", "inspect", "hashlib")
+    return [code] + [name in sys.modules for name in loaded]
 
 
 fuller = "systems/fuller.json"
@@ -830,8 +862,8 @@ def test_only_the_numeric_commands_load_numpy(tmp_path, numeric):
         argv += ["--horizon", "0.01", "--out", str(tmp_path / "t.csv")]
     done = run_python("-c", _NUMPY_LOADED_AFTER, *argv)
     assert done.returncode == 0, done.stderr
-    *symbolic, (code, numpy, dataclasses, _) = json.loads(done.stdout)
-    # neither numpy nor the modules that generate or inspect code
-    assert symbolic == [[0, False, False, False]] * 4
+    *symbolic, (code, numpy, dataclasses, _, _) = json.loads(done.stdout)
+    # neither numpy, nor the modules that generate or inspect code, nor OpenSSL's hashlib
+    assert symbolic == [[0, False, False, False, False]] * 4
     # numpy imports inspect itself, but nothing imports dataclasses
     assert (code, numpy, dataclasses) == (0, True, False)

@@ -600,6 +600,13 @@ def test_is_zero_derive_changes_seed_deterministically():
     assert policy.derive("a", 1) != policy.derive("a", 2)
 
 
+def test_derived_seeds_are_pinned():
+    # every reported witness is drawn from a derived seed
+    assert expr._derive_seed(1729, ("order", 1, 0, 0)) == 6016921715797602807
+    derived = ZeroTestPolicy(8, 0.5, 1e-6, 1729).derive("order", 1, 0, 0)
+    assert derived == ZeroTestPolicy(8, 0.5, 1e-6, 6016921715797602807)
+
+
 def test_is_zero_indeterminate_when_nothing_evaluates():
     # exp overflows at every sample point in the box
     e = Exp(Exp(Sum((IntPower(Variable("x1"), 2), const(10)))))

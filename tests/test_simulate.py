@@ -121,6 +121,125 @@ def test_records_compare_print_copy_and_replace_by_their_fields():
             assert clone == original and clone is not original
 
 
+def _record_samples() -> dict:
+    """Field values, in declaration order, for every record class of the package."""
+    from fractions import Fraction
+
+    from ctrlorder.expr import _Token
+
+    x = ctrlorder.Variable("x")
+    field = VectorField(("x",), (x,))
+    t = ctrlorder.Variable("t")  # the one variable a bound may use
+    check = ctrlorder.IdentityCheck("swap j=1 l=0", True)
+    finding = ctrlorder.Finding("warning", "bound is unused", "bound")
+    return {
+        ctrlorder.Constant: (Fraction(3, 2),),
+        ctrlorder.Variable: ("x",),
+        ctrlorder.Negate: (x,),
+        ctrlorder.Sum: ((x, x),),
+        ctrlorder.Product: ((x, x, x),),
+        ctrlorder.Quotient: (x, ctrlorder.const(2)),
+        ctrlorder.IntPower: (x, 3),
+        ctrlorder.Sin: (x,),
+        ctrlorder.Cos: (x,),
+        ctrlorder.Exp: (x,),
+        _Token: ("ident", "x", 4),
+        ctrlorder.ZeroTestPolicy: (8, 0.5, 1e-6, 7),
+        ctrlorder.ZeroVerdict: (False, "exact-sampled", {"x": 0.5}, 0.25),
+        ctrlorder.VfZeroVerdict: (False, "symbolic", 1, {"x": 0.5}, 0.25),
+        ctrlorder.SwitchingCoefficients: (1, (field,), ((field,),)),
+        ctrlorder.BracketEvidence: (0, 1, False, 2, {"x": 0.5}),
+        ctrlorder.LevelEvidence: (1, (ctrlorder.BracketEvidence(0, 0, True),)),
+        ctrlorder.OrderReport: (False, None, None, (), 4),
+        ctrlorder.ParityCheck: (True, True, ctrlorder.OrderReport(True, 2, Fraction(1), ())),
+        ctrlorder.IdentityCheck: ("slide j=0", False, "nonzero component 1"),
+        ctrlorder.IdentityReport: (2, False, (check,)),
+        ctrlorder.LocalOrderResult: (True, 2, ((0.5,),), 1),
+        ctrlorder.ArcOrderResult: ((0.0, 0.1), (2, None), 2, 1),
+        BangBang: (0.5,),
+        FixedControl: ((1.0, -1.0),),
+        PiecewiseControl: (((0.0, (1.0,)), (0.5, (-1.0,))),),
+        SimConfig: ((0.0,), (1.0,), 0, 2.0, 0.01, FixedControl((1.0,)), 1e-3, 0.5),
+        Trajectory: (("x",), 1, 0.1, (0.0,), ((0.0,),), ((1.0,),), ((1.0,),), ((1.0,),),
+                     (1.0,), "diverged", 0.1),
+        ctrlorder.SingularIntervals: (((0.0, 0.5),),),
+        ctrlorder.CostSpec: (x, (x,)),
+        ctrlorder.ControlSystem: (("x",), field, (field,), None, t, "sample"),
+        ctrlorder.Finding: ("error", "horizon must be positive", "horizon"),
+        ctrlorder.ValidationReport: ((finding,),),
+    }
+
+
+def _record_classes(base):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _record_classes(cls)
+
+
+def _defaults(cls) -> dict:
+    """The fields a record may be built without, and their values."""
+    if cls.__init__ is ctrlorder.expr.Record.__init__:
+        return cls._defaults
+    import inspect
+
+    params = inspect.signature(cls).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def test_every_record_class_keeps_the_record_contract():
+    import copy
+    import pickle
+
+    samples = _record_samples()
+    classes = {
+        c for c in _record_classes(ctrlorder.expr.Record)
+        if c.__match_args__ and c.__module__.startswith("ctrlorder.")
+    }
+    assert classes == set(samples)
+    for cls, values in samples.items():
+        fields = cls.__match_args__
+        assert fields == tuple(cls.__annotations__)
+        if issubclass(cls, ctrlorder.Expr):
+            assert cls.__slots__ == fields  # read by the benchmark's tracer
+        kwargs = dict(zip(fields, values))
+        record = cls(*values)
+        assert cls(**kwargs) == record
+        assert record == cls(*values[:1], **dict(list(kwargs.items())[1:]))
+
+        defaults = _defaults(cls)
+        for name in fields:
+            rest = {k: v for k, v in kwargs.items() if k != name}
+            if name in defaults:
+                assert getattr(cls(**rest), name) == defaults[name]
+            else:
+                with pytest.raises(TypeError, match=f"'{name}'"):
+                    cls(**rest)
+        given = values[: len(fields) - len(defaults)]  # positionally, defaults for the rest
+        assert cls(*given) == cls(*given, *(defaults[name] for name in fields[len(given):]))
+        if given:
+            with pytest.raises(TypeError, match=f"'{fields[len(given) - 1]}'"):
+                cls(*given[:-1])
+        with pytest.raises(TypeError, match="takes"):
+            cls(*values, values[0])
+        with pytest.raises(TypeError, match="'no_such_field'"):
+            cls(*values, no_such_field=1)
+        with pytest.raises(TypeError, match=f"'{fields[0]}'"):
+            cls(*values, **{fields[0]: values[0]})
+
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), record.replace()):
+            assert clone == record and type(clone) is cls
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+        assert repr(record) == f"{cls.__qualname__}({shown})"
+
+
+def test_a_record_field_without_a_default_cannot_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="Late: a field without a default follows a default"):
+
+        class Late(ctrlorder.expr.Record):
+            early: int = 0
+            late: int
+
+
 # ---------------------------------------------------------------------------
 # pointwise operations
 # ---------------------------------------------------------------------------
