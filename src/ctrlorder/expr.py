@@ -8,8 +8,12 @@ the sampled zero test; simplifying and differentiating a tree go through its
 rational normal form (see `normal`).
 
 Evaluation, the sampled zero test and the code generator share one lowering:
-`_lower` turns trees into a straight-line program, which `_run` interprets
-in the arithmetic of its point and `render_components` writes out as Python.
+`_lower` turns trees into a straight-line program.  Float evaluation has one
+arithmetic, the generated code's: the program's float copy (`_floats`) is
+what `render_components` writes out as Python and what `evaluate` interprets
+(`_run`), so the two agree bit for bit and fail alike.  The sampled zero test runs the
+program with its exact constants at Fraction points: that exact arithmetic
+defines the zero decision and is no float evaluation.
 """
 
 from __future__ import annotations
@@ -782,22 +786,28 @@ def _lower(exprs: Sequence[Expr], nodes: list | None = None) -> tuple[list[tuple
     return code, [visit(e) for e in exprs]
 
 
-def _pow(b: NumberValue, k: int) -> NumberValue:
-    """b**k, as generated code computes it; a float past the float range is
-    +-inf, as the product b*...*b would be, rather than an OverflowError."""
+def _to_float(value: NumberValue) -> float:
+    """A number as a float: float(value), or +-inf past the float range (a
+    derivative can fold a rational coefficient past it)."""
     try:
-        return b**k
+        return float(value)
     except OverflowError:
-        return math.inf if b > 0 or k % 2 == 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _floats(code: list[tuple]) -> list[tuple]:
+    """The program with every constant a float (`_to_float`): the generated code's."""
+    return [(op, _to_float(arg)) if op == _CONST else (op, arg) for op, arg in code]
 
 
 def _run(
     code: list[tuple], point: Mapping[str, NumberValue], v: list | None = None
 ) -> list[NumberValue]:
-    """Every slot's value in the arithmetic of `point`'s numbers: Fraction or float,
-    with sin, cos and exp in floats (radians) and a float power past the float
-    range +-inf (`_pow`).  The values are appended to `v` if given, so that
-    after a failure its length is the failing slot."""
+    """Every slot's value in the arithmetic of the program's and `point`'s
+    numbers: exact where all are Fractions, the generated code's where all are
+    floats (`_floats`); sin, cos and exp take floats (radians).  The values are
+    appended to `v` if given, so that after a failure its length is the
+    failing slot."""
     v = [] if v is None else v
     for op, arg in code:
         if op == _CONST:
@@ -811,46 +821,50 @@ def _run(
         elif op == _DIV:
             x = v[arg[0]] / v[arg[1]]
         elif op == _POW:
-            x = _pow(v[arg[0]], arg[1])
+            x = v[arg[0]] ** arg[1]
         elif op == _NEG:
             x = -v[arg]
         else:
-            x = _MATH[op](float(v[arg]))
+            x = _MATH[op](v[arg])
         v.append(x)
     return v
 
 
-def evaluator(exprs: Sequence[Expr]) -> Callable[[Mapping[str, NumberValue]], list[float]]:
+def evaluator(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], list[float]]:
     """Lower `exprs` once; the returned function evaluates them all at a binding.
 
-    A variable the binding lacks raises MissingBindingError, a zero
-    denominator DivisionByZeroError naming its quotient, and a value past the
-    float range where it must become a float EvalError naming its node.
+    It runs the float program (`_floats`) on each bound value made a float as
+    a constant is (`_to_float`): the operations `compile_components`
+    generates, in the same order, so at a float point the two give the same
+    floats bit for bit and fail at the same points.  A variable the binding
+    lacks raises MissingBindingError, a zero denominator DivisionByZeroError,
+    a value past the float range (in a power or exp) and sin or cos of an
+    infinite value EvalError, each naming the failing node.
     """
     nodes: list[Expr] = []
     code, roots = _lower(exprs, nodes)
+    code = _floats(code)
 
-    def run(binding: Mapping[str, NumberValue]) -> list[float]:
-        v: list[NumberValue] = []
-        out: list[float] = []
+    def run(binding: Mapping[str, float]) -> list[float]:
+        point = {name: _to_float(x) for name, x in binding.items()}
+        v: list[float] = []
         try:
-            _run(code, binding, v)
-            for r in roots:
-                out.append(float(v[r]))
+            _run(code, point, v)
         except KeyError as err:
             raise MissingBindingError(err.args[0]) from None
         except ZeroDivisionError:
             raise DivisionByZeroError(to_text(nodes[len(v)])) from None
-        except OverflowError:  # in a slot, or where a root's value becomes a float
-            failed = nodes[len(v)] if len(v) < len(code) else nodes[roots[len(out)]]
-            raise EvalError(f"overflow in '{to_text(failed)}'") from None
-        return out
+        except OverflowError:
+            raise EvalError(f"overflow in '{to_text(nodes[len(v)])}'") from None
+        except ValueError:  # math.sin or math.cos of +-inf
+            raise EvalError(f"infinite argument in '{to_text(nodes[len(v)])}'") from None
+        return [v[r] for r in roots]
 
     return run
 
 
-def evaluate(e: Expr, binding: Mapping[str, NumberValue]) -> float:
-    """Evaluate with real arithmetic (radians for sin/cos); see `evaluator`."""
+def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
+    """The tree's value at a binding, in floats (radians for sin/cos); see `evaluator`."""
     return evaluator([e])(binding)[0]
 
 
@@ -950,8 +964,8 @@ def _exact_sampler(code: list[tuple]) -> Callable[[Mapping[str, Fraction]], bool
 
 def _witness(code: list[tuple], point: Mapping[str, Fraction], kind: str) -> ZeroVerdict:
     witness = {name: float(v) for name, v in point.items()}
-    try:  # in floats, so that no large exact power is built
-        value = float(_run(code, witness)[-1])
+    try:  # as `evaluate` would, so that no large exact power is built
+        value = _run(_floats(code), witness)[-1]
     except (ZeroDivisionError, OverflowError, ValueError):
         value = math.nan
     return ZeroVerdict(False, kind, witness=witness, value=value)
@@ -1051,13 +1065,8 @@ _PY_CALLS = {_SIN: "_sin", _COS: "_cos", _EXP: "_exp"}
 _CHAIN = 256
 
 
-def _py_number(value: NumberValue) -> tuple[str, int]:
-    # a rational past the float range (a derivative's coefficient can be
-    # one) renders as inf, which the generated code's namespace defines
-    try:
-        v = float(value)
-    except OverflowError:
-        v = math.inf if value > 0 else -math.inf
+def _py_number(v: float) -> tuple[str, int]:
+    # +-inf (a rational past the float range) is a name the code's namespace defines
     return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
 
 
@@ -1070,10 +1079,11 @@ def render_components(
     subexpression other than a leaf is assigned once, in topological order, to a
     local named `prefix` plus its slot; the rest is written inline.  A sum or
     product of more than _CHAIN operands accumulates in that local, _CHAIN
-    operands a statement.  The code does the trees' operations in their order,
-    so its floats are the trees' floats.
+    operands a statement.  The code is the float program (`_floats`) that
+    `evaluate` interprets: the trees' operations in their order.
     """
     code, roots = _lower(exprs)
+    code = _floats(code)
     uses = [0] * len(code)
     for op, arg in code:
         operands = (arg,) if op >= _NEG else arg[:1] if op == _POW else arg if op > _VAR else ()

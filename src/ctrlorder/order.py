@@ -45,6 +45,12 @@ def _require_k_max(k_max: int) -> None:
         raise ValueError("k_max must be an integer >= 1")
 
 
+def _require_local_order_options(k_max: int, tolerance: float) -> None:
+    _require_k_max(k_max)
+    if not tolerance > 0:
+        raise ValueError("tolerance must be > 0")
+
+
 def _require_analysis_ready(sys: ControlSystem) -> None:
     if sys.cost is not None:
         raise ValueError(
@@ -176,8 +182,7 @@ def verify_bracket_identities(
     """
     if sys.m != 1:
         raise ValueError("bracket identity verification needs a single-input system")
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
+    _require_k_max(depth_cap)  # the CLI's --k-max
     g, ad = sys.inputs[0], BracketTable(sys.drift, sys.inputs).ad
 
     k_star = depth_cap
@@ -190,40 +195,24 @@ def verify_bracket_identities(
             break
 
     checks: list[IdentityCheck] = []
+
+    def check(name: str, field, *tags) -> None:
+        verdict = vf_is_zero(field, policy.derive(*tags))
+        detail = "" if verdict.is_zero else f"nonzero component {verdict.component}"
+        checks.append(IdentityCheck(name, verdict.is_zero, detail))
+
     for j in range(1, k_star + 1):
         for l in range(0, k_star - j):
             field = lie_bracket(ad(0, j), ad(0, l)) + lie_bracket(ad(0, j - 1), ad(0, l + 1))
-            verdict = vf_is_zero(field, policy.derive("swap", j, l))
-            checks.append(
-                IdentityCheck(
-                    f"swap j={j} l={l}",
-                    verdict.is_zero,
-                    "" if verdict.is_zero else f"nonzero component {verdict.component}",
-                )
-            )
+            check(f"swap j={j} l={l}", field, "swap", j, l)
 
     top = lie_bracket(g, ad(0, k_star))
     for j in range(0, k_star + 1):
         other = lie_bracket(ad(0, j), ad(0, k_star - j))
-        field = top + other if j % 2 == 1 else top - other
-        verdict = vf_is_zero(field, policy.derive("slide", j))
-        checks.append(
-            IdentityCheck(
-                f"slide j={j}",
-                verdict.is_zero,
-                "" if verdict.is_zero else f"nonzero component {verdict.component}",
-            )
-        )
+        check(f"slide j={j}", top + other if j % 2 == 1 else top - other, "slide", j)
 
     if k_star % 2 == 0:
-        verdict = vf_is_zero(top, policy.derive("even"))
-        checks.append(
-            IdentityCheck(
-                "even k* vanishing",
-                verdict.is_zero,
-                "" if verdict.is_zero else f"nonzero component {verdict.component}",
-            )
-        )
+        check("even k* vanishing", top, "even")
 
     return IdentityReport(k_star, capped, tuple(checks))
 
@@ -260,7 +249,7 @@ class _BMatrixEvaluator:
             values = program([float(v) for v in x])  # Python floats: division by zero raises
         except ZeroDivisionError:
             raise EvalError(f"B_{k} hit a division by zero at the given point") from None
-        except OverflowError:
+        except (OverflowError, ValueError):  # ValueError: sin or cos of an overflowed inf
             raise EvalError(f"B_{k} overflowed at the given point") from None
         values = np.asarray(values, dtype=float).reshape(m, m, n)
         pvec = np.asarray(p, dtype=float)
@@ -300,6 +289,7 @@ def local_order_at(
     tolerance: float = 1e-9,
 ) -> LocalOrderResult:
     """First level where B_l at this (x, p) has an entry above tolerance."""
+    _require_local_order_options(k_max, tolerance)
     return _local_order(_BMatrixEvaluator(sys), x, p, k_max, tolerance)
 
 
@@ -311,6 +301,7 @@ def local_order_on_arc(
     tolerance: float = 1e-9,
 ) -> ArcOrderResult:
     """Local order at every grid sample of the interval, plus the modal level."""
+    _require_local_order_options(k_max, tolerance)
     t0, t1 = interval
     eps = 1e-9 * max(1.0, traj.step)
     if traj.samples == 0:
@@ -335,10 +326,7 @@ def local_order_on_arc(
 def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: float):
     import numpy as np
 
-    _require_k_max(k_max)
     _check_point_sizes(evaluator.sys, x, p)
-    if not tolerance > 0:
-        raise ValueError("tolerance must be > 0")
     for k in range(1, k_max + 1):
         matrix = evaluator.matrix(k, x, p)
         if np.max(np.abs(matrix)) > tolerance:

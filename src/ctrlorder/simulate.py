@@ -450,7 +450,7 @@ def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> 
         values = [fn(x) for x in traj.x.tolist()]
     except ZeroDivisionError:
         raise EvalError(f"{name} hit a division by zero on the extremal") from None
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: sin or cos of an overflowed inf
         raise EvalError(f"{name} overflowed on the extremal") from None
     values = np.asarray(values, dtype=float).reshape(-1, 2 + m, n)
     inner = np.array([float(traj.p[s] @ values[s, 0]) for s in range(traj.samples)])

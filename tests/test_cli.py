@@ -122,6 +122,35 @@ def test_order_validation_failure(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "bound, failure",
+    [
+        # 10*exp(709) is inf, and sin(inf) is a domain error
+        ("2 + sin(10*exp(709*t))", "infinite argument in 'sin(10*exp(709*t))'"),
+        # a power past the float range fails as the generated code's b**k does
+        ("exp(t)^1000", "overflow in 'exp(t)^1000'"),
+        ("exp(1000*t)", "overflow in 'exp(1000*t)'"),
+        ("1/(t - t)", "division by zero in '1/(t - t)'"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["order"], ["simulate", "--x0", "0,0", "--p0", "1,0"], ["verify", "parity"]],
+    ids=lambda a: a[0],
+)
+def test_a_bound_that_fails_to_evaluate_is_one_validation_finding(
+    capsys, tmp_path, monkeypatch, bound, failure, argv
+):
+    monkeypatch.chdir(tmp_path)  # simulate would write its trajectory.csv here
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"states": ["x1", "x2"], "inputs": 1, "f": ["x2", "0"],
+                                "g": [["0", "1"]], "K": bound}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"validation failed:\n  [error] K: bound K failed to evaluate: {failure}\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv", [["brackets"], ["local-order", "--x0=1,2", "--p0=1,1"], ["order"]], ids=lambda a: a[0]
 )
 def test_duplicate_state_names_are_an_input_error(capsys, tmp_path, argv):
@@ -517,7 +546,7 @@ def test_bad_policy_string(capsys, tmp_path):
         (["simulate", DOUBLE_INTEGRATOR, "--x0", "0,0", "--p0", "1,0",
           "--horizon", "10", "--step", "1e-6"], "horizon/step must be at most"),
         (["verify", FULLER, "parity", "--k-max", "0"], "k_max must be an integer >= 1"),
-        (["verify", FULLER, "identities", "--k-max", "0"], "depth_cap must be >= 1"),
+        (["verify", FULLER, "identities", "--k-max", "0"], "k_max must be an integer >= 1"),
         (["local-order", FULLER, "--x0", "0.1,0.2,0.3", "--p0", "1,0.5,0.2", "--k-max", "0"],
          "k_max must be an integer >= 1"),
     ],
@@ -734,6 +763,8 @@ def test_float_tainted_zero_test_is_relative_in_a_small_box(capsys, tmp_path):
         (["0", "exp(x1)"], "1000,0", "1,1", "overflowed"),
         (["0", "x1^3"], "1e30,0", "1e300,1e300", "not finite"),
         (["0", "1/x1"], "0,1", "1,1", "B_2 hit a division by zero at the given point"),
+        # 1e300*x1 overflows to inf, and sin(inf) is a domain error
+        (["0", "sin(1e300*x1)"], "1e154,0", "1,1", "B_2 overflowed at the given point"),
     ],
 )
 def test_local_order_non_finite_b_matrix_is_input_error(capsys, tmp_path, g, x0, p0, message):

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctrlorder import expr
 from ctrlorder import (
@@ -513,6 +514,9 @@ def test_simplify_preserves_values():
 def test_evaluate_examples():
     assert evaluate(parse("v1*cos(theta)", VARS), {"v1": 2, "theta": 0}) == 2.0
     assert evaluate(parse("x1^2", VARS), {"x1": 3}) == 9.0
+    # a bound value is made a float as a constant is: no exact arithmetic
+    assert evaluate(parse("3*x1", VARS), {"x1": Fraction(1, 10)}) == 3 * 0.1 != 0.3
+    assert evaluate(parse("x1 + 1", VARS), {"x1": -(10**400)}) == -math.inf
 
 
 def test_evaluate_division_by_zero_reports_subexpression():
@@ -530,8 +534,8 @@ def test_evaluate_missing_binding():
 def test_evaluate_overflow_names_the_node():
     with pytest.raises(EvalError, match=r"^overflow in 'exp\(x1\^2\)'$"):
         evaluate(parse("1 + exp(x1^2)", VARS), {"x1": 30.0})
-    # an exact value past the float range, where it meets a float or is returned
-    with pytest.raises(EvalError, match=r"^overflow in '10\^400\*x1'$"):
+    # constants are floats, as in the generated code: 10.0**400 overflows
+    with pytest.raises(EvalError, match=r"^overflow in '10\^400'$"):
         evaluate(parse("10^400*x1/10^400", VARS), {"x1": 0.5})
     with pytest.raises(EvalError, match=r"^overflow in '10\^400'$"):
         evaluate(parse("10^400", VARS), {})
@@ -763,15 +767,58 @@ def test_is_zero_agrees_with_sympy_on_random_rational_trees():
 # ---------------------------------------------------------------------------
 
 
-def test_compile_components_matches_evaluate():
-    rng = random.Random(1001)
-    names = VARS[:3]
-    for _ in range(50):
-        e = random_expr(rng, names, depth=3, allow_quotient=False, exp_budget=0)
-        fn = compile_components([e], names)
-        pt = random_binding(rng, names)
-        vec = [pt[n] for n in names]
-        assert fn(vec)[0] == evaluate(e, pt)
+_HYP_NAMES = ("x1", "x2", "x3")
+_hyp_constants = st.one_of(
+    st.integers(-3, 3).map(const),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7).map(Constant),
+    st.floats(allow_nan=False, allow_infinity=False).map(Constant),
+    # rationals past the float range, as a derivative can fold them
+    st.builds(Fraction, st.integers(400, 500).map(lambda k: 10**k), st.integers(1, 3))
+    .map(lambda q: Constant(q) if q.numerator % 2 else Constant(-q)),
+)
+
+
+def _hyp_nodes(children):
+    operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        operands.map(Sum),
+        operands.map(Product),
+        st.builds(Quotient, children, children),
+        st.builds(IntPower, children, st.integers(2, 4) | st.integers(2, MAX_EXPONENT)),
+        *(children.map(node) for node in (Negate, Sin, Cos, Exp)),
+    )
+
+
+_hyp_constant_trees = st.recursive(_hyp_constants, _hyp_nodes, max_leaves=4)
+_hyp_trees = st.recursive(
+    st.sampled_from(_HYP_NAMES).map(Variable) | _hyp_constant_trees, _hyp_nodes, max_leaves=10
+)
+# mostly moderate points, some anywhere in the float range, infinities and NaN included
+_hyp_points = st.tuples(*[st.floats(-2.0, 2.0) | st.floats()] * len(_HYP_NAMES))
+# the nodes whose operation raises each failure
+_FAILING_NODES = {
+    "division by zero": Quotient, "overflow": (IntPower, Exp), "infinite argument": (Sin, Cos)
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_hyp_trees, min_size=1, max_size=3), _hyp_points)
+def test_compile_components_matches_evaluate(trees, vec):
+    exprs = [*trees, Sum((trees[0], trees[-1]))]  # the last shares subtrees with the others
+    try:
+        compiled = [v.hex() for v in compile_components(exprs, _HYP_NAMES)(list(vec))]
+    except (ZeroDivisionError, OverflowError, ValueError):
+        compiled = None
+    try:
+        interpreted = [v.hex() for v in expr.evaluator(exprs)(dict(zip(_HYP_NAMES, vec)))]
+    except EvalError as err:
+        interpreted = None
+        kind, quoted = str(err).split(" in ", 1)
+        assert any(
+            isinstance(node, _FAILING_NODES[kind]) and quoted == f"'{to_text(node)}'"
+            for e in exprs for node in _nodes(e)
+        ), str(err)
+    assert interpreted == compiled
 
 
 def test_evaluate_and_compiled_code_compute_powers_alike_bit_for_bit():

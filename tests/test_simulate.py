@@ -969,6 +969,17 @@ def test_arc_interval_bounds_checked():
         local_order_on_arc(sys6, traj, (0.0, 2.0), 3, 1e-9)
 
 
+def test_arc_options_are_checked_once_even_with_no_sample_in_the_interval():
+    cfg = SimConfig(initial_state=(0.0, 0.0), initial_adjoint=(1.0, 0.0), horizon=0.01, step=1e-3)
+    sys2 = di_raw()
+    traj = integrate_extremal(sys2, cfg)
+    assert local_order_on_arc(sys2, traj, (0.0003, 0.0006), 3, 1e-9).sample_times == ()
+    with pytest.raises(ValueError, match="^k_max must be an integer >= 1$"):
+        local_order_on_arc(sys2, traj, (0.0003, 0.0006), 0, 1e-9)
+    with pytest.raises(ValueError, match="^tolerance must be > 0$"):
+        local_order_on_arc(sys2, traj, (0.0003, 0.0006), 3, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # derivative-law residual (check_lemma1)
 # ---------------------------------------------------------------------------

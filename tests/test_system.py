@@ -108,11 +108,11 @@ def test_load_checks_the_cancelled_normal_form():
 
 
 def test_validate_reports_an_overflow_while_evaluating():
-    # the constant folds to 1, but 10^400*x1 passes the float range on the way
+    # the constant folds to 1, but the float 10.0**400 passes the float range
     doc = {"states": ["x1"], "inputs": 1, "f": ["10^400*x1/10^400"], "g": [["1"]]}
     report = validate(load(doc), 1.0)
     assert [(f.location, f.message) for f in report.errors()] == [
-        ("f[0]", "failed to evaluate at a random interior point: overflow in '10^400*x1'")
+        ("f[0]", "failed to evaluate at a random interior point: overflow in '10^400'")
     ]
 
 
@@ -262,6 +262,15 @@ def test_validate_bound_positivity():
     assert any("K" == f.location for f in report.errors())
     # on a short horizon cos stays positive
     assert validate(load(doc), horizon=1.0).ok
+
+
+def test_validate_reports_a_bound_that_fails_to_evaluate():
+    doc = counterexample_doc()
+    doc["K"] = "1/(t - t)"
+    report = validate(load(doc), horizon=1.0)
+    assert [(f.location, f.message) for f in report.errors()] == [
+        ("K", "bound K failed to evaluate: division by zero in '1/(t - t)'")
+    ]
 
 
 def test_validate_duplicate_state_names():

@@ -11,12 +11,13 @@ identities`, `verify lemma1`, `local-order` and `simulate`, each with
 running cost (so that analyses of the loaded fields and of new, cost-extended
 ones are both covered); and, on every stress system in `systems/stress/`
 (deep rational trees, where term collection and sort order matter most),
-`brackets --depth 4 --json`, `local-order --json`, and `local-order --k-max
+`brackets --depth 4 --json`, `order --json` (which reports the witness
+points of its trig b-fields), `local-order --json`, and `local-order --k-max
 12 --json` with p0 = 0, which evaluates B_1, ..., B_12 and finds none
-nonzero; calling `ctrlorder.cli.main` with stdout and stderr captured.  The manifest
-timestamp is dropped from each report.  `local-order` and `simulate` start
-from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost state), and the CSV
-that `simulate` writes is compared byte for byte.
+nonzero; calling `ctrlorder.cli.main` with stdout and stderr captured.  The
+manifest timestamp is dropped from each report.  `local-order` and
+`simulate` start from x0_i = 0.1 i and p0_i = 1/i (p0 = -1 for the cost
+state), and the CSV that `simulate` writes is compared byte for byte.
 
 One line per invocation tells whether the exit code, the report body,
 stderr and the CSV are equal.  The last line is PASS when all of them are,
@@ -77,6 +78,7 @@ def invocations(csv_path: str) -> list[list[str]]:
         rel = str(path.relative_to(ROOT))
         n = len(json.loads(path.read_text(encoding="utf-8"))["states"])
         out.append(["brackets", rel, "--depth", "4", "--json"])
+        out.append(["order", rel, "--json"])
         out.append(["local-order", rel, *point(n), "--json"])
         # p = 0: every level to k = 12 is evaluated, and the deep ones hold long sums
         zero = f"--p0={','.join(['0.0'] * n)}"
