@@ -1,11 +1,12 @@
 """Immutable symbolic scalar expressions over named variables.
 
-The expression language covers rational and decimal constants, named
-variables, sums, products, quotients, integer powers (exponent >= 2), and
-sin/cos/exp.  That is enough to write every vector field this package works
-with.  This module parses, prints, evaluates and compiles trees, and holds
-the sampled zero test; simplifying and differentiating a tree go through its
-rational normal form (see `normal`).
+The expression language covers exact rational constants (a decimal literal
+is the rational it spells), named variables, sums, products, quotients,
+integer powers (exponent >= 2), and sin/cos/exp.  That is enough to write
+every vector field this package works with.  This module parses, prints,
+evaluates and compiles trees, and holds the sampled zero test; simplifying
+and differentiating a tree go through its rational normal form (see
+`normal`).
 
 Evaluation, the sampled zero test and the code generator share one lowering:
 `_lower` turns trees into a straight-line program.  Float evaluation has one
@@ -21,13 +22,12 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 # hashlib.blake2b itself, without the OpenSSL bindings that importing hashlib loads
 from _blake2 import blake2b
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
-
-NumberValue = Union[Fraction, float]
+from typing import Callable, Iterable, Mapping, Sequence
 
 _FUNCTION_NAMES = ("sin", "cos", "exp")
 # Parentheses, function calls and unary minuses nest at most this deep, so
@@ -209,8 +209,22 @@ class Expr(Record):
 
 
 class Constant(Expr):
+    """A number, held as the exact rational it spells: an int as itself, a
+    float as the rational its repr spells (so that float(value) is that float
+    again, and 0.5 is 1/2), -0.0 as 0.  ValueError for inf and nan, TypeError
+    for a bool or a value that is not a number."""
+
     __slots__ = ("value",)
-    value: NumberValue
+    value: Fraction
+
+    def __init__(self, value: int | float | Fraction):
+        if type(value) is not Fraction:
+            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+                raise TypeError(f"cannot make a constant from {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"a constant must be finite, got {value!r}")
+            value = Fraction(repr(float(value)) if isinstance(value, float) else value)
+        super().__init__(value)
 
 
 class Variable(Expr):
@@ -277,15 +291,7 @@ class Exp(Expr):
     child: Expr
 
 
-def const(value: Union[int, Fraction, float]) -> Constant:
-    """Wrap a number as a Constant; integers become exact rationals."""
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a number")
-    if isinstance(value, int):
-        return Constant(Fraction(value))
-    if isinstance(value, (Fraction, float)):
-        return Constant(value)
-    raise TypeError(f"cannot make a constant from {type(value).__name__}")
+const = Constant
 
 
 _ZERO = const(0)
@@ -478,17 +484,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            if _INTEGER_RE.fullmatch(tok.text):
-                try:
-                    return Constant(Fraction(int(tok.text)))
-                except ValueError:  # past Python's limit on integer string conversion
-                    raise ExprSyntaxError(
-                        f"integer literal of {len(tok.text)} digits is too long", tok.pos
-                    ) from None
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number '{tok.text}' is too large for a float", tok.pos)
-            return Constant(value)
+            return Constant(_literal(tok))
         if tok.kind == "ident":
             self.advance()
             if self.at_op("("):
@@ -517,6 +513,28 @@ class _Parser:
         raise ExprSyntaxError("expected a number, variable, function call, or '('", tok.pos)
 
 
+def _literal(tok: _Token) -> Fraction:
+    """The exact rational that a number token spells: 0.1 is 1/10, 1e-3 is 1/1000.
+
+    Written out with no exponent, a literal may have at most as many digits
+    as Python converts from a string to an int; that is checked before 10^e
+    is built, so 1e-99999999 fails at once.
+    """
+    text = tok.text
+    integer = _INTEGER_RE.fullmatch(text)
+    if not integer and not math.isfinite(float(text)):
+        raise ExprSyntaxError(f"number '{text}' is too large for a float", tok.pos)
+    mantissa, _, exponent = text.lower().partition("e")
+    power = exponent.lstrip("+-0")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # an exponent longer than the limit's is past it without converting it
+    if len(mantissa) + (int(power or 0) if len(power) <= len(str(limit)) else limit) > limit:
+        if integer:
+            raise ExprSyntaxError(f"integer literal of {len(text)} digits is too long", tok.pos)
+        raise ExprSyntaxError(f"decimal literal needs more than {limit} digits", tok.pos)
+    return Fraction(text)
+
+
 def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
     """Parse expression text; identifiers must come from `allowed_vars`."""
     return _Parser(text, allowed_vars).parse()
@@ -529,15 +547,10 @@ def parse(text: str, allowed_vars: Iterable[str]) -> Expr:
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
 
 
-def _render_number(v: NumberValue) -> tuple[str, int]:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            s = str(v.numerator)
-            return s, (_P_ATOM if v >= 0 else _P_UNARY)
-        s = f"{v.numerator}/{v.denominator}"
-        return s, _P_MUL
-    s = repr(v)
-    return s, (_P_ATOM if not s.startswith("-") else _P_UNARY)
+def _render_number(v: Fraction) -> tuple[str, int]:
+    if v.denominator == 1:
+        return str(v.numerator), (_P_ATOM if v >= 0 else _P_UNARY)
+    return f"{v.numerator}/{v.denominator}", _P_MUL
 
 
 def _negated_form(e: Expr) -> Expr | None:
@@ -690,7 +703,7 @@ def _derive_seed(seed: int, tags: tuple) -> int:
 
 class ZeroTestPolicy(Record):
     """How to decide "identically zero": sample count, box, tolerance (relative,
-    for float-tainted expressions only: see is_zero), seed."""
+    for trees with sin, cos or exp only: see sampled_is_zero), seed."""
 
     sample_count: int
     box_halfwidth: float
@@ -747,9 +760,8 @@ def _lower(exprs: Sequence[Expr], nodes: list | None = None) -> tuple[list[tuple
     the tree node of each slot.
 
     Nodes are memoised by id() within this one call, and instructions by their
-    operand slots, so equal subtrees share one slot.  A float constant is keyed
-    by its repr, which keeps 0.0 and -0.0 (equal as numbers) apart, and a
-    rational one by its numerator and denominator, which hash faster than it.
+    operand slots, so equal subtrees share one slot.  A constant is keyed by
+    its numerator and denominator, which hash faster than the Fraction.
     """
     code: list[tuple] = []
     slot_of: dict[tuple, int] = {}
@@ -762,8 +774,7 @@ def _lower(exprs: Sequence[Expr], nodes: list | None = None) -> tuple[list[tuple
         t = type(node)
         if t is Constant:
             v = node.value
-            ins = (_CONST, v)
-            key = (_CONST, repr(v)) if isinstance(v, float) else (_CONST, v.numerator, v.denominator)
+            ins, key = (_CONST, v), (_CONST, v.numerator, v.denominator)
         elif t is Variable:
             key = ins = (_VAR, node.name)
         elif t is Sum or t is Product:
@@ -786,7 +797,7 @@ def _lower(exprs: Sequence[Expr], nodes: list | None = None) -> tuple[list[tuple
     return code, [visit(e) for e in exprs]
 
 
-def _to_float(value: NumberValue) -> float:
+def _to_float(value: Fraction | float) -> float:
     """A number as a float: float(value), or +-inf past the float range (a
     derivative can fold a rational coefficient past it)."""
     try:
@@ -801,8 +812,8 @@ def _floats(code: list[tuple]) -> list[tuple]:
 
 
 def _run(
-    code: list[tuple], point: Mapping[str, NumberValue], v: list | None = None
-) -> list[NumberValue]:
+    code: list[tuple], point: Mapping[str, Fraction | float], v: list | None = None
+) -> list:
     """Every slot's value in the arithmetic of the program's and `point`'s
     numbers: exact where all are Fractions, the generated code's where all are
     floats (`_floats`); sin, cos and exp take floats (radians).  The values are
@@ -868,7 +879,7 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
     return evaluator([e])(binding)[0]
 
 
-def _magnitude(code: list[tuple], v: list[NumberValue]) -> float:
+def _magnitude(code: list[tuple], v: list[float]) -> float:
     """The first-order scale of the rounding error in the program's value where its
     slots hold `v`: |value| at a leaf, the terms' scales summed for a sum and
     multiplied for a product or power, propagated through /, sin, cos and exp."""
@@ -1004,7 +1015,7 @@ def _sampled(e: Expr, policy: ZeroTestPolicy) -> tuple[list[tuple], str, Mapping
     evaluated, which is that point where there is one); IndeterminateZeroTest
     where no point evaluates."""
     code, _ = _lower([e])
-    if all(op <= _NEG and not isinstance(arg, float) for op, arg in code):
+    if all(op <= _NEG for op, _ in code):
         kind, sample = EXACT_SAMPLED, _exact_sampler(code)
     else:
         kind = FLOAT_SAMPLED
@@ -1031,7 +1042,7 @@ def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroV
     """The sampled verdict on the tree as it is, with no symbolic step.
 
     The tree is lowered to a straight-line program.  A rational-exact one
-    (no float constant, no sin/cos/exp) is sampled modulo the prime
+    (no sin/cos/exp) is sampled modulo the prime
     2^61 - 1: a nonzero residue is a witness, with no tolerance.  Sample
     coordinates come from a grid of 2^21 + 1 dyadic rationals, so a nonzero
     rational function of degree d vanishes at one sample with probability at
@@ -1040,9 +1051,9 @@ def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroV
     instead, and redrawn only where a denominator is exactly 0.  One exact
     evaluation then confirms a zero verdict, since a polynomial whose
     coefficients are all multiples of the prime has zero residues
-    everywhere.  A float-tainted program is evaluated at the same points
-    together with its rounding scale (`_magnitude`), and a sample is a
-    witness where |value| > tolerance * scale.
+    everywhere.  A program with sin, cos or exp is evaluated in floats at the
+    same points together with its rounding scale (`_magnitude`), and a
+    sample is a witness where |value| > tolerance * scale.
     """
     code, kind, witness, last = _sampled(e, policy)
     if witness is None and kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:
@@ -1067,7 +1078,7 @@ _CHAIN = 256
 
 def _py_number(v: float) -> tuple[str, int]:
     # +-inf (a rational past the float range) is a name the code's namespace defines
-    return repr(v), _PY_NEG if math.copysign(1.0, v) < 0 else _PY_ATOM
+    return repr(v), _PY_NEG if v < 0 else _PY_ATOM
 
 
 def render_components(
@@ -1137,7 +1148,7 @@ def compile_function(params: Sequence[str], lines: Sequence[str]) -> Callable:
         raise ValueError(f"expression too large to compile ({len(src)} characters)") from None
     env = {
         "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
-        "inf": math.inf, "nan": math.nan,
+        "inf": math.inf,
     }
     exec(code, env)  # source is generated from our own AST only
     return env["_fn"]

@@ -4,11 +4,11 @@ Each component is N prod_i p_i^-e_i.
 
 - N is a sparse polynomial: a dict from a packed monomial (one exponent of
   `_BITS` bits per atom, so that multiplying two monomials adds two ints) to
-  a nonzero coefficient (int, Fraction, or float where the input had a
-  float constant).  The atoms are the states, plus s = sin u and c = cos u,
-  or E = exp u, for each distinct kernel argument u, and an atom P for each
-  factor p_i whose power is too large to expand (below); N is reduced by
-  c^2 -> 1 - s^2, so no monomial holds c twice.
+  a nonzero rational coefficient (an int, or a Fraction that is not one).
+  The atoms are the states, plus s = sin u and c = cos u, or E = exp u, for
+  each distinct kernel argument u, and an atom P for each factor p_i whose
+  power is too large to expand (below); N is reduced by c^2 -> 1 - s^2, so
+  no monomial holds c twice.
 - The p_i are the factor list of the component's `Ring`: the distinct
   denominators met while converting the input trees (made primitive, with
   monomial factors split into atoms), the bases of powers of sums, plus any
@@ -41,16 +41,16 @@ Q(x) modulo c^2 + s^2 = 1; each p_i is a nonzero polynomial.  By Ax's
 theorem (Ax, "On Schanuel's conjectures", Ann. Math. 1971), exp(u_1), ...,
 exp(u_n) of rational functions are algebraically independent over C(x) when
 the u_i are Q-linearly independent modulo constants; sin and cos are
-exp(+-iu).  So a verdict is `symbolic` when every coefficient of N and of
-its numerator factors is rational and the kernel arguments they use are
-float-free, kernel-free and, together with 1, Q-linearly independent (trig
-arguments and exp arguments each), and no atom P.  Otherwise, a float
-constant, sin x beside sin 2x or beside sin(x + 1), a nested kernel or an
-atom P, it is the sampled test (`expr.sampled_is_zero`) of the component's
-tree.  The package has no evaluator of normal forms: a nonzero symbolic
-verdict takes its witness and value from that same sampled test of its
-tree, relabelled `symbolic`, or, where the test finds no witness (a nonzero
-form that vanishes at every sample), the last point that evaluated.
+exp(+-iu).  Every coefficient is rational (a decimal literal is the
+rational it spells), so a verdict is `symbolic` when the kernel arguments
+that N and its numerator factors use are kernel-free and, together with 1,
+Q-linearly independent (trig arguments and exp arguments each), and no atom
+P.  Otherwise, sin x beside sin 2x or beside sin(x + 1), a nested kernel or
+an atom P, it is the sampled test (`expr.sampled_is_zero`) of the
+component's tree.  The package has no evaluator of normal forms: a nonzero
+symbolic verdict takes its witness and value from that same sampled test of
+its tree, relabelled `symbolic`, or, where the test finds no witness (a
+nonzero form that vanishes at every sample), the last point that evaluated.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .expr import (
     ZeroVerdict,
     _sampled,
     _sort_key,
+    _to_float,
     _witness,
     sampled_is_zero,
     to_text,
@@ -265,7 +266,8 @@ class Ring:
                 return out
             t = type(node)
             if t is Constant:
-                out = self.constant(node.value)
+                v = node.value
+                out = Rat(self, {0: v.numerator if v.denominator == 1 else v} if v else {})
             elif t is Variable:
                 out = Rat(self, {1 << (self.index[node.name] * _BITS): 1})
             elif t is Negate:
@@ -305,11 +307,6 @@ class Ring:
 
         with self._lock:
             return cancel(conv(e))
-
-    def constant(self, v) -> Rat:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = v.numerator
-        return Rat(self, {0: v} if v else {})
 
     def _reciprocal(self, a: Rat) -> Rat:
         """1/a: N's monomial content becomes atom factors, and the rest one
@@ -377,22 +374,13 @@ def _unit(i: int, e: int) -> tuple:
     return (0,) * i + (e,)
 
 
-def _ipow(v: float, k: int) -> float:
-    """v^k by left-associated repeated multiplication, so that a float power
-    folds to the bits of the product v*v*...*v."""
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
-
-
 def _quotient(c, d):
     """c/d, an int where it divides exactly."""
     if isinstance(c, int) and isinstance(d, int):
         q, r = divmod(c, d)
         return q if not r else Fraction(c, d)
     out = c / d
-    return out.numerator if isinstance(out, Fraction) and out.denominator == 1 else out
+    return out.numerator if out.denominator == 1 else out
 
 
 def _monomial_gcd(p: dict) -> int:
@@ -414,14 +402,10 @@ def _monomial_gcd(p: dict) -> int:
 
 def _primitive(p: dict) -> tuple:
     """(k, q) with p = k q, q's coefficients coprime integers and its leading one
-    positive; k = 1 (q = p) where a coefficient is a float."""
-    coeffs = p.values()
-    if any(isinstance(c, float) for c in coeffs):
-        return 1, p
+    positive."""
     lcm = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    for c in p.values():
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = {m: int(c * lcm) for m, c in p.items()}
     g = reduce(math.gcd, ints.values())
     if ints[max(ints)] < 0:
@@ -545,13 +529,9 @@ def power(a: Rat, k: int) -> Rat:
         raise ExprError(f"a power folds to an exponent larger than {MAX_EXPONENT}")
     if top * k >> (_BITS - 2):
         raise ExprError(f"an exponent reaches 2^{_BITS - 2}")
-    if isinstance(c, float):
-        c = _ipow(c, k)
-    elif k * max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_POWER_BITS:
+    if k * max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_POWER_BITS:
         raise ExprError(f"a constant power folds past {_MAX_POWER_BITS} bits")
-    else:
-        c = c**k
-    num = {m * k: c}
+    num = {m * k: c**k}
     if m * k & ring.cmask:
         _reduce_cos(ring, num)
         num = _nonzero(num)
@@ -592,8 +572,8 @@ def add(a: Rat, b: Rat, sign: int = 1) -> Rat:
 
 def cancel(a: Rat) -> Rat:
     """a with every denominator factor that divides its numerator exactly divided
-    out (none where a float makes the division inexact)."""
-    if not a.den or any(isinstance(c, float) for p in _polys(a) for c in p.values()):
+    out."""
+    if not a.den:
         return a
     ring, num, den = a.ring, a.num, list(a.den)
     for i, e in enumerate(den):
@@ -677,10 +657,6 @@ def lie_component(a, b, da, db, i: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def _number(c) -> Constant:
-    return Constant(Fraction(c) if isinstance(c, int) else c)
-
-
 def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
     """The polynomial times the powers `extra` (base tree -> exponent), collected:
     cores sorted by their sort key, each with its coefficient in front, the
@@ -713,11 +689,11 @@ def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
             terms.append(core)
         else:
             rest = core.children if isinstance(core, Product) else (core,)
-            terms.append(Product((_number(c), *rest)))
+            terms.append(Product((Constant(c), *rest)))
     if constant:
-        terms.append(_number(constant))
+        terms.append(Constant(constant))
     if not terms:
-        return _number(0)
+        return Constant(0)
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
@@ -745,8 +721,6 @@ def decides(a: Rat) -> bool:
         return True
     ring = a.ring
     polys = [a.num, *(ring.factors[i] for i, e in enumerate(a.den) if e < 0)]
-    if any(isinstance(c, float) for p in polys for c in p.values()):
-        return False
     used = reduce(or_, (m for p in polys for m in p))
     kernels = {
         id(k): k
@@ -756,10 +730,7 @@ def decides(a: Rat) -> bool:
     for k in kernels.values():
         if k.trig is None:
             return False  # an atom that stands for a polynomial
-        polys = _polys(k.arg)
-        if any(isinstance(c, float) for p in polys for c in p.values()):
-            return False
-        if reduce(or_, (m for p in polys for m in p), 0) >> (len(ring.names) * _BITS):
+        if reduce(or_, (m for p in _polys(k.arg) for m in p), 0) >> (len(ring.names) * _BITS):
             return False  # a nested kernel
     for trig in (True, False):
         group = tuple(sorted(i for i, k in kernels.items() if k.trig is trig))
@@ -846,13 +817,6 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     return zero_verdict(_ring_over(e).convert(e), policy)
 
 
-def _finite(c) -> bool:
-    try:
-        return math.isfinite(c)
-    except OverflowError:  # a rational beyond the float range
-        return False
-
-
 def _closure(a: Rat) -> list[Rat]:
     """The forms that a's tree holds: a and the arguments of its kernels, theirs
     included."""
@@ -870,11 +834,11 @@ def _closure(a: Rat) -> list[Rat]:
 
 def check_input(a: Rat) -> None:
     """ExprError unless every coefficient of a's tree, kernel arguments and
-    factors included, is a finite float or a rational within the float range,
-    and every exponent, of an atom or a factor, is at most MAX_EXPONENT."""
+    factors included, is a rational within the float range, and every
+    exponent, of an atom or a factor, is at most MAX_EXPONENT."""
     forms = _closure(a)
     polys = [p for form in forms for p in _polys(form)]
-    if not all(map(_finite, [c for p in polys for c in p.values()])):
+    if not all(math.isfinite(_to_float(c)) for p in polys for c in p.values()):
         raise ExprError("a constant folds to a value that is not a finite float")
     # Each exponent is below 2^(_BITS - 1) (see `_pmul`), so adding the bias
     # to every slot carries into the slot's two high bits exactly where the

@@ -52,11 +52,18 @@ class BangBang(Record):
         super().__init__(deadband)
 
 
+def _finite(values, what: str) -> tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 class FixedControl(Record):
     u: tuple[float, ...]
 
     def __init__(self, u: tuple[float, ...]):
-        super().__init__(tuple(float(v) for v in u))
+        super().__init__(_finite(u, "fixed control values"))
 
 
 class PiecewiseControl(Record):
@@ -65,7 +72,10 @@ class PiecewiseControl(Record):
     table: tuple[tuple[float, tuple[float, ...]], ...]
 
     def __init__(self, table: tuple[tuple[float, tuple[float, ...]], ...]):
-        rows = tuple((float(t), tuple(float(v) for v in u)) for t, u in table)
+        rows = tuple(
+            (_finite([t], "piecewise control times")[0], _finite(u, "piecewise control values"))
+            for t, u in table
+        )
         if not rows:
             raise ValueError("piecewise control table is empty")
         times = [t for t, _ in rows]

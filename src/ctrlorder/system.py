@@ -88,9 +88,10 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
 
 def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat | None]:
     """Parse one field over the ring's states, with its normal form
-    (`ring.convert`), whose constants must be finite floats, exponents at most
-    MAX_EXPONENT and size within the normal form's caps; None in place of the
-    form where the field divides by zero, which validate reports."""
+    (`ring.convert`), whose constants must be within the float range,
+    exponents at most MAX_EXPONENT and size within the normal form's caps;
+    None in place of the form where the field divides by zero, which validate
+    reports."""
     try:
         e = parse(text, ring.names)
     except ExprError as err:
@@ -102,10 +103,6 @@ def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat | None
         return e, None
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
-    except OverflowError:  # a rational beyond the float range met a float
-        raise SystemLoadError(
-            "a constant folds to a value that is not a finite float", location
-        ) from None
     return e, form
 
 

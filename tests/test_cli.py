@@ -70,6 +70,23 @@ def test_order_half_integer_with_a_tiny_coefficient(capsys, tmp_path):
     assert "k = 1, q = 1/2" in out
 
 
+def test_a_decimal_literal_is_the_rational_it_spells(capsys, tmp_path):
+    # 0.1 + 0.2 - 0.3 is exactly 0; as floats it left 5.6e-17 and gave k = 4
+    document = json.loads(Path(COMMUTING).read_text())
+    bodies = []
+    for spelling in ("0.1*x1 + 0.2*x1 - 0.3*x1", "1/10*x1 + 2/10*x1 - 3/10*x1"):
+        document["f"][0] = f"x2 + ({spelling})*x1"
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(document))
+        reports = []
+        for argv, exit_code in ((["order", "--k-max", "6"], 3), (["brackets", "--depth", "4"], 0)):
+            code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--json")
+            assert code == exit_code
+            reports.append({key: v for key, v in json.loads(out).items() if key != "manifest"})
+        bodies.append(reports)
+    assert bodies[0] == bodies[1]
+
+
 def test_a_large_power_of_a_sum_is_answered_in_bounded_time(capsys, tmp_path):
     document = {
         "states": ["x1", "x2", "x3", "x4"],
@@ -380,6 +397,31 @@ def test_simulate_piecewise_policy(capsys, tmp_path):
     assert u_values == {1.0, -1.0}
 
 
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        ("[[NaN, [1]]]", "bad piecewise control file"),
+        ("[[0, [NaN]]]", "bad piecewise control file"),
+        ("[[0, [1e400]]]", "bad piecewise control file"),
+        ("[[0, [1]], [Infinity, [-1]]]", "bad piecewise control file"),
+        ("fixed:nan", "must be finite"),
+    ],
+)
+def test_a_non_finite_control_is_an_input_error(capsys, tmp_path, policy, message):
+    if not policy.startswith("fixed:"):
+        table_path = tmp_path / "controls.json"
+        table_path.write_text(policy)
+        policy = f"piecewise:{table_path}"
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(
+        capsys, "simulate", FULLER, "--x0", "0,0,0", "--p0", "-1,1,1",
+        "--policy", policy, "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err and "finite" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -636,6 +678,16 @@ def test_simulate_non_finite_h_drift_is_null(capsys, tmp_path):
             "9" * 5000 + "*x1",
             "f[0]: integer literal of 5000 digits is too long (at position 0)",
             id="long-literal",
+        ),
+        pytest.param(
+            "x1 + 1e-99999999*x1",
+            "f[0]: decimal literal needs more than 4300 digits (at position 5)",
+            id="tiny-decimal",
+        ),
+        pytest.param(
+            "0." + "1" * 5000 + "*x1",
+            "f[0]: decimal literal needs more than 4300 digits (at position 0)",
+            id="long-decimal",
         ),
     ],
 )

@@ -7,6 +7,7 @@ sampled test's own rules call `sampled_is_zero` directly.
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,7 +176,20 @@ def test_parse_rejects_literals_past_the_float_range():
             parse(f"x1 + {literal}*x2", VARS)
         assert err.value.position == 5
     assert parse("1e308", VARS) == Constant(1e308)
-    assert parse("1e-999", VARS) == Constant(0.0)  # underflow is exact enough
+    # exact, although its float underflows to 0.0
+    assert parse("1e-999", VARS) == Constant(Fraction(1, 10**999))
+
+
+def test_parse_positions_a_decimal_literal_past_the_conversion_limit():
+    # each fails before 10^e is built: a naive Fraction("1e-99999999") takes seconds
+    for literal in ("1e-99999999", "1e-" + "9" * 5000, "0." + "1" * 5000, "1e-4300"):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match="decimal literal needs more than 4300") as err:
+            parse(f"x1 + {literal}*x2", VARS)
+        assert err.value.position == 5
+        assert time.perf_counter() - start < 0.1
+    assert parse("1e-4299", VARS) == Constant(Fraction(1, 10**4299))
+    assert parse("0.000", VARS) == const(0)
 
 
 def test_parse_whitespace_insensitive():
@@ -185,9 +199,15 @@ def test_parse_whitespace_insensitive():
 
 
 def test_parse_number_literals():
+    # a decimal literal is the rational it spells, not the nearest float
     assert parse("3", VARS) == Constant(Fraction(3))
-    assert parse("2.5", VARS) == Constant(2.5)
-    assert parse("1e-3", VARS) == Constant(1e-3)
+    assert parse("2.5", VARS).value == Fraction(5, 2)
+    assert parse("1e-3", VARS).value == Fraction(1, 1000)
+    assert parse("0.1", VARS).value == Fraction(1, 10) != Fraction(0.1)
+    assert parse("1.5E+2", VARS).value == 150
+    half = parse(".5", VARS)
+    assert half == parse("5e-1", VARS) == parse("0.5e-0000000000", VARS) == const(Fraction(1, 2))
+    assert to_text(parse("0.5*x1", VARS)) == "1/2*x1"
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +668,7 @@ def test_is_zero_kinds():
     assert is_zero(rational_zero) == ZeroVerdict(True, SYMBOLIC)
     assert is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == SYMBOLIC
     assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)) == ZeroVerdict(True, SYMBOLIC)
-    assert is_zero(parse("0.5*x1 + x2", VARS)).kind == FLOAT_SAMPLED
+    assert is_zero(parse("0.5*x1 + x2", VARS)).kind == SYMBOLIC  # 0.5 is 1/2
     nonzero = is_zero(parse("exp(x1) - 1", VARS))
     assert not nonzero.is_zero and nonzero.kind == SYMBOLIC
     assert is_zero(parse("sin(2*t) - 2*sin(t)*cos(t)", VARS)) == ZeroVerdict(True, FLOAT_SAMPLED)
@@ -661,12 +681,19 @@ def test_is_zero_kinds():
     assert not nonzero.is_zero and nonzero.kind == FLOAT_SAMPLED
 
 
+def test_decimal_literals_fold_exactly():
+    # 0.5 is 1/2, so both sines have one argument and N = 0
+    assert is_zero(parse("sin(0.5*x1) - sin(x1/2)", VARS)) == ZeroVerdict(True, SYMBOLIC)
+    assert is_zero(parse("0.1 + 0.2 - 0.3", VARS)) == ZeroVerdict(True, SYMBOLIC)
+    assert simplify(parse("(0.1*x1 + 0.2*x1)*1e-3", VARS)) == simplify(parse("3/10000*x1", VARS))
+
+
 def test_is_zero_exact_sampling_draws_the_points_of_the_tolerance_rule():
     # x1*x2 is far above the tolerance wherever it is nonzero: both rules
     # must stop at the same first sample of the same seeded stream, and so
     # must the symbolic verdict's witness
     exact = sampled_is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
-    tainted = sampled_is_zero(parse("2.0*x1*x2", VARS), ZeroTestPolicy(seed=5))
+    tainted = sampled_is_zero(parse("2*x1*x2*exp(0)", VARS), ZeroTestPolicy(seed=5))
     symbolic = is_zero(parse("2*x1*x2", VARS), ZeroTestPolicy(seed=5))
     assert exact.kind == EXACT_SAMPLED and tainted.kind == FLOAT_SAMPLED
     assert symbolic.kind == SYMBOLIC
@@ -821,6 +848,14 @@ def test_compile_components_matches_evaluate(trees, vec):
     assert interpreted == compiled
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(min_value=0.0, allow_infinity=False))
+def test_a_float_constant_is_its_repr_and_compiles_to_itself(x):
+    assert const(x) == parse(repr(x), VARS)
+    compiled = compile_components([Product((const(x), Variable("x1")))], ("x1",))([1.0])[0]
+    assert compiled.hex() == x.hex()
+
+
 def test_evaluate_and_compiled_code_compute_powers_alike_bit_for_bit():
     rng = random.Random(3571)
     x = Variable("x1")
@@ -879,11 +914,22 @@ def test_a_3000_operand_sum_and_product_compile_to_the_trees_floats():
         assert [v.hex() for v in compiled] == [v.hex() for v in interpreted(pt)]
 
 
-def test_compile_components_keeps_signed_zero_constants_apart():
-    # 0.0 == -0.0, but x*-0.0 and x*0.0 are different floats
+def test_a_constant_is_the_rational_its_number_spells():
+    # a float is the rational its repr spells, so it evaluates to itself
+    assert Constant(0.5).value == Fraction(1, 2) and Constant(0.1).value == Fraction(1, 10)
+    assert Constant(3).value == 3 and type(Constant(3).value) is Fraction
+    assert const(1e-300) == parse("1e-300", VARS) and const(1e300) == parse("1e300", VARS)
+    # -0.0 is 0: there is no signed zero constant
+    assert Constant(-0.0) == Constant(0.0) == const(0)
     x = Variable("x1")
-    neg, pos = compile_components([Product((x, Constant(-0.0))), Product((x, Constant(0.0)))], ("x1",))([1.0])
-    assert (math.copysign(1.0, neg), math.copysign(1.0, pos)) == (-1.0, 1.0)
+    (value,) = compile_components([Product((x, Constant(-0.0)))], ("x1",))([1.0])
+    assert value.hex() == "0x0.0p+0"
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            Constant(bad)
+    for bad in (True, "1", None, 1j):
+        with pytest.raises(TypeError, match="cannot make a constant"):
+            const(bad)
 
 
 def test_compile_components_renders_constants_past_the_float_range():
@@ -892,11 +938,9 @@ def test_compile_components_renders_constants_past_the_float_range():
     cases = [
         (Product((const(2 * 10**308), x)), math.inf),
         (Product((const(-(10**400)), x)), -math.inf),
-        (Product((Constant(math.inf), x)), math.inf),
     ]
     for e, value in cases:
         assert compile_components([e], ("x1",))([1.0]) == (value,)
-    assert math.isnan(compile_components([Constant(math.nan)], ())([])[0])
 
 
 def _checked(text: str):
@@ -940,11 +984,11 @@ def test_parse_positions_an_integer_literal_past_the_conversion_limit():
 
 def test_has_finite_constants():
     _checked("1e308*x1 + 10^308")
+    # a coefficient below the float range is exact, and its float is 0.0
+    _checked("1e-200*1e-200*x1")
     for text in ("1e200*1e200*x1", "10^400*x1", "sin(1e200*1e200*x1)", "1/(1e200*1e200*x1 + 1)"):
         with pytest.raises(ExprError, match="not a finite float"):
             _checked(text)
-    with pytest.raises(ExprError, match="not a finite float"):
-        check_input(Ring(VARS).convert(Product((Constant(math.nan), Variable("x1")))))
 
 
 def test_variables_listing():

@@ -441,7 +441,10 @@ def test_vf_is_zero_kind_is_the_weakest_of_its_components():
     assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
     verdict = vf_is_zero(vf(names, zero, "exp(x1)"))
     assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
+    # 0.5 is 1/2: a decimal constant is decided by N too
     verdict = vf_is_zero(vf(names, zero, "0.5*exp(x1)"))
+    assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
+    verdict = vf_is_zero(vf(names, zero, "exp(sin(x1))"))  # a nested kernel
     assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, FLOAT_SAMPLED)
 
 
@@ -633,9 +636,24 @@ def test_jacobi_identity_is_a_symbolic_zero(kind):
 @pytest.mark.parametrize(
     "text, zero",
     [
-        ("0.5*x1*sin(x2)", False),  # a float constant
-        ("0.1*x1 + 0.2*x1 - 0.3*x1", False),  # a float constant that leaves rounding
-        ("x1*(0.5*x1 + x2)^3", False),  # a float in a numerator factor
+        ("0.5*x1*sin(x2)", False),  # a decimal constant is the rational it spells
+        ("0.1*x1 + 0.2*x1 - 0.3*x1", True),  # and folds with no rounding
+        ("x1*(0.5*x1 + x2)^3", False),  # in a numerator factor too
+    ],
+)
+def test_a_decimal_constant_is_decided_by_n(text, zero):
+    from ctrlorder import normal
+
+    field = vf(NAMES2, "0", text)
+    _, comps, _ = field._normal_in()
+    assert normal.decides(comps[1])
+    verdict = vf_is_zero(field)
+    assert (verdict.is_zero, verdict.kind) == (zero, SYMBOLIC)
+
+
+@pytest.mark.parametrize(
+    "text, zero",
+    [
         ("sin(x1 + 1)*sin(x1)", False),  # arguments that differ by a constant: dependent
         ("sin(x1 + 1) - sin(x1)*cos(1) - cos(x1)*sin(1)", True),
         ("sin(2*x1) - 2*sin(x1)*cos(x1)", True),  # sin x beside sin 2x: dependent

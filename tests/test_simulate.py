@@ -355,6 +355,16 @@ def test_hamiltonian_conserved_with_fixed_control():
     assert np.max(np.abs(traj.H - traj.H[0])) < 1e-6
 
 
+def test_controls_reject_non_finite_times_and_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="fixed control values must be finite"):
+            FixedControl((1.0, bad))
+        with pytest.raises(ValueError, match="piecewise control times must be finite"):
+            PiecewiseControl(((0.0, (1.0,)), (bad, (-1.0,))))
+        with pytest.raises(ValueError, match="piecewise control values must be finite"):
+            PiecewiseControl(((0.0, (bad,)),))
+
+
 def test_hamiltonian_conserved_between_switches():
     table = ((0.0, (0.3, 0.5, 0.7)), (0.5, (-0.3, 0.5, -0.7)))
     cfg = SimConfig(

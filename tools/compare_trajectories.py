@@ -3,13 +3,14 @@
     python3 tools/compare_trajectories.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
-package (a checkout's `src/`).  Each tree integrates the same 180
+package (a checkout's `src/`).  Each tree integrates the same 216
 trajectories in its own interpreter: every system in `systems/` and
 `ctrlbench/systems/`, raw and (where it has a running cost) cost-extended,
-under five control policies (bang-bang, bang-bang with a deadband, fixed,
+under six control policies (bang-bang, bang-bang with a deadband, fixed,
 piecewise, and bang-bang with the system's bound replaced by the
-time-varying K(t) = 1 + t/2), each from four seeded (x0, p0), over 1000 RK4
-steps of 1e-3.
+time-varying K(t) = 1 + t/2, or by K(t) = 1 + 0.5*t, which pins that a
+decimal literal compiles to the same float as before), each from four
+seeded (x0, p0), over 1000 RK4 steps of 1e-3.
 
 One line per trajectory gives the sample counts, whether status and u are
 equal, the largest of |change - parent| / (1 + |parent|) over x, p, phi and
@@ -37,8 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
-POLICIES = ("bang", "deadband", "fixed", "piecewise", "bang-K")
-TIME_VARYING_BOUND = "1 + t/2"  # K(t) of the "bang-K" policy
+POLICIES = ("bang", "deadband", "fixed", "piecewise", "bang-K", "bang-K-decimal")
+# K(t) of the policies that replace the system's bound
+TIME_VARYING_BOUNDS = {"bang-K": "1 + t/2", "bang-K-decimal": "1 + 0.5*t"}
 SEEDS = 4
 STEPS, STEP = 1000, 1e-3
 PHI_FLOOR = 1e-9
@@ -66,7 +68,10 @@ def trajectories():
 
     for path in SYSTEM_FILES:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        time_varying = dict(variants({**doc, "K": TIME_VARYING_BOUND}))
+        time_varying = {
+            policy: dict(variants({**doc, "K": bound}))
+            for policy, bound in TIME_VARYING_BOUNDS.items()
+        }
         for variant, system in variants(doc):
             for policy_name in POLICIES:
                 for seed in range(SEEDS):
@@ -80,6 +85,7 @@ def trajectories():
                     policy = {
                         "bang": BangBang(),
                         "bang-K": BangBang(),
+                        "bang-K-decimal": BangBang(),
                         "deadband": BangBang(deadband=0.05),
                         "fixed": FixedControl(u),
                         "piecewise": PiecewiseControl(
@@ -93,8 +99,8 @@ def trajectories():
                         step=STEP,
                         control_policy=policy,
                     )
-                    if policy_name == "bang-K":
-                        yield name, time_varying[variant], config
+                    if policy_name in time_varying:
+                        yield name, time_varying[policy_name][variant], config
                     else:
                         yield name, system, config
 
