@@ -238,7 +238,6 @@ def cmd_simulate(args):
     config = SimConfig(
         initial_state=_sized(args.x0, sys_model.n, "--x0"),
         initial_adjoint=_sized(args.p0, sys_model.n, "--p0"),
-        lam=args.lam,
         horizon=args.horizon,
         step=args.step,
         control_policy=_parse_policy(args, sys_model.m),
@@ -440,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = command(
         "simulate", cmd_simulate, "integrate an extremal and export it", point, horizon, step
     )
-    p_sim.add_argument("--lambda", dest="lam", type=int, choices=(0, 1), default=1)
     p_sim.add_argument("--policy", default="bang", metavar="bang|fixed:u1,..|piecewise:FILE")
     p_sim.add_argument("--deadband", type=_real, default=0.0, metavar="R")
     p_sim.add_argument("--singular-tol", dest="singular_tol", type=_real, default=1e-6)
@@ -498,9 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         print(err, file=_sys.stderr)
         return EXIT_INPUT
     if args.json:
-        options = {
-            "lambda" if k == "lam" else k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS
-        }
+        options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
         manifest = {
             "command": args.command,
             "input": args.file,

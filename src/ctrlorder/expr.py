@@ -78,9 +78,8 @@ class MissingBindingError(EvalError):
 
 
 class DivisionByZeroError(EvalError):
-    def __init__(self, expression_text: str):
-        super().__init__(f"division by zero in '{expression_text}'")
-        self.expression_text = expression_text
+    def __init__(self, node: Expr):
+        super().__init__(f"division by zero in {_quote(node)}")
 
 
 class IndeterminateZeroTest(ExprError):
@@ -513,6 +512,11 @@ class _Parser:
         raise ExprSyntaxError("expected a number, variable, function call, or '('", tok.pos)
 
 
+def _max_digits() -> int:
+    """The most digits of an int that Python converts to or from a string."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def _literal(tok: _Token) -> Fraction:
     """The exact rational that a number token spells: 0.1 is 1/10, 1e-3 is 1/1000.
 
@@ -526,7 +530,7 @@ def _literal(tok: _Token) -> Fraction:
         raise ExprSyntaxError(f"number '{text}' is too large for a float", tok.pos)
     mantissa, _, exponent = text.lower().partition("e")
     power = exponent.lstrip("+-0")
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = _max_digits()
     # an exponent longer than the limit's is past it without converting it
     if len(mantissa) + (int(power or 0) if len(power) <= len(str(limit)) else limit) > limit:
         if integer:
@@ -696,6 +700,16 @@ _DENOM_BITS = 20  # sample points are dyadic rationals so polynomials evaluate e
 _QUOTED_CHARS = 200  # the most characters of a tree that an error message quotes
 
 
+def _quote(e: Expr) -> str:
+    """The tree's text in quotes, for an error message: where it is longer than
+    _QUOTED_CHARS, its first _QUOTED_CHARS characters and its count of
+    distinct nodes, rendering no more of it than that."""
+    text = _render(e, _QUOTED_CHARS + 1)[0]
+    if len(text) <= _QUOTED_CHARS:
+        return f"'{text}'"
+    return f"'{text[:_QUOTED_CHARS]}...' ({len(_lower([e])[0])} distinct nodes)"
+
+
 def _derive_seed(seed: int, tags: tuple) -> int:
     digest = blake2b(repr((seed, tags)).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -850,7 +864,7 @@ def evaluator(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], list[flo
     floats bit for bit and fail at the same points.  A variable the binding
     lacks raises MissingBindingError, a zero denominator DivisionByZeroError,
     a value past the float range (in a power or exp) and sin or cos of an
-    infinite value EvalError, each naming the failing node.
+    infinite value EvalError, each quoting the failing node (`_quote`).
     """
     nodes: list[Expr] = []
     code, roots = _lower(exprs, nodes)
@@ -864,11 +878,11 @@ def evaluator(exprs: Sequence[Expr]) -> Callable[[Mapping[str, float]], list[flo
         except KeyError as err:
             raise MissingBindingError(err.args[0]) from None
         except ZeroDivisionError:
-            raise DivisionByZeroError(to_text(nodes[len(v)])) from None
+            raise DivisionByZeroError(nodes[len(v)]) from None
         except OverflowError:
-            raise EvalError(f"overflow in '{to_text(nodes[len(v)])}'") from None
+            raise EvalError(f"overflow in {_quote(nodes[len(v)])}") from None
         except ValueError:  # math.sin or math.cos of +-inf
-            raise EvalError(f"infinite argument in '{to_text(nodes[len(v)])}'") from None
+            raise EvalError(f"infinite argument in {_quote(nodes[len(v)])}") from None
         return [v[r] for r in roots]
 
     return run
@@ -1030,11 +1044,7 @@ def _sampled(e: Expr, policy: ZeroTestPolicy) -> tuple[list[tuple], str, Mapping
 
     witness, last = _search(sorted(variables(e)), sample, policy)
     if last is None:
-        text = _render(e, _QUOTED_CHARS + 1)[0]
-        quoted = f"'{text}'"
-        if len(text) > _QUOTED_CHARS:
-            quoted = f"'{text[:_QUOTED_CHARS]}...' ({len(code)} distinct nodes)"
-        raise IndeterminateZeroTest(f"no sample point of {quoted} could be evaluated")
+        raise IndeterminateZeroTest(f"no sample point of {_quote(e)} could be evaluated")
     return code, kind, witness, last
 
 

@@ -5,12 +5,14 @@ extremal d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]> holds with the
 adjoint dynamics p' = -(Df)^T p - sum_i u_i (Dg_i)^T p; the simulation module
 checks that identity numerically.
 
-A field read from a system holds expression trees and their rational normal
-forms (see `normal`), converted once at load in the system's `Ring`.
-Brackets, sums, Jacobians and zero tests work on those forms; a field built
-from trees alone converts them on first use, in a `Ring` it shares with the
-fields it meets.  A bracket's components, and a Jacobian's entries, render
-to trees only when they are read.
+A field holds only the rational normal forms of its components (see
+`normal`), in a `Ring`: a field built from trees converts them at
+construction, in a ring of its own, and keeps none of them, and `load`
+converts a system's fields once, in one ring that its analyses share.
+Brackets, sums, Jacobians and zero tests work on those forms; a field meeting
+one of another ring is converted into it.  A field's components, and its
+Jacobian's entries, are trees rendered from the forms when they are read, so
+printing, validation and the integrator read what the brackets read.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class DimensionMismatchError(ValueError):
 class VectorField:
     """Ordered components over named state coordinates.
 
-    `components` are expression trees: as given, or, for a field built from
-    normal forms, rendered from them on first read.
+    `components` are expression trees rendered, on first read, from the
+    normal forms that the field holds.
     """
 
     def __init__(self, state_names, components):
@@ -39,23 +41,23 @@ class VectorField:
         if len(comps) != len(names):
             raise DimensionMismatchError(f"{len(comps)} components for {len(names)} states")
         declared = set(names)
+        if len(declared) < len(names):
+            raise ValueError(f"duplicate state names in {names}")
         for i, comp in enumerate(comps):
             extra = variables(comp) - declared
             if extra:
                 raise ValueError(f"component {i} uses undeclared variables {sorted(extra)}")
-        self.state_names = names
-        self._components = comps
-        self._normal = None  # (ring, normal forms, their Jacobian's columns, None until read)
+        ring = Ring(names)
+        self.state_names, self._components = names, None
+        self._normal = (ring, tuple(map(ring.convert, comps)), [None] * len(names))
 
     @classmethod
-    def _of_normal(cls, state_names, ring: Ring, comps, columns=None, trees=None) -> "VectorField":
-        """The field of normal forms in `ring`; its components are `trees` where
-        given (the trees the forms were converted from), else rendered on first read."""
+    def _of_normal(cls, state_names, ring: Ring, comps) -> "VectorField":
+        """The field of normal forms in `ring`; its components render on first read."""
         field = cls.__new__(cls)
-        field.state_names = tuple(state_names)
-        field._components = None if trees is None else tuple(trees)
+        field.state_names, field._components = tuple(state_names), None
         comps = tuple(comps)
-        field._normal = (ring, comps, [None] * len(comps) if columns is None else columns)
+        field._normal = (ring, comps, [None] * len(comps))
         return field
 
     @property
@@ -65,14 +67,12 @@ class VectorField:
         return self._components
 
     def _normal_in(self, ring: Ring | None = None) -> tuple:
-        """(ring, normal forms, Jacobian columns, None until read) in `ring`; None
-        means the field's own."""
-        cached = self._normal
-        if cached is not None and (ring is None or cached[0] is ring):
-            return cached
-        ring = ring or Ring(self.state_names)
-        cached = self._normal = (ring, tuple(map(ring.convert, self.components)), [None] * self.dim)
-        return cached
+        """(ring, normal forms, Jacobian columns, None until read) in `ring`, None
+        meaning the field's own; a field of another ring moves into it,
+        converting its components once."""
+        if ring is not None and self._normal[0] is not ring:
+            self._normal = (ring, tuple(map(ring.convert, self.components)), [None] * self.dim)
+        return self._normal
 
     def _column(self, ring: Ring, j: int) -> tuple:
         """d(component_i)/d(state_j) for every i, in `ring`; computed on first read."""
@@ -82,9 +82,9 @@ class VectorField:
             column = columns[j] = tuple(diff_index(c, j) for c in comps)
         return column
 
-    def __getstate__(self) -> dict:
-        # trees only: a normal form belongs to its ring, which holds a lock
-        return {"state_names": self.state_names, "_components": self.components, "_normal": None}
+    def __reduce__(self):
+        # rebuilt from its trees: a normal form belongs to its ring, which holds a lock
+        return type(self), (self.state_names, self.components)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
@@ -111,7 +111,7 @@ class VectorField:
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         """Rows of trees, entry (i, j) = d(component_i)/d(state_j): the columns that
         brackets use, rendered once per field (what `simulate` compiles)."""
-        ring = self._normal_in()[0]
+        ring = self._normal[0]
         columns = [tuple(map(normal.render, self._column(ring, j))) for j in range(self.dim)]
         return tuple(zip(*columns))
 
@@ -136,18 +136,9 @@ def _require_same_space(a: VectorField, b: VectorField) -> None:
         )
 
 
-def _shared_ring(*fields: VectorField) -> Ring:
-    """The ring of the first field that has one, else a new one."""
-    for field in fields:
-        cached = field._normal
-        if cached is not None:
-            return cached[0]
-    return Ring(fields[0].state_names)
-
-
 def _combine(a: VectorField, b: VectorField, sign: int) -> VectorField:
     _require_same_space(a, b)
-    ring = _shared_ring(a, b)
+    ring = a._normal[0]
     na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
     comps = [normal.add(x, y, sign) for x, y in zip(na, nb)]
     return VectorField._of_normal(a.state_names, ring, comps)
@@ -158,7 +149,7 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     a_j != 0 and column j of Da only where b_j != 0 (each computed once per field
     and ring); a zero operand gives the zero field, which is exact by bilinearity."""
     _require_same_space(a, b)
-    ring = _shared_ring(b, a)
+    ring = b._normal[0]
     na, nb = a._normal_in(ring)[1], b._normal_in(ring)[1]
     if not any(c.num for c in na) or not any(c.num for c in nb):
         return VectorField._of_normal(a.state_names, ring, [Rat(ring, {})] * a.dim)
@@ -171,20 +162,15 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 class BracketTable:
     """Brackets of one analysis: ad_f^k g_i memoised per input, grown on demand.
 
-    Every field of the table lives in one ring, shared with f and the g_i.
+    Every field of the table lives in f's ring, which the g_i move into.
     """
 
     def __init__(self, f: VectorField, inputs) -> None:
         self.f, self.inputs = f, tuple(inputs)
         for g in self.inputs:
             _require_same_space(f, g)
-        ring = _shared_ring(f, *self.inputs)
-        f._normal_in(ring)
-        # ad^0 = g_i, as its normal form prints; it shares g_i's Jacobian columns
-        self._inputs = [
-            VectorField._of_normal(g.state_names, *g._normal_in(ring)) for g in self.inputs
-        ]
-        self._chains = [[g] for g in self._inputs]
+            g._normal_in(f._normal[0])
+        self._chains = [[g] for g in self.inputs]
 
     def ad(self, i: int, k: int) -> VectorField:
         """Iterated bracket: ad^0 = g_i, ad^k = [f, ad^(k-1)]."""
@@ -197,7 +183,7 @@ class BracketTable:
 
     def b(self, i: int, j: int, k: int) -> VectorField:
         """The bracket field [g_j, ad_f^(k-1) g_i] behind B_k[i][j]."""
-        return lie_bracket(self._inputs[j], self.ad(i, k - 1))
+        return lie_bracket(self.inputs[j], self.ad(i, k - 1))
 
 
 class VfZeroVerdict(Record):
@@ -212,7 +198,7 @@ def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZ
     """Zero iff every component's normal form is zero (normal.zero_verdict), of the
     weakest kind among theirs; else the first witnessing component's verdict."""
     kind = SYMBOLIC
-    for i, comp in enumerate(h._normal_in()[1]):
+    for i, comp in enumerate(h._normal[1]):
         if not comp.num:
             continue  # zero, symbolically: no seed to derive
         verdict = normal.zero_verdict(comp, policy.derive("component", i))

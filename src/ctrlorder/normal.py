@@ -79,12 +79,12 @@ from .expr import (
     Variable,
     ZeroTestPolicy,
     ZeroVerdict,
+    _max_digits,
     _sampled,
     _sort_key,
     _to_float,
     _witness,
     sampled_is_zero,
-    to_text,
     variables,
 )
 
@@ -302,7 +302,7 @@ class Ring:
                 return mul(conv(node.denominator), inverse(node.numerator))
             out = conv(node)
             if not out.num:
-                raise DivisionByZeroError(to_text(node))
+                raise DivisionByZeroError(node)
             return self._reciprocal(out)
 
         with self._lock:
@@ -834,12 +834,20 @@ def _closure(a: Rat) -> list[Rat]:
 
 def check_input(a: Rat) -> None:
     """ExprError unless every coefficient of a's tree, kernel arguments and
-    factors included, is a rational within the float range, and every
+    factors included, is a rational within the float range whose numerator
+    and denominator print (have at most `_max_digits()` digits), and every
     exponent, of an atom or a factor, is at most MAX_EXPONENT."""
     forms = _closure(a)
     polys = [p for form in forms for p in _polys(form)]
     if not all(math.isfinite(_to_float(c)) for p in polys for c in p.values()):
         raise ExprError("a constant folds to a value that is not a finite float")
+    digits = _max_digits()
+    # 8^digits < 10^digits, so an int of at most 3*digits bits is short enough
+    if any(
+        n.bit_length() > 3 * digits and n >= 10**digits
+        for p in polys for c in p.values() for n in (abs(c.numerator), c.denominator)
+    ):
+        raise ExprError(f"a constant folds to a rational of more than {digits} digits")
     # Each exponent is below 2^(_BITS - 1) (see `_pmul`), so adding the bias
     # to every slot carries into the slot's two high bits exactly where the
     # exponent exceeds MAX_EXPONENT.

@@ -99,7 +99,6 @@ ControlPolicy = Union[BangBang, FixedControl, PiecewiseControl]
 class SimConfig(Record):
     initial_state: tuple[float, ...]
     initial_adjoint: tuple[float, ...]
-    lam: int
     horizon: float
     step: float
     control_policy: ControlPolicy
@@ -110,7 +109,6 @@ class SimConfig(Record):
         self,
         initial_state: tuple[float, ...],
         initial_adjoint: tuple[float, ...],
-        lam: int = 1,  # cost multiplier, 0 for abnormal extremals
         horizon: float = 1.0,
         step: float = 1e-3,
         control_policy: ControlPolicy = BangBang(),  # immutable, so one instance serves
@@ -125,16 +123,12 @@ class SimConfig(Record):
             raise ValueError("horizon must be at least one step")
         if not horizon / step <= MAX_STEPS:
             raise ValueError(f"horizon/step must be at most {MAX_STEPS} steps")
-        if lam not in (0, 1):
-            raise ValueError("lambda must be 0 or 1")
-        if lam == 0 and all(v == 0 for v in initial_adjoint):
-            raise ValueError("lambda and the initial adjoint cannot both vanish")
         if not singular_tolerance > 0:
             raise ValueError("singular_tolerance must be > 0")
         if singular_min_length is not None and singular_min_length < 0:
             raise ValueError("singular_min_length must be >= 0")
         super().__init__(
-            initial_state, initial_adjoint, lam, horizon, step, control_policy,
+            initial_state, initial_adjoint, horizon, step, control_policy,
             singular_tolerance, singular_min_length,
         )
 

@@ -4,6 +4,13 @@ A system models dynamics x' = f(x) + sum_i g_i(x) u_i with |u_i| <= K(t).
 An optional running cost (f0, g0_i) can be absorbed into an extra leading
 state coordinate "x0", raising the dimension by one; the adjoint component
 paired with x0 then stays constant because nothing depends on x0.
+
+`load` converts f and the g_i to their normal forms once, in one `Ring`,
+and keeps no parsed tree of them: their components, what `validate` checks,
+the integrator compiles and `to_document` prints, are rendered from those
+forms.  The cost and the bound K stay trees; every input, these included,
+is checked at load, so a division by zero or a constant that cannot be
+printed is a load error that names its field.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping
 
-from .expr import DivisionByZeroError, Expr, ExprError, Record, evaluator, parse, to_text, variables
+from .expr import Expr, ExprError, Record, evaluator, parse, to_text, variables
 from .fields import VectorField
 from .normal import Rat, Ring, check_input
 
@@ -86,21 +93,15 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
     return sys.replace(cost=None)
 
 
-def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat | None]:
+def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat]:
     """Parse one field over the ring's states, with its normal form
-    (`ring.convert`), whose constants must be within the float range,
-    exponents at most MAX_EXPONENT and size within the normal form's caps;
-    None in place of the form where the field divides by zero, which validate
-    reports."""
+    (`ring.convert`), which must not divide by zero, and whose constants must
+    be within the float range and print, exponents at most MAX_EXPONENT and
+    size within the normal form's caps (`check_input`)."""
     try:
         e = parse(text, ring.names)
-    except ExprError as err:
-        raise SystemLoadError(str(err), location) from err
-    try:
         form = ring.convert(e)
         check_input(form)
-    except DivisionByZeroError:
-        return e, None
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
     return e, form
@@ -135,17 +136,14 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise SystemLoadError("'inputs' must be an integer >= 1", "inputs")
 
-    def parse_at(text: Any, location: str) -> tuple[Expr, Rat | None]:
+    def parse_at(text: Any, location: str) -> tuple[Expr, Rat]:
         if not isinstance(text, str):
             raise SystemLoadError("expected an expression string", location)
         return _parse_field(text, ring, location)
 
     def field(texts: list, location: str) -> VectorField:
-        """The field of the texts, with their normal forms unless one has none."""
-        trees, forms = zip(*(parse_at(t, f"{location}[{i}]") for i, t in enumerate(texts)))
-        if None in forms:
-            return VectorField(names, trees)
-        return VectorField._of_normal(names, ring, forms, trees=trees)
+        forms = (parse_at(t, f"{location}[{i}]")[1] for i, t in enumerate(texts))
+        return VectorField._of_normal(names, ring, forms)
 
     f_doc = document.get("f")
     if not isinstance(f_doc, list) or len(f_doc) != n:
@@ -218,11 +216,13 @@ def extend_with_cost(sys: ControlSystem) -> ControlSystem:
     if _COST_STATE_NAME in sys.state_names:
         raise ValueError(f"state name '{_COST_STATE_NAME}' already taken")
     names = (_COST_STATE_NAME, *sys.state_names)
-    drift = VectorField(names, (sys.cost.f0, *sys.drift.components))
-    inputs = tuple(
-        VectorField(names, (g0, *g.components))
-        for g0, g in zip(sys.cost.g0, sys.inputs)
-    )
+    ring = Ring(names)  # one for the extended system, as `load` makes
+
+    def field(trees) -> VectorField:
+        return VectorField._of_normal(names, ring, map(ring.convert, trees))
+
+    drift = field((sys.cost.f0, *sys.drift.components))
+    inputs = tuple(field((g0, *g.components)) for g0, g in zip(sys.cost.g0, sys.inputs))
     return ControlSystem(names, drift, inputs, None, sys.bound, sys.label)
 
 
@@ -253,11 +253,7 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
         raise ValueError("horizon must be positive")
     findings: list[Finding] = []
 
-    seen: set[str] = set()
     for i, name in enumerate(sys.state_names):
-        if name in seen:
-            findings.append(Finding("error", f"duplicate state name '{name}'", f"states[{i}]"))
-        seen.add(name)
         if name == _RESERVED_TIME_NAME:
             findings.append(
                 Finding("warning", "state named 't' shadows the bound's time variable", f"states[{i}]")

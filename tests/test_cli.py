@@ -146,7 +146,7 @@ def test_order_validation_failure(capsys, tmp_path):
         # a power past the float range fails as the generated code's b**k does
         ("exp(t)^1000", "overflow in 'exp(t)^1000'"),
         ("exp(1000*t)", "overflow in 'exp(1000*t)'"),
-        ("1/(t - t)", "division by zero in '1/(t - t)'"),
+        pytest.param("1/t", "division by zero in '1/t'", id="1/t-at-t=0"),
     ],
 )
 @pytest.mark.parametrize(
@@ -845,16 +845,61 @@ def test_verify_lemma1_overflow_is_one_line_input_error(capsys, tmp_path):
 
 
 def test_an_unsampleable_b_field_is_quoted_in_bounded_time(capsys, tmp_path):
-    # a symbolic nonzero b-field that no sample point evaluates: the message
-    # quotes a prefix of its 61 MB text without rendering the rest
+    # f[1] and a symbolic nonzero b-field that no sample point evaluates: each
+    # message quotes a prefix of a text of megabytes without rendering the rest
     path = write_system(tmp_path, ["x2", "(cos(x1)^1000 + 1)^1000"], ["0", "1"])
     start = time.monotonic()
     code, out, err = run(capsys, "order", path)
-    assert (code, out) == (1, "")
-    assert err.startswith("no sample point of '")
-    assert err.endswith(" distinct nodes) could be evaluated\n")
-    assert len(err) < 300
+    assert (code, out) == (2, "")
+    assert err.startswith("validation failed:\n  [error] f[1]: failed to evaluate at a random"
+                          " interior point: overflow in '")
+    assert err.endswith(" distinct nodes)\n")
+    assert len(err) < 400
+    with pytest.raises(ctrlorder.IndeterminateZeroTest) as failure:
+        ctrlorder.problem_order(ctrlorder.load(json.loads(Path(path).read_text())))
+    message = str(failure.value)
+    assert message.startswith("no sample point of '")
+    assert message.endswith(" distinct nodes) could be evaluated")
+    assert len(message) < 300
     assert time.monotonic() - start < 4.0  # 6 s where the whole text is rendered
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        pytest.param("f", "1/(0*x2 + 0)", "f[1]: division by zero in '0*x2 + 0'", id="f-over-0"),
+        pytest.param("K", "1/(t - t)", "K: division by zero in 't - t'", id="K-over-0"),
+        # 10^-8000 is a finite float, 0.0, but it cannot be printed or parsed back
+        pytest.param(
+            "f", "x1 + 1e-4000*1e-4000*x1^2",
+            "f[1]: a constant folds to a rational of more than 4300 digits", id="long-constant",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order"],
+        ["brackets"],
+        ["local-order", "--x0=1,2", "--p0=1,1"],
+        ["simulate", "--x0", "0,0", "--p0", "1,0"],
+        ["verify", "parity"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_an_unrepresentable_input_is_the_same_load_error_for_every_command(
+    capsys, tmp_path, monkeypatch, key, text, message, argv
+):
+    monkeypatch.chdir(tmp_path)  # simulate would write its trajectory.csv here
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["x2", "0"], "g": [["0", "1"]]}
+    if key == "f":
+        doc["f"] = ["x2", text]
+    else:
+        doc["K"] = text
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (1, "", f"'{path}': {message}\n")
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -561,6 +561,22 @@ def test_evaluate_overflow_names_the_node():
         evaluate(parse("10^400", VARS), {})
 
 
+def test_an_evaluation_failure_quotes_a_large_node_in_one_short_line():
+    x1, x2 = Variable("x1"), Variable("x2")
+    big = Sum(tuple(Product((const(k), x2)) for k in range(1, 3001)))  # 4501500 at x2 = 1
+    failing = {
+        "division by zero": Quotient(big, Sum((x1, Negate(x1)))),
+        "overflow": Exp(big),
+        "infinite argument": Sin(Product((const(10), Exp(const(709)), big))),  # sin(inf)
+    }
+    for kind, node in failing.items():
+        with pytest.raises(EvalError) as err:
+            evaluate(Sum((node, x1)), {"x1": 1.0, "x2": 1.0})
+        message = str(err.value)
+        assert message.startswith(f"{kind} in '{to_text(node)[:200]}...' (")
+        assert message.endswith(" distinct nodes)") and len(message) < 250
+
+
 def test_evaluate_radians():
     assert abs(evaluate(parse("sin(t)", VARS), {"t": math.pi / 2}) - 1.0) < 1e-15
 
@@ -842,7 +858,7 @@ def test_compile_components_matches_evaluate(trees, vec):
         interpreted = None
         kind, quoted = str(err).split(" in ", 1)
         assert any(
-            isinstance(node, _FAILING_NODES[kind]) and quoted == f"'{to_text(node)}'"
+            isinstance(node, _FAILING_NODES[kind]) and quoted == expr._quote(node)
             for e in exprs for node in _nodes(e)
         ), str(err)
     assert interpreted == compiled

@@ -457,9 +457,16 @@ def test_analysed_fields_pickle_and_copy_as_trees():
     bracket = table.b(0, 0, 4)
     for field in (system.drift, bracket):
         for clone in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
-            assert clone == field and clone._normal is None
+            # rebuilt by the constructor from the rendered trees, in a ring of its own
+            assert clone == field and clone._normal[0] is not field._normal[0]
     assert problem_order(copy.deepcopy(system)).k == 4
     assert not vf_is_zero(pickle.loads(pickle.dumps(bracket))).is_zero
+
+
+def test_a_field_built_from_trees_prints_its_normal_form():
+    field = vf(("x1", "x2"), "x2 + x1*x1 - x1^2", "((x1 + 1)^2 - 1)/x1")
+    assert str(field) == "(x2, x1 + 2)"
+    assert field.components == tuple(simplify(c) for c in field.components)
 
 
 def test_vector_field_validates_unknown_names():

@@ -103,7 +103,7 @@ def test_records_compare_print_copy_and_replace_by_their_fields():
 
     config = SimConfig(initial_state=(0, 1), initial_adjoint=[1, 0])
     assert config.initial_state == (0.0, 1.0) and config.initial_adjoint == (1.0, 0.0)
-    assert (config.lam, config.horizon, config.step) == (1, 1.0, 1e-3)
+    assert (config.horizon, config.step) == (1.0, 1e-3)
     assert config.control_policy == BangBang(0.0)
     assert (config.singular_tolerance, config.singular_min_length) == (1e-6, None)
     assert config.replace(step=0.01) == SimConfig((0, 1), (1, 0), step=0.01)
@@ -159,7 +159,7 @@ def _record_samples() -> dict:
         BangBang: (0.5,),
         FixedControl: ((1.0, -1.0),),
         PiecewiseControl: (((0.0, (1.0,)), (0.5, (-1.0,))),),
-        SimConfig: ((0.0,), (1.0,), 0, 2.0, 0.01, FixedControl((1.0,)), 1e-3, 0.5),
+        SimConfig: ((0.0,), (1.0,), 2.0, 0.01, FixedControl((1.0,)), 1e-3, 0.5),
         Trajectory: (("x",), 1, 0.1, (0.0,), ((0.0,),), ((1.0,),), ((1.0,),), ((1.0,),),
                      (1.0,), "diverged", 0.1),
         ctrlorder.SingularIntervals: (((0.0, 0.5),),),
@@ -719,12 +719,8 @@ def test_sim_config_validation():
         SimConfig(initial_state=(0,), initial_adjoint=(1,), step=0.0)
     with pytest.raises(ValueError):
         SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=1e-6, step=1e-3)
-    with pytest.raises(ValueError):
-        SimConfig(initial_state=(0,), initial_adjoint=(1,), lam=2)
-    with pytest.raises(ValueError):
-        SimConfig(initial_state=(0,), initial_adjoint=(0,), lam=0)
-    # lam = 1 with a zero adjoint is allowed
-    SimConfig(initial_state=(0,), initial_adjoint=(0.0,), lam=1)
+    # a zero adjoint is allowed: lambda is -p_x0 of a cost-extended system
+    SimConfig(initial_state=(0,), initial_adjoint=(0.0,))
     # the RK4 step count is capped, and a ratio that overflows is rejected
     SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=MAX_STEPS * 1e-3)
     with pytest.raises(ValueError, match="horizon/step"):
@@ -769,7 +765,7 @@ def test_bang_bang_controls_take_bound_values():
 
 
 def test_invariantly_zero_phi_gives_full_interval():
-    # lam = 1 permits a zero adjoint; phi stays identically zero
+    # a zero adjoint is allowed; phi stays identically zero
     cfg = SimConfig(
         initial_state=(0.2, -0.1),
         initial_adjoint=(0.0, 0.0),

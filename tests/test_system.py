@@ -108,18 +108,35 @@ def test_load_checks_the_cancelled_normal_form():
 
 
 def test_validate_reports_an_overflow_while_evaluating():
-    # the constant folds to 1, but the float 10.0**400 passes the float range
-    doc = {"states": ["x1"], "inputs": 1, "f": ["10^400*x1/10^400"], "g": [["1"]]}
+    # e^(x1 + 2) is finite on the probe's range, its 1000th power is not
+    doc = {"states": ["x1"], "inputs": 1, "f": ["exp(x1 + 2)^1000"], "g": [["1"]]}
     report = validate(load(doc), 1.0)
     assert [(f.location, f.message) for f in report.errors()] == [
-        ("f[0]", "failed to evaluate at a random interior point: overflow in '10^400'")
+        ("f[0]", "failed to evaluate at a random interior point: overflow in 'exp(x1 + 2)^1000'")
     ]
 
 
-def test_load_leaves_a_literal_division_by_zero_to_validate():
-    doc = {"states": ["x1"], "inputs": 1, "f": ["x1/0"], "g": [["1"]]}
-    report = validate(load(doc), 1.0)
-    assert [f.location for f in report.errors()] == ["f[0]"]
+@pytest.mark.parametrize(
+    "key, text, location, quoted",
+    [
+        ("f", "x1/0", "f[0]", "'0'"),
+        ("f", "1/(0*x1 + 0)", "f[0]", "'0*x1 + 0'"),
+        ("g", "x1/(x1 - x1)", "g[0][0]", "'x1 - x1'"),
+        ("f0", "1/(x1 - x1)", "cost.f0", "'x1 - x1'"),
+        ("g0", "1/(x1 - x1)", "cost.g0[0]", "'x1 - x1'"),
+        ("K", "1/(t - t)", "K", "'t - t'"),
+    ],
+)
+def test_load_rejects_a_symbolic_division_by_zero(key, text, location, quoted):
+    # the fields are their normal forms, and a zero denominator has none
+    doc = {"states": ["x1"], "inputs": 1, "f": ["x1"], "g": [["1"]]}
+    if key in ("f0", "g0"):
+        doc["cost"] = {"f0": "0", "g0": ["0"], key: text if key == "f0" else [text]}
+    else:
+        doc[key] = [text] if key == "f" else [[text]] if key == "g" else text
+    with pytest.raises(SystemLoadError) as err:
+        load(doc)
+    assert (err.value.location, str(err.value)) == (location, f"{location}: division by zero in {quoted}")
 
 
 def test_loaded_fields_are_converted_once(monkeypatch):
@@ -266,34 +283,34 @@ def test_validate_bound_positivity():
 
 def test_validate_reports_a_bound_that_fails_to_evaluate():
     doc = counterexample_doc()
-    doc["K"] = "1/(t - t)"
+    doc["K"] = "1/t"  # nonzero, but its first sample is t = 0
     report = validate(load(doc), horizon=1.0)
     assert [(f.location, f.message) for f in report.errors()] == [
-        ("K", "bound K failed to evaluate: division by zero in '1/(t - t)'")
+        ("K", "bound K failed to evaluate: division by zero in '1/t'")
     ]
 
 
 def test_validate_duplicate_state_names():
-    sys_dup = ControlSystem(
-        ("x1", "x1"),
-        VectorField(("x1", "x1"), (parse("0", ("x1",)), parse("0", ("x1",)))),
-        (VectorField(("x1", "x1"), (parse("1", ("x1",)), parse("0", ("x1",)))),),
-    )
-    report = validate(sys_dup, horizon=1.0)
-    assert not report.ok
-    assert any("duplicate" in f.message for f in report.errors())
+    # a field over repeated names cannot be built, so neither can a system
+    zero = parse("0", ("x1",))
+    with pytest.raises(ValueError, match="duplicate state names"):
+        VectorField(("x1", "x1"), (zero, zero))
+    with pytest.raises(ValueError, match="duplicate state names"):
+        VectorField.from_strings(("x", "x"), ("x", "1"))
 
 
 def test_validate_flags_unevaluable_expression():
+    # e^(x1 - 1000) is nonzero, but underflows to 0.0 in floats
     doc = {
         "states": ["x1"],
         "inputs": 1,
-        "f": ["1/(0*x1 + 0)"],
+        "f": ["1/exp(x1 - 1000)"],
         "g": [["1"]],
     }
     report = validate(load(doc), horizon=1.0)
-    assert not report.ok
-    assert any(f.location == "f[0]" for f in report.errors())
+    assert [(f.location, f.message) for f in report.errors()] == [
+        ("f[0]", "failed to evaluate at a random interior point: division by zero in '1/exp(x1 - 1000)'")
+    ]
 
 
 def test_validate_rejects_bad_horizon():

@@ -20,16 +20,21 @@ manifest timestamp is dropped from each report.  `local-order` and
 state), and the CSV that `simulate` writes is compared byte for byte.
 
 One line per invocation tells whether the exit code, the report body,
-stderr and the CSV are equal.  The last line is PASS when all of them are,
-and the exit code is 0 then and 1 when not.
+stderr and the CSV are equal.  Under an invocation whose body differs, the
+JSON paths where it differs follow (such as `manifest.options.horizon`);
+under one whose CSV differs, the largest |change - parent| / (1 + |parent|)
+over its numeric cells and the column of that cell, or the first line
+where a non-numeric cell or the shape differs.  The last line is PASS when
+all of them are equal, and the exit code is 0 then and 1 when not.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,14 +114,13 @@ def dump(out_path: str) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        csv = hashlib.sha256(csv_path.read_bytes()).hexdigest() if csv_path.exists() else None
         results.append(
             {
                 "argv": argv,
                 "code": code,
                 "body": body(out.getvalue()),
                 "stderr": err.getvalue(),
-                "csv": csv,
+                "csv": csv_path.read_text(encoding="utf-8") if csv_path.exists() else None,
             }
         )
     Path(out_path).write_text(json.dumps(results), encoding="utf-8")
@@ -134,6 +138,45 @@ def csv_of(result: dict) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
+def json_paths(a, b, path: str = "") -> list[str]:
+    """The paths (`key.key[index]`) at which two parsed reports differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            out += json_paths(a[key], b[key], sub) if key in a and key in b else [sub]
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in json_paths(x, y, f"{path}[{i}]")]
+    return [] if a == b else [path or "(the whole body)"]
+
+
+def csv_difference(a: str | None, b: str | None) -> str:
+    """Where two CSV texts differ: the largest relative difference of a numeric
+    cell and its column, else the first line that differs."""
+    if a is None or b is None:
+        return "written by one tree only"
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    worst, column = 0.0, None
+    for line, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
+        if len(ra) != len(rb) or line == 1 and ra != rb:
+            return f"line {line} differs in shape or header"
+        for name, x, y in zip(rows_a[0], ra, rb):
+            if x == y:
+                continue
+            try:
+                rel = abs(float(y) - float(x)) / (1.0 + abs(float(x)))
+            except ValueError:
+                rel = math.nan
+            if math.isnan(rel):
+                return f"line {line}, column {name}: {x!r} vs {y!r}"
+            if rel > worst:
+                worst, column = rel, name
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a)} vs {len(rows_b)} lines"
+    return f"largest |change - parent| / (1 + |parent|) = {worst:.3g}, in column {column}"
+
+
 def compare(parent: list[dict], change: list[dict]) -> bool:
     print(f"{'invocation':<64} {'exit':>9} {'body':>5} {'stderr':>6} {'csv':>5}")
     passed = 0
@@ -146,6 +189,11 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
             arg for arg in a["argv"] if not arg.startswith(("--x0=", "--p0=")) and arg not in hidden
         )
         print(f"{argv:<64} {codes:>9} {same[1]!s:>5} {same[2]!s:>6} {same[3]!s:>5}")
+        if not same[1]:
+            paths = json_paths(a["body"], b["body"])
+            print(f"    body differs at {', '.join(paths[:10])}{' ...' if len(paths) > 10 else ''}")
+        if not same[3]:
+            print(f"    csv: {csv_difference(a['csv'], b['csv'])}")
         passed += all(same)
     ok = passed == len(parent) == len(change)
     print(
