@@ -7,8 +7,9 @@ Each component is N prod_i p_i^-e_i.
   a nonzero rational coefficient (an int, or a Fraction that is not one).
   The atoms are the states, plus s = sin u and c = cos u, or E = exp u, for
   each distinct kernel argument u, and an atom P for each factor p_i whose
-  power is too large to expand (below); N is reduced by c^2 -> 1 - s^2, so
-  no monomial holds c twice.
+  power is too large, or too ill-conditioned, to expand (below); N is
+  reduced by c^2 -> 1 - s^2, so no monomial holds c twice (`render` writes
+  an even power of s back in c where that is far smaller).
 - The p_i are the factor list of the component's `Ring`: the distinct
   denominators met while converting the input trees (made primitive, with
   monomial factors split into atoms), the bases of powers of sums, plus any
@@ -25,11 +26,12 @@ needed.  `cancel` divides out a denominator p_i that divides N exactly,
 which only makes the form smaller; converted trees are cancelled, brackets
 are not (differentiating N / p^e, p irreducible and not dividing N, never
 makes p divide the new numerator).  Where a sum would expand a large power
-of a sum, as in x1 + (x1 + x2 + x3 + x4)^1000, it writes P^1000 instead, P
-an atom that stands for the sum; a product that would pair more than
-`MAX_TERMS` terms raises `ExprError` rather than run unbounded, and so does
-a power that folds past MAX_EXPONENT or a constant past `_MAX_POWER_BITS`
-bits.
+of a sum, as in x1 + (x1 + x2 + x3 + x4)^1000, or one whose float value
+the expansion would lose, as in x1 + (x1 + 1)^60, it writes P^1000 or P^60
+instead, P an atom that stands for the sum; a product that would pair
+more than `MAX_TERMS` terms raises `ExprError` rather than run unbounded,
+and so does a power that folds past MAX_EXPONENT or a constant past
+`_MAX_POWER_BITS` bits.
 
 This is the package's one simplifier and differentiator: `simplify`, `diff`
 and `is_zero` of a tree convert it in a ring over its variables, and
@@ -45,9 +47,10 @@ exp(+-iu).  Every coefficient is rational (a decimal literal is the
 rational it spells), so a verdict is `symbolic` when the kernel arguments
 that N and its numerator factors use are kernel-free and, together with 1,
 Q-linearly independent (trig arguments and exp arguments each), and no atom
-P.  Otherwise, sin x beside sin 2x or beside sin(x + 1), a nested kernel or
-an atom P, it is the sampled test (`expr.sampled_is_zero`) of the
-component's tree.  The package has no evaluator of normal forms: a nonzero
+P once those whose powers expand to at most `_EXPAND` terms are multiplied
+out (`_unfold`).  Otherwise, sin x beside sin 2x or beside sin(x + 1), a
+nested kernel or an atom P, it is the sampled test (`expr.sampled_is_zero`)
+of the component's tree.  The package has no evaluator of normal forms: a nonzero
 symbolic verdict takes its witness and value from that same sampled test of
 its tree, relabelled `symbolic`, or, where the test finds no witness (a
 nonzero form that vanishes at every sample), the last point that evaluated.
@@ -95,7 +98,7 @@ _SLOT = (1 << _BITS) - 1
 _HIGH = _SLOT ^ ((1 << (_BITS - 2)) - 1)
 _TOP = 1 << (_BITS - 1)
 MAX_TERMS = 1 << 20  # the most term pairs one product forms
-_EXPAND = 1 << 12  # the most terms of a power of a sum that `Ring.product` expands
+_EXPAND = 1 << 12  # the largest factor, or a power's coefficient sum, `Ring.product` expands
 # Most bits that a folded constant power may reach; a float needs about 1100,
 # so this only stops ((2^1000)^1000)^1000 and the like.
 _MAX_POWER_BITS = 1 << 20
@@ -208,18 +211,28 @@ class Ring:
     # -- cached derived values -----------------------------------------------
 
     def product(self, gap: tuple, atoms: bool = True) -> dict:
-        """prod p_i^gap_i, expanded; but a power p_i^k of more than `_EXPAND`
-        terms (a power k of n terms has at most C(n + k - 1, k)) is kept as
-        P^k of the atom P that stands for p_i, or, where `atoms` is false,
-        expanded up to `MAX_TERMS` terms."""
+        """prod p_i^gap_i, expanded; but a factor p_i of more than `_EXPAND`
+        terms, or a power p_i^k, k > 1, whose coefficients may sum past
+        `_EXPAND` (they sum to at most l1^k, l1 the sum of p_i's |coefficients|)
+        is kept as P^k of the atom P that stands for p_i, or, where `atoms` is
+        false, expanded up to `MAX_TERMS` terms.  A float evaluation of an
+        expanded power errs by up to that sum times the rounding unit, also
+        where the power is near 0: x1 + (x1 + 1)^60, expanded, is 1.1 at
+        x1 = -0.9."""
         out = self._products.get((gap, atoms))
         if out is None:
             out, atom = {0: 1}, 0
             for i, k in enumerate(gap):
-                size = math.comb(len(self.factors[i]) + k - 1, k)
-                if size <= _EXPAND or not atoms and size <= MAX_TERMS:
+                p = self.factors[i]
+                if not atoms:
+                    expand = math.comb(len(p) + k - 1, k) <= MAX_TERMS
+                elif k > 1:
+                    expand = k * math.log2(sum(map(abs, p.values()))) <= math.log2(_EXPAND)
+                else:
+                    expand = len(p) <= _EXPAND
+                if expand:
                     for _ in range(k):
-                        out = _pmul(self, out, self.factors[i])
+                        out = _pmul(self, out, p)
                 elif atoms and not k >> (_BITS - 2):
                     atom += k << (self._factor_atom(i) * _BITS)
                 else:
@@ -451,20 +464,23 @@ def _reduce_cos(ring: Ring, p: dict) -> None:
     for m in [m for m in p if m & ring.cmask]:
         terms = {m: p.pop(m)}
         for s_shift, c_shift in ring.pairs:
-            out: dict = {}
-            for mono, coeff in terms.items():
-                half = ((mono >> c_shift) & _SLOT) >> 1
-                if not half:
-                    out[mono] = out.get(mono, 0) + coeff
-                    continue
-                base = mono - ((2 * half) << c_shift)
-                binom = 1
-                for j in range(half + 1):  # sum_j C(half, j) (-s^2)^j
-                    key = base + ((2 * j) << s_shift)
-                    out[key] = out.get(key, 0) + (coeff * binom if j % 2 == 0 else -coeff * binom)
-                    binom = binom * (half - j) // (j + 1)
-            terms = out
+            terms = _squares(terms, c_shift, s_shift)
         _padd(p, terms)
+
+
+def _squares(terms: dict, src: int, dst: int) -> dict:
+    """terms with each a^k written a^(k mod 2) (1 - b^2)^(k div 2), a and b the
+    atoms at shifts `src` and `dst` (the sine and cosine of one kernel)."""
+    out: dict = {}
+    for mono, coeff in terms.items():
+        half = ((mono >> src) & _SLOT) >> 1
+        base = mono - ((2 * half) << src)
+        binom = 1
+        for j in range(half + 1):  # sum_j C(half, j) (-b^2)^j
+            key = base + ((2 * j) << dst)
+            out[key] = out.get(key, 0) + (coeff * binom if j % 2 == 0 else -coeff * binom)
+            binom = binom * (half - j) // (j + 1)
+    return out
 
 
 def _pdiv(ring: Ring, n: dict, p: dict) -> dict | None:
@@ -657,12 +673,36 @@ def lie_component(a, b, da, db, i: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
+def _in_cosines(ring: Ring, p: dict) -> dict:
+    """p, with the terms that differ only in an even power of s written in c
+    (`_squares`) where the sum of their |coefficients| is more than `_EXPAND`
+    times smaller so (the sum bounds a float evaluation's error, as |s|, |c| <=
+    1): c^2 -> 1 - s^2 turns cos(u)^200 into 101 terms of up to C(100, 50),
+    and this turns them back."""
+    for s_shift, c_shift in ring.pairs:
+        even = (_SLOT ^ 1) << s_shift
+        if not any(m & even for m in p):
+            continue
+        groups: dict[int, dict] = {}
+        for m, c in p.items():
+            groups.setdefault(m & ~even, {})[m] = c
+        p = {}
+        for q in groups.values():
+            r = _nonzero(_squares(q, s_shift, c_shift))
+            p.update(r if sum(map(abs, r.values())) * _EXPAND < sum(map(abs, q.values())) else q)
+    return p
+
+
 def _render_poly(ring: Ring, p: dict, extra: dict) -> Expr:
     """The polynomial times the powers `extra` (base tree -> exponent), collected:
     cores sorted by their sort key, each with its coefficient in front, the
-    constant term last.  An atom P joins the power of the sum it stands for."""
+    constant term last.  An atom P joins the power of the sum it stands for;
+    even powers of a sine are written in its cosine where that is smaller
+    (`_in_cosines`)."""
     cores = []
     constant = 0
+    if ring.pairs:
+        p = _in_cosines(ring, p)
     for m, c in p.items():
         powers, slot = dict(extra), 0
         while m:
@@ -783,12 +823,31 @@ def zero_verdict(a: Rat, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdi
     """The verdict on one normal form: N = 0 where that decides, with a nonzero
     verdict's witness from the sampled test of its tree (the last point that
     evaluated where that test finds none); else the sampled test itself."""
-    if not a.num:
+    n = _unfold(a)
+    if not n.num:
         return ZeroVerdict(True, SYMBOLIC)
-    if not decides(a):
+    if not decides(n):
         return sampled_is_zero(render(a), policy)
     code, _, _, last = _sampled(render(a), policy)
     return _witness(code, last, SYMBOLIC)
+
+
+def _unfold(a: Rat) -> Rat:
+    """a with each atom P that `Ring.product` kept for its powers' coefficient
+    sums, not their size (every power of it in N has at most `_EXPAND` terms),
+    multiplied out: the N whose zero decides as if P had never stood in."""
+    ring, num = a.ring, a.num
+    for i, kernel in list(ring._factor_atoms.items()):
+        shift, n = kernel.slots[0] * _BITS, len(ring.factors[i])
+        top = max(((m >> shift) & _SLOT for m in num), default=0)
+        if not top or math.comb(n + top - 1, top) > _EXPAND:
+            continue
+        out: dict = {}
+        for m, c in num.items():
+            k = (m >> shift) & _SLOT
+            _padd(out, _pmul(ring, {m - (k << shift): c}, ring.product(_unit(i, k), False)))
+        num = _nonzero(out)
+    return Rat(ring, num, a.den)
 
 
 # ---------------------------------------------------------------------------

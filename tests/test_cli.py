@@ -845,23 +845,17 @@ def test_verify_lemma1_overflow_is_one_line_input_error(capsys, tmp_path):
 
 
 def test_an_unsampleable_b_field_is_quoted_in_bounded_time(capsys, tmp_path):
-    # f[1] and a symbolic nonzero b-field that no sample point evaluates: each
-    # message quotes a prefix of a text of megabytes without rendering the rest
+    # f[1] never exceeds 2^1000, so it validates; the symbolic nonzero b-field,
+    # which no sample point evaluates, prints in cosines in a few hundred
+    # characters, where its reduced form in sin(x1)^2 would print 61 MB
     path = write_system(tmp_path, ["x2", "(cos(x1)^1000 + 1)^1000"], ["0", "1"])
     start = time.monotonic()
     code, out, err = run(capsys, "order", path)
-    assert (code, out) == (2, "")
-    assert err.startswith("validation failed:\n  [error] f[1]: failed to evaluate at a random"
-                          " interior point: overflow in '")
-    assert err.endswith(" distinct nodes)\n")
-    assert len(err) < 400
-    with pytest.raises(ctrlorder.IndeterminateZeroTest) as failure:
-        ctrlorder.problem_order(ctrlorder.load(json.loads(Path(path).read_text())))
-    message = str(failure.value)
-    assert message.startswith("no sample point of '")
-    assert message.endswith(" distinct nodes) could be evaluated")
-    assert len(message) < 300
-    assert time.monotonic() - start < 4.0  # 6 s where the whole text is rendered
+    assert (code, out) == (1, "")
+    assert err.startswith("no sample point of '999000000*cos(x1)^998*(cos(x1)^1000 + 1)^")
+    assert err.endswith("' could be evaluated\n")
+    assert len(err) < 300
+    assert time.monotonic() - start < 4.0
 
 
 @pytest.mark.parametrize(

@@ -594,6 +594,20 @@ def test_is_zero_pythagorean_identity():
     assert is_zero(parse("sin(t)^2 + cos(t)^2 - 1", VARS)).is_zero
 
 
+def test_a_power_of_a_sum_with_a_large_coefficient_sum_stays_a_power():
+    # expanded, x1 + (x1 + 1)^60 has terms of C(60, 30) ~ 1e17 that cancel to
+    # about 1e-60 at x1 = -0.9, so its float value there would be 1.1
+    e = parse("x1 + (x1 + 1)^60", VARS)
+    assert to_text(simplify(e)) == "x1 + (x1 + 1)^60"
+    assert evaluate(simplify(e), {"x1": -0.9}) == -0.9
+    assert evaluate(diff(e, "x1"), {"x1": -0.9}) == 1.0
+    assert is_zero(e).kind == SYMBOLIC
+    # its zero is decided with the power multiplied out: (x1 + 1)^13 stays a
+    # power (2^13 > 4096), (x1 + 1)^12 is expanded
+    zero = parse("(x1 + 1)^13 + x1 - (x1 + 1)*(x1 + 1)^12 - x1", VARS)
+    assert is_zero(zero) == ZeroVerdict(True, SYMBOLIC)
+
+
 def test_is_zero_float_tainted_residual_is_relative():
     # a scaled identity leaves rounding noise far above an absolute 1e-9 (about
     # 1e-4 here), but far below 1e-9 of the rounding scale of its terms

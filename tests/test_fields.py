@@ -27,7 +27,7 @@ from ctrlorder import (
     verify_bracket_identities,
     vf_is_zero,
 )
-from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC
+from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC, DivisionByZeroError, ExprError
 
 from helpers import (
     SYSTEMS_DIR,
@@ -469,9 +469,30 @@ def test_a_field_built_from_trees_prints_its_normal_form():
     assert field.components == tuple(simplify(c) for c in field.components)
 
 
+def test_a_power_of_a_cosine_prints_as_written():
+    # c^2 -> 1 - s^2 reduces cos(x1)^200 to 101 terms of up to C(100, 50), which
+    # no float evaluates near x1 = pi/2; even powers of a sine are printed in the
+    # cosine where their sum of |coefficients| is over 2^12 times smaller there
+    field = vf(("x1", "x2"), "cos(x1)^200 + x2*(1 - sin(x1)^2)", "(cos(x1)^1000 + 1)^1000")
+    assert str(field) == "(x2 + cos(x1)^200 - x2*sin(x1)^2, (cos(x1)^1000 + 1)^1000)"
+    assert str(vf(("x1",), "cos(x1)^24")).startswith("(-12*sin(x1)^2 + 66*sin(x1)^4 - ")
+    assert str(vf(("x1",), "cos(x1)^26")) == "(cos(x1)^26)"
+
+
 def test_vector_field_validates_unknown_names():
     with pytest.raises(ValueError):
         VectorField(("x1",), (parse("x1 + x2", ("x1", "x2")),))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("x1/0", DivisionByZeroError), ("(x1^1000)^2", ExprError)],
+    ids=["division-by-zero", "exponent-past-max"],
+)
+def test_building_a_field_raises_the_normal_forms_errors(text, error):
+    # a field is its normal forms, converted when it is built
+    with pytest.raises(error):
+        vf(("x1",), text)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,48 @@ def test_double_integrator_parabola():
     assert abs(traj.x[-1, 1] - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "f1, value, slope, x1",
+    [
+        # the reduced normal form has terms sin(x1)^2j of sizes up to C(100, 50)
+        ("cos(x1)^200", lambda x: math.cos(x) ** 200,
+         lambda x: -200 * math.cos(x) ** 199 * math.sin(x), math.pi / 2 - 0.05),
+        # expanded, the power has terms of up to C(60, 30) that cancel near x1 = -1
+        ("x1 + (x1 + 1)^60", lambda x: x + (x + 1) ** 60,
+         lambda x: 1 + 60 * (x + 1) ** 59, -0.95),
+    ],
+    ids=["cos-power", "power-of-a-sum"],
+)
+def test_an_ill_conditioned_expansion_integrates_as_written(f1, value, slope, x1):
+    # errors near 1e14 (cos-power) or 1 (power-of-a-sum) in x2' and p1' if the
+    # field were evaluated expanded; the extremal matches an RK4 of the field
+    # as written and of its adjoint
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["x2", f1], "g": [["0", "1"]]}
+    x0, p0, h, steps = (x1, 1.0), (1.0, 1.0), 1e-3, 100
+    cfg = SimConfig(initial_state=x0, initial_adjoint=p0, horizon=steps * h, step=h,
+                    control_policy=FixedControl((0.0,)))
+    traj = integrate_extremal(load(doc), cfg)
+    assert traj.status == "ok"
+
+    def rhs(z):
+        x1, x2, p1, p2 = z
+        return np.array([x2, value(x1), -slope(x1) * p2, -p1])
+
+    z = np.array([*x0, *p0])
+    reference = [z]
+    for _ in range(steps):
+        k1 = rhs(z)
+        k2 = rhs(z + h / 2 * k1)
+        k3 = rhs(z + h / 2 * k2)
+        k4 = rhs(z + h * k3)
+        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        reference.append(z)
+    reference = np.array(reference)
+    got = np.hstack([np.asarray(traj.x), np.asarray(traj.p)])
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference) / (1 + np.abs(reference))) < 1e-12
+
+
 def test_simulating_compiles_the_jacobian_columns_that_brackets_read():
     # the integrator's Jacobians are the fields' normal-form columns, rendered
     from ctrlorder import normal

@@ -17,6 +17,7 @@ from ctrlorder import (
     problem_order,
     simplify,
     to_document,
+    to_text,
     validate,
     without_cost,
 )
@@ -114,6 +115,17 @@ def test_validate_reports_an_overflow_while_evaluating():
     assert [(f.location, f.message) for f in report.errors()] == [
         ("f[0]", "failed to evaluate at a random interior point: overflow in 'exp(x1 + 2)^1000'")
     ]
+
+
+def test_validate_accepts_a_finite_power_of_cosines():
+    # f[1] never exceeds 2^1000; its normal form, reduced by c^2 -> 1 - s^2,
+    # prints and evaluates as written, not as 501 terms of up to C(500, 250)
+    doc = {
+        "states": ["x1", "x2"], "inputs": 1, "f": ["x2", "(cos(x1)^1000 + 1)^1000"], "g": [["0", "1"]],
+    }
+    system = load(doc)
+    assert to_text(system.drift.components[1]) == "(cos(x1)^1000 + 1)^1000"
+    assert validate(system, 1.0).errors() == ()
 
 
 @pytest.mark.parametrize(
