@@ -294,9 +294,13 @@ class Ring:
             elif t is Quotient:
                 out = mul(conv(node.numerator), inverse(node.denominator))
             elif t in (Sin, Cos, Exp):
-                kernel = self._kernel(node, cancel(conv(node.child)))
-                slot = kernel.slots[1] if t is Cos else kernel.slots[0]
-                out = Rat(self, {1 << (slot * _BITS): 1})
+                arg = cancel(conv(node.child))
+                if not arg.num:  # sin(0) = 0, cos(0) = exp(0) = 1
+                    out = Rat(self, {} if t is Sin else {0: 1})
+                else:
+                    kernel = self._kernel(node, arg)
+                    slot = kernel.slots[1] if t is Cos else kernel.slots[0]
+                    out = Rat(self, {1 << (slot * _BITS): 1})
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             memo[id(node)] = out

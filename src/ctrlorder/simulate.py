@@ -25,14 +25,13 @@ from typing import TYPE_CHECKING, Sequence, Union
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
 from .expr import EvalError, Record, const, evaluate, render_components
 from .fields import VectorField, lie_bracket
-from .system import ControlSystem
+from .system import _RESERVED_TIME_NAME, ControlSystem
 
 # numpy is imported by the functions that use it: the symbolic commands never
 # load it, and it is most of the CLI's import time.
 if TYPE_CHECKING:
     import numpy as np
 
-_RESERVED_TIME_NAME = "t"
 # 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
 MAX_STEPS = 10**6
 _ZERO, _ONE = const(0), const(1)

@@ -5,12 +5,12 @@ An optional running cost (f0, g0_i) can be absorbed into an extra leading
 state coordinate "x0", raising the dimension by one; the adjoint component
 paired with x0 then stays constant because nothing depends on x0.
 
-`load` converts f and the g_i to their normal forms once, in one `Ring`,
-and keeps no parsed tree of them: their components, what `validate` checks,
-the integrator compiles and `to_document` prints, are rendered from those
-forms.  The cost and the bound K stay trees; every input, these included,
-is checked at load, so a division by zero or a constant that cannot be
-printed is a load error that names its field.
+`load` converts every input to its normal form and keeps no parsed tree:
+f and the g_i once, in one `Ring`, and the cost and the bound K as the
+trees rendered from the forms it checks.  So what `validate` checks, the
+integrator compiles and `to_document` prints is what `load` checked, and a
+division by zero or a constant that cannot be printed is a load error that
+names its field.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping
 
-from .expr import Expr, ExprError, Record, evaluator, parse, to_text, variables
+from .expr import _FUNCTION_NAMES, _IDENT_RE, Expr, ExprError, Record, evaluator, parse, to_text
+from .expr import variables
 from .fields import VectorField
-from .normal import Rat, Ring, check_input
+from .normal import Rat, Ring, check_input, render
 
 _RESERVED_TIME_NAME = "t"
 _COST_STATE_NAME = "x0"
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
 class SystemLoadError(ValueError):
@@ -93,18 +93,17 @@ def without_cost(sys: ControlSystem) -> ControlSystem:
     return sys.replace(cost=None)
 
 
-def _parse_field(text: str, ring: Ring, location: str) -> tuple[Expr, Rat]:
-    """Parse one field over the ring's states, with its normal form
-    (`ring.convert`), which must not divide by zero, and whose constants must
-    be within the float range and print, exponents at most MAX_EXPONENT and
-    size within the normal form's caps (`check_input`)."""
+def _parse_field(text: str, ring: Ring, location: str) -> Rat:
+    """The normal form (`ring.convert`) of one field over the ring's states,
+    which must not divide by zero, and whose constants must be within the
+    float range and print, exponents at most MAX_EXPONENT and size within the
+    normal form's caps (`check_input`)."""
     try:
-        e = parse(text, ring.names)
-        form = ring.convert(e)
+        form = ring.convert(parse(text, ring.names))
         check_input(form)
     except ExprError as err:
         raise SystemLoadError(str(err), location) from err
-    return e, form
+    return form
 
 
 def load(document: Mapping[str, Any]) -> ControlSystem:
@@ -123,7 +122,7 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     for i, name in enumerate(states):
         if not isinstance(name, str) or not name:
             raise SystemLoadError("state names must be non-empty strings", f"states[{i}]")
-        if not (set(name) <= _IDENT_CHARS) or name[0].isdigit():
+        if not _IDENT_RE.fullmatch(name):
             raise SystemLoadError(f"'{name}' is not a valid identifier", f"states[{i}]")
         if name in seen:
             raise SystemLoadError(f"duplicate state name '{name}'", f"states[{i}]")
@@ -136,13 +135,13 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise SystemLoadError("'inputs' must be an integer >= 1", "inputs")
 
-    def parse_at(text: Any, location: str) -> tuple[Expr, Rat]:
+    def parse_at(text: Any, location: str) -> Rat:
         if not isinstance(text, str):
             raise SystemLoadError("expected an expression string", location)
         return _parse_field(text, ring, location)
 
     def field(texts: list, location: str) -> VectorField:
-        forms = (parse_at(t, f"{location}[{i}]")[1] for i, t in enumerate(texts))
+        forms = (parse_at(t, f"{location}[{i}]") for i, t in enumerate(texts))
         return VectorField._of_normal(names, ring, forms)
 
     f_doc = document.get("f")
@@ -164,19 +163,18 @@ def load(document: Mapping[str, Any]) -> ControlSystem:
     if cost_doc is not None:
         if not isinstance(cost_doc, Mapping) or set(cost_doc) - {"f0", "g0"}:
             raise SystemLoadError("'cost' must be a mapping with keys f0 and g0", "cost")
-        f0 = parse_at(cost_doc.get("f0"), "cost.f0")[0]
+        f0 = render(parse_at(cost_doc.get("f0"), "cost.f0"))
         g0_doc = cost_doc.get("g0")
         if not isinstance(g0_doc, list) or len(g0_doc) != m:
             raise SystemLoadError(f"'cost.g0' must list {m} expression strings", "cost.g0")
-        g0 = tuple(parse_at(t, f"cost.g0[{i}]")[0] for i, t in enumerate(g0_doc))
+        g0 = tuple(render(parse_at(t, f"cost.g0[{i}]")) for i, t in enumerate(g0_doc))
         cost = CostSpec(f0, g0)
 
-    bound = None
-    if document.get("K") is not None:
-        text = document["K"]
+    bound, text = None, document.get("K")
+    if text is not None:
         if not isinstance(text, str):
             raise SystemLoadError("'K' must be an expression string in 't'", "K")
-        bound = _parse_field(text, Ring((_RESERVED_TIME_NAME,)), "K")[0]
+        bound = render(_parse_field(text, Ring((_RESERVED_TIME_NAME,)), "K"))
 
     label = document.get("label", "")
     if not isinstance(label, str):
@@ -255,13 +253,12 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
 
     for i, name in enumerate(sys.state_names):
         if name == _RESERVED_TIME_NAME:
-            findings.append(
-                Finding("warning", "state named 't' shadows the bound's time variable", f"states[{i}]")
-            )
-        if name in ("sin", "cos", "exp"):
-            findings.append(
-                Finding("warning", f"state named '{name}' collides with a function name", f"states[{i}]")
-            )
+            message = "state named 't' shadows the bound's time variable"
+        elif name in _FUNCTION_NAMES:
+            message = f"state named '{name}' collides with a function name"
+        else:
+            continue
+        findings.append(Finding("warning", message, f"states[{i}]"))
 
     if sys.bound is not None:
         bound = evaluator([sys.bound])

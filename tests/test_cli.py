@@ -168,6 +168,32 @@ def test_a_bound_that_fails_to_evaluate_is_one_validation_finding(
 
 
 @pytest.mark.parametrize(
+    "cost, bound, argv, finding",
+    [
+        # the parsed tree overflows nowhere, but its normal form exp(x2)^800*exp(x2)^-800
+        # is what the integrator runs: validation now fails where integration would
+        ({"f0": "x1^2 + (exp(x2)*exp(-x2))^800", "g0": ["0"]}, "1",
+         ["simulate", "--extend-cost", "--x0", "0,0,0.95", "--p0=-1,0.3,0.1",
+          "--horizon", "0.01", "--step", "1e-3"],
+         "cost.f0: failed to evaluate at a random interior point: overflow in 'exp(x2)^800'"),
+        (None, "(exp(t)*exp(-t))^709", ["order", "--horizon", "2"],
+         "K: bound K failed to evaluate: overflow in 'exp(t)^709'"),
+    ],
+    ids=["cost", "K"],
+)
+def test_validation_checks_the_cost_and_bound_that_run(capsys, tmp_path, monkeypatch, cost, bound,
+                                                       argv, finding):
+    monkeypatch.chdir(tmp_path)  # simulate would write its trajectory.csv here
+    doc = json.loads(Path(DOUBLE_INTEGRATOR).read_text())
+    doc.update(cost=cost, K=bound)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"validation failed:\n  [error] {finding}\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv", [["brackets"], ["local-order", "--x0=1,2", "--p0=1,1"], ["order"]], ids=lambda a: a[0]
 )
 def test_duplicate_state_names_are_an_input_error(capsys, tmp_path, argv):
@@ -591,6 +617,8 @@ def test_bad_policy_string(capsys, tmp_path):
         (["verify", FULLER, "identities", "--k-max", "0"], "k_max must be an integer >= 1"),
         (["local-order", FULLER, "--x0", "0.1,0.2,0.3", "--p0", "1,0.5,0.2", "--k-max", "0"],
          "k_max must be an integer >= 1"),
+        (["order", FULLER, "--extend-cost"], "--extend-cost given but the system has no cost"),
+        (["brackets", FULLER, "--depth", "-1"], "--depth must be >= 0"),
     ],
 )
 def test_bad_flag_value_is_one_line_input_error(capsys, tmp_path, monkeypatch, argv, names):

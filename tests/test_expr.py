@@ -316,6 +316,9 @@ def test_simplify_examples():
     assert simplify(pythag) == const(1)  # cos^2 is written 1 - sin^2
     # common factors cancel
     assert simplify(parse("x1*(x1 + 1)/(x1 + 1)", VARS)) == Variable("x1")
+    # a quotient in a denominator: 1/(x2/x3) is x3/x2
+    x1, x2, x3 = map(Variable, ("x1", "x2", "x3"))
+    assert simplify(parse("x1/(x2/x3)", ("x1", "x2", "x3"))) == Quotient(Product((x1, x3)), x2)
 
 
 def test_simplify_identity_elements():
@@ -549,6 +552,8 @@ def test_evaluate_missing_binding():
     with pytest.raises(MissingBindingError) as err:
         evaluate(parse("x1 + x2", VARS), {"x1": 1})
     assert err.value.name == "x2"
+    with pytest.raises(ValueError, match=r"undeclared variables \['x2'\]"):
+        compile_components([parse("x1 + x2", VARS)], ("x1",))
 
 
 def test_evaluate_overflow_names_the_node():
@@ -702,6 +707,13 @@ def test_is_zero_kinds():
     nonzero = is_zero(parse("exp(x1) - 1", VARS))
     assert not nonzero.is_zero and nonzero.kind == SYMBOLIC
     assert is_zero(parse("sin(2*t) - 2*sin(t)*cos(t)", VARS)) == ZeroVerdict(True, FLOAT_SAMPLED)
+    # a kernel of a zero argument is a number: sin(0) = 0, cos(0) = exp(0) = 1
+    assert simplify(parse("sin(x1 - x1) + x1", VARS)) == Variable("x1")
+    nonzero = is_zero(parse("sin(x1 - x1) + x1", VARS))
+    assert not nonzero.is_zero and nonzero.kind == SYMBOLIC
+    assert simplify(parse("exp(0)*x1 - x1", VARS)) == const(0)
+    assert is_zero(parse("exp(0)*x1 - x1", VARS)) == ZeroVerdict(True, SYMBOLIC)
+    assert is_zero(parse("cos(t - t) - 1", VARS)) == ZeroVerdict(True, SYMBOLIC)
     # the sampled test alone: exact where the tree is rational, else in floats
     assert sampled_is_zero(rational_zero) == ZeroVerdict(True, EXACT_SAMPLED)
     assert sampled_is_zero(parse("x1^2/(x2^2 + 1)", VARS)).kind == EXACT_SAMPLED

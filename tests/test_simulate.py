@@ -1045,10 +1045,22 @@ def fixed_u_trajectory(step=1e-3):
     return sys6, integrate_extremal(sys6, cfg)
 
 
+def switching_trajectory(step=1e-3):
+    # phi = p2 = 0.3 - t on the double integrator: bang-bang u switches from 1 to -1
+    system = without_cost(double_integrator())
+    cfg = SimConfig((0.0, 0.0), (1.0, 0.3), horizon=1.0, step=step, control_policy=BangBang())
+    return system, integrate_extremal(system, cfg)
+
+
 def test_lemma1_residual_small_for_input_fields_and_drift():
     sys6, traj = fixed_u_trajectory()
     for field in (*sys6.inputs, sys6.drift):
         assert check_lemma1(sys6, traj, field) < 1e-4
+    # across a switch <p, f> has a kink, and the samples next to it are skipped
+    system, traj = switching_trajectory()
+    assert set(traj.u[:, 0]) == {-1.0, 1.0}
+    for field in (*system.inputs, system.drift):
+        assert check_lemma1(system, traj, field) < 1e-4
 
 
 def test_lemma1_inner_product_with_drift_conserved_when_uncontrolled():

@@ -220,6 +220,18 @@ def test_document_round_trip():
     assert simplify(again.cost.f0) == simplify(sys6.cost.f0)
 
 
+def test_to_document_prints_what_load_checked():
+    # the cost and K are the rendered forms that load checked, as f and g are
+    vehicle = load(counterexample_doc())
+    assert to_document(vehicle)["cost"] == {"f0": "theta^2 + x^2 + y^2", "g0": ["0", "0", "0"]}
+    files = [*SYSTEMS_DIR.glob("*.json"), *SYSTEMS_DIR.glob("stress/*.json"),
+             *SYSTEMS_DIR.parent.glob("ctrlbench/systems/*.json")]
+    assert len(files) == 8
+    for path in files:
+        system = load(json.loads(path.read_text()))
+        assert load(to_document(system)) == system, path.name
+
+
 # ---------------------------------------------------------------------------
 # extend_with_cost
 # ---------------------------------------------------------------------------
@@ -335,6 +347,15 @@ def test_validate_warns_on_reserved_time_name():
     report = validate(load(doc), horizon=1.0)
     assert report.ok  # warning only
     assert any(f.severity == "warning" and "t" in f.message for f in report.findings)
+
+
+def test_validate_warns_on_a_function_name():
+    doc = {"states": ["sin", "cos", "exp"], "inputs": 1, "f": ["0", "0", "0"], "g": [["1", "0", "0"]]}
+    report = validate(load(doc), horizon=1.0)
+    assert [(f.severity, f.location, f.message) for f in report.findings] == [
+        ("warning", f"states[{i}]", f"state named '{name}' collides with a function name")
+        for i, name in enumerate(doc["states"])
+    ]
 
 
 def test_load_rejects_invalid_state_identifier():

@@ -3,21 +3,24 @@
     python3 tools/compare_trajectories.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that contain the `ctrlorder`
-package (a checkout's `src/`).  Each tree integrates the same 216
+package (a checkout's `src/`).  Each tree integrates the same 252
 trajectories in its own interpreter: every system in `systems/` and
 `ctrlbench/systems/`, raw and (where it has a running cost) cost-extended,
-under six control policies (bang-bang, bang-bang with a deadband, fixed,
+under seven control policies (bang-bang, bang-bang with a deadband, fixed,
 piecewise, and bang-bang with the system's bound replaced by the
-time-varying K(t) = 1 + t/2, or by K(t) = 1 + 0.5*t, which pins that a
-decimal literal compiles to the same float as before), each from four
-seeded (x0, p0), over 1000 RK4 steps of 1e-3.
+time-varying K(t) = 1 + t/2, by K(t) = 1 + 0.5*t, which pins that a
+decimal literal compiles to the same float as before, or by the product of
+sums K(t) = (1 + t)*(2 + t)/2, whose normal form is multiplied out), each
+from four seeded (x0, p0), over 1000 RK4 steps of 1e-3.
 
-One line per trajectory gives the sample counts, whether status and u are
-equal, the largest of |change - parent| / (1 + |parent|) over x, p, phi and
-H on the common samples, and the smallest |phi_i| of the parent.  The last
-line checks, on the trajectories whose parent |phi_i| stays above 1e-9,
-that status, sample count and u are equal and that x, p, phi and H agree to
-1e-12; the exit code is 0 when they do and 1 when not.
+One line per trajectory gives the sample counts, whether status and the
+signs of u are equal, the largest of |change - parent| / (1 + |parent|)
+over u, x, p, phi and H on the common samples, and the smallest |phi_i| of
+the parent.  The last line checks, on the trajectories whose parent |phi_i|
+stays above 1e-9, that status, sample count and the signs of u (where the
+control switches) are equal and that u, x, p, phi and H agree to 1e-12; the
+exit code is 0 when they do and 1 when not.  A bang-bang u is +-K(t), so
+a last-bit change in K shows in u's column, not as a switch.
 """
 
 from __future__ import annotations
@@ -38,14 +41,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SYSTEM_FILES = sorted((ROOT / "systems").glob("*.json")) + sorted(
     (ROOT / "ctrlbench" / "systems").glob("*.json")
 )
-POLICIES = ("bang", "deadband", "fixed", "piecewise", "bang-K", "bang-K-decimal")
 # K(t) of the policies that replace the system's bound
-TIME_VARYING_BOUNDS = {"bang-K": "1 + t/2", "bang-K-decimal": "1 + 0.5*t"}
+TIME_VARYING_BOUNDS = {
+    "bang-K": "1 + t/2",
+    "bang-K-decimal": "1 + 0.5*t",
+    "bang-K-product": "(1 + t)*(2 + t)/2",
+}
+POLICIES = ("bang", "deadband", "fixed", "piecewise", *TIME_VARYING_BOUNDS)
 SEEDS = 4
 STEPS, STEP = 1000, 1e-3
 PHI_FLOOR = 1e-9
 RTOL = 1e-12
-FIELDS = ("x", "p", "phi", "H")
+FIELDS = ("u", "x", "p", "phi", "H")
 
 
 def trajectories():
@@ -83,9 +90,7 @@ def trajectories():
                         x0[0], p0[0] = 0.0, -1.0  # cost state and lambda = 1
                     u = tuple(rng.uniform(-1.0, 1.0) for _ in range(system.m))
                     policy = {
-                        "bang": BangBang(),
-                        "bang-K": BangBang(),
-                        "bang-K-decimal": BangBang(),
+                        **dict.fromkeys(("bang", *TIME_VARYING_BOUNDS), BangBang()),
                         "deadband": BangBang(deadband=0.05),
                         "fixed": FixedControl(u),
                         "piecewise": PiecewiseControl(
@@ -116,7 +121,6 @@ def dump(out_path: str) -> None:
             {
                 "name": name,
                 "status": traj.status,
-                "u": np.array(traj.u),
                 **{f: np.array(getattr(traj, f)) for f in FIELDS},
             }
         )
@@ -145,7 +149,7 @@ def max_rel(change: np.ndarray, parent: np.ndarray) -> float:
 
 def compare(parent: list[dict], change: list[dict]) -> bool:
     print(
-        f"{'trajectory':<44} {'samples':>11} {'status':>6} {'u':>5}"
+        f"{'trajectory':<44} {'samples':>11} {'status':>6} {'sign':>5}"
         + "".join(f" {f:>9}" for f in FIELDS)
         + f" {'min|phi|':>9}"
     )
@@ -155,7 +159,7 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
             raise RuntimeError("the two trees built different trajectory sets")
         common = min(len(a["H"]), len(b["H"]))
         same_status = a["status"] == b["status"]
-        same_u = len(a["u"]) == len(b["u"]) and np.array_equal(a["u"], b["u"])
+        same_u = len(a["u"]) == len(b["u"]) and np.array_equal(np.sign(a["u"]), np.sign(b["u"]))
         diffs = [max_rel(b[f][:common], a[f][:common]) for f in FIELDS]
         floor = float(np.min(np.abs(a["phi"]))) if a["phi"].size else math.nan
         print(
@@ -169,7 +173,7 @@ def compare(parent: list[dict], change: list[dict]) -> bool:
     ok = passed == checked
     print(
         f"{passed}/{checked} trajectories with parent |phi_i| > {PHI_FLOOR:g} have equal"
-        f" status, samples and u and x/p/phi/H within {RTOL:g}: {'PASS' if ok else 'FAIL'}"
+        f" status, samples and sign(u) and u/x/p/phi/H within {RTOL:g}: {'PASS' if ok else 'FAIL'}"
         f" ({len(parent)} trajectories in all)"
     )
     return ok
