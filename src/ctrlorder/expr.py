@@ -9,12 +9,15 @@ and differentiating a tree go through its rational normal form (see
 `normal`).
 
 Evaluation, the sampled zero test and the code generator share one lowering:
-`_lower` turns trees into a straight-line program.  Float evaluation has one
-arithmetic, the generated code's: the program's float copy (`_floats`) is
-what `render_components` writes out as Python and what `evaluate` interprets
-(`_run`), so the two agree bit for bit and fail alike.  The sampled zero test runs the
-program with its exact constants at Fraction points: that exact arithmetic
-defines the zero decision and is no float evaluation.
+`_lower` turns trees into a straight-line program, and one interpreter,
+`_run`, runs it in floats, in Fractions and in residues modulo the prime
+2^61 - 1 (`_Residue`).  Float evaluation has one arithmetic, the generated
+code's: the program's float copy (`_floats`) is what `render_components`
+writes out as Python and what `evaluate` runs, so the two agree bit for bit
+and fail alike.  The sampled zero test runs the program's residue copy
+(`_modular`) at the residues of Fraction points, and the program itself at
+the Fractions where a residue cannot decide: that exact arithmetic defines
+the zero decision and is no float evaluation.
 """
 
 from __future__ import annotations
@@ -829,8 +832,9 @@ def _run(
     code: list[tuple], point: Mapping[str, Fraction | float], v: list | None = None
 ) -> list:
     """Every slot's value in the arithmetic of the program's and `point`'s
-    numbers: exact where all are Fractions, the generated code's where all are
-    floats (`_floats`); sin, cos and exp take floats (radians).  The values are
+    numbers: exact where all are Fractions, modulo the prime where all are
+    residues (`_modular`), the generated code's where all are floats
+    (`_floats`); sin, cos and exp take floats (radians).  The values are
     appended to `v` if given, so that after a failure its length is the
     failing slot."""
     v = [] if v is None else v
@@ -919,66 +923,60 @@ def _magnitude(code: list[tuple], v: list[float]) -> float:
     return m[-1]
 
 
+class _Residue(int):
+    """A residue modulo the prime _MODULUS, as `_run`'s third number type: +, *,
+    /, ** and unary - stay modulo the prime, and dividing by a residue of 0
+    raises ZeroDivisionError."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Residue(int.__add__(self, other) % _MODULUS)
+
+    def __mul__(self, other):
+        return _Residue(int.__mul__(self, other) % _MODULUS)
+
+    def __truediv__(self, other):
+        if not other % _MODULUS:
+            raise ZeroDivisionError("division by a residue of 0")
+        return self * int.__pow__(other, -1, _MODULUS)
+
+    def __pow__(self, exponent):
+        return _Residue(int.__pow__(self, exponent, _MODULUS))
+
+    def __neg__(self):
+        return _Residue(-int(self) % _MODULUS)
+
+
+def _to_residue(q: Fraction) -> _Residue:
+    """A rational's residue; ZeroDivisionError where its denominator is a multiple of the prime."""
+    return _Residue(q.numerator) / q.denominator
+
+
 def _modular(code: list[tuple]) -> list[tuple] | None:
-    """The program with each constant replaced by its residue, or None if one has none."""
-    out = []
-    for op, arg in code:
-        if op == _CONST:
-            if arg.denominator % _MODULUS == 0:
-                return None
-            arg = arg.numerator * pow(arg.denominator, -1, _MODULUS) % _MODULUS
-        out.append((op, arg))
-    return out
-
-
-def _residue(code: list[tuple], point: Mapping[str, int]) -> int | None:
-    """The modular program's value mod the prime; None where a denominator is 0 there."""
-    P = _MODULUS
-    v: list[int] = []
-    for op, arg in code:
-        if op == _MUL:
-            x = v[arg[0]]
-            for c in arg[1:]:
-                x = x * v[c] % P
-        elif op == _ADD:
-            x = 0
-            for c in arg:
-                x += v[c]
-            x %= P
-        elif op == _POW:
-            x = pow(v[arg[0]], arg[1], P)
-        elif op == _DIV:
-            d = v[arg[1]]
-            if not d:
-                return None
-            x = v[arg[0]] * pow(d, -1, P) % P
-        elif op == _NEG:
-            x = -v[arg] % P
-        elif op == _VAR:
-            x = point[arg]
-        else:
-            x = arg
-        v.append(x)
-    return v[-1]
+    """The program with every constant its residue (`_to_residue`), or None if one has none."""
+    try:
+        return [(op, _to_residue(arg)) if op == _CONST else (op, arg) for op, arg in code]
+    except ZeroDivisionError:
+        return None
 
 
 def _exact_sampler(code: list[tuple]) -> Callable[[Mapping[str, Fraction]], bool | None]:
     """point -> nonzero?, or None where a denominator is 0.
 
-    A sample is decided mod the prime, and in Fraction only where that
-    cannot decide it: a constant or a denominator with no inverse there.
+    `_run` decides a sample on the residue program (`_modular`) at the
+    point's residues, and on the Fraction program only where that cannot: a
+    constant with no residue, or a denominator that is 0 mod the prime.
     """
     mod_code = _modular(code)
 
     def sample(point):
         if mod_code is not None:
-            residues = {
-                name: q.numerator * pow(q.denominator, -1, _MODULUS) % _MODULUS
-                for name, q in point.items()
-            }
-            r = _residue(mod_code, residues)
-            if r is not None:
-                return r != 0
+            try:
+                residues = {name: _to_residue(q) for name, q in point.items()}
+                return _run(mod_code, residues)[-1] != 0
+            except ZeroDivisionError:
+                pass
         try:
             return _run(code, point)[-1] != 0
         except ZeroDivisionError:
@@ -1052,18 +1050,19 @@ def sampled_is_zero(e: Expr, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroV
     """The sampled verdict on the tree as it is, with no symbolic step.
 
     The tree is lowered to a straight-line program.  A rational-exact one
-    (no sin/cos/exp) is sampled modulo the prime
-    2^61 - 1: a nonzero residue is a witness, with no tolerance.  Sample
-    coordinates come from a grid of 2^21 + 1 dyadic rationals, so a nonzero
-    rational function of degree d vanishes at one sample with probability at
-    most d / (2^21 + 1) (Schwartz-Zippel).  A sample whose residue cannot be
-    formed (a denominator that is 0 mod the prime) is evaluated in Fraction
-    instead, and redrawn only where a denominator is exactly 0.  One exact
-    evaluation then confirms a zero verdict, since a polynomial whose
-    coefficients are all multiples of the prime has zero residues
-    everywhere.  A program with sin, cos or exp is evaluated in floats at the
-    same points together with its rounding scale (`_magnitude`), and a
-    sample is a witness where |value| > tolerance * scale.
+    (no sin/cos/exp) is sampled modulo the prime 2^61 - 1, `_run` running
+    its residue copy (`_exact_sampler`): a nonzero residue is a witness, with
+    no tolerance.  Sample coordinates come from a grid of 2^21 + 1 dyadic
+    rationals, so a nonzero rational function of degree d vanishes at one
+    sample with probability at most d / (2^21 + 1) (Schwartz-Zippel).  A
+    sample whose residue cannot be formed (a denominator that is 0 mod the
+    prime) is run in Fraction instead, and redrawn only where a denominator
+    is exactly 0.  One Fraction run then confirms a zero verdict, since a
+    polynomial whose coefficients are all multiples of the prime has zero
+    residues everywhere.  A program with sin, cos or exp is evaluated in
+    floats at the same points together with its rounding scale
+    (`_magnitude`), and a sample is a witness where |value| > tolerance *
+    scale.
     """
     code, kind, witness, last = _sampled(e, policy)
     if witness is None and kind == EXACT_SAMPLED and _run(code, last)[-1] != 0:

@@ -407,9 +407,6 @@ class SingularIntervals(Record):
 
     per_input: tuple[tuple[tuple[float, float], ...], ...]
 
-    def total_length(self, input_index: int) -> float:
-        return sum(t1 - t0 for t0, t1 in self.per_input[input_index])
-
 
 def detect_singular_intervals(traj: Trajectory, config: SimConfig) -> SingularIntervals:
     """Maximal grid runs with |phi_i| < tolerance, at least min_length long."""

@@ -199,6 +199,64 @@ def random_k2_system(rng: random.Random) -> ControlSystem:
 
 
 # ---------------------------------------------------------------------------
+# Malformed documents
+# ---------------------------------------------------------------------------
+
+# the double integrator with a running cost, a bound and a label: every key `load` reads
+WELL_FORMED_DOCUMENT = {
+    "states": ["x1", "x2"],
+    "inputs": 1,
+    "f": ["x2", "0"],
+    "g": [["0", "1"]],
+    "cost": {"f0": "x1^2", "g0": ["0"]},
+    "K": "1",
+    "label": "double integrator",
+}
+
+
+def _malformed(**changes) -> dict:
+    return {**WELL_FORMED_DOCUMENT, **changes}
+
+
+def _without(key: str) -> dict:
+    return {k: v for k, v in WELL_FORMED_DOCUMENT.items() if k != key}
+
+
+# (id, document, the location and the message of the SystemLoadError it raises)
+MALFORMED_DOCUMENTS = [
+    ("list-document", [WELL_FORMED_DOCUMENT], "$", "document must be a key-value mapping"),
+    ("string-document", "x1", "$", "document must be a key-value mapping"),
+    ("no-states", _without("states"), "states", "'states' must be a non-empty list of names"),
+    ("empty-states", _malformed(states=[]), "states", "'states' must be a non-empty list of names"),
+    ("string-states", _malformed(states="x1"), "states", "'states' must be a non-empty list of names"),
+    ("number-state", _malformed(states=["x1", 2]), "states[1]", "state names must be non-empty strings"),
+    ("empty-state", _malformed(states=["", "x2"]), "states[0]", "state names must be non-empty strings"),
+    ("number-f", _malformed(f=["x2", 0]), "f[1]", "expected an expression string"),
+    ("null-g-entry", _malformed(g=[["0", None]]), "g[0][1]", "expected an expression string"),
+    ("no-f0", _malformed(cost={"g0": ["0"]}), "cost.f0", "expected an expression string"),
+    (
+        "number-g0",
+        _malformed(cost={"f0": "x1^2", "g0": [1]}),
+        "cost.g0[0]",
+        "expected an expression string",
+    ),
+    ("empty-g", _malformed(g=[]), "g", "'g' must list 1 input fields"),
+    ("string-g", _malformed(g="0, 1"), "g", "'g' must list 1 input fields"),
+    ("short-g-row", _malformed(g=[["0"]]), "g[0]", "input field must list 2 expression strings"),
+    ("string-g-row", _malformed(g=["0, 1"]), "g[0]", "input field must list 2 expression strings"),
+    ("string-cost", _malformed(cost="x1^2"), "cost", "'cost' must be a mapping with keys f0 and g0"),
+    (
+        "extra-cost-key",
+        _malformed(cost={"f0": "x1^2", "g0": ["0"], "h0": "0"}),
+        "cost",
+        "'cost' must be a mapping with keys f0 and g0",
+    ),
+    ("number-K", _malformed(K=1), "K", "'K' must be an expression string in 't'"),
+    ("number-label", _malformed(label=3), "label", "'label' must be a string"),
+]
+
+
+# ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------
 

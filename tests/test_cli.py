@@ -15,7 +15,7 @@ from ctrlorder import VectorField, const, lie_bracket
 from ctrlorder.cli import main
 from ctrlorder.expr import MAX_NESTING
 
-from helpers import SYSTEMS_DIR, strict_json
+from helpers import MALFORMED_DOCUMENTS, SYSTEMS_DIR, strict_json
 
 COUNTEREXAMPLE = str(SYSTEMS_DIR / "counterexample.json")
 FULLER = str(SYSTEMS_DIR / "fuller.json")
@@ -203,6 +203,24 @@ def test_duplicate_state_names_are_an_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (1, "")
     assert "states[1]: duplicate state name 'x1'" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["order"], ["simulate", "--x0=0,0", "--p0=1,1"]], ids=lambda a: a[0]
+)
+@pytest.mark.parametrize(
+    "document, location, message",
+    [case[1:] for case in MALFORMED_DOCUMENTS],
+    ids=[case[0] for case in MALFORMED_DOCUMENTS],
+)
+def test_a_malformed_document_is_one_located_line(capsys, tmp_path, monkeypatch, argv,
+                                                  document, location, message):
+    monkeypatch.chdir(tmp_path)  # simulate would write its trajectory.csv here
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (1, "", f"'{path}': {location}: {message}\n")
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_order_json_manifest_reproducible(capsys):

@@ -890,6 +890,52 @@ def test_compile_components_matches_evaluate(trees, vec):
     assert interpreted == compiled
 
 
+def _exact_bits(e) -> int:
+    """A bound on the bits of the tree's Fraction value at a point of the sampler's grid."""
+    if isinstance(e, Constant):
+        return e.value.numerator.bit_length() + e.value.denominator.bit_length()
+    if isinstance(e, Variable):
+        return 2 * expr._DENOM_BITS + 2
+    if isinstance(e, IntPower):
+        return _exact_bits(e.base) * e.exponent
+    if isinstance(e, Negate):
+        return _exact_bits(e.child)
+    children = (e.numerator, e.denominator) if isinstance(e, Quotient) else e.children
+    return sum(_exact_bits(c) + 1 for c in children)
+
+
+# the trees the exact sampler runs (ops up to _NEG), small enough to run in Fraction
+_hyp_exact_trees = _hyp_trees.filter(
+    lambda e: all(op <= expr._NEG for op, _ in expr._lower([e])[0]) and _exact_bits(e) <= 1 << 16
+)
+_hyp_grid = st.integers(-(1 << expr._DENOM_BITS), 1 << expr._DENOM_BITS).map(
+    lambda n: Fraction(n, 1 << expr._DENOM_BITS)
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(_hyp_exact_trees, min_size=1, max_size=3), st.tuples(*[_hyp_grid] * len(_HYP_NAMES)))
+def test_the_residue_program_runs_as_the_fraction_program_does(trees, vec):
+    # `_run` on the residue program is the Fraction run mod the prime: where it
+    # completes, so does the Fraction run, with the same residue at every root;
+    # so where the Fraction run divides by zero, the residue run does too
+    exprs = [*trees, Sum((trees[0], trees[-1]))]
+    code, roots = expr._lower(exprs)
+    point = dict(zip(_HYP_NAMES, vec))
+    try:
+        exact = expr._run(code, point)
+    except ZeroDivisionError:
+        exact = None
+    mod_code = expr._modular(code)
+    assert mod_code is not None  # no denominator of these constants is a multiple of the prime
+    try:
+        residues = expr._run(mod_code, {name: expr._to_residue(q) for name, q in point.items()})
+    except ZeroDivisionError:
+        return
+    assert exact is not None
+    assert [residues[r] for r in roots] == [expr._to_residue(exact[r]) for r in roots]
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.floats(min_value=0.0, allow_infinity=False))
 def test_a_float_constant_is_its_repr_and_compiles_to_itself(x):

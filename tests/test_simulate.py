@@ -14,6 +14,7 @@ import ctrlorder.simulate
 
 from ctrlorder import (
     BangBang,
+    EvalError,
     FixedControl,
     PiecewiseControl,
     SimConfig,
@@ -286,6 +287,17 @@ def test_switching_values():
     assert switching_values(sys6, [0.1] * 6, [0.0] * 6) == (0.0, 0.0, 0.0)
 
 
+def test_pointwise_operations_check_the_point_sizes():
+    sys2 = di_raw()
+    for x, p in (((0.0,), (1.0, 0.0)), ((0.0, 0.0), (1.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="^x and p must have dimension 2$"):
+            hamiltonian(sys2, x, p, (0.0,))
+        with pytest.raises(ValueError, match="^x and p must have dimension 2$"):
+            switching_values(sys2, x, p)
+    with pytest.raises(ValueError, match="^u must have dimension 1$"):
+        hamiltonian(sys2, (0.0, 0.0), (1.0, 0.0), (0.0, 0.0))
+
+
 def test_bang_bang_control_law():
     assert bang_bang_control((0.5, -0.2), 1.0, (0.0, 0.0)) == (1.0, -1.0)
     assert bang_bang_control((0.0, 0.3), 1.0, (0.5, 0.0)) == (0.5, 1.0)
@@ -405,6 +417,17 @@ def test_controls_reject_non_finite_times_and_values():
             PiecewiseControl(((0.0, (1.0,)), (bad, (-1.0,))))
         with pytest.raises(ValueError, match="piecewise control values must be finite"):
             PiecewiseControl(((0.0, (bad,)),))
+
+
+def test_controls_check_their_options():
+    with pytest.raises(ValueError, match="^deadband must be >= 0$"):
+        BangBang(-0.01)
+    with pytest.raises(ValueError, match="^piecewise control table is empty$"):
+        PiecewiseControl(())
+    with pytest.raises(ValueError, match="^piecewise control times must be ascending$"):
+        PiecewiseControl(((0.5, (1.0,)), (0.25, (-1.0,))))
+    # equal start times are ascending: the later row applies from then on
+    assert PiecewiseControl(((0.25, (1.0,)), (0.25, (-1.0,)))).at(0.25) == (-1.0,)
 
 
 def test_hamiltonian_conserved_between_switches():
@@ -756,6 +779,19 @@ def test_integrate_rejects_pending_cost_and_bad_sizes():
         )
 
 
+def test_integrate_rejects_a_control_of_the_wrong_width():
+    for policy, message in (
+        (FixedControl((0.5, 0.5)), "fixed control must have dimension 1"),
+        (
+            PiecewiseControl(((0.0, (1.0,)), (0.5, (1.0, -1.0)))),
+            "piecewise control rows must have dimension 1",
+        ),
+    ):
+        config = SimConfig((0.0, 0.0), (1.0, 0.0), control_policy=policy)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_extremal(di_raw(), config)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(initial_state=(0,), initial_adjoint=(1,), step=0.0)
@@ -769,6 +805,15 @@ def test_sim_config_validation():
         SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=(MAX_STEPS + 1) * 1e-3)
     with pytest.raises(ValueError, match="horizon/step"):
         SimConfig(initial_state=(0,), initial_adjoint=(1,), horizon=1e300, step=1e-300)
+
+
+def test_sim_config_checks_the_singular_options():
+    for tolerance in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="^singular_tolerance must be > 0$"):
+            SimConfig((0.0,), (1.0,), singular_tolerance=tolerance)
+    with pytest.raises(ValueError, match="^singular_min_length must be >= 0$"):
+        SimConfig((0.0,), (1.0,), singular_min_length=-1e-3)
+    assert SimConfig((0.0,), (1.0,), singular_min_length=0.0).resolved_min_length() == 0.0
 
 
 def test_adjoint_scaling_leaves_bang_bang_control_invariant():
@@ -1017,6 +1062,22 @@ def test_arc_interval_bounds_checked():
         local_order_on_arc(sys6, traj, (0.0, 2.0), 3, 1e-9)
 
 
+def test_an_arc_needs_a_sample():
+    traj = Trajectory(
+        state_names=("x1", "x2"),
+        input_count=1,
+        step=1e-3,
+        t=np.empty(0),
+        x=np.empty((0, 2)),
+        p=np.empty((0, 2)),
+        u=np.empty((0, 1)),
+        phi=np.empty((0, 1)),
+        H=np.empty(0),
+    )
+    with pytest.raises(ValueError, match="^trajectory has no samples$"):
+        local_order_on_arc(di_raw(), traj, (0.0, 0.0), 3, 1e-9)
+
+
 def test_arc_options_are_checked_once_even_with_no_sample_in_the_interval():
     cfg = SimConfig(initial_state=(0.0, 0.0), initial_adjoint=(1.0, 0.0), horizon=0.01, step=1e-3)
     sys2 = di_raw()
@@ -1109,6 +1170,15 @@ def test_lemma1_needs_three_samples():
     )
     with pytest.raises(ValueError):
         check_lemma1(sys6, short, sys6.drift)
+
+
+def test_lemma1_checks_h_and_reports_a_division_by_zero():
+    system, traj = switching_trajectory()  # from x = (0, 0)
+    with pytest.raises(ValueError, match="^h must live on the system's state coordinates$"):
+        check_lemma1(system, traj, VectorField.from_strings(("x1", "y"), ["0", "1"]))
+    with pytest.raises(EvalError) as err:
+        check_lemma1(system, traj, VectorField.from_strings(("x1", "x2"), ["1/x1", "0"]))
+    assert str(err.value) == "lemma 1's h, [f, h] or [g_i, h] hit a division by zero on the extremal"
 
 
 # ---------------------------------------------------------------------------

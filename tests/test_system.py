@@ -6,6 +6,7 @@ import pytest
 
 from ctrlorder import (
     ControlSystem,
+    CostSpec,
     SimConfig,
     SystemLoadError,
     VectorField,
@@ -22,7 +23,13 @@ from ctrlorder import (
     without_cost,
 )
 
-from helpers import SYSTEMS_DIR, counterexample_raw, double_integrator, fuller
+from helpers import (
+    MALFORMED_DOCUMENTS,
+    SYSTEMS_DIR,
+    counterexample_raw,
+    double_integrator,
+    fuller,
+)
 
 
 def counterexample_doc() -> dict:
@@ -205,6 +212,44 @@ def test_load_rejects_wrong_g0_arity():
     with pytest.raises(SystemLoadError) as err:
         load(doc)
     assert err.value.location == "cost.g0"
+
+
+@pytest.mark.parametrize(
+    "document, location, message",
+    [case[1:] for case in MALFORMED_DOCUMENTS],
+    ids=[case[0] for case in MALFORMED_DOCUMENTS],
+)
+def test_load_locates_a_malformed_document(document, location, message):
+    with pytest.raises(SystemLoadError) as err:
+        load(document)
+    assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
+
+
+def test_a_control_system_checks_its_parts():
+    names = ("x1", "x2")
+    drift = VectorField.from_strings(names, ["x2", "0"])
+    g = VectorField.from_strings(names, ["0", "1"])
+    other = VectorField.from_strings(("x1", "y"), ["0", "1"])
+    cost = CostSpec(parse("x1^2", names), (const(0),))
+    cases = [
+        ((names, other, (g,)), "drift coordinates do not match the system states"),
+        ((names, drift, ()), "at least one input field is required"),
+        ((names, drift, (g, other)), "input field 1 coordinates do not match the states"),
+        ((names, drift, (g,), cost.replace(g0=())), "cost needs one g0 entry per input"),
+        (
+            (names, drift, (g,), CostSpec(parse("y + x1", ("x1", "y")), (const(0),))),
+            "cost uses undeclared variables ['y']",
+        ),
+        (
+            (names, drift, (g,), cost, parse("1 + x1*t", ("x1", "t"))),
+            "bound K may only use 't', got ['x1']",
+        ),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            ControlSystem(*args)
+        assert str(err.value) == message
+    ControlSystem(names, drift, (g,), cost, parse("1 + t", ("t",)))
 
 
 def test_document_round_trip():
