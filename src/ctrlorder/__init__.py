@@ -41,7 +41,6 @@ from .fields import (
     BracketTable,
     DimensionMismatchError,
     VectorField,
-    VfZeroVerdict,
     lie_bracket,
     vf_is_zero,
 )
@@ -53,7 +52,6 @@ from .order import (
     LevelEvidence,
     LocalOrderResult,
     OrderReport,
-    ParityCheck,
     SwitchingCoefficients,
     evaluate_b_matrix,
     local_order_at,
@@ -61,7 +59,6 @@ from .order import (
     problem_order,
     switching_coeffs,
     verify_bracket_identities,
-    verify_single_input_parity,
 )
 from .simulate import (
     BangBang,

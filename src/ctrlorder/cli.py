@@ -32,12 +32,7 @@ from pathlib import Path
 from . import __version__
 from .expr import ExprError, ZeroTestPolicy, to_text
 from .fields import BracketTable
-from .order import (
-    local_order_at,
-    problem_order,
-    verify_bracket_identities,
-    verify_single_input_parity,
-)
+from .order import local_order_at, problem_order, verify_bracket_identities
 from .simulate import (
     BangBang,
     FixedControl,
@@ -133,16 +128,16 @@ def cmd_order(args):
     label = sys_model.label or args.file
     lines = [f"system: {label} (n={sys_model.n} states, m={sys_model.m} inputs)"]
     for level in report.evidence:
-        nonzero = [e for e in level.entries if not e.zero]
+        nonzero = [e for e in level.entries if not e.verdict.is_zero]
         if not nonzero:
             lines.append(f"level {level.level}: all {len(level.entries)} bracket fields vanish")
             continue
         first = nonzero[0]
-        point = ", ".join(f"{k}={v:.6g}" for k, v in (first.witness_point or {}).items())
+        point = ", ".join(f"{k}={v:.6g}" for k, v in first.verdict.witness.items())
         lines.append(
             f"level {level.level}: {len(nonzero)}/{len(level.entries)} bracket fields"
             f" nonzero; first [g{first.j + 1}, ad_f^{level.level - 1} g{first.i + 1}]"
-            f" (component {first.witness_component + 1} at {point or 'constant'})"
+            f" (component {first.verdict.component + 1} at {point or 'constant'})"
         )
     evidence = [
         {
@@ -151,11 +146,9 @@ def cmd_order(args):
                 {
                     "i": e.i + 1,
                     "j": e.j + 1,
-                    "zero": e.zero,
-                    "witness_component": None
-                    if e.witness_component is None
-                    else e.witness_component + 1,
-                    "witness_point": dict(e.witness_point) if e.witness_point else None,
+                    "zero": e.verdict.is_zero,
+                    "witness_component": None if e.verdict.is_zero else e.verdict.component + 1,
+                    "witness_point": dict(e.verdict.witness) if e.verdict.witness else None,
                 }
                 for e in level.entries
             ],
@@ -295,18 +288,20 @@ def cmd_verify(args):
         if suite in ("parity", "identities") and sys_model.m != 1:
             record(suite, "SKIPPED", f"m = {sys_model.m}, single-input only")
         elif suite == "parity":
-            check = verify_single_input_parity(sys_model, args.k_max, policy)
-            if not check.report.found:
+            report = problem_order(sys_model, args.k_max, policy)
+            if not report.found:
                 record("parity", "SKIPPED", f"order not found up to k = {args.k_max}")
-            elif check.k_even:
-                record("parity", "PASS", f"k = {check.report.k} is even")
+            elif report.k % 2 == 0:
+                record("parity", "PASS", f"k = {report.k} is even")
             else:
-                record("parity", "FAIL", f"k = {check.report.k} is odd: implementation bug")
+                record("parity", "FAIL", f"k = {report.k} is odd: implementation bug")
         elif suite == "identities":
             report = verify_bracket_identities(sys_model, policy, depth_cap=args.k_max)
-            bad = [c for c in report.checks if not c.passed]
+            bad = [c for c in report.checks if not c.verdict.is_zero]
             if bad:
-                detail = "; ".join(f"{c.name} ({c.detail})" for c in bad)
+                detail = "; ".join(
+                    f"{c.name} (nonzero component {c.verdict.component})" for c in bad
+                )
                 record("identities", "FAIL", f"k* = {report.k_star}: {detail}")
             else:
                 capped = " (capped)" if report.capped else ""

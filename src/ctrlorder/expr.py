@@ -757,6 +757,7 @@ class ZeroVerdict(Record):
     kind: str  # one of ZERO_TEST_KINDS
     witness: Mapping[str, float] | None = None
     value: float | None = None
+    component: int | None = None  # a field's witnessing component; None for a scalar
 
 
 # A straight-line program holds one instruction (op, operand) per

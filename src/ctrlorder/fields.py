@@ -20,8 +20,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import normal
-from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, Record, ZeroTestPolicy, const, parse, to_text
-from .expr import variables
+from .expr import SYMBOLIC, ZERO_TEST_KINDS, Expr, ZeroTestPolicy, ZeroVerdict, const, parse
+from .expr import to_text, variables
 from .normal import Rat, Ring, diff_index
 
 
@@ -186,29 +186,16 @@ class BracketTable:
         return lie_bracket(self.inputs[j], self.ad(i, k - 1))
 
 
-class VfZeroVerdict(Record):
-    is_zero: bool
-    kind: str  # one of expr.ZERO_TEST_KINDS
-    component: int | None = None
-    witness: dict | None = None
-    value: float | None = None
-
-
-def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> VfZeroVerdict:
+def vf_is_zero(h: VectorField, policy: ZeroTestPolicy = ZeroTestPolicy()) -> ZeroVerdict:
     """Zero iff every component's normal form is zero (normal.zero_verdict), of the
-    weakest kind among theirs; else the first witnessing component's verdict."""
+    weakest kind among theirs; else the first witnessing component's verdict, with
+    that `component`."""
     kind = SYMBOLIC
     for i, comp in enumerate(h._normal[1]):
         if not comp.num:
             continue  # zero, symbolically: no seed to derive
         verdict = normal.zero_verdict(comp, policy.derive("component", i))
         if not verdict.is_zero:
-            return VfZeroVerdict(
-                False,
-                verdict.kind,
-                component=i,
-                witness=dict(verdict.witness) if verdict.witness else {},
-                value=verdict.value,
-            )
+            return verdict.replace(component=i)
         kind = max(kind, verdict.kind, key=ZERO_TEST_KINDS.index)
-    return VfZeroVerdict(True, kind)
+    return ZeroVerdict(True, kind)

@@ -9,8 +9,8 @@ p sampling: the first level k with a non-vanishing bracket field gives the
 problem order q = k/2 (an exact rational).
 
 For single-input systems the first such k is always even; this module also
-provides verifiers for that parity fact and for the bracket identities that
-prove it, usable as implementation self-checks.
+provides a verifier for the bracket identities that prove it, usable as an
+implementation self-check.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .expr import EvalError, Record, ZeroTestPolicy, compile_components
+from .expr import EvalError, Record, ZeroTestPolicy, ZeroVerdict, compile_components
 from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
 from .system import ControlSystem
 
@@ -70,13 +70,11 @@ def switching_coeffs(sys: ControlSystem, k: int) -> SwitchingCoefficients:
 
 
 class BracketEvidence(Record):
-    """Zero-test verdict for one b-field [g_j, ad_f^(k-1) g_i] (0-based i, j)."""
+    """The zero test's verdict on one b-field [g_j, ad_f^(k-1) g_i] (0-based i, j)."""
 
     i: int
     j: int
-    zero: bool
-    witness_component: int | None = None
-    witness_point: Mapping[str, float] | None = None
+    verdict: ZeroVerdict
 
 
 class LevelEvidence(Record):
@@ -85,7 +83,7 @@ class LevelEvidence(Record):
 
     @property
     def all_zero(self) -> bool:
-        return all(e.zero for e in self.entries)
+        return all(e.verdict.is_zero for e in self.entries)
 
 
 class OrderReport(Record):
@@ -105,52 +103,20 @@ def problem_order(
     table = BracketTable(sys.drift, sys.inputs)
     evidence: list[LevelEvidence] = []
     for k in range(1, k_max + 1):
-        entries: list[BracketEvidence] = []
-        hit = False
-        for i in range(sys.m):
-            for j in range(sys.m):
-                verdict = vf_is_zero(table.b(i, j, k), policy.derive("order", k, i, j))
-                if verdict.is_zero:
-                    entries.append(BracketEvidence(i, j, True))
-                else:
-                    entries.append(
-                        BracketEvidence(
-                            i, j, False,
-                            witness_component=verdict.component,
-                            witness_point=verdict.witness,
-                        )
-                    )
-                    hit = True
-        evidence.append(LevelEvidence(k, tuple(entries)))
-        if hit:
+        entries = tuple(
+            BracketEvidence(i, j, vf_is_zero(table.b(i, j, k), policy.derive("order", k, i, j)))
+            for i in range(sys.m)
+            for j in range(sys.m)
+        )
+        evidence.append(LevelEvidence(k, entries))
+        if not evidence[-1].all_zero:
             return OrderReport(True, k, Fraction(k, 2), tuple(evidence))
     return OrderReport(False, None, None, tuple(evidence), truncated_at=k_max)
 
 
-class ParityCheck(Record):
-    """Theorem check: a single-input system with an order must have k even."""
-
-    applicable: bool
-    k_even: bool | None
-    report: OrderReport
-
-
-def verify_single_input_parity(
-    sys: ControlSystem, k_max: int = 10, policy: ZeroTestPolicy = ZeroTestPolicy()
-) -> ParityCheck:
-    """k_even False on a found single-input order signals an implementation bug."""
-    if sys.m != 1:
-        return ParityCheck(False, None, problem_order(sys, k_max, policy))
-    report = problem_order(sys, k_max, policy)
-    if not report.found:
-        return ParityCheck(False, None, report)
-    return ParityCheck(True, report.k % 2 == 0, report)
-
-
 class IdentityCheck(Record):
     name: str
-    passed: bool
-    detail: str = ""
+    verdict: ZeroVerdict  # the identity holds where the verdict is zero
 
 
 class IdentityReport(Record):
@@ -160,7 +126,7 @@ class IdentityReport(Record):
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.verdict.is_zero for c in self.checks)
 
 
 def verify_bracket_identities(
@@ -197,9 +163,7 @@ def verify_bracket_identities(
     checks: list[IdentityCheck] = []
 
     def check(name: str, field, *tags) -> None:
-        verdict = vf_is_zero(field, policy.derive(*tags))
-        detail = "" if verdict.is_zero else f"nonzero component {verdict.component}"
-        checks.append(IdentityCheck(name, verdict.is_zero, detail))
+        checks.append(IdentityCheck(name, vf_is_zero(field, policy.derive(*tags))))
 
     for j in range(1, k_star + 1):
         for l in range(0, k_star - j):
@@ -288,7 +252,7 @@ def local_order_at(
     k_max: int = 10,
     tolerance: float = 1e-9,
 ) -> LocalOrderResult:
-    """First level where B_l at this (x, p) has an entry above tolerance."""
+    """First level where B_l at this (x, p) has an entry above tolerance * max_i |p_i|."""
     _require_local_order_options(k_max, tolerance)
     return _local_order(_BMatrixEvaluator(sys), x, p, k_max, tolerance)
 
@@ -327,9 +291,10 @@ def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: floa
     import numpy as np
 
     _check_point_sizes(evaluator.sys, x, p)
+    floor = tolerance * max(abs(float(v)) for v in p)  # B_k is linear in p
     for k in range(1, k_max + 1):
         matrix = evaluator.matrix(k, x, p)
-        if np.max(np.abs(matrix)) > tolerance:
+        if np.max(np.abs(matrix)) > floor:
             svals = np.linalg.svd(matrix, compute_uv=False)
             rank = int(np.sum(svals > tolerance * svals[0])) if svals[0] > 0 else 0
             return LocalOrderResult(

@@ -32,7 +32,6 @@ from ctrlorder import (
     simplify,
     to_text,
     verify_bracket_identities,
-    verify_single_input_parity,
     vf_is_zero,
 )
 from ctrlorder.expr import ExprSyntaxError
@@ -109,11 +108,11 @@ def test_criterion_04_parity_property_suite():
         found = 0
         for _ in range(100):
             sys_model = random_single_input_system(rng)
-            check = verify_single_input_parity(sys_model, 8, policy)
-            if check.applicable:
+            report = problem_order(sys_model, 8, policy)
+            if report.found:
                 found += 1
-                assert check.k_even, (
-                    f"odd level k={check.report.k} on system "
+                assert report.k % 2 == 0, (
+                    f"odd level k={report.k} on system "
                     f"f={sys_model.drift}, g={sys_model.inputs[0]}"
                 )
         assert found >= 30  # the sample must actually exercise the theorem
@@ -137,7 +136,7 @@ def test_criterion_05_bracket_identity_suite():
             if rep.k_star < 2:
                 continue
             accepted += 1
-            bad = [c for c in rep.checks if not c.passed]
+            bad = [c for c in rep.checks if not c.verdict.is_zero]
             assert not bad, f"identity failures {bad} on f={sys_model.drift}"
 
 

@@ -14,8 +14,8 @@ from ctrlorder import (
     Negate,
     Sum,
     VectorField,
-    VfZeroVerdict,
     ZeroTestPolicy,
+    ZeroVerdict,
     const,
     evaluate,
     lie_bracket,
@@ -429,13 +429,13 @@ def test_vf_is_zero_reports_component():
 def test_vf_is_zero_kind_is_the_weakest_of_its_components():
     names = ("t", "x1")
     zero = "x1*(x1 + 1)/(x1 + 1) - x1"  # the common factor cancels, so N = 0
-    assert vf_is_zero(vf(names, "0", "x1 - x1")) == VfZeroVerdict(True, SYMBOLIC)
-    assert vf_is_zero(vf(names, "0", zero)) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(vf(names, "0", "x1 - x1")) == ZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(vf(names, "0", zero)) == ZeroVerdict(True, SYMBOLIC)
     trig = "sin(t)^2 + cos(t)^2 - 1"
-    assert vf_is_zero(vf(names, trig, zero)) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(vf(names, trig, zero)) == ZeroVerdict(True, SYMBOLIC)
     # sin(2t) beside sin(t): dependent arguments, so this zero is sampled in floats
     dependent = "sin(2*t) - 2*sin(t)*cos(t)"
-    assert vf_is_zero(vf(names, trig, dependent)) == VfZeroVerdict(True, FLOAT_SAMPLED)
+    assert vf_is_zero(vf(names, trig, dependent)) == ZeroVerdict(True, FLOAT_SAMPLED)
     # a nonzero verdict carries the kind of the witnessing component
     verdict = vf_is_zero(vf(names, trig, "x1/10000000000000"))
     assert (verdict.is_zero, verdict.component, verdict.kind) == (False, 1, SYMBOLIC)
@@ -658,7 +658,7 @@ def test_jacobi_identity_is_a_symbolic_zero(kind):
             + lie_bracket(b, lie_bracket(c, a))
             + lie_bracket(c, lie_bracket(a, b))
         )
-        assert vf_is_zero(total) == VfZeroVerdict(True, SYMBOLIC)
+        assert vf_is_zero(total) == ZeroVerdict(True, SYMBOLIC)
 
 
 @pytest.mark.parametrize(
@@ -733,7 +733,7 @@ def test_a_constant_part_alone_is_decided_by_n():
     verdict = vf_is_zero(vf(NAMES2, "0", "sin(x1 + 1)*exp(x2 + 1/2) - x1"))
     assert not verdict.is_zero and verdict.kind == SYMBOLIC
     field = vf(NAMES2, "0", "sin(x1 + 1)^2 + cos(1 + x1)^2 - 1")
-    assert vf_is_zero(field) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(field) == ZeroVerdict(True, SYMBOLIC)
 
 
 POWER_STATES = ("x1", "x2", "x3", "x4")
@@ -778,7 +778,7 @@ def test_a_large_power_of_a_sum_is_not_expanded(first, atom):
         got = eval_field(table.b(0, 0, k), point)
         assert np.allclose(got, want, rtol=1e-9, atol=0), k
         h = h.jacobian(x) * sf - sf.jacobian(x) * h
-    assert verdicts[0] == VfZeroVerdict(True, SYMBOLIC)
+    assert verdicts[0] == ZeroVerdict(True, SYMBOLIC)
     # where a sum has to stand as an atom, a nonzero verdict is sampled
     assert verdicts[1].kind == (EXACT_SAMPLED if atom else SYMBOLIC)
     assert {v.kind for v in verdicts[2:]} == {EXACT_SAMPLED}
@@ -789,7 +789,7 @@ def test_n_zero_decides_whatever_the_atoms():
     # cos(x1)^2 reduces to 1 - sin(x1)^2 inside a kernel argument too, so both
     # sines have one argument and N = 0, although the arguments nest kernels
     field = vf(NAMES2, "sin(cos(x1)^2) - sin(1 - sin(x1)^2)", "0.5*x2 - x2/2")
-    assert vf_is_zero(field) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(field) == ZeroVerdict(True, SYMBOLIC)
 
 
 SHIPPED_ORDERS = {  # system file: k, raw and (where it has a cost) cost-extended
@@ -903,7 +903,7 @@ def test_zero_components_derive_no_seed(monkeypatch):
         return real(seed, tags)
 
     monkeypatch.setattr(expr, "_derive_seed", counted)
-    assert vf_is_zero(VectorField.zero(NAMES2)) == VfZeroVerdict(True, SYMBOLIC)
+    assert vf_is_zero(VectorField.zero(NAMES2)) == ZeroVerdict(True, SYMBOLIC)
     assert seeds == []
     verdict = vf_is_zero(vf(NAMES2, "0", "x1"))
     assert (verdict.is_zero, verdict.component) == (False, 1)

@@ -1,6 +1,7 @@
 """Order analysis: switching coefficients, problem order, parity, identities."""
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -12,14 +13,16 @@ from ctrlorder import (
     BracketTable,
     VectorField,
     ZeroTestPolicy,
+    ZeroVerdict,
     lie_bracket,
+    load,
     local_order_at,
     problem_order,
     simplify,
     switching_coeffs,
     verify_bracket_identities,
-    verify_single_input_parity,
 )
+from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC
 from ctrlorder.order import consensus_of, evaluate_b_matrix
 
 from helpers import (
@@ -115,9 +118,31 @@ def test_evidence_levels_below_k_are_all_zero():
     assert [level.level for level in report.evidence] == [1, 2, 3]
     assert report.evidence[0].all_zero
     assert report.evidence[1].all_zero
-    nonzero = [e for e in report.evidence[2].entries if not e.zero]
+    nonzero = [e for e in report.evidence[2].entries if not e.verdict.is_zero]
     assert nonzero
-    assert all(e.witness_component is not None for e in nonzero)
+    assert all(e.verdict.component is not None for e in nonzero)
+    first = nonzero[0]
+    assert (first.i, first.j, first.verdict.kind, first.verdict.component) == (0, 2, SYMBOLIC, 0)
+    assert first.verdict.witness and math.isfinite(first.verdict.value)
+
+
+def test_evidence_keeps_the_zero_tests_kind():
+    # g1's second component is zero only by the double-angle identity, which the
+    # normal form does not decide, so brackets with g1 are zero by sampling alone
+    sys_model = load({
+        "states": ["x1", "x2"],
+        "inputs": 2,
+        "f": ["0", "0"],
+        "g": [["0", "sin(2*x1) - 2*sin(x1)*cos(x1)"], ["1", "0"]],
+    })
+    report = problem_order(sys_model, 1)
+    verdicts = {(e.i, e.j): e.verdict for e in report.evidence[0].entries}
+    assert verdicts == {
+        (0, 0): ZeroVerdict(True, SYMBOLIC),
+        (0, 1): ZeroVerdict(True, FLOAT_SAMPLED),
+        (1, 0): ZeroVerdict(True, FLOAT_SAMPLED),
+        (1, 1): ZeroVerdict(True, SYMBOLIC),
+    }
 
 
 def test_problem_order_rejects_pending_cost_and_bad_kmax():
@@ -149,22 +174,9 @@ def test_problem_order_keeps_no_field_alive():
 
 
 def test_parity_fuller():
-    check = verify_single_input_parity(fuller(), 10)
-    assert check.applicable
-    assert check.k_even is True
-    assert check.report.k == 4
-
-
-def test_parity_not_applicable_multi_input():
-    check = verify_single_input_parity(counterexample_raw(), 10)
-    assert not check.applicable
-    assert check.k_even is None
-
-
-def test_parity_not_applicable_when_truncated():
-    check = verify_single_input_parity(commuting(), 4)
-    assert not check.applicable
-    assert not check.report.found
+    report = problem_order(fuller(), 10)
+    assert report.found
+    assert report.k == 4
 
 
 def test_parity_holds_on_random_sample():
@@ -172,10 +184,10 @@ def test_parity_holds_on_random_sample():
     found = 0
     for _ in range(20):
         sys_model = random_single_input_system(rng)
-        check = verify_single_input_parity(sys_model, 6)
-        if check.applicable:
+        report = problem_order(sys_model, 6)
+        if report.found:
             found += 1
-            assert check.k_even, f"odd k = {check.report.k} for {sys_model}"
+            assert report.k % 2 == 0, f"odd k = {report.k} for {sys_model}"
     assert found >= 5
 
 
@@ -267,6 +279,15 @@ def test_local_order_fuller_rank():
     assert result.k_local == 4
     assert result.rank_estimate == 1
     assert abs(result.b_values[0][0] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-10, 1.0, 1e10])
+def test_local_order_is_invariant_under_adjoint_scale(c):
+    # B_k is linear in p, so the level test is relative to max_i |p_i|
+    p = [c * v for v in (1.0, 0.5, 0.25)]
+    result = local_order_at(fuller(), [0.3, 0.2, 0.1], p, 10, 1e-9)
+    assert (result.found, result.k_local, result.rank_estimate) == (True, 4, 1)
+    assert result.b_values[0][0] == pytest.approx(2.0 * c, rel=1e-12)
 
 
 def test_local_order_size_mismatch():

@@ -63,16 +63,16 @@ PACKAGE_API = [
     "DivisionByZeroError", "EvalError", "Exp", "Expr", "ExprError", "ExprSyntaxError",
     "Finding", "FixedControl", "IdentityCheck", "IdentityReport", "IndeterminateZeroTest",
     "IntPower", "LevelEvidence", "LocalOrderResult", "MissingBindingError", "Negate",
-    "OrderReport", "ParityCheck", "PiecewiseControl", "Product", "Quotient", "SimConfig",
+    "OrderReport", "PiecewiseControl", "Product", "Quotient", "SimConfig",
     "Sin", "SingularIntervals", "Sum", "SwitchingCoefficients", "SystemLoadError",
     "Trajectory", "UnknownIdentifierError", "ValidationReport", "Variable", "VectorField",
-    "VfZeroVerdict", "ZeroTestPolicy", "ZeroVerdict", "bang_bang_control", "check_lemma1",
+    "ZeroTestPolicy", "ZeroVerdict", "bang_bang_control", "check_lemma1",
     "const", "detect_singular_intervals", "diff", "evaluate", "evaluate_b_matrix", "expr",
     "extend_with_cost", "fields", "hamiltonian", "integrate_extremal", "is_zero",
     "lie_bracket", "load", "local_order_at", "local_order_on_arc", "normal", "order",
     "parse", "problem_order", "simplify", "simulate", "switching_coeffs", "switching_values",
     "system", "to_document", "to_text", "validate", "variables", "verify_bracket_identities",
-    "verify_single_input_parity", "vf_is_zero", "without_cost",
+    "vf_is_zero", "without_cost",
 ]
 
 
@@ -92,7 +92,9 @@ def test_records_compare_print_copy_and_replace_by_their_fields():
     import pickle
 
     verdict = ctrlorder.ZeroVerdict(True, "symbolic")
-    assert repr(verdict) == "ZeroVerdict(is_zero=True, kind='symbolic', witness=None, value=None)"
+    assert repr(verdict) == (
+        "ZeroVerdict(is_zero=True, kind='symbolic', witness=None, value=None, component=None)"
+    )
     x = ctrlorder.Variable("x")
     assert ctrlorder.Sum((x, x)) == ctrlorder.Sum([x, ctrlorder.Variable("x")])
     assert ctrlorder.Sum((x, x)) != ctrlorder.Product((x, x))
@@ -131,7 +133,9 @@ def _record_samples() -> dict:
     x = ctrlorder.Variable("x")
     field = VectorField(("x",), (x,))
     t = ctrlorder.Variable("t")  # the one variable a bound may use
-    check = ctrlorder.IdentityCheck("swap j=1 l=0", True)
+    zero = ctrlorder.ZeroVerdict(True, "symbolic")
+    nonzero = ctrlorder.ZeroVerdict(False, "symbolic", {"x": 0.5}, 0.25, 2)
+    check = ctrlorder.IdentityCheck("swap j=1 l=0", zero)
     finding = ctrlorder.Finding("warning", "bound is unused", "bound")
     return {
         ctrlorder.Constant: (Fraction(3, 2),),
@@ -146,14 +150,12 @@ def _record_samples() -> dict:
         ctrlorder.Exp: (x,),
         _Token: ("ident", "x", 4),
         ctrlorder.ZeroTestPolicy: (8, 0.5, 1e-6, 7),
-        ctrlorder.ZeroVerdict: (False, "exact-sampled", {"x": 0.5}, 0.25),
-        ctrlorder.VfZeroVerdict: (False, "symbolic", 1, {"x": 0.5}, 0.25),
+        ctrlorder.ZeroVerdict: (False, "exact-sampled", {"x": 0.5}, 0.25, 1),
         ctrlorder.SwitchingCoefficients: (1, (field,), ((field,),)),
-        ctrlorder.BracketEvidence: (0, 1, False, 2, {"x": 0.5}),
-        ctrlorder.LevelEvidence: (1, (ctrlorder.BracketEvidence(0, 0, True),)),
+        ctrlorder.BracketEvidence: (0, 1, nonzero),
+        ctrlorder.LevelEvidence: (1, (ctrlorder.BracketEvidence(0, 0, zero),)),
         ctrlorder.OrderReport: (False, None, None, (), 4),
-        ctrlorder.ParityCheck: (True, True, ctrlorder.OrderReport(True, 2, Fraction(1), ())),
-        ctrlorder.IdentityCheck: ("slide j=0", False, "nonzero component 1"),
+        ctrlorder.IdentityCheck: ("slide j=0", nonzero),
         ctrlorder.IdentityReport: (2, False, (check,)),
         ctrlorder.LocalOrderResult: (True, 2, ((0.5,),), 1),
         ctrlorder.ArcOrderResult: ((0.0, 0.1), (2, None), 2, 1),
