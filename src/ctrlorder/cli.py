@@ -300,7 +300,7 @@ def cmd_verify(args):
             bad = [c for c in report.checks if not c.verdict.is_zero]
             if bad:
                 detail = "; ".join(
-                    f"{c.name} (nonzero component {c.verdict.component})" for c in bad
+                    f"{c.name} (nonzero component {c.verdict.component + 1})" for c in bad
                 )
                 record("identities", "FAIL", f"k* = {report.k_star}: {detail}")
             else:

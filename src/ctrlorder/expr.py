@@ -343,43 +343,25 @@ def variables(e: Expr) -> frozenset[str]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_INTEGER_RE = re.compile(r"\d+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OP_CHARS = "+-*/^(),"
+# a number, else an identifier, else an operator, else one bad character; whitespace
+# (what str.isspace accepts) matches none of them and is skipped.  re compiles the
+# pattern on its first use, not on import.
+_TOKEN = (
+    r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^(),])|(?P<bad>\S)"
+)
 
-
-class _Token(Record):
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
+_Token = tuple[str, str, int]  # (kind, text, pos); kind is "num", "ident", "op" or "end"
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character '{ch}'", i)
-    tokens.append(_Token("end", "", n))
+    tokens = []
+    for m in re.finditer(_TOKEN, text):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character '{m.group()}'", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -412,31 +394,30 @@ class _Parser:
         return tok
 
     def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+        kind, text, _ = self.peek()
+        return kind == "op" and text in ops
 
-    def open_level(self, tok: _Token) -> None:
+    def open_level(self, pos: int) -> None:
         if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", pos)
         self.depth += 1
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected '{op}'", tok.pos)
-        return self.advance()
+    def expect_op(self, op: str) -> None:
+        if not self.at_op(op):
+            raise ExprSyntaxError(f"expected '{op}'", self.peek()[2])
+        self.index += 1
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected '{tok.text}'", tok.pos)
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected '{text}'", pos)
         return e
 
     def expr(self) -> Expr:
         terms = [self.term()]
         while self.at_op("+", "-"):
-            op = self.advance().text
+            _, op, _ = self.advance()
             rhs = self.term()
             terms.append(rhs if op == "+" else Negate(rhs))
         if len(terms) == 1:
@@ -447,16 +428,16 @@ class _Parser:
         cur = self.unary()
         opened = self.depth
         while self.at_op("*", "/"):
-            tok = self.advance()
-            self.open_level(tok)  # the tree nests one level per operator
+            _, op, pos = self.advance()
+            self.open_level(pos)  # the tree nests one level per operator
             rhs = self.unary()
-            cur = Product((cur, rhs)) if tok.text == "*" else Quotient(cur, rhs)
+            cur = Product((cur, rhs)) if op == "*" else Quotient(cur, rhs)
         self.depth = opened
         return cur
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            self.open_level(self.advance())
+            self.open_level(self.advance()[2])
             e = Negate(self.unary())
             self.depth -= 1
             return e
@@ -466,15 +447,14 @@ class _Parser:
         base = self.atom()
         if self.at_op("^"):
             self.advance()
-            tok = self.peek()
-            if tok.kind != "num" or not _INTEGER_RE.fullmatch(tok.text):
-                raise ExprSyntaxError("expected an integer exponent after '^'", tok.pos)
-            self.advance()
+            kind, text, pos = self.advance()
+            if kind != "num" or not text.isdecimal():
+                raise ExprSyntaxError("expected an integer exponent after '^'", pos)
             # a digit string longer than the cap's is over it without converting it
-            digits = tok.text.lstrip("0")
-            k = int(tok.text) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+            digits = text.lstrip("0")
+            k = int(text) if len(digits) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
             if k > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent larger than {MAX_EXPONENT}", tok.pos)
+                raise ExprSyntaxError(f"exponent larger than {MAX_EXPONENT}", pos)
             if k == 0:
                 return _ONE
             if k == 1:
@@ -483,36 +463,36 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, pos = self.peek()
+        if kind == "num":
             self.advance()
-            return Constant(_literal(tok))
-        if tok.kind == "ident":
+            return Constant(_literal(text, pos))
+        if kind == "ident":
             self.advance()
             if self.at_op("("):
-                if tok.text not in _FUNCTION_NAMES:
-                    raise UnknownIdentifierError(tok.text, tok.pos)
-                self.open_level(tok)
+                if text not in _FUNCTION_NAMES:
+                    raise UnknownIdentifierError(text, pos)
+                self.open_level(pos)
                 self.advance()
                 if self.at_op(")"):
-                    raise ArityError(tok.text, self.peek().pos)
+                    raise ArityError(text, self.peek()[2])
                 arg = self.expr()
                 if self.at_op(","):
-                    raise ArityError(tok.text, self.peek().pos)
+                    raise ArityError(text, self.peek()[2])
                 self.expect_op(")")
                 self.depth -= 1
-                node = {"sin": Sin, "cos": Cos, "exp": Exp}[tok.text]
+                node = {"sin": Sin, "cos": Cos, "exp": Exp}[text]
                 return node(arg)
-            if tok.text not in self.allowed:
-                raise UnknownIdentifierError(tok.text, tok.pos)
-            return Variable(tok.text)
+            if text not in self.allowed:
+                raise UnknownIdentifierError(text, pos)
+            return Variable(text)
         if self.at_op("("):
-            self.open_level(self.advance())
+            self.open_level(self.advance()[2])
             e = self.expr()
             self.expect_op(")")
             self.depth -= 1
             return e
-        raise ExprSyntaxError("expected a number, variable, function call, or '('", tok.pos)
+        raise ExprSyntaxError("expected a number, variable, function call, or '('", pos)
 
 
 def _max_digits() -> int:
@@ -520,25 +500,24 @@ def _max_digits() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def _literal(tok: _Token) -> Fraction:
+def _literal(text: str, pos: int) -> Fraction:
     """The exact rational that a number token spells: 0.1 is 1/10, 1e-3 is 1/1000.
 
     Written out with no exponent, a literal may have at most as many digits
     as Python converts from a string to an int; that is checked before 10^e
     is built, so 1e-99999999 fails at once.
     """
-    text = tok.text
-    integer = _INTEGER_RE.fullmatch(text)
+    integer = text.isdecimal()
     if not integer and not math.isfinite(float(text)):
-        raise ExprSyntaxError(f"number '{text}' is too large for a float", tok.pos)
+        raise ExprSyntaxError(f"number '{text}' is too large for a float", pos)
     mantissa, _, exponent = text.lower().partition("e")
     power = exponent.lstrip("+-0")
     limit = _max_digits()
     # an exponent longer than the limit's is past it without converting it
     if len(mantissa) + (int(power or 0) if len(power) <= len(str(limit)) else limit) > limit:
         if integer:
-            raise ExprSyntaxError(f"integer literal of {len(text)} digits is too long", tok.pos)
-        raise ExprSyntaxError(f"decimal literal needs more than {limit} digits", tok.pos)
+            raise ExprSyntaxError(f"integer literal of {len(text)} digits is too long", pos)
+        raise ExprSyntaxError(f"decimal literal needs more than {limit} digits", pos)
     return Fraction(text)
 
 

@@ -100,18 +100,27 @@ def problem_order(
     """First level k whose b-fields do not all vanish; q = k/2 exactly."""
     _require_k_max(k_max)
     _require_analysis_ready(sys)
-    table = BracketTable(sys.drift, sys.inputs)
-    evidence: list[LevelEvidence] = []
+    evidence = _levels(BracketTable(sys.drift, sys.inputs), k_max, policy)
+    if evidence[-1].all_zero:
+        return OrderReport(False, None, None, evidence, truncated_at=k_max)
+    k = len(evidence)
+    return OrderReport(True, k, Fraction(k, 2), evidence)
+
+
+def _levels(table: BracketTable, k_max: int, policy: ZeroTestPolicy) -> tuple[LevelEvidence, ...]:
+    """Evidence of levels 1, 2, ... up to the first whose b-fields do not all vanish,
+    or up to k_max: the one level search of the order and the identity verifier."""
+    m, evidence = len(table.inputs), []
     for k in range(1, k_max + 1):
         entries = tuple(
             BracketEvidence(i, j, vf_is_zero(table.b(i, j, k), policy.derive("order", k, i, j)))
-            for i in range(sys.m)
-            for j in range(sys.m)
+            for i in range(m)
+            for j in range(m)
         )
         evidence.append(LevelEvidence(k, entries))
         if not evidence[-1].all_zero:
-            return OrderReport(True, k, Fraction(k, 2), tuple(evidence))
-    return OrderReport(False, None, None, tuple(evidence), truncated_at=k_max)
+            break
+    return tuple(evidence)
 
 
 class IdentityCheck(Record):
@@ -136,9 +145,11 @@ def verify_bracket_identities(
 ) -> IdentityReport:
     """Single-input bracket identities under [g, ad_f^i g] = 0 for i < k*.
 
-    k* is the first level with [g, ad_f^(k*) g] not identically zero (capped
-    at depth_cap).  Checked, all via zero tests on sums and differences of
-    fields, formed in normal form:
+    k* is the first i with [g, ad_f^i g] not identically zero (capped at
+    depth_cap), read from the order's own level search: that field is the
+    level-(i + 1) b-field, so k* + 1 is the problem order, with the same seeds.
+    Checked via zero tests on sums and differences of fields, formed in
+    normal form, except the even check, which is that search's verdict:
 
       swap:   [ad_f^j g, ad_f^l g] + [ad_f^(j-1) g, ad_f^(l+1) g] = 0
               for 1 <= j <= k*, 0 <= l <= k* - (j+1);
@@ -149,16 +160,10 @@ def verify_bracket_identities(
     if sys.m != 1:
         raise ValueError("bracket identity verification needs a single-input system")
     _require_k_max(depth_cap)  # the CLI's --k-max
-    g, ad = sys.inputs[0], BracketTable(sys.drift, sys.inputs).ad
-
-    k_star = depth_cap
-    capped = True
-    for i in range(depth_cap + 1):
-        verdict = vf_is_zero(lie_bracket(g, ad(0, i)), policy.derive("kstar", i))
-        if not verdict.is_zero:
-            k_star = i
-            capped = False
-            break
+    table = BracketTable(sys.drift, sys.inputs)
+    ad = table.ad
+    levels = _levels(table, depth_cap + 1, policy)
+    k_star, capped = len(levels) - 1, levels[-1].all_zero
 
     checks: list[IdentityCheck] = []
 
@@ -170,13 +175,13 @@ def verify_bracket_identities(
             field = lie_bracket(ad(0, j), ad(0, l)) + lie_bracket(ad(0, j - 1), ad(0, l + 1))
             check(f"swap j={j} l={l}", field, "swap", j, l)
 
-    top = lie_bracket(g, ad(0, k_star))
+    top = table.b(0, 0, k_star + 1)  # [g, ad_f^(k*) g]
     for j in range(0, k_star + 1):
         other = lie_bracket(ad(0, j), ad(0, k_star - j))
         check(f"slide j={j}", top + other if j % 2 == 1 else top - other, "slide", j)
 
     if k_star % 2 == 0:
-        check("even k* vanishing", top, "even")
+        checks.append(IdentityCheck("even k* vanishing", levels[-1].entries[0].verdict))
 
     return IdentityReport(k_star, capped, tuple(checks))
 

@@ -181,9 +181,9 @@ def hamiltonian(
     x: Sequence[float],
     p: Sequence[float],
     u: Sequence[float],
-    lam: int = 1,
 ) -> float:
-    """<p, f + sum g_i u_i>, minus lam * (f0 + sum g0_i u_i) when a cost is present."""
+    """<p, f + sum g_i u_i>, minus f0 + sum g0_i u_i when a cost is pending (a
+    cost multiplier is the x0 adjoint of the cost-extended system)."""
     if len(x) != sys.n or len(p) != sys.n:
         raise ValueError(f"x and p must have dimension {sys.n}")
     if len(u) != sys.m:
@@ -196,10 +196,9 @@ def hamiltonian(
         value += ui * sum(
             pi * evaluate(comp, binding) for pi, comp in zip(p, g.components)
         )
-    if sys.cost is not None and lam:
+    if sys.cost is not None:
         running = evaluate(sys.cost.f0, binding)
-        running += sum(ui * evaluate(e, binding) for ui, e in zip(u, sys.cost.g0))
-        value -= lam * running
+        value -= running + sum(ui * evaluate(e, binding) for ui, e in zip(u, sys.cost.g0))
     return float(value)
 
 

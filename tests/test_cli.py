@@ -506,6 +506,25 @@ def test_verify_identities_fail_on_corrupted_bracket(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_identities_numbers_a_failing_component_from_one(capsys, monkeypatch):
+    # only [ad_f g, g], the first bracket of "swap j=1 l=0", is offset in its
+    # first component
+    fuller = ctrlorder.load(json.loads(Path(FULLER).read_text()))
+    ad = ctrlorder.BracketTable(fuller.drift, fuller.inputs).ad
+    target = (ad(0, 1).components, ad(0, 0).components)
+
+    def corrupted(a, b):
+        real = lie_bracket(a, b)
+        if (a.components, b.components) != target:
+            return real
+        return VectorField(real.state_names, (const(1), *real.components[1:]))
+
+    monkeypatch.setattr(ctrlorder.order, "lie_bracket", corrupted)
+    code, out, _ = run(capsys, "verify", FULLER, "identities")
+    assert code == 5
+    assert out.strip() == "identities FAIL  k* = 3: swap j=1 l=0 (nonzero component 1)"
+
+
 def _counted_integrations(monkeypatch, status="ok") -> list:
     """The step of every extremal the CLI integrates; each ends with `status`."""
     steps = []

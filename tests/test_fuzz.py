@@ -101,6 +101,8 @@ def test_cli_runs_on_loadable_systems_end_in_a_documented_exit_code(document):
             ["brackets", str(path)],
             ["local-order", str(path), *point, "--k-max", "4"],
             ["simulate", str(path), *point, "--horizon", "0.05", "--out", f"{tmp}/x.csv"],
+            ["verify", str(path), "parity", "--k-max", "3"],
+            ["verify", str(path), "identities", "--k-max", "3"],
         ):
             out, err = io.StringIO(), io.StringIO()
             started = time.perf_counter()
@@ -109,5 +111,7 @@ def test_cli_runs_on_loadable_systems_end_in_a_documented_exit_code(document):
             elapsed = time.perf_counter() - started
             event(f"{argv[0]} exit {code}")
             assert 0 <= code <= 5, (argv[0], document, code)
+            # exit 5 would be a broken single-input theorem or identity: a bug
+            assert argv[0] != "verify" or code != 5, (argv, document)
             assert "Traceback" not in err.getvalue(), (argv[0], document)
             assert elapsed < RUN_BUDGET_S, (argv[0], document, elapsed)

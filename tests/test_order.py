@@ -1,6 +1,7 @@
 """Order analysis: switching coefficients, problem order, parity, identities."""
 
 import gc
+import json
 import math
 import random
 import weakref
@@ -14,6 +15,7 @@ from ctrlorder import (
     VectorField,
     ZeroTestPolicy,
     ZeroVerdict,
+    extend_with_cost,
     lie_bracket,
     load,
     local_order_at,
@@ -21,7 +23,9 @@ from ctrlorder import (
     simplify,
     switching_coeffs,
     verify_bracket_identities,
+    without_cost,
 )
+from ctrlorder import order
 from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC
 from ctrlorder.order import consensus_of, evaluate_b_matrix
 
@@ -29,10 +33,12 @@ from helpers import (
     commuting,
     counterexample_extended,
     counterexample_raw,
+    double_integrator,
     fuller,
     half_integer,
     load_system,
     random_single_input_system,
+    SYSTEMS_DIR,
 )
 
 
@@ -234,6 +240,87 @@ def test_identities_capped_on_commuting_system():
     assert report.capped
     assert report.k_star == 4
     assert report.all_passed
+
+
+def test_identities_derive_only_the_order_searchs_level_seeds(monkeypatch):
+    tags = []
+    real = ZeroTestPolicy.derive
+
+    def recorded(self, *t):
+        tags.append(t)
+        return real(self, *t)
+
+    monkeypatch.setattr(ZeroTestPolicy, "derive", recorded)
+    report = verify_bracket_identities(fuller(), depth_cap=6)
+    assert report.k_star == 3 and report.all_passed
+    assert [t for t in tags if t[0] == "order"] == [("order", k, 0, 0) for k in range(1, 5)]
+    assert {t[0] for t in tags} == {"order", "component", "swap", "slide"}
+
+
+def _spied_levels(monkeypatch) -> list:
+    """The level searches that verify_bracket_identities runs."""
+    searches = []
+    real = order._levels
+
+    def spied(*args):
+        searches.append(real(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(order, "_levels", spied)
+    return searches
+
+
+def _sampled_system(f1: str, f2: str):
+    return load({"states": ["x1", "x2"], "inputs": 1, "f": [f1, f2], "g": [["0", "1"]]})
+
+
+def test_identities_read_a_sampled_nonzero_level_from_the_order_search(monkeypatch):
+    # [g, ad_f g] = (-2 + a sin/cos kernel identity, 0): a float-sampled nonzero
+    s = _sampled_system("x2^2 + x1*(sin(2*x2) - 2*sin(x2)*cos(x2))", "0")
+    searches = _spied_levels(monkeypatch)
+    depth = 6
+    report = verify_bracket_identities(s, depth_cap=depth)
+    assert (report.k_star, report.capped, report.all_passed) == (1, False, True)
+    [levels] = searches
+    expected = problem_order(s, depth + 1)
+    assert expected.k == 2
+    assert levels[-1].entries[0].verdict.kind == FLOAT_SAMPLED
+    assert levels == expected.evidence  # kind, witness and value, level by level
+
+
+def test_identities_even_check_is_the_order_searchs_verdict(monkeypatch):
+    # sin(2*x1) - 2*sin(x1)*cos(x1) is a float-sampled zero from level 4 on
+    s = _sampled_system("x2", "sin(2*x1) - 2*sin(x1)*cos(x1)")
+    assert not problem_order(s, 6).found
+    report = verify_bracket_identities(s, depth_cap=5)
+    assert (report.k_star, report.capped, report.all_passed) == (5, True, True)
+    assert "even k* vanishing" not in [c.name for c in report.checks]
+
+    searches = _spied_levels(monkeypatch)
+    report = verify_bracket_identities(s, depth_cap=4)
+    assert (report.k_star, report.capped, report.all_passed) == (4, True, True)
+    [levels] = searches
+    even = [c.verdict for c in report.checks if c.name == "even k* vanishing"]
+    level5 = problem_order(s, 5).evidence[-1]
+    assert level5.level == 5 and level5.entries[0].verdict.kind == FLOAT_SAMPLED
+    assert even == [level5.entries[0].verdict] == [levels[-1].entries[0].verdict]
+
+
+def test_identities_k_star_is_the_problem_order_minus_one_on_shipped_systems():
+    policy = ZeroTestPolicy()
+    shipped = [commuting(), without_cost(double_integrator()),
+               extend_with_cost(double_integrator()), fuller()]
+    for path in ("systems/stress/rational_pendulum.json", "ctrlbench/systems/chain.json",
+                 "ctrlbench/systems/rational_chain.json"):
+        shipped.append(without_cost(load(json.loads((SYSTEMS_DIR.parent / path).read_text()))))
+    for s in shipped:
+        name = (s.label, s.n)
+        identities = verify_bracket_identities(s, policy, 10)
+        report = problem_order(s, 11, policy)
+        assert identities.all_passed, name
+        assert identities.capped == (not report.found), name
+        if report.found:
+            assert identities.k_star + 1 == report.k, name
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,6 @@ def _record_samples() -> dict:
     """Field values, in declaration order, for every record class of the package."""
     from fractions import Fraction
 
-    from ctrlorder.expr import _Token
-
     x = ctrlorder.Variable("x")
     field = VectorField(("x",), (x,))
     t = ctrlorder.Variable("t")  # the one variable a bound may use
@@ -148,7 +146,6 @@ def _record_samples() -> dict:
         ctrlorder.Sin: (x,),
         ctrlorder.Cos: (x,),
         ctrlorder.Exp: (x,),
-        _Token: ("ident", "x", 4),
         ctrlorder.ZeroTestPolicy: (8, 0.5, 1e-6, 7),
         ctrlorder.ZeroVerdict: (False, "exact-sampled", {"x": 0.5}, 0.25, 1),
         ctrlorder.SwitchingCoefficients: (1, (field,), ((field,),)),
@@ -275,9 +272,9 @@ def test_hamiltonian_linear_in_u():
 def test_hamiltonian_cost_term():
     di = double_integrator()  # cost f0 = x1^2 still attached
     x, p, u = (2.0, 1.0), (0.5, 0.5), (1.0,)
-    with_cost = hamiltonian(di, x, p, u, lam=1)
-    without = hamiltonian(di, x, p, u, lam=0)
-    assert abs((without - with_cost) - 4.0) < 1e-12  # lam * f0 = 2^2
+    with_cost = hamiltonian(di, x, p, u)
+    without = hamiltonian(without_cost(di), x, p, u)
+    assert abs((without - with_cost) - 4.0) < 1e-12  # f0 = 2^2
 
 
 def test_switching_values():
