@@ -572,6 +572,12 @@ def total(terms) -> Rat:
             groups[t.den] = dict(t.num)
         else:
             _padd(acc, t.num)
+    return _collect(ring, groups)
+
+
+def _collect(ring: Ring, groups: dict) -> Rat:
+    """The sum of numerators by denominator, zero entries dropped, over the larger
+    exponent of each factor."""
     groups = {d: n for d, n in ((d, _nonzero(n)) for d, n in groups.items()) if n}
     if not groups:
         return Rat(ring, {})
@@ -638,7 +644,7 @@ def _dpoly(ring: Ring, n: dict, j: int) -> Rat:
                 if k:  # d E = E du, d P = du
                     out[m - unit] = c * k
         terms.append(mul(Rat(ring, _nonzero(out)), du))
-    return total(terms)
+    return terms[0] if len(terms) == 1 else total(terms)
 
 
 def diff_index(a: Rat, j: int) -> Rat:
@@ -662,14 +668,38 @@ def diff_index(a: Rat, j: int) -> Rat:
 def lie_component(a, b, da, db, i: int) -> Rat:
     """Component i of [a, b] = (Db) a - (Da) b, from the components and the
     Jacobians' columns (column j of Db is read only where a_j != 0, column j of
-    Da only where b_j != 0), summed in the order sum_j (Db)_ij a_j - (Da)_ij b_j."""
-    terms = []
+    Da only where b_j != 0), summed in the order sum_j (Db)_ij a_j - (Da)_ij b_j;
+    each product is added into its denominator's sum as it is formed."""
+    groups: dict[tuple, dict] = {}
     for j, (aj, bj) in enumerate(zip(a, b)):
         if aj.num:
-            terms.append(mul(db[j][i], aj))
+            _add_product(groups, db[j][i], aj, 1)
         if bj.num:
-            terms.append(scale(mul(da[j][i], bj), -1))
-    return total(terms)
+            _add_product(groups, da[j][i], bj, -1)
+    return _collect(a[0].ring, groups)
+
+
+def _add_product(groups: dict, x: Rat, y: Rat, sign: int) -> None:
+    """groups[den] += sign x y, den the product's denominator; a constant factor
+    multiplies the other's terms as they are added."""
+    p, q = x.num, y.num
+    if not p:
+        return
+    if len(q) == 1 and 0 in q:
+        p, q = q, p
+    if len(p) == 1 and 0 in p:
+        c, terms = sign * p[0], q
+    else:
+        c, terms = sign, _pmul(x.ring, p, q)
+        if not terms:
+            return
+    den = _den_add(x.den, y.den)
+    acc = groups.get(den)
+    if acc is None:
+        acc = groups[den] = {}
+    get = acc.get
+    for m, v in terms.items():
+        acc[m] = get(m, 0) + c * v
 
 
 # ---------------------------------------------------------------------------

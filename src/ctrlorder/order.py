@@ -160,6 +160,7 @@ def verify_bracket_identities(
     if sys.m != 1:
         raise ValueError("bracket identity verification needs a single-input system")
     _require_k_max(depth_cap)  # the CLI's --k-max
+    _require_analysis_ready(sys)
     table = BracketTable(sys.drift, sys.inputs)
     ad = table.ad
     levels = _levels(table, depth_cap + 1, policy)

@@ -262,7 +262,9 @@ def validate(sys: ControlSystem, horizon: float) -> ValidationReport:
 
     if sys.bound is not None:
         bound = evaluator([sys.bound])
-        for s in range(_K_SAMPLES):
+        # a K without t is one value: its first sample decides it
+        samples = _K_SAMPLES if variables(sys.bound) else 1
+        for s in range(samples):
             t = horizon * s / (_K_SAMPLES - 1)
             try:
                 (value,) = bound({_RESERVED_TIME_NAME: t})

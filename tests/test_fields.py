@@ -877,6 +877,58 @@ def test_brackets_equal_the_full_jacobian_sum(kind):
     assert zero_operands  # the draws include zero fields
 
 
+@pytest.mark.parametrize(
+    "path, depth",
+    [
+        ("ctrlbench/systems/chain.json", 6),  # polynomial
+        ("ctrlbench/systems/rational_chain.json", 10),  # one denominator factor
+        ("systems/counterexample.json", 3),  # sin/cos, so cosine squares are reduced
+    ],
+)
+def test_shipped_ad_chains_equal_the_full_jacobian_sum(path, depth):
+    from ctrlorder import extend_with_cost, without_cost
+
+    doc = _document(path)
+    system = extend_with_cost(load(doc)) if doc.get("cost") else without_cost(load(doc))
+    table = BracketTable(system.drift, system.inputs)
+    pairs = []
+    for k in range(1, depth + 1):
+        for i in range(system.m):
+            if k >= 2:
+                pairs.append((table.f, table.ad(i, k - 2), table.ad(i, k - 1)))
+            for j in range(system.m):
+                pairs.append((table.inputs[j], table.ad(i, k - 1), table.b(i, j, k)))
+    for x, y, xy in pairs:
+        want = _full_jacobian_bracket(x, y)
+        got = xy._normal[1]
+        assert [list(c.num.items()) for c in got] == [list(c.num.items()) for c in want]
+        assert [c.den for c in got] == [c.den for c in want]
+
+
+def test_an_over_cap_product_of_a_bracket_component_raises(monkeypatch):
+    from ctrlorder import normal
+
+    names = ("x1", "x2", "x3", "x4", "x5")
+    squares = " + ".join(f"{x}^2" for x in names)
+    # (Db)_11 = 3*x1^2 + x2^2 + ... + x5^2 and (Da)_11 = 1: no column pairs more
+    # than one term with more than one, while (Db)_11 a_1 pairs 5*5 or 5*3 terms
+    b = VectorField.from_strings(names, (f"x1*({squares})",) + ("0",) * 4)
+    wide, narrow = (
+        VectorField.from_strings(names, (" + ".join(xs),) + ("0",) * 4)
+        for xs in (names, names[:3])
+    )
+    ring = b._normal[0]
+    for a in (wide, narrow):
+        a._normal_in(ring)
+    monkeypatch.setattr(normal, "MAX_TERMS", 16)
+    for field in (b, wide, narrow):
+        field._column(ring, 0)
+    got = lie_bracket(narrow, b)._normal[1][0]
+    assert list(got.num.items()) == list(_full_jacobian_bracket(narrow, b)[0].num.items())
+    with pytest.raises(ExprError, match="pairs more than 16 terms"):
+        lie_bracket(wide, b)
+
+
 def test_a_zero_operand_takes_no_derivative(monkeypatch):
     calls = _counted_diffs(monkeypatch)
     zero = VectorField.zero(NAMES2)

@@ -235,6 +235,14 @@ def test_identities_reject_multi_input():
         verify_bracket_identities(counterexample_raw())
 
 
+def test_identities_reject_a_pending_cost():
+    s = double_integrator()
+    with pytest.raises(ValueError, match="pending running cost"):
+        verify_bracket_identities(s, depth_cap=3)
+    report = verify_bracket_identities(without_cost(s), depth_cap=3)
+    assert report.all_passed
+
+
 def test_identities_capped_on_commuting_system():
     report = verify_bracket_identities(commuting(), depth_cap=4)
     assert report.capped

@@ -359,6 +359,56 @@ def test_validate_reports_a_bound_that_fails_to_evaluate():
     ]
 
 
+def _bound_times(monkeypatch) -> list:
+    """The times t at which `validate` evaluates the bound K."""
+    from ctrlorder import system
+
+    times, real = [], system.evaluator
+
+    def counted(exprs):
+        run = real(exprs)
+
+        def recorded(env):
+            if "t" in env:  # the interior probe binds the states only
+                times.append(env["t"])
+            return run(env)
+
+        return recorded
+
+    monkeypatch.setattr(system, "evaluator", counted)
+    return times
+
+
+@pytest.mark.parametrize("text, samples", [("1", 1), ("1 + t", 100), ("t - t + 1", 1)])
+def test_validate_evaluates_a_bound_without_t_once(monkeypatch, text, samples):
+    times = _bound_times(monkeypatch)
+    assert validate(load({**counterexample_doc(), "K": text}), horizon=2.0).findings == ()
+    assert len(times) == samples
+    assert (times[0], times[-1]) == (0.0, 2.0 if samples > 1 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1", "bound K is not strictly positive at t=0"),
+        ("1 - t", "bound K is not strictly positive at t=1.0101"),
+        # the rendered form keeps t, so K is sampled until exp(t)^709 overflows
+        ("(exp(t)*exp(-t))^709", "bound K failed to evaluate: overflow in 'exp(t)^709'"),
+    ],
+)
+def test_validate_finds_a_bad_bound_with_or_without_t(capsys, tmp_path, text, message):
+    from ctrlorder.cli import main
+
+    doc = {**counterexample_doc(), "K": text}
+    assert [(f.location, f.message) for f in validate(load(doc), horizon=2.0).errors()] == [
+        ("K", message)
+    ]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    assert main(["order", str(path), "--horizon", "2"]) == 2
+    assert f"[error] K: {message}" in capsys.readouterr().err
+
+
 def test_validate_duplicate_state_names():
     # a field over repeated names cannot be built, so neither can a system
     zero = parse("0", ("x1",))
