@@ -477,6 +477,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _to_json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`, byte for byte,
+    without the pure-Python encoder that `indent` selects: strings go through
+    the C `encode_basestring_ascii`, numbers through `int.__repr__` and
+    `float.__repr__`.  Dict keys are strings."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        encode = json.encoder.encode_basestring_ascii
+        items = [encode(k) + ": " + _to_json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
     try:
@@ -499,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        print(json.dumps({"manifest": manifest, **body}, indent=2, sort_keys=True, allow_nan=False))
+        print(_to_json({"manifest": manifest, **body}))
     else:
         for line in body["notes"] + lines:
             print(line)

@@ -440,7 +440,19 @@ def _nonzero(p: dict) -> dict:
     return {m: c for m, c in p.items() if c}
 
 
-def _pmul(ring: Ring, p: dict, q: dict) -> dict:
+def _check_pairs(ring: Ring, p: dict, q: dict) -> None:
+    """ExprError where the product p q would carry an exponent out of its slot, or
+    pair more than `MAX_TERMS` terms."""
+    if (reduce(or_, p) | reduce(or_, q)) & ring.high:
+        raise ExprError(f"an exponent reaches 2^{_BITS - 2}")
+    if len(p) * len(q) > MAX_TERMS:
+        raise ExprError(f"a product pairs more than {MAX_TERMS} terms")
+
+
+def _pmul(ring: Ring, p: dict, q: dict, zeros: bool = False) -> dict:
+    """p q, its keys in the order q's terms times p's; the entries that cancel
+    inside the product are dropped unless `zeros` (for a caller that skips them
+    as it adds the product into a sum, `_add_product`)."""
     if not p or not q:
         return {}
     if len(p) == 1 and 0 in p:
@@ -448,10 +460,7 @@ def _pmul(ring: Ring, p: dict, q: dict) -> dict:
         return q if c == 1 else _nonzero({m: c * x for m, x in q.items()})
     if len(q) == 1 and 0 in q:
         return _pmul(ring, q, p)
-    if (reduce(or_, p) | reduce(or_, q)) & ring.high:
-        raise ExprError(f"an exponent reaches 2^{_BITS - 2}")
-    if len(p) * len(q) > MAX_TERMS:
-        raise ExprError(f"a product pairs more than {MAX_TERMS} terms")
+    _check_pairs(ring, p, q)
     out: dict = {}
     get = out.get
     for mq, cq in q.items():
@@ -460,7 +469,7 @@ def _pmul(ring: Ring, p: dict, q: dict) -> dict:
             out[m] = get(m, 0) + cp * cq
     if ring.cmask:
         _reduce_cos(ring, out)
-    return _nonzero(out)
+    return out if zeros else _nonzero(out)
 
 
 def _reduce_cos(ring: Ring, p: dict) -> None:
@@ -617,6 +626,8 @@ def _dpoly(ring: Ring, n: dict, j: int) -> Rat:
     shift = j * _BITS
     unit = 1 << shift
     terms = [Rat(ring, {m - unit: c * k for m, c in n.items() if (k := (m >> shift) & _SLOT)})]
+    if not ring.kernels:
+        return terms[0]
     used = reduce(or_, n, 0)
     for kernel in ring.kernels:
         if not any((used >> (slot * _BITS)) & _SLOT for slot in kernel.slots):
@@ -648,21 +659,21 @@ def _dpoly(ring: Ring, n: dict, j: int) -> Rat:
 
 
 def diff_index(a: Rat, j: int) -> Rat:
-    """d a / d x_j, the j-th state of a's ring."""
+    """d a / d x_j, the j-th state of a's ring: N' D - sum_i e_i N p_i' D / p_i,
+    each term added into its denominator's sum (`_add_product`) in that order."""
     ring = a.ring
     da = _dpoly(ring, a.num, j) if a.num else a
     if not a.den:
         return da
-    one = Rat(ring, {0: 1}, a.den)
-    terms = [mul(da, one)]
+    groups: dict[tuple, dict] = {}
+    _add_product(groups, da, Rat(ring, {0: 1}, a.den), 1)
     for i, e in enumerate(a.den):
         if not e:
             continue
         dp = ring.factor_partial(i, j)
         if dp.num:
-            raised = _trim([*[0] * i, 1])
-            terms.append(scale(mul(mul(a, dp), Rat(ring, {0: 1}, raised)), -e))
-    return total(terms)
+            _add_product(groups, a, Rat(ring, dp.num, _den_add(dp.den, _unit(i, 1))), -e)
+    return _collect(ring, groups)
 
 
 def lie_component(a, b, da, db, i: int) -> Rat:
@@ -680,26 +691,42 @@ def lie_component(a, b, da, db, i: int) -> Rat:
 
 
 def _add_product(groups: dict, x: Rat, y: Rat, sign: int) -> None:
-    """groups[den] += sign x y, den the product's denominator; a constant factor
-    multiplies the other's terms as they are added."""
+    """groups[den] += sign x y, den the product's denominator.
+
+    Where one factor is a monomial, the other's terms are multiplied as they
+    are added, and no product dict is built: a constant in any ring, any
+    monomial in a ring without cosines (elsewhere a product can make a c^2 for
+    `_reduce_cos`).  Any other product is formed by `_pmul`, and the entries that
+    cancel inside it are skipped as it is added.  Either way the keys reach the
+    sum in `_pmul`'s order (no two terms of a monomial times a polynomial share
+    a monomial) with the same values, so the sum equals `total` of the
+    products, key order included: `test_brackets_equal_the_full_jacobian_sum`
+    and `test_diff_index_equals_the_quotient_rule_summed_term_by_term` pin
+    it."""
     p, q = x.num, y.num
-    if not p:
+    if not p or not q:
         return
-    if len(q) == 1 and 0 in q:
+    ring = x.ring
+    cmask = ring.cmask
+    if len(q) == 1 and (not cmask or 0 in q):
         p, q = q, p
-    if len(p) == 1 and 0 in p:
-        c, terms = sign * p[0], q
-    else:
-        c, terms = sign, _pmul(x.ring, p, q)
-        if not terms:
-            return
     den = _den_add(x.den, y.den)
-    acc = groups.get(den)
-    if acc is None:
-        acc = groups[den] = {}
+    acc = groups.get(den) or {}  # a new group joins `groups` once it holds a term
     get = acc.get
-    for m, v in terms.items():
-        acc[m] = get(m, 0) + c * v
+    if len(p) == 1 and (not cmask or 0 in p):
+        ((m, c),) = p.items()
+        if m:
+            _check_pairs(ring, p, q)
+        c *= sign
+        for k, v in q.items():
+            k += m
+            acc[k] = get(k, 0) + c * v
+    else:
+        for k, v in _pmul(ring, p, q, zeros=True).items():
+            if v:
+                acc[k] = get(k, 0) + sign * v
+    if acc:
+        groups[den] = acc
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,62 @@ def test_order_json_manifest_reproducible(capsys):
     assert doc1["q_numerator"] == 3 and doc1["q_denominator"] == 2
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+GOLDEN_REPORTS = [
+    case["report"]
+    for case in json.loads((Path(__file__).parent / "golden" / "cli_reports.json").read_text())
+    if "report" in case
+]
+
+
+def test_the_json_writer_prints_each_golden_report_as_json_dumps():
+    assert len(GOLDEN_REPORTS) >= 19
+    for report in GOLDEN_REPORTS:
+        assert ctrlorder.cli._to_json(report) == _dumps(report)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [{}, [[]], ()]},
+        [[], [{}], {"x": []}],
+        (1, (2.5, "three"), [None]),
+        'quote " backslash \\ slash / tab \t newline \n nul \x00 bell \x07 del \x7f',
+        "non-ASCII: é ü ß 中文 \U0001f600  ",
+        {"z": 1, "a": 2, "M": 3, "é": 4, "": 5, "a b": 6},
+        -0.0,
+        0.0,
+        1e-300,
+        -1.5e308,
+        0.1,
+        2**200,
+        -(2**70),
+        True,
+        False,
+        None,
+        [True, False, None, 0, -1, 1.0],
+    ],
+)
+def test_the_json_writer_matches_json_dumps_on_edge_values(value):
+    assert ctrlorder.cli._to_json(value) == _dumps(value)
+    assert ctrlorder.cli._to_json({"nested": [value]}) == _dumps({"nested": [value]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_the_json_writer_refuses_non_finite_floats_as_json_dumps_does(value):
+    for wrapped in (value, [value], {"k": {"v": (1, value)}}):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _dumps(wrapped)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            ctrlorder.cli._to_json(wrapped)
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------

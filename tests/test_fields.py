@@ -905,6 +905,61 @@ def test_shipped_ad_chains_equal_the_full_jacobian_sum(path, depth):
         assert [c.den for c in got] == [c.den for c in want]
 
 
+def _quotient_rule_by_terms(a, j: int):
+    """d a / d x_j with each quotient-rule term a form of its own: N' D, then
+    -e_i N p_i' D / p_i by `mul` and `scale`, summed by `total`."""
+    from ctrlorder import normal
+
+    ring = a.ring
+    da = normal._dpoly(ring, a.num, j) if a.num else a
+    if not a.den:
+        return da
+    terms = [normal.mul(da, normal.Rat(ring, {0: 1}, a.den))]
+    for i, e in enumerate(a.den):
+        if not e:
+            continue
+        dp = ring.factor_partial(i, j)
+        if dp.num:
+            raised = normal._trim([*[0] * i, 1])
+            terms.append(normal.scale(normal.mul(normal.mul(a, dp), normal.Rat(ring, {0: 1}, raised)), -e))
+    return normal.total(terms)
+
+
+# quotients whose N p_i' the random draws do not form: partials of several
+# terms, so that several terms pair with several ((x1 + x2)(2 x1 - 2 x2)
+# cancels inside itself), and a partial cos(x2) that makes a cosine square
+QUOTIENTS = (
+    ("(x1 + x2)/(2 + x1^2 - 2*x1*x2)", "x1*x2/(1 + x1^2*x2 + x1*x2^2)^2"),
+    ("sin(x1)*(x1 - x2)/(3 + x1^2 + x1*x2 + x2^2)", "cos(x2)^2/(1 + x1*x2 + x1^2)"),
+    ("exp(x1*x2)/(1 + x1 + x2^2)^3 + x2/(1 + x1*x2 + x1^2)", "cos(x2)/(2 + x1*cos(x2))"),
+)
+
+
+def test_diff_index_equals_the_quotient_rule_summed_term_by_term():
+    from ctrlorder import normal, without_cost
+
+    forms = []
+    for kind in ("poly", "rational", "trig", "float"):
+        rng = random.Random(f"skip-{kind}")
+        for n in range(16):
+            a, b = (vf(NAMES2, *_skip_case_texts(rng, kind)) for _ in range(2))
+            ab = lie_bracket(a, b)
+            fields_ = [a, b, ab] + ([lie_bracket(a, ab)] if n < 2 else [])
+            forms += [c for field in fields_ for c in field._normal[1]]
+    forms += [c for texts in QUOTIENTS for c in vf(NAMES2, *texts)._normal[1]]
+    system = without_cost(load(_document("ctrlbench/systems/rational_chain.json")))
+    table = BracketTable(system.drift, system.inputs)
+    forms += [c for k in range(10) for c in table.ad(0, k)._normal[1]]
+    denominators = 0
+    for form in forms:
+        for j in range(len(form.ring.names)):
+            got, want = normal.diff_index(form, j), _quotient_rule_by_terms(form, j)
+            assert list(got.num.items()) == list(want.num.items())
+            assert got.den == want.den
+            denominators += bool(form.den)
+    assert denominators > 100
+
+
 def test_an_over_cap_product_of_a_bracket_component_raises(monkeypatch):
     from ctrlorder import normal
 
@@ -986,3 +1041,37 @@ def test_an_over_cap_product_in_an_unread_column_is_not_formed():
     assert len(bracket._normal[1][0].num) == 2**10
     assert not vf_is_zero(bracket).is_zero
     assert normal.MAX_TERMS == 2**20
+
+
+@pytest.mark.parametrize("trig", [False, True])
+def test_an_exponent_of_2_to_the_22_raises_on_every_product_path(trig):
+    from ctrlorder import normal
+
+    # without a cosine atom in the ring, a monomial times a polynomial is added
+    # into the bracket's sum term by term; with one, it is formed by `_pmul`
+    ring = vf(NAMES2, "x1", "cos(x2)" if trig else "x2")._normal[0]
+    assert bool(ring.cmask) == trig
+
+    def form(*terms):  # (x1 exponent, x2 exponent, coefficient) per term
+        return normal.Rat(ring, {e1 + (e2 << normal._BITS): c for e1, e2, c in terms})
+
+    bound = 1 << (normal._BITS - 2)
+    assert bound == 2**22
+    monomial, binomial = form((bound, 0, 1)), form((bound, 0, 1), (0, 1, 1))
+    error = r"an exponent reaches 2\^22"
+    for a, b in ((monomial, binomial), (binomial, monomial), (monomial, form((0, 1, 3)))):
+        with pytest.raises(ExprError, match=error):
+            normal.mul(a, b)
+
+    def field(first):
+        return VectorField._of_normal(NAMES2, ring, (first, normal.Rat(ring, {})))
+
+    # b_1 = x1^2 x2 + x1 x2^2, so column x1 of Db is 2 x1 x2 + x2^2, which
+    # [a, b] multiplies by a_1 = x1^(2^22) (a monomial times a polynomial) or by
+    # a_1 = x1^(2^22) + x2 (two terms times two)
+    b = field(form((2, 1, 1), (1, 2, 1)))
+    for a in (monomial, binomial):
+        with pytest.raises(ExprError, match=error):
+            lie_bracket(field(a), b)
+    # one below the bound, the products are formed
+    assert lie_bracket(field(form((bound - 1, 0, 1))), b)._normal[1][0].num
