@@ -1,9 +1,12 @@
 """Intrinsic order of affine optimal control problems.
 
 Symbolic Lie-bracket analysis of switching-function derivatives, exact
-problem-order determination (q = k/2 as a rational), identity verifiers for
-the single-input parity fact, and fixed-step extremal simulation with
-singular-interval detection.
+problem-order determination (q = k/2 as a rational), the local order at one
+(x, p), identity verifiers for the single-input parity fact, and fixed-step
+extremal simulation with singular-interval detection.  Every public function
+and class is reached from the `ctrlorder` command, save `expr.evaluate` (the
+float meaning of a tree, which tests compare against), `normal.simplify` and
+`system.to_document`.
 """
 
 __version__ = "0.1.0"
@@ -45,19 +48,14 @@ from .fields import (
     vf_is_zero,
 )
 from .order import (
-    ArcOrderResult,
     BracketEvidence,
     IdentityCheck,
     IdentityReport,
     LevelEvidence,
     LocalOrderResult,
     OrderReport,
-    SwitchingCoefficients,
-    evaluate_b_matrix,
     local_order_at,
-    local_order_on_arc,
     problem_order,
-    switching_coeffs,
     verify_bracket_identities,
 )
 from .simulate import (
@@ -67,12 +65,9 @@ from .simulate import (
     SimConfig,
     SingularIntervals,
     Trajectory,
-    bang_bang_control,
     check_lemma1,
     detect_singular_intervals,
-    hamiltonian,
     integrate_extremal,
-    switching_values,
 )
 from .system import (
     ControlSystem,

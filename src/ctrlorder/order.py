@@ -1,4 +1,4 @@
-"""Switching-derivative coefficients and the intrinsic order of a system.
+"""The problem order of a system and the local order at one (x, p).
 
 Differentiating the switching vector phi_i = <p, g_i(x)> along an extremal k
 times yields phi^(k) = A_k + B_k u with A_k[i] = <p, ad_f^k g_i> and
@@ -6,7 +6,8 @@ B_k[i][j] = <p, [g_j, ad_f^(k-1) g_i]>.  Because the adjoint p ranges freely,
 B_k vanishes identically as a function of (x, p) exactly when every bracket
 field [g_j, ad_f^(k-1) g_i] vanishes as a field, so the order search needs no
 p sampling: the first level k with a non-vanishing bracket field gives the
-problem order q = k/2 (an exact rational).
+problem order q = k/2 (an exact rational).  The local order at one (x, p)
+is the first level whose B_k, evaluated there, is not zero.
 
 For single-input systems the first such k is always even; this module also
 provides a verifier for the bracket identities that prove it, usable as an
@@ -16,28 +17,12 @@ implementation self-check.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .expr import EvalError, Record, ZeroTestPolicy, ZeroVerdict, compile_components
-from .fields import BracketTable, VectorField, lie_bracket, vf_is_zero
+from .fields import BracketTable, lie_bracket, vf_is_zero
 from .system import ControlSystem
-
-# numpy is imported by the functions that use it: the symbolic commands never
-# load it, and it is most of the CLI's import time.
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .simulate import Trajectory
-
-
-class SwitchingCoefficients(Record):
-    """Bracket fields behind A_k (a_fields) and B_k (b_fields) at level k."""
-
-    k: int
-    a_fields: tuple[VectorField, ...]
-    b_fields: tuple[tuple[VectorField, ...], ...]  # b_fields[i][j] = [g_j, ad_f^(k-1) g_i]
 
 
 def _require_k_max(k_max: int) -> None:
@@ -45,28 +30,11 @@ def _require_k_max(k_max: int) -> None:
         raise ValueError("k_max must be an integer >= 1")
 
 
-def _require_local_order_options(k_max: int, tolerance: float) -> None:
-    _require_k_max(k_max)
-    if not tolerance > 0:
-        raise ValueError("tolerance must be > 0")
-
-
 def _require_analysis_ready(sys: ControlSystem) -> None:
     if sys.cost is not None:
         raise ValueError(
             "system carries a pending running cost; extend_with_cost or drop it first"
         )
-
-
-def switching_coeffs(sys: ControlSystem, k: int) -> SwitchingCoefficients:
-    """Fields for the level-k derivative of the switching vector."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("derivative level k must be an integer >= 1")
-    _require_analysis_ready(sys)
-    table = BracketTable(sys.drift, sys.inputs)
-    a_fields = tuple(table.ad(i, k) for i in range(sys.m))
-    b_fields = tuple(tuple(table.b(i, j, k) for j in range(sys.m)) for i in range(sys.m))
-    return SwitchingCoefficients(k, a_fields, b_fields)
 
 
 class BracketEvidence(Record):
@@ -194,63 +162,6 @@ class LocalOrderResult(Record):
     rank_estimate: int | None
 
 
-class _BMatrixEvaluator:
-    """B_l[i][j] = <p, b_ij(x)>: one compiled program per level, on demand, that
-    evaluates every b-field of the level, so subexpressions they share are
-    evaluated once."""
-
-    def __init__(self, sys: ControlSystem):
-        self.sys = sys
-        self._table = BracketTable(sys.drift, sys.inputs)
-        self._levels: dict = {}  # level -> its compiled program
-
-    def matrix(self, k: int, x: Sequence[float], p: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        m, n = self.sys.m, self.sys.n
-        program = self._levels.get(k)
-        if program is None:
-            _require_analysis_ready(self.sys)
-            program = self._levels[k] = compile_components(
-                [c for i, j in np.ndindex(m, m) for c in self._table.b(i, j, k).components],
-                self.sys.state_names,
-            )
-        try:
-            values = program([float(v) for v in x])  # Python floats: division by zero raises
-        except ZeroDivisionError:
-            raise EvalError(f"B_{k} hit a division by zero at the given point") from None
-        except (OverflowError, ValueError):  # ValueError: sin or cos of an overflowed inf
-            raise EvalError(f"B_{k} overflowed at the given point") from None
-        values = np.asarray(values, dtype=float).reshape(m, m, n)
-        pvec = np.asarray(p, dtype=float)
-        out = np.empty((m, m))
-        for i, j in np.ndindex(m, m):
-            with np.errstate(over="ignore", invalid="ignore"):
-                out[i, j] = pvec @ values[i, j]
-            if not math.isfinite(out[i, j]):
-                raise EvalError(
-                    f"<p, b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}]> is not finite"
-                    " at the given point"
-                )
-        return out
-
-
-def evaluate_b_matrix(
-    sys: ControlSystem, k: int, x: Sequence[float], p: Sequence[float]
-) -> np.ndarray:
-    """B_k evaluated at one (x, p) point."""
-    _check_point_sizes(sys, x, p)
-    return _BMatrixEvaluator(sys).matrix(k, x, p)
-
-
-def _check_point_sizes(sys: ControlSystem, x: Sequence[float], p: Sequence[float]) -> None:
-    if len(x) != sys.n or len(p) != sys.n:
-        raise ValueError(
-            f"state and adjoint points must have dimension {sys.n},"
-            f" got {len(x)} and {len(p)}"
-        )
-
-
 def local_order_at(
     sys: ControlSystem,
     x: Sequence[float],
@@ -258,48 +169,47 @@ def local_order_at(
     k_max: int = 10,
     tolerance: float = 1e-9,
 ) -> LocalOrderResult:
-    """First level where B_l at this (x, p) has an entry above tolerance * max_i |p_i|."""
-    _require_local_order_options(k_max, tolerance)
-    return _local_order(_BMatrixEvaluator(sys), x, p, k_max, tolerance)
+    """First level where B_l at this (x, p) has an entry above tolerance * max_i |p_i|.
 
+    B_l[i][j] = <p, b_ij(x)>.  Each level is one compiled program that
+    evaluates every b-field of the level, so subexpressions they share are
+    evaluated once.
+    """
+    import numpy as np  # here: the symbolic commands never load it
 
-def local_order_on_arc(
-    sys: ControlSystem,
-    traj: Trajectory,
-    interval: tuple[float, float],
-    k_max: int = 10,
-    tolerance: float = 1e-9,
-) -> ArcOrderResult:
-    """Local order at every grid sample of the interval, plus the modal level."""
-    _require_local_order_options(k_max, tolerance)
-    t0, t1 = interval
-    eps = 1e-9 * max(1.0, traj.step)
-    if traj.samples == 0:
-        raise ValueError("trajectory has no samples")
-    if t0 < traj.t[0] - eps or t1 > traj.t[-1] + eps:
-        raise ValueError("interval is not contained in the trajectory span")
-    indices = [s for s in range(traj.samples) if t0 - eps <= traj.t[s] <= t1 + eps]
-    evaluator = _BMatrixEvaluator(sys)
-    levels: list[int | None] = []
-    for s in indices:
-        result = _local_order(evaluator, traj.x[s], traj.p[s], k_max, tolerance)
-        levels.append(result.k_local if result.found else None)
-    consensus, dissent = consensus_of(levels)
-    return ArcOrderResult(
-        sample_times=tuple(float(traj.t[s]) for s in indices),
-        per_sample=tuple(levels),
-        consensus_k=consensus,
-        dissent=dissent,
-    )
-
-
-def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: float):
-    import numpy as np
-
-    _check_point_sizes(evaluator.sys, x, p)
+    _require_k_max(k_max)
+    if not tolerance > 0:
+        raise ValueError("tolerance must be > 0")
+    if len(x) != sys.n or len(p) != sys.n:
+        raise ValueError(
+            f"state and adjoint points must have dimension {sys.n},"
+            f" got {len(x)} and {len(p)}"
+        )
     floor = tolerance * max(abs(float(v)) for v in p)  # B_k is linear in p
+    _require_analysis_ready(sys)
+    m, n = sys.m, sys.n
+    table, pvec = BracketTable(sys.drift, sys.inputs), np.asarray(p, dtype=float)
     for k in range(1, k_max + 1):
-        matrix = evaluator.matrix(k, x, p)
+        program = compile_components(
+            [c for i, j in np.ndindex(m, m) for c in table.b(i, j, k).components],
+            sys.state_names,
+        )
+        try:
+            values = program([float(v) for v in x])  # Python floats: division by zero raises
+        except ZeroDivisionError:
+            raise EvalError(f"B_{k} hit a division by zero at the given point") from None
+        except (OverflowError, ValueError):  # ValueError: sin or cos of an overflowed inf
+            raise EvalError(f"B_{k} overflowed at the given point") from None
+        values = np.asarray(values, dtype=float).reshape(m, m, n)
+        matrix = np.empty((m, m))
+        for i, j in np.ndindex(m, m):
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrix[i, j] = pvec @ values[i, j]
+            if not math.isfinite(matrix[i, j]):
+                raise EvalError(
+                    f"<p, b-field [g_{j + 1}, ad_f^{k - 1} g_{i + 1}]> is not finite"
+                    " at the given point"
+                )
         if np.max(np.abs(matrix)) > floor:
             svals = np.linalg.svd(matrix, compute_uv=False)
             rank = int(np.sum(svals > tolerance * svals[0])) if svals[0] > 0 else 0
@@ -310,24 +220,3 @@ def _local_order(evaluator: _BMatrixEvaluator, x, p, k_max: int, tolerance: floa
                 rank,
             )
     return LocalOrderResult(False, None, None, None)
-
-
-class ArcOrderResult(Record):
-    """Per-sample local order along a trajectory slice, plus the modal level."""
-
-    sample_times: tuple[float, ...]
-    per_sample: tuple[int | None, ...]
-    consensus_k: int | None
-    dissent: int
-
-
-def consensus_of(levels: Sequence[int | None]) -> tuple[int | None, int]:
-    """Modal found level (ties to the smallest) and the not-found count."""
-    found = [k for k in levels if k is not None]
-    dissent = len(levels) - len(found)
-    if not found:
-        return None, dissent
-    counts = Counter(found)
-    best = max(counts.values())
-    consensus = min(k for k, c in counts.items() if c == best)
-    return consensus, dissent

@@ -9,7 +9,8 @@ is integrated with classical fixed-step RK4; the control is frozen at its
 start-of-step value, so bang-bang switching happens on grid points.  The
 trajectory records the switching vector phi_i = <p, g_i(x)> and the value of
 the Hamiltonian at every sample, which makes singular-interval detection and
-conservation checks a matter of reading columns.
+conservation checks a matter of reading columns.  One generated loop computes
+H, phi and the sign law.
 
 Systems must carry no pending running cost here: absorb it with
 extend_with_cost first and encode the cost multiplier by setting the adjoint
@@ -23,7 +24,7 @@ from array import array
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .expr import Expr, Negate, Product, Sum, Variable, compile_components, compile_function
-from .expr import EvalError, Record, const, evaluate, render_components
+from .expr import EvalError, Record, const, render_components
 from .fields import VectorField, lie_bracket
 from .system import _RESERVED_TIME_NAME, ControlSystem
 
@@ -176,63 +177,6 @@ class Trajectory(Record):
                 fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
-def hamiltonian(
-    sys: ControlSystem,
-    x: Sequence[float],
-    p: Sequence[float],
-    u: Sequence[float],
-) -> float:
-    """<p, f + sum g_i u_i>, minus f0 + sum g0_i u_i when a cost is pending (a
-    cost multiplier is the x0 adjoint of the cost-extended system)."""
-    if len(x) != sys.n or len(p) != sys.n:
-        raise ValueError(f"x and p must have dimension {sys.n}")
-    if len(u) != sys.m:
-        raise ValueError(f"u must have dimension {sys.m}")
-    binding = dict(zip(sys.state_names, x))
-    value = sum(
-        pi * evaluate(comp, binding) for pi, comp in zip(p, sys.drift.components)
-    )
-    for ui, g in zip(u, sys.inputs):
-        value += ui * sum(
-            pi * evaluate(comp, binding) for pi, comp in zip(p, g.components)
-        )
-    if sys.cost is not None:
-        running = evaluate(sys.cost.f0, binding)
-        value -= running + sum(ui * evaluate(e, binding) for ui, e in zip(u, sys.cost.g0))
-    return float(value)
-
-
-def switching_values(
-    sys: ControlSystem, x: Sequence[float], p: Sequence[float]
-) -> tuple[float, ...]:
-    """phi_i = <p, g_i(x)>."""
-    if len(x) != sys.n or len(p) != sys.n:
-        raise ValueError(f"x and p must have dimension {sys.n}")
-    binding = dict(zip(sys.state_names, x))
-    return tuple(
-        float(sum(pi * evaluate(comp, binding) for pi, comp in zip(p, g.components)))
-        for g in sys.inputs
-    )
-
-
-def bang_bang_control(
-    phi: Sequence[float],
-    K_value: float,
-    last_u: Sequence[float],
-    deadband: float = 0.0,
-) -> tuple[float, ...]:
-    """Sign law u_i = sign(phi_i) K; inside the deadband the last value holds."""
-    if not K_value > 0:
-        raise ValueError("K must be strictly positive")
-    out = []
-    for phi_i, last in zip(phi, last_u):
-        if abs(phi_i) > deadband:
-            out.append(K_value if phi_i > 0 else -K_value)
-        else:
-            out.append(float(last))
-    return tuple(out)
-
-
 def _linear(pairs) -> Expr:
     """w_1*e_1 + w_2*e_2 + ... in the given order, a weight None meaning 1.
 
@@ -324,7 +268,7 @@ def _extremal_loop(sys: ControlSystem, config: SimConfig):
         lines, (K,) = render_components([bound], {_RESERVED_TIME_NAME: "_t"}, "_b")
         body += [*lines, f"_K = {K}", "if not _K > 0.0:"]
         body.append("    raise ValueError('K must be strictly positive')")
-        # bang_bang_control: sign(phi) K where |phi| > deadband, else the last u
+        # the sign law: sign(phi) K where |phi| > deadband, else the last u
         db = float(policy.deadband)
         for uk, fk in zip(u, phi):
             body += [f"if {fk} > {db!r}:", f"    {uk} = _K"]

@@ -1,8 +1,10 @@
-"""Shared test utilities: canned systems, random generators, finite differences."""
+"""Shared test utilities: canned systems, random generators, finite differences,
+and a float oracle of H, phi and the sign law."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -284,3 +286,35 @@ def numeric_bracket(
     ja = numeric_jacobian(a, point, h)
     jb = numeric_jacobian(b, point, h)
     return jb @ eval_field(a, point) - ja @ eval_field(b, point)
+
+
+# ---------------------------------------------------------------------------
+# Float oracle: H, phi and the sign law, independent of the package
+# ---------------------------------------------------------------------------
+
+
+def document_phi_and_h(doc: dict, x, p, u) -> tuple[tuple[float, ...], float]:
+    """phi_i = <p, g_i(x)> and H = <p, f + sum_i u_i g_i>, from the document's strings.
+
+    Each string is evaluated by Python with `math`, `^` read as `**`: no tree or
+    normal form of the package takes part.  With a "cost", x and p lead with the
+    entries of the cost-extended system's x0, whose rate is f0 + sum_i u_i g0_i.
+    """
+    fields, values = [doc["f"], *doc["g"]], [float(v) for v in x]
+    if "cost" in doc:
+        cost = doc["cost"]
+        fields = [[cost["f0"], *doc["f"]], *([g0, *g] for g0, g in zip(cost["g0"], doc["g"]))]
+        values = values[1:]  # x0 appears in no string
+    binding = dict(zip(doc["states"], values))
+    scope = {"__builtins__": {}, "sin": math.sin, "cos": math.cos, "exp": math.exp}
+    inner = [
+        sum(float(pi) * eval(text.replace("^", "**"), scope, binding) for pi, text in zip(p, field))
+        for field in fields
+    ]
+    phi = tuple(inner[1:])
+    return phi, inner[0] + sum(float(ui) * fi for ui, fi in zip(u, phi))
+
+
+def sign_law(phi, K: float, last, deadband: float = 0.0) -> tuple[float, ...]:
+    """u_i = sign(phi_i) K where |phi_i| > deadband; inside the deadband the last u_i holds."""
+    return tuple(K if f > deadband else -K if f < -deadband else l for f, l in zip(phi, last))

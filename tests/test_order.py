@@ -21,13 +21,11 @@ from ctrlorder import (
     local_order_at,
     problem_order,
     simplify,
-    switching_coeffs,
     verify_bracket_identities,
     without_cost,
 )
 from ctrlorder import order
 from ctrlorder.expr import FLOAT_SAMPLED, SYMBOLIC
-from ctrlorder.order import consensus_of, evaluate_b_matrix
 
 from helpers import (
     commuting,
@@ -48,40 +46,32 @@ def assert_field_equal(a: VectorField, b: VectorField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# switching_coeffs
+# the bracket fields behind A_k and B_k
 # ---------------------------------------------------------------------------
 
 
 def test_level_one_b_fields_are_input_brackets():
     sys2 = half_integer()
-    coeffs = switching_coeffs(sys2, 1)
+    table = BracketTable(sys2.drift, sys2.inputs)
     for i, gi in enumerate(sys2.inputs):
         for j, gj in enumerate(sys2.inputs):
-            assert_field_equal(coeffs.b_fields[i][j], lie_bracket(gj, gi))
+            assert_field_equal(table.b(i, j, 1), lie_bracket(gj, gi))
 
 
 def test_counterexample_level_three_entry():
     sys6 = counterexample_raw()
-    coeffs = switching_coeffs(sys6, 3)
+    table = BracketTable(sys6.drift, sys6.inputs)
     expected = VectorField.from_strings(
         sys6.state_names, ("sin(theta)", "cos(theta)", "0", "0", "0", "0")
     )
-    assert_field_equal(coeffs.b_fields[0][2], expected)
-    assert_field_equal(coeffs.a_fields[0], BracketTable(sys6.drift, (sys6.inputs[0],)).ad(0, 3))
+    assert_field_equal(table.b(0, 2, 3), expected)
+    assert_field_equal(table.ad(0, 3), BracketTable(sys6.drift, (sys6.inputs[0],)).ad(0, 3))
 
 
 def test_fuller_level_four_entry():
     sysf = fuller()
-    coeffs = switching_coeffs(sysf, 4)
     expected = VectorField.from_strings(sysf.state_names, ("2", "0", "0"))
-    assert_field_equal(coeffs.b_fields[0][0], expected)
-
-
-def test_switching_coeffs_rejects_pending_cost():
-    with pytest.raises(ValueError):
-        switching_coeffs(load_system("counterexample"), 1)
-    with pytest.raises(ValueError):
-        switching_coeffs(counterexample_raw(), 0)
+    assert_field_equal(BracketTable(sysf.drift, sysf.inputs).b(0, 0, 4), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +86,31 @@ def test_counterexample_order_raw_and_extended():
         assert report.k == 3
         assert report.q == Fraction(3, 2)
         assert isinstance(report.q, Fraction)
+
+
+SHIPPED_F0 = "x^2 + y^2 + theta^2"
+
+
+@pytest.mark.parametrize(
+    "f0, g0, q",
+    [
+        # with g0 = 0, q = 3/2 exactly when f0 is affine in (v1, v2, Omega)
+        (SHIPPED_F0, ("0", "0", "0"), Fraction(3, 2)),
+        ("x*v1 + 3*Omega + y^2", ("0", "0", "0"), Fraction(3, 2)),
+        ("v1^2", ("0", "0", "0"), Fraction(1)),
+        ("Omega^2", ("0", "0", "0"), Fraction(1)),
+        ("v1*v2", ("0", "0", "0"), Fraction(1)),
+        # a control-dependent running cost can lower q further
+        (SHIPPED_F0, ("v2", "0", "0"), Fraction(1, 2)),
+        (SHIPPED_F0, ("x", "0", "0"), Fraction(1)),
+    ],
+    ids=["shipped", "affine-in-v", "v1^2", "Omega^2", "v1*v2", "g0-v2", "g0-x"],
+)
+def test_the_vehicle_order_depends_on_its_running_cost(f0, g0, q):
+    doc = json.loads((SYSTEMS_DIR / "counterexample.json").read_text())
+    assert doc["cost"]["f0"] == SHIPPED_F0
+    report = problem_order(extend_with_cost(load({**doc, "cost": {"f0": f0, "g0": list(g0)}})))
+    assert report.found and report.q == q
 
 
 def test_fuller_order():
@@ -390,20 +405,27 @@ def test_local_order_size_mismatch():
         local_order_at(fuller(), [0.0, 0.0], [1.0, 0.0, 0.0], 4, 1e-9)
 
 
+def test_local_order_checks_its_options():
+    # in order: k_max, tolerance, point sizes, then a pending cost
+    raw, pending = fuller(), load_system("counterexample")
+    with pytest.raises(ValueError, match="^k_max must be an integer >= 1$"):
+        local_order_at(raw, [0.0], [1.0], 0, 0.0)
+    with pytest.raises(ValueError, match="^tolerance must be > 0$"):
+        local_order_at(raw, [0.0], [1.0], 3, 0.0)
+    with pytest.raises(ValueError, match="^state and adjoint points must have dimension 6,"
+                       " got 1 and 6$"):
+        local_order_at(pending, [0.0], [1.0] * 6, 3, 1e-9)
+    with pytest.raises(ValueError, match="pending running cost"):
+        local_order_at(pending, [0.0] * 6, [1.0] * 6, 3, 1e-9)
+
+
 def test_evaluate_b_matrix_counterexample():
     sys6 = counterexample_raw()
     x = [0.0, 0.0, 0.3, 0.0, 0.0, 0.0]
     p = [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-    b3 = evaluate_b_matrix(sys6, 3, x, p)
+    # B_1 and B_2 vanish, so B_3 is the first matrix the local order reads
+    result = local_order_at(sys6, x, p, 3, 1e-9)
+    assert result.found and result.k_local == 3
     # entry (1, 3) pairs p with (sin th, cos th, 0, ...)
     expected = 1.0 * np.sin(0.3) + 2.0 * np.cos(0.3)
-    assert abs(b3[0, 2] - expected) < 1e-12
-    assert np.allclose(evaluate_b_matrix(sys6, 1, x, p), 0.0)
-    assert np.allclose(evaluate_b_matrix(sys6, 2, x, p), 0.0)
-
-
-def test_consensus_helper():
-    assert consensus_of([3, 3, 4, None]) == (3, 1)
-    assert consensus_of([None, None]) == (None, 2)
-    assert consensus_of([4, 3, 4, 3]) == (3, 0)  # tie resolves to the smaller level
-    assert consensus_of([5]) == (5, 0)
+    assert abs(result.b_values[0][2] - expected) < 1e-12

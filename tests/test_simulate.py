@@ -1,9 +1,11 @@
 """Extremal integration: oracles, conservation, singular intervals, Lemma-style checks."""
 
+import ast
 import io
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,33 +16,31 @@ import ctrlorder.simulate
 
 from ctrlorder import (
     BangBang,
+    BracketTable,
     EvalError,
     FixedControl,
     PiecewiseControl,
     SimConfig,
     Trajectory,
     VectorField,
-    bang_bang_control,
     check_lemma1,
     detect_singular_intervals,
     extend_with_cost,
-    hamiltonian,
     integrate_extremal,
     load,
-    local_order_on_arc,
-    switching_coeffs,
-    switching_values,
+    local_order_at,
     without_cost,
 )
 from ctrlorder.expr import compile_components
 from ctrlorder.simulate import MAX_STEPS
-from ctrlorder.order import evaluate_b_matrix
 
 from helpers import (
     SYSTEMS_DIR,
     counterexample_extended,
     counterexample_raw,
+    document_phi_and_h,
     double_integrator,
+    sign_law,
 )
 
 
@@ -58,19 +58,19 @@ FIXED_U3 = (0.3, 0.5, 0.7)
 # ---------------------------------------------------------------------------
 
 PACKAGE_API = [
-    "ArcOrderResult", "ArityError", "BangBang", "BracketEvidence", "BracketTable",
+    "ArityError", "BangBang", "BracketEvidence", "BracketTable",
     "Constant", "ControlSystem", "Cos", "CostSpec", "DimensionMismatchError",
     "DivisionByZeroError", "EvalError", "Exp", "Expr", "ExprError", "ExprSyntaxError",
     "Finding", "FixedControl", "IdentityCheck", "IdentityReport", "IndeterminateZeroTest",
     "IntPower", "LevelEvidence", "LocalOrderResult", "MissingBindingError", "Negate",
     "OrderReport", "PiecewiseControl", "Product", "Quotient", "SimConfig",
-    "Sin", "SingularIntervals", "Sum", "SwitchingCoefficients", "SystemLoadError",
+    "Sin", "SingularIntervals", "Sum", "SystemLoadError",
     "Trajectory", "UnknownIdentifierError", "ValidationReport", "Variable", "VectorField",
-    "ZeroTestPolicy", "ZeroVerdict", "bang_bang_control", "check_lemma1",
-    "const", "detect_singular_intervals", "diff", "evaluate", "evaluate_b_matrix", "expr",
-    "extend_with_cost", "fields", "hamiltonian", "integrate_extremal", "is_zero",
-    "lie_bracket", "load", "local_order_at", "local_order_on_arc", "normal", "order",
-    "parse", "problem_order", "simplify", "simulate", "switching_coeffs", "switching_values",
+    "ZeroTestPolicy", "ZeroVerdict", "check_lemma1",
+    "const", "detect_singular_intervals", "diff", "evaluate", "expr",
+    "extend_with_cost", "fields", "integrate_extremal", "is_zero",
+    "lie_bracket", "load", "local_order_at", "normal", "order",
+    "parse", "problem_order", "simplify", "simulate",
     "system", "to_document", "to_text", "validate", "variables", "verify_bracket_identities",
     "vf_is_zero", "without_cost",
 ]
@@ -85,6 +85,43 @@ def test_package_api_is_pinned_and_resolves():
     assert ctrlorder.integrate_extremal is integrate_extremal
     with pytest.raises(AttributeError, match="no_such_name"):
         ctrlorder.no_such_name
+
+
+# public functions and classes that the command never reaches, each with why it stays
+KEPT_UNREACHED = {
+    "expr.evaluate": "the float meaning of a tree, the reference tests compare compiled code to",
+    "normal.simplify": "a tree's normal form as a tree, by which tests compare expressions",
+    "system.to_document": "the inverse of load: a system written back as its document",
+}
+
+
+def test_every_public_function_and_class_is_reached_from_the_command():
+    # a module-level definition is reached when reached code names it (not in a
+    # docstring): code starts at the script's `entry` and at each module's top level
+    definitions, todo = {}, []
+    for path in sorted(Path(ctrlorder.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":  # its imports are the exports, not uses
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo.append(node)  # runs on import
+    todo += [node for _, node in definitions["entry"]]
+    reached = {"entry"}
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name in definitions and name not in reached:
+                reached.add(name)
+                todo += [node for _, node in definitions[name]]
+    unreached = {
+        f"{module}.{name}"
+        for name, nodes in definitions.items()
+        for module, _ in nodes
+        if not name.startswith("_") and name not in reached
+    }
+    assert sorted(unreached) == sorted(KEPT_UNREACHED)
 
 
 def test_records_compare_print_copy_and_replace_by_their_fields():
@@ -148,14 +185,12 @@ def _record_samples() -> dict:
         ctrlorder.Exp: (x,),
         ctrlorder.ZeroTestPolicy: (8, 0.5, 1e-6, 7),
         ctrlorder.ZeroVerdict: (False, "exact-sampled", {"x": 0.5}, 0.25, 1),
-        ctrlorder.SwitchingCoefficients: (1, (field,), ((field,),)),
         ctrlorder.BracketEvidence: (0, 1, nonzero),
         ctrlorder.LevelEvidence: (1, (ctrlorder.BracketEvidence(0, 0, zero),)),
         ctrlorder.OrderReport: (False, None, None, (), 4),
         ctrlorder.IdentityCheck: ("slide j=0", nonzero),
         ctrlorder.IdentityReport: (2, False, (check,)),
         ctrlorder.LocalOrderResult: (True, 2, ((0.5,),), 1),
-        ctrlorder.ArcOrderResult: ((0.0, 0.1), (2, None), 2, 1),
         BangBang: (0.5,),
         FixedControl: ((1.0, -1.0),),
         PiecewiseControl: (((0.0, (1.0,)), (0.5, (-1.0,))),),
@@ -241,14 +276,24 @@ def test_a_record_field_without_a_default_cannot_follow_one_with_a_default():
 
 
 # ---------------------------------------------------------------------------
-# pointwise operations
+# H, phi and the sign law at the first sample of a run
 # ---------------------------------------------------------------------------
+
+
+def first_sample(system, x, p, policy=None) -> Trajectory:
+    """A one-step run from (x, p): its sample 0 holds H, phi and u at (x, p)."""
+    policy = FixedControl((0.0,) * system.m) if policy is None else policy
+    cfg = SimConfig(initial_state=x, initial_adjoint=p, horizon=1e-3, step=1e-3,
+                    control_policy=policy)
+    traj = integrate_extremal(system, cfg)
+    assert traj.status == "ok"
+    return traj
 
 
 def test_hamiltonian_examples():
     sys2 = di_raw()
-    assert hamiltonian(sys2, (0, 1), (1, 0), (0,)) == 1.0
-    assert hamiltonian(sys2, (0, 1), (0, 0), (0,)) == 0.0
+    assert first_sample(sys2, (0, 1), (1, 0)).H[0] == 1.0
+    assert first_sample(sys2, (0, 1), (0, 0)).H[0] == 0.0
 
 
 def test_hamiltonian_linear_in_u():
@@ -260,50 +305,44 @@ def test_hamiltonian_linear_in_u():
         u1 = [rng.uniform(-1, 1) for _ in range(3)]
         u2 = [rng.uniform(-1, 1) for _ in range(3)]
         both = [a + b for a, b in zip(u1, u2)]
-        residual = (
-            hamiltonian(sys6, x, p, both)
-            - hamiltonian(sys6, x, p, u1)
-            - hamiltonian(sys6, x, p, u2)
-            + hamiltonian(sys6, x, p, (0, 0, 0))
+        h_both, h1, h2, h0 = (
+            first_sample(sys6, x, p, FixedControl(u)).H[0] for u in (both, u1, u2, (0, 0, 0))
         )
-        assert abs(residual) < 1e-12
+        assert abs(h_both - h1 - h2 + h0) < 1e-12
 
 
 def test_hamiltonian_cost_term():
-    di = double_integrator()  # cost f0 = x1^2 still attached
+    # the cost-extended system's x0 adjoint -1 weights the running cost f0 = x1^2
+    doc = json.loads((SYSTEMS_DIR / "double_integrator.json").read_text())
     x, p, u = (2.0, 1.0), (0.5, 0.5), (1.0,)
-    with_cost = hamiltonian(di, x, p, u)
-    without = hamiltonian(without_cost(di), x, p, u)
+    ext = first_sample(extend_with_cost(load(doc)), (0.0, *x), (-1.0, *p), FixedControl(u))
+    with_cost = ext.H[0]
+    without = first_sample(di_raw(), x, p, FixedControl(u)).H[0]
     assert abs((without - with_cost) - 4.0) < 1e-12  # f0 = 2^2
+    assert abs(document_phi_and_h(doc, ext.x[0], ext.p[0], u)[1] - with_cost) < 1e-12
 
 
 def test_switching_values():
     sys2 = di_raw()
-    assert switching_values(sys2, (0.3, -0.2), (0.7, 0.9)) == (0.9,)
+    assert first_sample(sys2, (0.3, -0.2), (0.7, 0.9)).phi[0].tolist() == [0.9]
     sys6 = counterexample_raw()
     p = [0, 0, 0, 1, 0, 0]
-    assert switching_values(sys6, [0.1] * 6, p) == (1.0, 0.0, 0.0)
-    assert switching_values(sys6, [0.1] * 6, [0.0] * 6) == (0.0, 0.0, 0.0)
-
-
-def test_pointwise_operations_check_the_point_sizes():
-    sys2 = di_raw()
-    for x, p in (((0.0,), (1.0, 0.0)), ((0.0, 0.0), (1.0, 0.0, 0.0))):
-        with pytest.raises(ValueError, match="^x and p must have dimension 2$"):
-            hamiltonian(sys2, x, p, (0.0,))
-        with pytest.raises(ValueError, match="^x and p must have dimension 2$"):
-            switching_values(sys2, x, p)
-    with pytest.raises(ValueError, match="^u must have dimension 1$"):
-        hamiltonian(sys2, (0.0, 0.0), (1.0, 0.0), (0.0, 0.0))
+    assert first_sample(sys6, [0.1] * 6, p).phi[0].tolist() == [1.0, 0.0, 0.0]
+    assert first_sample(sys6, [0.1] * 6, [0.0] * 6).phi[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_bang_bang_control_law():
-    assert bang_bang_control((0.5, -0.2), 1.0, (0.0, 0.0)) == (1.0, -1.0)
-    assert bang_bang_control((0.0, 0.3), 1.0, (0.5, 0.0)) == (0.5, 1.0)
-    assert bang_bang_control((1.0,), 2.0, (0.0,)) == (2.0,)
-    assert bang_bang_control((0.001,), 1.0, (-1.0,), deadband=0.01) == (-1.0,)
-    with pytest.raises(ValueError):
-        bang_bang_control((1.0,), 0.0, (0.0,))
+    # on the vehicle phi_i is the adjoint of the i-th velocity state
+    doc = json.loads((SYSTEMS_DIR / "counterexample.json").read_text())
+    for bound, deadband, phi, u in (
+        ("1", 0.0, (0.5, -0.2, 0.0), (1.0, -1.0, 0.0)),  # at phi = 0 the starting u = 0 holds
+        ("2", 0.0, (1.0, 0.3, -0.1), (2.0, 2.0, -2.0)),
+        ("1", 0.01, (0.001, -0.005, 0.02), (0.0, 0.0, 1.0)),  # and inside the deadband
+    ):
+        system = without_cost(load({**doc, "K": bound}))
+        traj = first_sample(system, GENERIC_X0, (0.0, 0.0, 0.0, *phi), BangBang(deadband))
+        assert traj.phi[0].tolist() == list(phi)
+        assert traj.u[0].tolist() == list(u)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +493,13 @@ def test_phi_and_h_recomputed_from_samples():
         step=1e-3,
         control_policy=FixedControl(FIXED_U3),
     )
-    sys6 = counterexample_raw()
-    traj = integrate_extremal(sys6, cfg)
-    for s in (0, 17, 50):
-        phi = switching_values(sys6, traj.x[s], traj.p[s])
+    doc = json.loads((SYSTEMS_DIR / "counterexample.json").read_text())
+    raw = {key: value for key, value in doc.items() if key != "cost"}
+    traj = integrate_extremal(counterexample_raw(), cfg)
+    assert traj.samples == 51
+    for s in range(traj.samples):
+        phi, h_val = document_phi_and_h(raw, traj.x[s], traj.p[s], traj.u[s])
         assert np.max(np.abs(np.asarray(phi) - traj.phi[s])) < 1e-12
-        h_val = hamiltonian(sys6, traj.x[s], traj.p[s], traj.u[s])
         assert abs(h_val - traj.H[s]) < 1e-12
 
 
@@ -553,7 +593,7 @@ def test_the_loop_applies_bang_bang_control_to_each_sample(bound, deadband):
     K = compile_components([system.bound], ("t",))
     last = (0.0, 0.0, 0.0)
     for s in range(traj.samples):
-        last = bang_bang_control(traj.phi[s].tolist(), K((float(traj.t[s]),))[0], last, deadband)
+        last = sign_law(traj.phi[s].tolist(), K((float(traj.t[s]),))[0], last, deadband)
         assert traj.u[s].tolist() == list(last)
     assert np.any(traj.u[1:] != traj.u[:-1])  # the run switches
     held = (np.abs(traj.phi) <= deadband) & (traj.u != 0.0)
@@ -972,6 +1012,18 @@ def test_intervals_invariant_under_appending_nonsingular_samples():
 # ---------------------------------------------------------------------------
 
 
+def local_orders(system, traj, k_max, samples=None):
+    """local_order_at at each sample (all by default); a repeated (x, p) row is
+    evaluated once."""
+    seen, out = {}, []
+    for s in range(traj.samples) if samples is None else samples:
+        row = (*traj.x[s].tolist(), *traj.p[s].tolist())
+        if row not in seen:
+            seen[row] = local_order_at(system, traj.x[s], traj.p[s], k_max, 1e-9)
+        out.append(seen[row])
+    return out
+
+
 def test_arc_consensus_on_generic_samples():
     cfg = SimConfig(
         initial_state=GENERIC_X0,
@@ -982,9 +1034,9 @@ def test_arc_consensus_on_generic_samples():
     )
     sys6 = counterexample_raw()
     traj = integrate_extremal(sys6, cfg)
-    arc = local_order_on_arc(sys6, traj, (0.0, 0.2), 4, 1e-9)
-    assert arc.consensus_k == 3
-    assert arc.dissent == 0
+    results = local_orders(sys6, traj, 4)
+    assert len(results) == traj.samples == 201
+    assert all(r.found and r.k_local == 3 for r in results)
 
 
 def stay_at_origin_trajectory():
@@ -1006,15 +1058,12 @@ def test_stay_at_origin_arc_is_fully_singular_with_degenerate_b3():
     assert np.max(np.abs(traj.phi)) == 0.0
     intervals = detect_singular_intervals(traj, cfg)
     assert intervals.per_input == (((0.0, 1.0),),) * 3
-    for s in (0, 500, 1000):
-        b3 = evaluate_b_matrix(ext, 3, traj.x[s], traj.p[s])
-        assert np.max(np.abs(b3)) < 1e-9
-    arc = local_order_on_arc(ext, traj, (0.0, 1.0), 3, 1e-9)
-    assert arc.consensus_k is None
-    assert arc.dissent == traj.samples
-    # one level deeper the pairing becomes visible again
-    arc5 = local_order_on_arc(ext, traj, (0.9, 1.0), 5, 1e-9)
-    assert arc5.consensus_k == 4
+    # B_1, B_2 and B_3 stay under 1e-9 * max|p| = 1e-9 at every sample
+    assert not any(r.found for r in local_orders(ext, traj, 3))
+    # one level deeper the pairing becomes visible again, on [0.9, 1.0]
+    tail = np.flatnonzero(traj.t >= 0.9 - 1e-9)
+    assert len(tail) == 101
+    assert all(r.found and r.k_local == 4 for r in local_orders(ext, traj, 5, tail))
 
 
 def test_an_arc_compiles_one_program_per_level(monkeypatch):
@@ -1027,8 +1076,8 @@ def test_an_arc_compiles_one_program_per_level(monkeypatch):
         return compile_components(exprs, var_order)
 
     monkeypatch.setattr(ctrlorder.order, "compile_components", counted)
-    arc = local_order_on_arc(ext, traj, (0.9, 1.0), 5, 1e-9)
-    assert arc.consensus_k == 4 and arc.dissent == 0
+    result = local_order_at(ext, traj.x[-1], traj.p[-1], 5, 1e-9)
+    assert result.found and result.k_local == 4
     assert sizes == [63] * 4
 
 
@@ -1042,50 +1091,9 @@ def test_arc_single_sample_consensus():
     )
     sys6 = counterexample_raw()
     traj = integrate_extremal(sys6, cfg)
-    arc = local_order_on_arc(sys6, traj, (0.005, 0.005), 4, 1e-9)
-    assert len(arc.per_sample) == 1
-    assert arc.consensus_k == arc.per_sample[0] == 3
-
-
-def test_arc_interval_bounds_checked():
-    cfg = SimConfig(
-        initial_state=GENERIC_X0,
-        initial_adjoint=GENERIC_P0,
-        horizon=0.01,
-        step=1e-3,
-        control_policy=FixedControl(FIXED_U3),
-    )
-    sys6 = counterexample_raw()
-    traj = integrate_extremal(sys6, cfg)
-    with pytest.raises(ValueError):
-        local_order_on_arc(sys6, traj, (0.0, 2.0), 3, 1e-9)
-
-
-def test_an_arc_needs_a_sample():
-    traj = Trajectory(
-        state_names=("x1", "x2"),
-        input_count=1,
-        step=1e-3,
-        t=np.empty(0),
-        x=np.empty((0, 2)),
-        p=np.empty((0, 2)),
-        u=np.empty((0, 1)),
-        phi=np.empty((0, 1)),
-        H=np.empty(0),
-    )
-    with pytest.raises(ValueError, match="^trajectory has no samples$"):
-        local_order_on_arc(di_raw(), traj, (0.0, 0.0), 3, 1e-9)
-
-
-def test_arc_options_are_checked_once_even_with_no_sample_in_the_interval():
-    cfg = SimConfig(initial_state=(0.0, 0.0), initial_adjoint=(1.0, 0.0), horizon=0.01, step=1e-3)
-    sys2 = di_raw()
-    traj = integrate_extremal(sys2, cfg)
-    assert local_order_on_arc(sys2, traj, (0.0003, 0.0006), 3, 1e-9).sample_times == ()
-    with pytest.raises(ValueError, match="^k_max must be an integer >= 1$"):
-        local_order_on_arc(sys2, traj, (0.0003, 0.0006), 0, 1e-9)
-    with pytest.raises(ValueError, match="^tolerance must be > 0$"):
-        local_order_on_arc(sys2, traj, (0.0003, 0.0006), 3, 0.0)
+    (s,) = np.flatnonzero(np.abs(traj.t - 0.005) <= 1e-9)
+    result = local_order_at(sys6, traj.x[s], traj.p[s], 4, 1e-9)
+    assert result.found and result.k_local == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1188,14 +1196,16 @@ def test_lemma1_checks_h_and_reports_a_division_by_zero():
 def test_third_derivative_matches_switching_coefficients():
     sys6, traj = fixed_u_trajectory()
     h = traj.step
-    coeffs = switching_coeffs(sys6, 3)
-    a_fns = [compile_components(f.components, sys6.state_names) for f in coeffs.a_fields]
+    table = BracketTable(sys6.drift, sys6.inputs)
+    a_fns = [compile_components(table.ad(i, 3).components, sys6.state_names) for i in range(3)]
     u = np.asarray(FIXED_U3)
     for s in range(2, traj.samples - 2, 97):
         stencil = (
             -traj.phi[s - 2] + 2 * traj.phi[s - 1] - 2 * traj.phi[s + 1] + traj.phi[s + 2]
         ) / (2 * h**3)
-        b3 = evaluate_b_matrix(sys6, 3, traj.x[s], traj.p[s])
+        local = local_order_at(sys6, traj.x[s], traj.p[s], 3, 1e-9)
+        assert local.k_local == 3
+        b3 = np.array(local.b_values)
         a3 = np.array([float(traj.p[s] @ np.asarray(fn(traj.x[s]))) for fn in a_fns])
         predicted = a3 + b3 @ u
         assert np.max(np.abs(stencil - predicted)) < 1e-4
