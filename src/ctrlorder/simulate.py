@@ -9,8 +9,9 @@ is integrated with classical fixed-step RK4; the control is frozen at its
 start-of-step value, so bang-bang switching happens on grid points.  The
 trajectory records the switching vector phi_i = <p, g_i(x)> and the value of
 the Hamiltonian at every sample, which makes singular-interval detection and
-conservation checks a matter of reading columns.  One generated loop computes
-H, phi and the sign law.
+conservation checks a matter of reading columns.  One generated loop,
+a function of (*x0, *p0, *u0, store, at, pack), computes H, phi and the sign
+law, and packs each sample's row into one bytes object for `store`.
 
 Systems must carry no pending running cost here: absorb it with
 extend_with_cost first and encode the cost multiplier by setting the adjoint
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
 # 10**6 steps of the 7-state cost-extended vehicle fill about 176 MB of arrays.
 MAX_STEPS = 10**6
 _ZERO, _ONE = const(0), const(1)
-# CSV rows formatted per `%`: one call per block, with memory bounded by the block
+# CSV rows stacked and formatted per `%` a block at a time, so memory is bounded by the block
 _CSV_BLOCK = 256
 _EVAL_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
@@ -157,7 +158,8 @@ class Trajectory(Record):
 
     def write_csv(self, path) -> None:
         """One row per sample, 17 significant digits, header with names: the
-        bytes of np.savetxt(fmt="%.17g", delimiter=","), _CSV_BLOCK rows a time."""
+        bytes of np.savetxt(fmt="%.17g", delimiter=","), _CSV_BLOCK rows a time,
+        each block stacked from its slices of the columns."""
         import numpy as np
 
         header = (
@@ -168,12 +170,12 @@ class Trajectory(Record):
             + [f"phi_{i + 1}" for i in range(self.input_count)]
             + ["H"]
         )
-        rows = np.column_stack((self.t, self.x, self.p, self.u, self.phi, self.H))
-        row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        columns = (self.t, self.x, self.p, self.u, self.phi, self.H)
+        row_format = ",".join(["%.17g"] * len(header)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for start in range(0, len(rows), _CSV_BLOCK):
-                block = rows[start : start + _CSV_BLOCK]
+            for start in range(0, self.samples, _CSV_BLOCK):
+                block = np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])
                 fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -241,16 +243,17 @@ def _rk4_lines(rhs: list[Expr], state: Sequence[str], names: dict[str, str], h: 
 
 
 def _extremal_loop(sys: ControlSystem, config: SimConfig):
-    """The whole grid as one generated function of (*x0, *p0, *u0, store, at).
+    """The whole grid as one generated function of (*x0, *p0, *u0, store, at, pack).
 
     Per sample s, in locals: t = s*h; <p, f> and the phi_i; the control (set
     once before the loop for FixedControl, `at(t)` for PiecewiseControl, the
     sign law with K(t) inline for BangBang); RK4 stage 1; then `store` of the
-    row (t, x, p, u, phi, H); then, but for the last sample, stages 2-4, the
-    update and the finiteness check.  So a sample is stored exactly when its
-    <p, f>, phi, control and stage 1 evaluate.  Returns (status,
-    failure_time).  All arithmetic is on Python floats, so a division by zero
-    raises ZeroDivisionError instead of returning inf.
+    row (t, x, p, u, phi, H), packed by `pack` into one bytes object of
+    doubles; then, but for the last sample, stages 2-4, the update and the
+    finiteness check.  So a sample is stored exactly when its <p, f>, phi,
+    control and stage 1 evaluate.  Returns (status, failure_time).  All
+    arithmetic is on Python floats, so a division by zero raises
+    ZeroDivisionError instead of returning inf.
     """
     h, policy = config.step, config.control_policy
     steps = max(1, round(config.horizon / h))
@@ -278,7 +281,7 @@ def _extremal_loop(sys: ControlSystem, config: SimConfig):
     # H = <p, f> + sum u_k phi_k, each term only where u_k != 0
     for uk, fk in zip(u, phi):
         body += [f"if {uk} != 0.0:", f"    _e += {uk}*{fk}"]
-    body += [f"_store((_t, {', '.join(y + u + phi)}, _e))", f"if _i == {steps}:", "    break"]
+    body += [f"_store(_pack(_t, {', '.join(y + u + phi)}, _e))", f"if _i == {steps}:", "    break"]
     body += rest
     # overflow to inf is tolerated in the step and ends the run here as a divergence
     finite = " and ".join(f"_isfinite({v})" for v in y)
@@ -291,19 +294,23 @@ def _extremal_loop(sys: ControlSystem, config: SimConfig):
         "    return 'eval_error', _t",
         "return 'ok', None",
     ]
-    return compile_function([*y, *u, "_store", "_at"], loop)
+    return compile_function([*y, *u, "_store", "_at", "_pack"], loop)
 
 
 def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     """Fixed-step RK4 integration of the coupled (x, p) system.
 
-    One generated function runs the whole grid (_extremal_loop), on Python
-    floats, and appends each sample's row to an array of doubles.  A sample is
-    stored where <p, f>, phi, the control and RK4 stage 1 evaluate; a failure
-    in a later stage keeps it.  The last sample runs stage 1 only.  On
-    evaluation failure or divergence the trajectory returned is the finite
-    prefix, flagged through `status` and `failure_time`.
+    One generated function of (*x0, *p0, *u0, store, at, pack) runs the whole
+    grid (_extremal_loop) on Python floats.  Each sample's row is packed by one
+    struct call and appended to an array of doubles by `frombytes`, bit for bit
+    the floats computed.  A sample is stored where <p, f>, phi, the control
+    and RK4 stage 1 evaluate; a failure in a later stage keeps it.  The last
+    sample runs stage 1 only.  On evaluation failure or divergence the
+    trajectory returned is the finite prefix, flagged through `status` and
+    `failure_time`.
     """
+    import struct
+
     import numpy as np
 
     if sys.cost is not None:
@@ -325,11 +332,12 @@ def integrate_extremal(sys: ControlSystem, config: SimConfig) -> Trajectory:
     u0 = policy.u if isinstance(policy, FixedControl) else (0.0,) * m
     at = policy.at if isinstance(policy, PiecewiseControl) else None
     # one row per sample: t, x, p, u, phi, H (the CSV's column order)
+    width = 2 + 2 * n + 2 * m
     store = array("d")
     run = _extremal_loop(sys, config)
     start = (*config.initial_state, *config.initial_adjoint, *u0)
-    status, failure_time = run((*start, store.extend, at))
-    rows = np.frombuffer(store).reshape(-1, 2 + 2 * n + 2 * m)
+    status, failure_time = run((*start, store.frombytes, at, struct.Struct(f"{width}d").pack))
+    rows = np.frombuffer(store).reshape(-1, width)
     return Trajectory(
         state_names=sys.state_names,
         input_count=m,

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -788,6 +789,32 @@ def test_divergence_flags_partial_trajectory():
     assert np.all(np.isfinite(traj.x))
 
 
+@pytest.mark.parametrize(
+    "f, p0, text",
+    [
+        (["1e200", "0"], (1e200, 0.0), "inf"),  # <p, f> = 1e200*1e200 overflows
+        (["1e200", "-1e200"], (1e200, 1e200), "nan"),  # <p, f> = inf - inf
+    ],
+)
+def test_non_finite_samples_are_stored_as_computed(tmp_path, f, p0, text):
+    # x stays finite, so the run is ok; H is inf or nan at every sample
+    doc = {"states": ["x1", "x2"], "inputs": 1, "f": f, "g": [["0", "1"]]}
+    cfg = SimConfig(
+        initial_state=(0.0, 0.0), initial_adjoint=p0, horizon=0.5, step=0.1,
+        control_policy=FixedControl((1.0,)),
+    )
+    traj = integrate_extremal(load(doc), cfg)
+    assert (traj.status, traj.samples) == ("ok", 6)
+    for s in range(traj.samples):
+        phi, h_val = document_phi_and_h(doc, traj.x[s], traj.p[s], traj.u[s])
+        assert float(traj.H[s]).hex() == h_val.hex() == text
+        assert [float(v).hex() for v in traj.phi[s]] == [v.hex() for v in phi]
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(f",{text}") for row in rows)
+
+
 def test_input_field_overflowing_while_its_control_is_zero_diverges():
     # g = (0, x1*x2) is inf at x1 = x2 = 1e200; u*g = 0*inf is nan in x'
     doc = {"states": ["x1", "x2"], "inputs": 1, "f": ["0", "0"], "g": [["0", "x1*x2"]]}
@@ -1232,6 +1259,26 @@ def test_write_csv_is_byte_identical_to_savetxt(tmp_path, samples):
     reference.write("t,x_a,x_b,p_a,p_b,u_1,phi_1,H\n")
     np.savetxt(reference, table, fmt="%.17g", delimiter=",")
     assert path.read_bytes() == reference.getvalue().encode()
+
+
+def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+    # the vehicle's 22 columns: t, 7 x, 7 p, 3 u, 3 phi, H
+    rng = np.random.default_rng(0)
+    samples = 20_000
+    columns = dict(
+        t=rng.normal(size=samples), x=rng.normal(size=(samples, 7)),
+        p=rng.normal(size=(samples, 7)), u=rng.normal(size=(samples, 3)),
+        phi=rng.normal(size=(samples, 3)), H=rng.normal(size=samples),
+    )
+    traj = Trajectory(state_names=tuple("abcdefg"), input_count=3, step=1e-3, **columns)
+    table_bytes = sum(c.nbytes for c in columns.values())
+    tracemalloc.start()
+    try:
+        traj.write_csv(tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4
 
 
 def test_write_csv_format(tmp_path):
