@@ -375,47 +375,47 @@ def detect_singular_intervals(traj: Trajectory, config: SimConfig) -> SingularIn
     return SingularIntervals(tuple(per_input))
 
 
-def check_lemma1(sys: ControlSystem, traj: Trajectory, h_field: VectorField) -> float:
-    """Max residual of d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]>.
+def check_lemma1(sys: ControlSystem, traj: Trajectory, h: VectorField) -> tuple[np.ndarray, float]:
+    """(d, scale) for d/dt<p, h(x)> = <p, [f, h] + sum_i u_i [g_i, h]> along `traj`.
 
-    The left side is a central difference of the sampled inner product; the
-    right side is evaluated per sample from symbolically computed brackets.
-    Samples adjacent to a control switch are skipped.  Returns NaN when no
-    interior sample qualifies.  A division by zero or an overflow in h or a
-    bracket raises EvalError.
+    d[s] is the central difference of the sampled <p, h> minus the right side, from
+    symbolically computed brackets: NaN at the first and last sample and next to a
+    switch.  A residual rounds by a few eps of `scale`, max sum_j |p_j h_j| / step +
+    max sum_j |p_j| (|[f, h]_j| + sum_i |u_i [g_i, h]_j|).  A division by zero or an
+    overflow in h or a bracket raises EvalError.
     """
     import numpy as np
 
-    if h_field.state_names != sys.state_names:
+    if h.state_names != sys.state_names:
         raise ValueError("h must live on the system's state coordinates")
     if traj.samples < 3:
         raise ValueError("need at least three samples for a central difference")
 
     n, m = sys.n, sys.m
-    fields = (h_field, lie_bracket(sys.drift, h_field))
-    fields += tuple(lie_bracket(g, h_field) for g in sys.inputs)
+    fields = (h, lie_bracket(sys.drift, h))
+    fields += tuple(lie_bracket(g, h) for g in sys.inputs)
     fn = compile_components([c for vf in fields for c in vf.components], sys.state_names)
     # rows per sample: h, [f, h], [g_1, h], ..., [g_m, h]; Python floats, as in the integrator
     name = "lemma 1's h, [f, h] or [g_i, h]"
     try:
-        values = [fn(x) for x in traj.x.tolist()]
+        values = np.array([fn(x) for x in traj.x.tolist()], dtype=float)
     except ZeroDivisionError:
         raise EvalError(f"{name} hit a division by zero on the extremal") from None
     except (OverflowError, ValueError):  # ValueError: sin or cos of an overflowed inf
         raise EvalError(f"{name} overflowed on the extremal") from None
-    values = np.asarray(values, dtype=float).reshape(-1, 2 + m, n)
-    inner = np.array([float(traj.p[s] @ values[s, 0]) for s in range(traj.samples)])
-    worst = math.nan
-    for s in range(1, traj.samples - 1):
-        if not np.array_equal(traj.u[s - 1], traj.u[s]):
-            continue
-        lhs = (inner[s + 1] - inner[s - 1]) / (2.0 * traj.step)
-        rhs_vec = values[s, 1]
-        for i in range(m):
-            if traj.u[s, i] != 0.0:
-                rhs_vec = rhs_vec + traj.u[s, i] * values[s, 2 + i]
-        rhs = float(traj.p[s] @ rhs_vec)
-        residual = abs(lhs - rhs)
-        if math.isnan(worst) or residual > worst:
-            worst = residual
-    return worst
+    if not np.isfinite(values).all():  # a float product overflows to inf, not to an error
+        raise EvalError(f"{name} overflowed on the extremal")
+    values = values.reshape(-1, 2 + m, n)
+    p, u = traj.p, traj.u
+    # sums in index order, one elementwise operation at a time: the same floats
+    # from any numpy build, where einsum or a reduction may reorder them
+    with np.errstate(all="ignore"):  # products of finite values may still overflow
+        terms = [values[:, 1], *(u[:, i, None] * values[:, 2 + i] for i in range(m))]
+        inner = sum((p * values[:, 0]).T)
+        rhs = sum((p * sum(terms)).T)
+        d = np.full(traj.samples, np.nan)
+        d[1:-1] = (inner[2:] - inner[:-2]) / (2.0 * traj.step) - rhs[1:-1]
+        d[1:-1][(u[:-2] != u[1:-1]).any(axis=1)] = np.nan
+        scale = np.abs(p * values[:, 0]).sum(axis=1).max() / traj.step
+        scale += (np.abs(p) * sum(map(np.abs, terms))).sum(axis=1).max()
+    return d, float(scale)

@@ -11,6 +11,7 @@ import pytest
 
 import ctrlorder.cli
 import ctrlorder.order
+import ctrlorder.simulate
 from ctrlorder import VectorField, const, lie_bracket
 from ctrlorder.cli import main
 from ctrlorder.expr import MAX_NESTING
@@ -579,6 +580,37 @@ def test_verify_identities_numbers_a_failing_component_from_one(capsys, monkeypa
     code, out, _ = run(capsys, "verify", FULLER, "identities")
     assert code == 5
     assert out.strip() == "identities FAIL  k* = 3: swap j=1 l=0 (nonzero component 1)"
+
+
+ROOT = SYSTEMS_DIR.parent
+SHIPPED_SYSTEMS = sorted(
+    str(path.relative_to(ROOT))
+    for directory in ("systems", "systems/stress", "ctrlbench/systems")
+    for path in (ROOT / directory).glob("*.json")
+)
+
+
+def test_verify_lemma1_passes_where_the_residual_is_truncation(capsys, tmp_path):
+    # the residual at the default step is 0.158, all of it the central
+    # difference's h^2 term: an absolute tolerance of 1e-4 called it a bug
+    path = tmp_path / "system.json"
+    document = {"states": ["x1", "x2"], "inputs": 1, "g": [["3/7 - 1", "3/7 - 1"]]}
+    path.write_text(json.dumps({**document, "f": ["1/(1 + x2^2)/x1", "x1^3*0.5"]}))
+    code, out, _ = run(capsys, "verify", str(path), "all", "--k-max", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "lemma1     PASS  g1: extrapolated violation 0.000458 <= step change 0.119"
+    )
+
+
+@pytest.mark.parametrize("path", SHIPPED_SYSTEMS)
+def test_verify_lemma1_fails_on_brackets_of_the_wrong_sign(capsys, monkeypatch, path):
+    # fault injection: lemma 1's [f, h] and [g_i, h] come out as [h, f] and [h, g_i]
+    monkeypatch.setattr(ctrlorder.simulate, "lie_bracket", lambda a, b: lie_bracket(b, a))
+    code, out, _ = run(capsys, "verify", str(ROOT / path), "lemma1")
+    assert code == 5
+    (line,) = [line for line in out.splitlines() if line.startswith("lemma1")]
+    assert line.startswith("lemma1     FAIL  ") and line.endswith(": implementation bug")
 
 
 def _counted_integrations(monkeypatch, status="ok") -> list:

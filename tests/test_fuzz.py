@@ -103,6 +103,7 @@ def test_cli_runs_on_loadable_systems_end_in_a_documented_exit_code(document):
             ["simulate", str(path), *point, "--horizon", "0.05", "--out", f"{tmp}/x.csv"],
             ["verify", str(path), "parity", "--k-max", "3"],
             ["verify", str(path), "identities", "--k-max", "3"],
+            ["verify", str(path), "lemma1"],
         ):
             out, err = io.StringIO(), io.StringIO()
             started = time.perf_counter()
@@ -111,7 +112,7 @@ def test_cli_runs_on_loadable_systems_end_in_a_documented_exit_code(document):
             elapsed = time.perf_counter() - started
             event(f"{argv[0]} exit {code}")
             assert 0 <= code <= 5, (argv[0], document, code)
-            # exit 5 would be a broken single-input theorem or identity: a bug
+            # exit 5 would be a broken single-input theorem, identity or derivative law: a bug
             assert argv[0] != "verify" or code != 5, (argv, document)
             assert "Traceback" not in err.getvalue(), (argv[0], document)
             assert elapsed < RUN_BUDGET_S, (argv[0], document, elapsed)
